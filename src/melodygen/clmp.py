@@ -183,7 +183,7 @@ class ClmpModel:
             name: smallnet.net_from_state(arrays, meta["nets"][name], prefix=f"{name}.")
             for name in ("text_head", "wave_head", "melody_token_embed", "melody_head")
         }
-        return cls(log_tau=arrays["log_tau"].copy(), embed_dim=int(meta["embed_dim"]), **nets)
+        return cls(log_tau=arrays["log_tau"], embed_dim=int(meta["embed_dim"]), **nets)
 
     def _nets(self) -> dict[str, smallnet.DenseNet]:
         return {

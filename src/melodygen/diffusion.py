@@ -258,9 +258,9 @@ class Denoiser:
         fusion = None
         if "fusion.W" in arrays:
             fusion = ConditionFusion(
-                W=arrays["fusion.W"].copy(),
-                b=arrays["fusion.b"].copy(),
-                null_condition=arrays["fusion.null_condition"].copy(),
+                W=arrays["fusion.W"],
+                b=arrays["fusion.b"],
+                null_condition=arrays["fusion.null_condition"],
             )
         return den, fusion, meta.get("extra", {})
 

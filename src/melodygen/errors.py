@@ -30,7 +30,7 @@ class RangeError(ValidationError):
 
 
 class FormatError(MelodyGenError):
-    """Malformed binary file (WAV, index). Carries the byte offset when known."""
+    """Malformed binary file (WAV, index, checkpoint). Carries the byte offset when known."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

@@ -5,11 +5,15 @@ All stages read and write artifacts under a single working directory:
 
     workdir/
       corpus/manifest.jsonl, corpus/wav/*.wav
-      clmp.json            alignment model checkpoint
+      clmp.ckpt            alignment model checkpoint
       melody.index         HNSW database   (+ melody.index.ids.json id map)
-      latentcodec.json     mel <-> latent codec checkpoint
-      diffusion.json       denoiser + condition fusion checkpoint
-      generated/           per-generation wav / mel / latent files
+      latentcodec.ckpt     mel <-> latent codec checkpoint
+      diffusion.ckpt       denoiser + condition fusion checkpoint
+      generated/           per generation <tag>.wav, plus <tag>.mel.ckpt
+                           and <tag>.latent.ckpt (checkpoint files holding
+                           one array each)
+
+Checkpoints (``*.ckpt``) use the binary format of ``smallnet.save_checkpoint``.
 
 Splits are positional: the last ``corpus.eval_count`` records are held out of
 every training stage and drive evaluation.
@@ -46,7 +50,7 @@ class Artifacts:
 
     @property
     def clmp_path(self) -> Path:
-        return self.root / "clmp.json"
+        return self.root / "clmp.ckpt"
 
     @property
     def index_path(self) -> Path:
@@ -58,11 +62,11 @@ class Artifacts:
 
     @property
     def latent_path(self) -> Path:
-        return self.root / "latentcodec.json"
+        return self.root / "latentcodec.ckpt"
 
     @property
     def diffusion_path(self) -> Path:
-        return self.root / "diffusion.json"
+        return self.root / "diffusion.ckpt"
 
     @property
     def generated_dir(self) -> Path:
@@ -387,8 +391,8 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     art.generated_dir.mkdir(parents=True, exist_ok=True)
     base = art.generated_dir / tag
     wav_path = base.with_suffix(".wav")
-    mel_path = base.with_suffix(".mel.json")
-    latent_path = base.with_suffix(".latent.json")
+    mel_path = base.with_suffix(".mel.ckpt")
+    latent_path = base.with_suffix(".latent.ckpt")
     signal.write_wav(wav_path, wave)
     smallnet.save_checkpoint(mel_path, {"mel": mel.values},
                              {"frame_hop": mel.frame_hop, "n_fft": mel.n_fft,

@@ -12,6 +12,7 @@ uses randomness.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -67,6 +68,9 @@ class MelGrid:
             raise ValidationError(f"mel grid must be 2-D and non-empty, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("mel grid contains non-finite values")
+        if self.frame_hop < 1 or self.n_fft < 1:
+            raise ValidationError(f"mel grid needs frame_hop >= 1 and n_fft >= 1, got "
+                                  f"{self.frame_hop} and {self.n_fft}")
 
     @property
     def n_frames(self) -> int:
@@ -85,11 +89,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_max: float):
     """Triangular filters on the HTK mel scale.
 
     Returns (weights, centers_hz): weights is (n_mels, n_fft//2 + 1) with each
-    triangle peaking at 1.0 and zero outside its support.
+    triangle peaking at 1.0 and zero outside its support. Results are cached
+    per argument tuple and shared between callers, so both arrays are
+    read-only.
     """
     if n_mels < 1:
         raise ValidationError("n_mels must be >= 1")
@@ -104,7 +111,10 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_ma
         up = (fft_freqs - lo) / (center - lo)
         down = (hi - fft_freqs) / (hi - center)
         weights[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return weights, hz_pts[1:-1]
+    centers = hz_pts[1:-1]
+    weights.setflags(write=False)
+    centers.setflags(write=False)
+    return weights, centers
 
 
 def _hann(n: int) -> np.ndarray:
@@ -202,18 +212,36 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     an all-floor grid comes back as exact silence.
     """
     sr = m.sample_rate
-    fb_n_mels = m.n_mels
-    _, centers = mel_filterbank(fb_n_mels, m.n_fft, sr, m.f_min, m.f_max)
-    n_out = m.n_fft + m.frame_hop * (m.n_frames - 1)
+    hop, n_frames = m.frame_hop, m.n_frames
+    _, centers = mel_filterbank(m.n_mels, m.n_fft, sr, m.f_min, m.f_max)
+    n_out = m.n_fft + hop * (n_frames - 1)
     amps = np.where(m.values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
     out = np.zeros(n_out)
-    frame_centers = m.frame_hop * np.arange(m.n_frames) + m.n_fft / 2.0
-    sample_t = np.arange(n_out)
-    for b in range(fb_n_mels):
-        if not np.any(amps[:, b] > 0):
-            continue
-        amp_t = np.interp(sample_t, frame_centers, amps[:, b])
-        out += amp_t * np.sin(2.0 * np.pi * centers[b] * sample_t / sr)
+    frame_centers = hop * np.arange(n_frames) + m.n_fft / 2.0
+    sample_t = np.arange(n_out, dtype=np.float64)
+    # Amplitudes are interpolated as np.interp does it, bit for bit: constant
+    # before the first and from the last frame center on, and
+    # slope_j * (t - center_j) + amp_j in between. Centers are hop samples
+    # apart, so the offsets t - center_j repeat in every segment and the
+    # interior is a (n_frames - 1, hop) outer product.
+    head = (m.n_fft + 1) // 2  # samples before the first frame center
+    tail = head + hop * (n_frames - 1)
+    offsets = np.arange(head, head + hop, dtype=np.float64) - frame_centers[0]
+    slopes = np.diff(amps, axis=0) / np.diff(frame_centers)[:, None]
+    amp_t = np.empty(n_out)
+    amp_segments = amp_t[head:tail].reshape(n_frames - 1, hop)
+    tone = np.empty(n_out)
+    for b in np.flatnonzero(np.any(amps > 0, axis=0)):
+        amp_t[:head] = amps[0, b]
+        np.multiply(slopes[:, b, None], offsets, out=amp_segments)
+        amp_segments += amps[:-1, b, None]
+        amp_t[tail:] = amps[-1, b]
+        # sin((2 pi f_b) * t / sr) * amp_t in place; this order fixes the bits
+        np.multiply(2.0 * np.pi * centers[b], sample_t, out=tone)
+        np.divide(tone, sr, out=tone)
+        np.sin(tone, out=tone)
+        tone *= amp_t
+        out += tone
     peak = np.max(np.abs(out))
     if peak > 1e-12:
         out /= peak

@@ -1,4 +1,4 @@
-"""Dense networks with hand-written gradients, Adam/AdamW, and JSON checkpoints.
+"""Dense networks with hand-written gradients, Adam/AdamW, and binary checkpoints.
 
 Everything here is plain numpy in float64. Gradients are computed by explicit
 reverse-mode passes (no autograd), which keeps the arithmetic auditable and
@@ -12,17 +12,20 @@ across platforms for a given seed). Child streams are derived through
 
 from __future__ import annotations
 
-import base64
 import json
+import math
+import os
+import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import GradientError, ShapeError, ValidationError
+from .errors import FormatError, GradientError, ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -293,46 +296,116 @@ def step(opt: Optimizer, net: DenseNet, grads: list[np.ndarray]) -> DenseNet:
 
 # --- checkpoint I/O -----------------------------------------------------
 #
-# Checkpoints are JSON documents: named arrays encoded as base64 of
-# little-endian float32, plus a format_version and free-form meta. Values are
-# quantized to float32 on save, so a load -> save round trip is byte-exact.
+# A checkpoint is one binary file, all integers little-endian:
+#
+#   offset  size  field
+#   0       4     magic b"MGCK"
+#   4       4     u32 format_version (2)
+#   8       8     u64 header length H
+#   16      H     UTF-8 JSON header, compact with sorted keys:
+#                 {"arrays": [[name, shape], ...], "meta": {...}}
+#                 with the arrays in sorted-name order
+#   16+H    ...   each array's float32 payload, in header order, back to back
+#
+# Values are quantized to float32 on save, so a load -> save round trip is
+# byte-exact. The payload sizes must account for every byte of the file.
+# Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
+# failed write leaves any previous checkpoint intact.
 
-
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f4").tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    return a.reshape(d["shape"])
+CHECKPOINT_MAGIC = b"MGCK"
+_PREAMBLE = struct.Struct("<4sIQ")
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "meta": meta or {},
-        "arrays": {k: _encode_array(v) for k, v in sorted(arrays.items())},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+    path = Path(path)
+    payloads = [(k, np.asarray(v, dtype=np.float64)) for k, v in sorted(arrays.items())]
+    header = json.dumps(
+        {"arrays": [[k, list(a.shape)] for k, a in payloads], "meta": meta or {}},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(header)))
+            f.write(header)
+            for _, a in payloads:
+                f.write(a.astype("<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _parse_header(raw: bytes, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
+    start = _PREAMBLE.size
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"checkpoint {path}: unparseable header ({e})", start) from e
+    entries = doc.get("arrays") if isinstance(doc, dict) else None
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise FormatError(f"checkpoint {path}: header wants an 'arrays' list and a "
+                          "'meta' object", start)
+    specs = []
+    for entry in entries:
+        ok = (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+              and isinstance(entry[1], list)
+              and all(type(d) is int for d in entry[1]))
+        if not ok:
+            raise FormatError(f"checkpoint {path}: bad array entry {entry!r} in header",
+                              start)
+        name, shape = entry
+        if any(d < 0 for d in shape):
+            raise FormatError(f"checkpoint {path}: array {name!r} has a negative "
+                              f"dimension in shape {shape}", start)
+        specs.append((name, tuple(shape)))
+    if len({name for name, _ in specs}) != len(specs):
+        raise FormatError(f"checkpoint {path}: an array name is listed twice", start)
+    return specs, meta
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    version = doc.get("format_version")
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A file that is not a checkpoint of this format (no magic, or another
+    format_version) raises ``ValidationError``; a checkpoint whose bytes do
+    not add up raises ``FormatError`` with the byte offset of the fault.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not CHECKPOINT_MAGIC.startswith(raw[:len(CHECKPOINT_MAGIC)]):
+        raise ValidationError(
+            f"{path} is not a melodygen checkpoint (no {CHECKPOINT_MAGIC!r} magic; "
+            "files of an older format are not read); rerun the stage that writes it"
+        )
+    if len(raw) < _PREAMBLE.size:
+        raise FormatError(f"checkpoint {path}: file too short for the "
+                          f"{_PREAMBLE.size}-byte preamble", len(raw))
+    _, version, header_len = _PREAMBLE.unpack_from(raw)
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValidationError(
-            f"checkpoint format_version {version!r} not supported "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
+            f"checkpoint {path}: format_version {version!r} not supported "
+            f"(expected {CHECKPOINT_FORMAT_VERSION}); rerun the stage that writes it"
         )
-    arrays = {k: _decode_array(v) for k, v in doc["arrays"].items()}
-    return arrays, doc.get("meta", {})
+    offset = _PREAMBLE.size + header_len
+    if offset > len(raw):
+        raise FormatError(f"checkpoint {path}: header length {header_len} runs past "
+                          f"the end of the {len(raw)}-byte file", 8)
+    specs, meta = _parse_header(raw[_PREAMBLE.size:offset], path)
+    arrays = {}
+    for name, shape in specs:
+        count = math.prod(shape)
+        if offset + 4 * count > len(raw):
+            raise FormatError(f"checkpoint {path}: array {name!r} truncated (wants "
+                              f"{4 * count} bytes, has {len(raw) - offset})", offset)
+        arrays[name] = (np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+                        .astype(np.float64).reshape(shape))
+        offset += 4 * count
+    if offset != len(raw):
+        raise FormatError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after "
+                          "the last array", offset)
+    return arrays, meta
 
 
 def net_state(net: DenseNet, prefix: str = "") -> tuple[dict[str, np.ndarray], dict]:
@@ -346,6 +419,8 @@ def net_state(net: DenseNet, prefix: str = "") -> tuple[dict[str, np.ndarray], d
 
 
 def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str = "") -> DenseNet:
+    """Rebuild a net from ``net_state`` output. The net takes the arrays as its
+    parameters without copying them (``load_checkpoint`` returns fresh ones)."""
     activations = meta["activations"]
     layers = []
     for i, act in enumerate(activations):
@@ -354,5 +429,5 @@ def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str = "") 
             b = arrays[f"{prefix}b{i}"]
         except KeyError as e:
             raise ValidationError(f"checkpoint missing array {e.args[0]!r}") from e
-        layers.append(DenseLayer(w.copy(), b.copy(), act))
+        layers.append(DenseLayer(w, b, act))
     return DenseNet(layers)

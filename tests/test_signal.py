@@ -133,6 +133,80 @@ class TestMelToWaveform:
         assert len(w.samples) == 1024 + 256 * 9
 
 
+class TestFilterbankCache:
+    ARGS = (64, 1024, 16000, 0.0, 8000.0)
+
+    def test_cached_result_is_bit_equal_to_a_fresh_build(self):
+        weights, centers = sig.mel_filterbank(*self.ARGS)
+        fresh_w, fresh_c = sig.mel_filterbank.__wrapped__(*self.ARGS)
+        assert weights is not fresh_w
+        assert np.array_equal(weights, fresh_w) and np.array_equal(centers, fresh_c)
+
+    def test_repeat_call_returns_the_cached_arrays(self):
+        assert sig.mel_filterbank(*self.ARGS)[0] is sig.mel_filterbank(*self.ARGS)[0]
+
+    def test_cached_arrays_are_read_only(self):
+        weights, centers = sig.mel_filterbank(*self.ARGS)
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            centers[0] = 1.0
+
+    def test_invalid_arguments_still_rejected(self):
+        with pytest.raises(ValidationError):
+            sig.mel_filterbank(64, 1024, 16000, 0.0, 9000.0)
+
+
+def reference_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
+    """The vocoder as first written: np.interp and a fresh tone array per
+    active bin."""
+    sr = m.sample_rate
+    _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, m.n_fft, sr, m.f_min, m.f_max)
+    n_out = m.n_fft + m.frame_hop * (m.n_frames - 1)
+    amps = np.where(m.values <= sig.DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
+    out = np.zeros(n_out)
+    frame_centers = m.frame_hop * np.arange(m.n_frames) + m.n_fft / 2.0
+    sample_t = np.arange(n_out)
+    for b in range(m.n_mels):
+        if not np.any(amps[:, b] > 0):
+            continue
+        amp_t = np.interp(sample_t, frame_centers, amps[:, b])
+        out += amp_t * np.sin(2.0 * np.pi * centers[b] * sample_t / sr)
+    peak = np.max(np.abs(out))
+    if peak > 1e-12:
+        out /= peak
+    else:
+        out = np.zeros(n_out)
+    return out
+
+
+class TestMelToWaveformMatchesReference:
+    @pytest.mark.parametrize("seed,frames,n_mels,n_fft,hop,sr", [
+        (0, 128, 64, 1024, 256, 16000),
+        (1, 7, 16, 512, 128, 8000),
+        (2, 1, 32, 256, 64, 16000),
+        (3, 5, 8, 255, 100, 16000),  # odd n_fft: frame centers fall between samples
+        (4, 1, 16, 256, 200, 16000),  # one frame, hop longer than the half window
+    ])
+    def test_random_grid_with_floor_bins(self, seed, frames, n_mels, n_fft, hop, sr):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(sig.DB_FLOOR, 0.0, (frames, n_mels))
+        values[:, rng.choice(n_mels, n_mels // 3, replace=False)] = sig.DB_FLOOR
+        values[rng.random(values.shape) < 0.2] = sig.DB_FLOOR
+        m = sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, f_max=sr / 2, sample_rate=sr)
+        assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
+
+    def test_all_floor_grid(self):
+        m = sig.MelGrid(np.full((12, 64), sig.DB_FLOOR))
+        assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
+
+
+@pytest.mark.parametrize("field", ["frame_hop", "n_fft"])
+def test_mel_grid_rejects_non_positive_framing(field):
+    with pytest.raises(ValidationError, match=field):
+        sig.MelGrid(np.zeros((4, 8)), **{field: 0})
+
+
 class TestWav:
     def test_roundtrip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from melodygen import smallnet
-from melodygen.errors import GradientError, ShapeError, ValidationError
+from melodygen.errors import FormatError, GradientError, ShapeError, ValidationError
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
@@ -195,6 +196,140 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": 99, "arrays": {}, "meta": {}}))
         with pytest.raises(ValidationError):
             smallnet.load_checkpoint(path)
+
+
+def _write_checkpoint_bytes(path, header: bytes, payload: bytes = b"",
+                            header_len: int | None = None, version: int = 2) -> None:
+    n = len(header) if header_len is None else header_len
+    path.write_bytes(b"MGCK" + struct.pack("<IQ", version, n) + header + payload)
+
+
+class TestCheckpointFormat:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.0])}
+        path = tmp_path / "m.ckpt"
+        smallnet.save_checkpoint(path, arrays, {"k": [1, 2]})
+        return path
+
+    def test_byte_layout(self, saved):
+        raw = saved.read_bytes()
+        assert raw[:4] == b"MGCK"
+        version, header_len = struct.unpack_from("<IQ", raw, 4)
+        assert version == smallnet.CHECKPOINT_FORMAT_VERSION == 2
+        header = raw[16:16 + header_len]
+        assert header == b'{"arrays":[["b",[2]],["w",[2,3]]],"meta":{"k":[1,2]}}'
+        payload = raw[16 + header_len:]
+        assert payload == (np.array([0.5, -1.0], "<f4").tobytes()
+                           + np.arange(6, dtype="<f4").tobytes())
+
+    def test_loaded_arrays_are_writable_float64(self, saved):
+        arrays, _ = smallnet.load_checkpoint(saved)
+        for a in arrays.values():
+            assert a.dtype == np.float64 and a.flags.writeable
+
+    def test_scalar_and_empty_arrays_roundtrip(self, tmp_path):
+        path = tmp_path / "edge.ckpt"
+        smallnet.save_checkpoint(path, {"s": np.float64(2.5), "z": np.zeros((0, 3))})
+        arrays, meta = smallnet.load_checkpoint(path)
+        assert meta == {}
+        assert arrays["s"].shape == () and arrays["s"] == 2.5
+        assert arrays["z"].shape == (0, 3)
+
+    def test_failed_write_keeps_previous_checkpoint(self, saved, monkeypatch):
+        before = saved.read_bytes()
+
+        class DiskFull:
+            """A file whose second write fails, as on a full disk."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(smallnet, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            smallnet.save_checkpoint(saved, {"w": np.ones(4)}, {"k": "new"})
+        assert saved.read_bytes() == before
+        assert sorted(p.name for p in saved.parent.iterdir()) == ["m.ckpt"]
+
+    def test_truncated_payload(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-5])
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(saved)
+        assert "m.ckpt" in str(e.value) and "'w' truncated" in str(e.value)
+        header_len = struct.unpack_from("<Q", saved.read_bytes(), 8)[0]
+        assert e.value.offset == 16 + header_len + 2 * 4  # after "b"'s two floats
+
+    def test_trailing_bytes(self, saved):
+        size = len(saved.read_bytes())
+        saved.write_bytes(saved.read_bytes() + b"\0\0\0")
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(saved)
+        assert "m.ckpt" in str(e.value) and "3 trailing bytes" in str(e.value)
+        assert e.value.offset == size
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        _write_checkpoint_bytes(path, b'{"arrays":[],"meta":{}}', header_len=10_000)
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(path)
+        assert "long.ckpt" in str(e.value) and "header length 10000" in str(e.value)
+        assert e.value.offset == 8
+
+    @pytest.mark.parametrize("header,payload,message", [
+        (b'{"arrays":[["w",[2]]', b"", "unparseable header"),
+        (b'{"arrays":[["w",[-1,2]]],"meta":{}}', bytes(8), "negative dimension"),
+        (b'{"arrays":[["w",[2.5]]],"meta":{}}', bytes(8), "bad array entry"),
+        (b'{"arrays":[["w",[1]],["w",[1]]],"meta":{}}', bytes(8), "listed twice"),
+        (b'{"arrays":[]}', b"", "'meta' object"),
+    ], ids=["unparseable", "negative_dim", "float_dim", "duplicate_name", "no_meta"])
+    def test_malformed_header(self, tmp_path, header, payload, message):
+        path = tmp_path / "bad.ckpt"
+        _write_checkpoint_bytes(path, header, payload)
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(path)
+        assert "bad.ckpt" in str(e.value) and message in str(e.value)
+        assert e.value.offset == 16
+
+    def test_file_shorter_than_preamble(self, saved):
+        saved.write_bytes(saved.read_bytes()[:10])
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(saved)
+        assert e.value.offset == 10
+
+    def test_old_json_checkpoint_asks_for_rerun(self, tmp_path):
+        path = tmp_path / "clmp.json"
+        path.write_text(json.dumps({"format_version": 1, "arrays": {}, "meta": {}}))
+        with pytest.raises(ValidationError) as e:
+            smallnet.load_checkpoint(path)
+        assert "clmp.json" in str(e.value) and "rerun" in str(e.value)
+
+    def test_other_binary_version_refused(self, tmp_path):
+        path = tmp_path / "v3.ckpt"
+        _write_checkpoint_bytes(path, b'{"arrays":[],"meta":{}}', version=3)
+        with pytest.raises(ValidationError, match="format_version 3"):
+            smallnet.load_checkpoint(path)
+
+    def test_net_from_state_adopts_loaded_arrays(self, tmp_path):
+        net = smallnet.DenseNet.create([3, 2], ["tanh"], smallnet.make_rng(15))
+        arrays, meta = smallnet.net_state(net)
+        path = tmp_path / "n.ckpt"
+        smallnet.save_checkpoint(path, arrays, meta)
+        loaded, meta2 = smallnet.load_checkpoint(path)
+        rebuilt = smallnet.net_from_state(loaded, meta2)
+        assert rebuilt.layers[0].w is loaded["w0"]
 
 
 class TestRng:
