@@ -6,12 +6,12 @@ Subpackages by stage:
 - ``melody_codec``  note events <-> triplet token strings
 - ``signal``        mel analysis, tone synthesis, oscillator vocoder, WAV I/O
 - ``clmp``          tri-modal contrastive alignment (text/waveform/melody)
-- ``melody_vdb``    HNSW index over melody embeddings + brute-force oracle
 - ``latentcodec``   patchwise mel <-> latent autoencoder
 - ``diffusion``     schedules, conditional denoiser, CFG, DDPM/DDIM samplers
 - ``metrics``       Fréchet distance, paired KL, inception-style score
 - ``corpus``        synthetic aligned (text, melody, audio) corpus
-- ``config`` / ``pipeline`` / ``cli``  orchestration
+- ``config`` / ``pipeline`` / ``cli``  orchestration; ``pipeline`` also keeps
+  the melody database (one embedding matrix, exact top-1 retrieval)
 """
 
 __version__ = "0.1.0"

@@ -81,8 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"epochs": len(result.loss_curve),
                               "final_loss": result.loss_curve[-1] if result.loss_curve else None}))
         elif args.command == "build-index":
-            index = pipeline.run_build_index(cfg, args.out)
-            print(json.dumps({"indexed": len(index)}))
+            print(json.dumps({"indexed": pipeline.run_build_index(cfg, args.out)}))
         elif args.command == "train-latent":
             history = pipeline.run_train_latent(cfg, args.out)
             print(json.dumps({"steps": len(history), "final_loss": history[-1]}))

@@ -325,7 +325,8 @@ class _BatchGraph:
         return total, grads
 
 
-def _batch_features(model: ClmpModel, batch: list[Triple]):
+def _batch_features(batch: list[Triple]):
+    """Text, wave and per-token melody features of aligned items."""
     text = np.stack([featurize_text(t.text) for t in batch])
     wave = np.stack([featurize_wave(t.mel) for t in batch])
     melody = [melody_token_features(t.melody) for t in batch]
@@ -337,7 +338,7 @@ def contrastive_total_loss(model: ClmpModel, batch: list[Triple],
     """Mean of the directed InfoNCE terms over a batch of aligned triples."""
     if len(batch) < 2:
         raise ValidationError(f"contrastive batch needs N >= 2, got {len(batch)}")
-    text, wave, melody = _batch_features(model, batch)
+    text, wave, melody = _batch_features(batch)
     graph = _BatchGraph(model, text, wave, melody, use_melody_terms)
     loss, _ = graph.loss_and_grads()
     return loss
@@ -369,9 +370,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
         raise ValidationError(
             f"corpus has {len(corpus)} items, need at least batch_size={config.batch_size}"
         )
-    text = np.stack([featurize_text(t.text) for t in corpus])
-    wave = np.stack([featurize_wave(t.mel) for t in corpus])
-    melody = [melody_token_features(t.melody) for t in corpus]
+    text, wave, melody = _batch_features(corpus)
 
     rng = smallnet.spawn_rng(config.seed, 202)
     opt = smallnet.Optimizer(kind="adam", learning_rate=config.learning_rate)
@@ -397,9 +396,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
 
 def embed_corpus(model: ClmpModel, triples: list[Triple]):
     """(text, wave, melody) embedding matrices for an item list."""
-    text = np.stack([featurize_text(t.text) for t in triples])
-    wave = np.stack([featurize_wave(t.mel) for t in triples])
-    melody = [melody_token_features(t.melody) for t in triples]
+    text, wave, melody = _batch_features(triples)
     return (
         _HeadPath(model.text_head, text).emb,
         _HeadPath(model.wave_head, wave).emb,

@@ -55,13 +55,6 @@ class ClmpConfig:
 
 
 @dataclass
-class HnswConfig:
-    M: int = 16
-    ef_construction: int = 200
-    ef_search: int = 64
-
-
-@dataclass
 class LatentConfig:
     compression: int = 4
     channels: int = 8
@@ -95,7 +88,6 @@ class PipelineConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     signal: SignalConfig = field(default_factory=SignalConfig)
     clmp: ClmpConfig = field(default_factory=ClmpConfig)
-    hnsw: HnswConfig = field(default_factory=HnswConfig)
     latent: LatentConfig = field(default_factory=LatentConfig)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
 
@@ -104,8 +96,7 @@ class PipelineConfig:
             if not cond:
                 raise ValidationError(f"{name}: {msg}")
 
-        c, s, m, h, l, d = (self.corpus, self.signal, self.clmp,
-                            self.hnsw, self.latent, self.diffusion)
+        c, s, m, l, d = self.corpus, self.signal, self.clmp, self.latent, self.diffusion
         check(c.n_records >= 1, "corpus.n_records", "must be >= 1")
         check(0 <= c.eval_count < c.n_records, "corpus.eval_count",
               "must be >= 0 and < n_records")
@@ -124,9 +115,6 @@ class PipelineConfig:
         check(m.batch_size >= 2, "clmp.batch_size", "must be >= 2")
         check(m.learning_rate >= 0, "clmp.learning_rate", "must be >= 0")
         check(m.epochs >= 0, "clmp.epochs", "must be >= 0")
-        check(h.M >= 2, "hnsw.M", "must be >= 2")
-        check(h.ef_construction >= 1, "hnsw.ef_construction", "must be >= 1")
-        check(h.ef_search >= 1, "hnsw.ef_search", "must be >= 1")
         check(l.compression >= 1, "latent.compression", "must be >= 1")
         check(l.channels >= 1, "latent.channels", "must be >= 1")
         check(l.kl_weight >= 0, "latent.kl_weight", "must be >= 0")

@@ -3,7 +3,7 @@
 Standard DDPM pieces: a linear beta schedule with its derived alpha tables,
 the closed-form forward marginal x_n = sqrt(abar_n) x0 + sqrt(1-abar_n) eps,
 the Gaussian posterior q(x_{n-1} | x_n, x0), and epsilon-prediction training.
-Conditioning is a single fused vector c = W^T [query || melody] + b; a
+Conditioning is one fused vector per row, c = [query || melody] W + b; a
 learned constant null vector stands in for "no condition" and is trained by
 random condition dropout, enabling classifier-free guidance
 eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). Samplers: ancestral (DDPM) and
@@ -20,8 +20,6 @@ import numpy as np
 
 from . import smallnet
 from .errors import SamplingError, ShapeError, ValidationError
-
-CONDITION_SOURCES = ("text+melody", "wave+melody", "unconditional")
 
 
 @dataclass
@@ -96,19 +94,9 @@ def posterior(sched: NoiseSchedule, x_n: np.ndarray, x0: np.ndarray, n: int):
 
 
 @dataclass
-class Condition:
-    vector: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.source not in CONDITION_SOURCES:
-            raise ValidationError(f"unknown condition source {self.source!r}")
-
-
-@dataclass
 class ConditionFusion:
-    """c = W^T [query || melody] + b, plus the learned null condition."""
+    """c = [query || melody] W + b over a batch of rows, plus the learned null
+    condition. A zero melody row is the zero-padding ablation."""
 
     W: np.ndarray  # (2d, d_c)
     b: np.ndarray  # (d_c,)
@@ -134,38 +122,22 @@ class ConditionFusion:
     def parameter_names(self) -> list[str]:
         return ["fusion.W", "fusion.b", "fusion.null_condition"]
 
+    def _inputs(self, queries: np.ndarray, melodies: np.ndarray) -> np.ndarray:
+        shape = (len(queries), self.embed_dim)
+        if np.shape(queries) != shape or np.shape(melodies) != shape:
+            raise ShapeError(f"queries {np.shape(queries)} and melodies {np.shape(melodies)} "
+                             f"must both have shape (B, {self.embed_dim})")
+        return np.concatenate([queries, melodies], axis=1)
 
-def fuse_condition(fusion: ConditionFusion, query_embed: np.ndarray,
-                   melody_embed: np.ndarray | None, source: str) -> Condition:
-    """Concatenate query and melody embeddings and map through W, b.
+    def forward(self, queries: np.ndarray, melodies: np.ndarray) -> np.ndarray:
+        """(B, cond_dim) conditions for (B, embed_dim) query and melody rows."""
+        return self._inputs(queries, melodies) @ self.W + self.b
 
-    ``melody_embed=None`` is the zero-padding ablation: the melody half of the
-    concatenation is zeros and only the query steers the condition.
-    """
-    d = fusion.embed_dim
-    q = np.asarray(query_embed, dtype=np.float64)
-    if q.shape != (d,):
-        raise ShapeError(f"query embedding has shape {q.shape}, fusion wants ({d},)")
-    if melody_embed is None:
-        m = np.zeros(d)
-    else:
-        m = np.asarray(melody_embed, dtype=np.float64)
-        if m.shape != (d,):
-            raise ShapeError(f"melody embedding has shape {m.shape}, fusion wants ({d},)")
-    c = fusion.W.T @ np.concatenate([q, m]) + fusion.b
-    return Condition(c, source)
-
-
-def fusion_backward(fusion: ConditionFusion, query_embed, melody_embed, d_c: np.ndarray):
-    """Gradients of a loss through fuse_condition: (dW, db, d_query, d_melody)."""
-    d = fusion.embed_dim
-    q = np.asarray(query_embed, dtype=np.float64)
-    m = np.zeros(d) if melody_embed is None else np.asarray(melody_embed, dtype=np.float64)
-    x = np.concatenate([q, m])
-    dW = np.outer(x, d_c)
-    db = d_c.copy()
-    dx = fusion.W @ d_c
-    return dW, db, dx[:d], dx[d:]
+    def backward(self, queries: np.ndarray, melodies: np.ndarray,
+                 d_conditions: np.ndarray) -> list[np.ndarray]:
+        """[dW, db] of a loss whose gradient w.r.t. ``forward``'s output is
+        ``d_conditions``, summed over the batch."""
+        return [self._inputs(queries, melodies).T @ d_conditions, d_conditions.sum(axis=0)]
 
 
 # --- denoiser ----------------------------------------------------------------

@@ -6,7 +6,8 @@ All stages read and write artifacts under a single working directory:
     workdir/
       corpus/manifest.jsonl, corpus/wav/*.wav
       clmp.ckpt            alignment model checkpoint
-      melody.index         HNSW database   (+ melody.index.ids.json id map)
+      melody.ckpt          melody database: one (n, embed_dim) array of unit
+                           melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
       diffusion.ckpt       denoiser + condition fusion checkpoint
       generated/           per generation <tag>.wav, plus <tag>.mel.ckpt
@@ -21,21 +22,19 @@ every training stage and drive evaluation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import clmp, diffusion, latentcodec, melody_vdb, metrics, signal, smallnet
+from . import clmp, diffusion, latentcodec, metrics, signal, smallnet
 from .config import PipelineConfig
 from .corpus import CorpusRecord, generate_corpus, load_corpus
 from .errors import MissingArtifactError, ValidationError
 
 
-@dataclass
 class Artifacts:
-    root: Path
+    """Paths of the artifacts under one working directory."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -54,11 +53,7 @@ class Artifacts:
 
     @property
     def index_path(self) -> Path:
-        return self.root / "melody.index"
-
-    @property
-    def index_ids_path(self) -> Path:
-        return self.root / "melody.index.ids.json"
+        return self.root / "melody.ckpt"
 
     @property
     def latent_path(self) -> Path:
@@ -176,35 +171,46 @@ def _load_clmp(cfg: PipelineConfig, art: Artifacts) -> clmp.ClmpModel:
     return clmp.ClmpModel.load(art.clmp_path)
 
 
-def run_build_index(cfg: PipelineConfig, workdir) -> melody_vdb.HnswIndex:
-    """Embed every training melody and insert it into a fresh HNSW database."""
+def run_build_index(cfg: PipelineConfig, workdir) -> int:
+    """Embed every training melody into the melody database; returns its size.
+
+    The database is one checkpoint array ``melodies`` of shape (n, embed_dim),
+    row i the unit embedding of the i-th training record, whose id is
+    ``meta["ids"][i]``. Search over it is exact (``retrieve``).
+    """
     art = Artifacts(workdir)
     records = _load_records(cfg, art)
     train_records, _ = _split(cfg, records)
     model = _load_clmp(cfg, art)
-    index = melody_vdb.HnswIndex(
-        dim=cfg.clmp.embed_dim,
-        M=cfg.hnsw.M,
-        ef_construction=cfg.hnsw.ef_construction,
-        seed=cfg.seed,
-    )
-    ids = []
-    for i, record in enumerate(train_records):
-        emb = clmp.encode(model, "melody", record.melody)
-        index.insert(i, emb.values)
-        ids.append(record.id)
-    melody_vdb.persist(index, art.index_path)
-    with open(art.index_ids_path, "w", encoding="utf-8") as f:
-        json.dump({"ids": ids}, f)
-    return index
+    melodies = np.stack([clmp.encode(model, "melody", r.melody).values for r in train_records])
+    smallnet.save_checkpoint(art.index_path, {"melodies": melodies},
+                             {"ids": [r.id for r in train_records]})
+    return len(melodies)
 
 
-def _load_index(art: Artifacts):
-    art.require(art.index_path, art.index_ids_path)
-    index = melody_vdb.restore(art.index_path)
-    with open(art.index_ids_path, "r", encoding="utf-8") as f:
-        ids = json.load(f)["ids"]
-    return index, ids
+def _load_index(cfg: PipelineConfig, art: Artifacts) -> tuple[np.ndarray, list[str]]:
+    """(melodies, ids) of the melody database, checked against each other and
+    against ``clmp.embed_dim``."""
+    art.require(art.index_path)
+    arrays, meta = smallnet.load_checkpoint(art.index_path)
+    name = art.index_path.name
+    melodies, ids = arrays.get("melodies"), meta.get("ids")
+    if melodies is None or melodies.ndim != 2 or not isinstance(ids, list):
+        raise ValidationError(f"{name} holds no 2-D 'melodies' array with an 'ids' list; "
+                              "rerun build-index")
+    if len(melodies) != len(ids):
+        raise ValidationError(f"{name} has {len(melodies)} melody rows but {len(ids)} ids; "
+                              "rerun build-index")
+    if melodies.shape[1] != cfg.clmp.embed_dim:
+        raise ValidationError(f"{name} melodies have width {melodies.shape[1]}, but "
+                              f"clmp.embed_dim is {cfg.clmp.embed_dim}; rerun build-index")
+    return melodies, ids
+
+
+def retrieve(melodies: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact top-1 melody row per query row by cosine (rows are unit-norm).
+    On ties the first, lowest row wins."""
+    return np.argmax(queries @ melodies.T, axis=1)
 
 
 def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
@@ -241,11 +247,6 @@ def _latent_shape(cfg: PipelineConfig) -> tuple[int, int, int]:
     return cfg.latent.channels, cfg.signal.mel_frames // r, cfg.signal.n_mels // r
 
 
-def _fuse_rows(fusion: diffusion.ConditionFusion, queries: np.ndarray,
-               melodies: np.ndarray) -> np.ndarray:
-    return np.concatenate([queries, melodies], axis=1) @ fusion.W + fusion.b
-
-
 def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     """Train the conditional denoiser on corpus latents.
 
@@ -260,7 +261,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     records = _load_records(cfg, art)
     train_records, _ = _split(cfg, records)
     model = _load_clmp(cfg, art)
-    index, _ = _load_index(art)
+    melodies, _ = _load_index(cfg, art)
     art.require(art.latent_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
 
@@ -269,16 +270,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     x0 = np.stack([
         latentcodec.encode_mel(codec, t.mel).values.ravel() for t in triples
     ])
-
-    def retrieved(queries: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(queries), cfg.clmp.embed_dim))
-        for i, q in enumerate(queries):
-            hit_id, _ = index.search(q, k=1, ef_search=cfg.hnsw.ef_search).hits[0]
-            out[i] = index.vector_of(hit_id)
-        return out
-
-    r_wave = retrieved(wave_emb)
-    r_text = retrieved(text_emb)
+    r_wave = melodies[retrieve(melodies, wave_emb)]
+    r_text = melodies[retrieve(melodies, text_emb)]
 
     latent_dim = x0.shape[1]
     sched = diffusion.make_schedule(cfg.diffusion.n_steps, cfg.diffusion.beta_start,
@@ -301,18 +294,14 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     for step_i in range(cfg.diffusion.train_steps):
         idx = rng.integers(0, len(x0), size=min(cfg.diffusion.batch_size, len(x0)))
         if step_i < phase_boundary:
-            queries, melodies = wave_emb[idx], r_wave[idx]
+            queries, hits = wave_emb[idx], r_wave[idx]
         else:
-            queries, melodies = text_emb[idx], r_text[idx]
-        conditions = _fuse_rows(fusion, queries, melodies)
+            queries, hits = text_emb[idx], r_text[idx]
         result = diffusion.training_step(
-            denoiser, sched, x0[idx], conditions, fusion.null_condition,
+            denoiser, sched, x0[idx], fusion.forward(queries, hits), fusion.null_condition,
             cfg.diffusion.uncond_prob, rng,
         )
-        cat = np.concatenate([queries, melodies], axis=1)
-        fusion_grads = [cat.T @ result.d_conditions,
-                        result.d_conditions.sum(axis=0),
-                        result.d_null]
+        fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
         opt.step(params, result.denoiser_grads + fusion_grads, names)
         history.append(result.loss)
 
@@ -332,7 +321,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
 
 def _load_generation_stack(cfg: PipelineConfig, art: Artifacts):
     model = _load_clmp(cfg, art)
-    index, ids = _load_index(art)
+    melodies, ids = _load_index(cfg, art)
     art.require(art.latent_path, art.diffusion_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
     denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
@@ -341,7 +330,7 @@ def _load_generation_stack(cfg: PipelineConfig, art: Artifacts):
     sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
                                     float(extra["beta_end"]))
     shape = (int(extra["latent_channels"]), int(extra["latent_t"]), int(extra["latent_f"]))
-    return model, index, ids, codec, denoiser, fusion, sched, shape
+    return model, melodies, ids, codec, denoiser, fusion, sched, shape
 
 
 def _sample_latents(denoiser, sched, fusion, conditions: np.ndarray, *,
@@ -366,22 +355,21 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     if not prompt or not prompt.strip():
         raise ValidationError("prompt must be a non-empty string")
     art = Artifacts(workdir)
-    model, index, ids, codec, denoiser, fusion, sched, shape = \
+    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
     seed = cfg.seed if seed is None else seed
     steps = cfg.diffusion.ddim_steps if steps is None else steps
     w = cfg.diffusion.cfg_w if w is None else w
 
-    query = clmp.encode(model, "text", clmp.featurize_text(prompt)).values
+    query = clmp.encode(model, "text", clmp.featurize_text(prompt)).values[None, :]
+    melody = np.zeros_like(query)
     retrieved_id = None
-    melody_vec = None
     if use_melody:
-        hit_id, _ = index.search(query, k=1, ef_search=cfg.hnsw.ef_search).hits[0]
-        melody_vec = index.vector_of(hit_id).astype(np.float64)
-        retrieved_id = ids[hit_id]
-    cond = diffusion.fuse_condition(fusion, query, melody_vec, "text+melody")
+        row = retrieve(melodies, query)[0]
+        melody = melodies[row][None, :]
+        retrieved_id = ids[row]
 
-    lat = _sample_latents(denoiser, sched, fusion, cond.vector[None, :],
+    lat = _sample_latents(denoiser, sched, fusion, fusion.forward(query, melody),
                           sampler=sampler, steps=steps, w=w, seed=seed)[0]
     z = latentcodec.LatentGrid(lat.reshape(shape), channels=shape[0],
                                compression=codec.compression)
@@ -389,10 +377,9 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     wave = signal.mel_to_waveform(mel)
 
     art.generated_dir.mkdir(parents=True, exist_ok=True)
-    base = art.generated_dir / tag
-    wav_path = base.with_suffix(".wav")
-    mel_path = base.with_suffix(".mel.ckpt")
-    latent_path = base.with_suffix(".latent.ckpt")
+    wav_path = art.generated_dir / f"{tag}.wav"
+    mel_path = art.generated_dir / f"{tag}.mel.ckpt"
+    latent_path = art.generated_dir / f"{tag}.latent.ckpt"
     signal.write_wav(wav_path, wave)
     smallnet.save_checkpoint(mel_path, {"mel": mel.values},
                              {"frame_hop": mel.frame_hop, "n_fft": mel.n_fft,
@@ -414,21 +401,6 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
 EVAL_MODES = ("standard", "ablation", "steps_sweep", "cfg_sweep")
 SWEEP_STEPS = (10, 25, 50, 100, 200)
 SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-
-
-def _eval_conditions(cfg, model, index, fusion, eval_triples, use_melody=True):
-    queries = np.stack([
-        clmp.encode(model, "text", clmp.featurize_text(t.text)).values
-        for t in eval_triples
-    ])
-    if not use_melody:
-        melodies = np.zeros_like(queries)
-    else:
-        melodies = np.zeros_like(queries)
-        for i, q in enumerate(queries):
-            hit_id, _ = index.search(q, k=1, ef_search=cfg.hnsw.ef_search).hits[0]
-            melodies[i] = index.vector_of(hit_id)
-    return _fuse_rows(fusion, queries, melodies)
 
 
 def _generated_features(cfg, codec, denoiser, sched, fusion, conditions, shape, *,
@@ -464,18 +436,20 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     records = _load_records(cfg, art)
     if cfg.corpus.eval_count < 2:
         raise ValidationError("corpus.eval_count must be >= 2 for evaluation")
-    model, index, ids, codec, denoiser, fusion, sched, shape = \
+    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
     train_records, eval_records = _split(cfg, records)
     eval_triples = build_triples(cfg, art, eval_records)
     seed = cfg.seed if seed is None else seed
 
     ref_feats = np.stack([clmp.featurize_wave(t.mel) for t in eval_triples])
-    conditions = _eval_conditions(cfg, model, index, fusion, eval_triples)
+    queries = np.stack([
+        clmp.encode(model, "text", clmp.featurize_text(t.text)).values
+        for t in eval_triples
+    ])
+    conditions = fusion.forward(queries, melodies[retrieve(melodies, queries)])
 
-    def gen_feats(*, steps, w, gseed, use_melody=True):
-        conds = conditions if use_melody else _eval_conditions(
-            cfg, model, index, fusion, eval_triples, use_melody=False)
+    def gen_feats(*, steps, w, gseed, conds=conditions):
         return _generated_features(cfg, codec, denoiser, sched, fusion, conds, shape,
                                    steps=steps, w=w, seed=gseed)
 
@@ -502,6 +476,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         return report
 
     if mode == "ablation":
+        zero_conditions = fusion.forward(queries, np.zeros_like(queries))
         runs = []
         for s in range(sweep_seeds):
             gseed = seed + 1000 * (s + 1)
@@ -509,7 +484,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
                                      w=cfg.diffusion.cfg_w, gseed=gseed), ref_feats)
             fad_zero = _fad(gen_feats(steps=cfg.diffusion.ddim_steps,
                                       w=cfg.diffusion.cfg_w, gseed=gseed,
-                                      use_melody=False), ref_feats)
+                                      conds=zero_conditions), ref_feats)
             runs.append({"seed": gseed, "fad_with_melody": fad_mel,
                          "fad_zero_melody": fad_zero})
         report["runs"] = runs

@@ -130,10 +130,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
-
     def parameters(self) -> list[np.ndarray]:
         """Flat list of parameter arrays (views; in-place updates stick)."""
         out = []
@@ -211,14 +207,6 @@ class DenseNet:
         return self.backward_cached(cache, upstream)
 
 
-def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
-
-
-def backward(net: DenseNet, x: np.ndarray, upstream_grad: np.ndarray):
-    return net.backward(x, upstream_grad)
-
-
 @dataclass
 class Optimizer:
     """Adam / AdamW over a fixed list of parameter arrays.
@@ -286,12 +274,6 @@ class Optimizer:
             if self.kind == "adamw" and self.weight_decay != 0.0:
                 p -= self.learning_rate * self.weight_decay * p
             p -= self.learning_rate * update
-
-
-def step(opt: Optimizer, net: DenseNet, grads: list[np.ndarray]) -> DenseNet:
-    """Spec-level convenience: one optimizer step on a net's parameters."""
-    opt.step(net.parameters(), grads, net.parameter_names())
-    return net
 
 
 # --- checkpoint I/O -----------------------------------------------------

@@ -1,18 +1,20 @@
-"""Command-line runs on a tiny trained working directory."""
+"""Command-line runs on a tiny trained working directory, and the melody
+database's exact retrieval."""
 
+import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
 
-from melodygen import cli, pipeline, smallnet
+from melodygen import PipelineConfig, cli, clmp, pipeline, smallnet
 
 TINY = {
     "seed": 3,
     "corpus": {"n_records": 36, "eval_count": 4},
     "signal": {"mel_frames": 16},
     "clmp": {"epochs": 1, "batch_size": 10, "hidden": 16, "embed_dim": 8},
-    "hnsw": {"ef_construction": 16},
     "latent": {"steps": 5, "batch_size": 16, "hidden": 8},
     "diffusion": {"n_steps": 10, "hidden": 8, "batch_size": 8, "train_steps": 3,
                   "ddim_steps": 3, "time_embed_dim": 8, "cond_dim": 8},
@@ -78,6 +80,85 @@ def test_old_format_checkpoint_exits_1_asking_for_rerun(damaged, capsys):
     assert "ValidationError" in err and "diffusion.ckpt" in err and "rerun" in err
 
 
+def test_dotted_tags_keep_separate_outputs(trained):
+    config, work = trained
+    assert generate(config, work, "take1") == cli.EXIT_OK
+    gen = work / "generated"
+    first = {suffix: (gen / f"take1{suffix}").read_bytes()
+             for suffix in (".wav", ".mel.ckpt", ".latent.ckpt")}
+    assert generate(config, work, "take1.5") == cli.EXIT_OK
+    for suffix, data in first.items():
+        assert (gen / f"take1.5{suffix}").exists()
+        assert (gen / f"take1{suffix}").read_bytes() == data
+
+
+def test_build_index_before_train_clmp_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    work = tmp_path / "work"
+    assert cli.main(["synth-data", "--config", str(config), "--out", str(work)]) == 0
+    capsys.readouterr()
+    assert cli.main(["build-index", "--config", str(config),
+                     "--out", str(work)]) == cli.EXIT_MISSING_ARTIFACT
+    assert "clmp.ckpt" in capsys.readouterr().err
+
+
+def test_melody_database_keeps_ids_and_float32_values(trained):
+    config, work = trained
+    cfg = PipelineConfig.from_file(config)
+    art = pipeline.Artifacts(work)
+    melodies, ids = pipeline._load_index(cfg, art)
+    train_records, _ = pipeline._split(cfg, pipeline._load_records(cfg, art))
+    assert ids == [r.id for r in train_records]
+    model = clmp.ClmpModel.load(art.clmp_path)
+    encoded = np.stack([clmp.encode(model, "melody", r.melody).values for r in train_records])
+    assert melodies.dtype == np.float64
+    assert np.array_equal(melodies, encoded.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("melodies, ids", [
+    (np.zeros((3, TINY["clmp"]["embed_dim"] + 1)), ["a", "b", "c"]),
+    (np.zeros((3, TINY["clmp"]["embed_dim"])), ["a", "b"]),
+], ids=["width", "id_count"])
+def test_mismatched_melody_database_exits_1_naming_it(trained, capsys, melodies, ids):
+    config, work = trained
+    path = pipeline.Artifacts(work).index_path
+    good = path.read_bytes()
+    try:
+        smallnet.save_checkpoint(path, {"melodies": melodies}, {"ids": ids})
+        capsys.readouterr()
+        assert generate(config, work) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "melody.ckpt" in err
+    finally:
+        path.write_bytes(good)
+
+
+def unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def reference_top1(melodies, query):
+    """Per-query exact top-1: highest cosine, ties to the lowest row."""
+    sims = [float(np.sum(row * query)) for row in melodies]
+    return min(range(len(melodies)), key=lambda i: (-sims[i], i))
+
+
+def test_retrieve_matches_reference_loop_and_single_queries():
+    rng = smallnet.make_rng(5)
+    melodies, queries = unit_rows(rng, 40, 8), unit_rows(rng, 100, 8)
+    rows = pipeline.retrieve(melodies, queries)
+    assert list(rows) == [reference_top1(melodies, q) for q in queries]
+    assert list(rows) == [pipeline.retrieve(melodies, q[None, :])[0] for q in queries]
+
+
+def test_retrieve_ties_go_to_the_lowest_row():
+    e0, e1 = np.eye(4)[0], np.eye(4)[1]
+    melodies = np.stack([e1, e0, e1, e0])
+    assert list(pipeline.retrieve(melodies, np.stack([e0, e1]))) == [1, 0]
+
+
 def test_generate_is_repeatable(trained):
     config, work = trained
     assert generate(config, work, "a") == cli.EXIT_OK
@@ -86,3 +167,28 @@ def test_generate_is_repeatable(trained):
     assert (gen / "a.wav").read_bytes() == (gen / "b.wav").read_bytes()
     assert np.array_equal(smallnet.load_checkpoint(gen / "a.latent.ckpt")[0]["latent"],
                           smallnet.load_checkpoint(gen / "b.latent.ckpt")[0]["latent"])
+
+
+# SHA-256 of the tiny stack's WAV for the prompt "a calm melody" at seed 3,
+# keyed by (machine, numpy version, BLAS): BLAS rounding decides the low bits,
+# so other platforms skip instead of failing.
+GOLDEN_WAV_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"): "3d1753484d793b2da19ffca118192f2c710310d7b5504ff6c7c72b3916915c01",
+}
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return None
+
+
+def test_generated_wav_matches_golden_hash(trained):
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_WAV_SHA256:
+        pytest.skip(f"no golden WAV hash pinned for {key}")
+    config, work = trained
+    assert generate(config, work, "golden") == cli.EXIT_OK
+    digest = hashlib.sha256((work / "generated" / "golden.wav").read_bytes()).hexdigest()
+    assert digest == GOLDEN_WAV_SHA256[key]

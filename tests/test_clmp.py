@@ -190,7 +190,7 @@ class TestContrastiveLoss:
         bins = 16
         model = toy_model(seed=seed, bins=bins)
         batch = toy_triples(5, seed=seed, bins=bins)
-        text, wave, melody = clmp._batch_features(model, batch)
+        text, wave, melody = clmp._batch_features(batch)
 
         def loss():
             return clmp._BatchGraph(model, text, wave, melody).loss_and_grads()[0]

@@ -6,7 +6,7 @@ import pytest
 from melodygen import diffusion as df
 from melodygen import smallnet
 from melodygen.errors import SamplingError, ShapeError, ValidationError
-from fdcheck import central_diff_grad, max_rel_err, sample_coords
+from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
 def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0):
@@ -137,56 +137,42 @@ class TestFusion:
     def test_zero_map_gives_zero(self):
         fusion = df.ConditionFusion(W=np.zeros((8, 3)), b=np.zeros(3),
                                     null_condition=np.zeros(3))
-        c = df.fuse_condition(fusion, np.ones(4), np.ones(4), "text+melody")
-        assert np.all(c.vector == 0.0)
+        c = fusion.forward(np.ones((2, 4)), np.ones((2, 4)))
+        assert c.shape == (2, 3) and np.all(c == 0.0)
 
     def test_identity_map_is_concatenation(self):
         fusion = df.ConditionFusion(W=np.eye(8), b=np.zeros(8), null_condition=np.zeros(8))
-        q, m = np.arange(4.0), np.arange(10.0, 14.0)
-        c = df.fuse_condition(fusion, q, m, "text+melody")
-        assert np.allclose(c.vector, np.concatenate([q, m]))
+        q, m = np.arange(4.0)[None, :], np.arange(10.0, 14.0)[None, :]
+        c = fusion.forward(q, m)
+        assert np.allclose(c, np.concatenate([q, m], axis=1))
 
     def test_zero_padding_ablation(self):
         rng = smallnet.make_rng(32)
         fusion = df.ConditionFusion.create(4, 3, seed=0)
-        q = rng.standard_normal(4)
-        c = df.fuse_condition(fusion, q, None, "text+melody")
-        expected = fusion.W.T @ np.concatenate([q, np.zeros(4)]) + fusion.b
-        assert np.allclose(c.vector, expected)
+        q = rng.standard_normal((3, 4))
+        c = fusion.forward(q, np.zeros_like(q))
+        expected = np.concatenate([q, np.zeros((3, 4))], axis=1) @ fusion.W + fusion.b
+        assert np.allclose(c, expected)
+        assert np.allclose(c[1], fusion.W.T @ np.concatenate([q[1], np.zeros(4)]) + fusion.b)
 
     def test_dim_mismatch(self):
         fusion = df.ConditionFusion.create(4, 3, seed=0)
         with pytest.raises(ShapeError):
-            df.fuse_condition(fusion, np.zeros(5), None, "text+melody")
+            fusion.forward(np.zeros((1, 5)), np.zeros((1, 5)))
+        with pytest.raises(ShapeError):
+            fusion.forward(np.zeros((2, 4)), np.zeros((1, 4)))
 
     def test_gradients_match_finite_differences(self):
         rng = smallnet.make_rng(33)
         fusion = df.ConditionFusion.create(4, 3, seed=1)
-        q, m = rng.standard_normal(4), rng.standard_normal(4)
-        target = rng.standard_normal(3)
+        q, m = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        target = rng.standard_normal((5, 3))
 
-        def loss():
-            c = df.fuse_condition(fusion, q, m, "text+melody")
-            return float(np.sum((c.vector - target) ** 2))
+        def loss_and_grads():
+            diff = fusion.forward(q, m) - target
+            return float(np.sum(diff ** 2)), fusion.backward(q, m, 2.0 * diff)
 
-        c = df.fuse_condition(fusion, q, m, "text+melody")
-        d_c = 2.0 * (c.vector - target)
-        dW, db, dq, dm = df.fusion_backward(fusion, q, m, d_c)
-        worst = 0.0
-        for p, g in ((fusion.W, dW), (fusion.b, db)):
-            for coord in sample_coords(rng, p.shape, 4):
-                num = central_diff_grad(loss, p, [coord])[coord]
-                worst = max(worst, max_rel_err(float(g[coord]), num))
-        assert worst <= 1e-4
-        # input gradients via the same oracle
-        for vec, g in ((q, dq), (m, dm)):
-            for coord in sample_coords(rng, vec.shape, 2):
-                num = central_diff_grad(loss, vec, [coord])[coord]
-                assert max_rel_err(float(g[coord]), num) <= 1e-4
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValidationError):
-            df.Condition(np.zeros(3), "whim")
+        check_grads(loss_and_grads, [fusion.W, fusion.b], rng)
 
 
 class TestTrainingStep:

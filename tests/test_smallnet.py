@@ -149,7 +149,7 @@ class TestOptimizer:
                 x = rng.standard_normal(3)
                 up = net.forward(x)  # pulls outputs toward zero
                 grads, _ = net.backward(x, up)
-                smallnet.step(opt, net, grads)
+                opt.step(net.parameters(), grads, net.parameter_names())
             return [p.copy() for p in net.parameters()]
 
         a, b = run(), run()
