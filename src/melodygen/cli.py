@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import pipeline
+from . import pipeline, smallnet
 from .config import PipelineConfig
 from .errors import MelodyGenError, MissingArtifactError, ValidationError
 
@@ -99,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             report = pipeline.run_evaluate(cfg, args.out, mode=args.mode, seed=args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)
             if args.report:
-                with open(args.report, "w", encoding="utf-8") as f:
-                    f.write(text + "\n")
+                smallnet.write_atomic(args.report, [(text + "\n").encode("utf-8")])
             print(text)
         return EXIT_OK
     except MissingArtifactError as e:

@@ -9,6 +9,23 @@ random condition dropout, enabling classifier-free guidance
 eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). Samplers: ancestral (DDPM) and
 deterministic subsequence (DDIM, eta=0).
 
+The samplers compute eps_bar with ``Denoiser.guided_eps``, which does the
+work the two branches share once. It is exact, not an approximation:
+
+- Layer 0 is affine in its input [x_n || temb(n) || c], so its pre-activation
+  splits into x_n W_x + temb(n) W_t + (c W_c + b0). The first two terms are
+  the same in both branches and are computed once per step; the last is
+  constant over a run and is computed once per run for c and for the null.
+- The output layer is affine with identity activation (``Denoiser.load``
+  checks this), so (w+1)(A a_c + b) - w(A a_u + b) = A((w+1) a_c - w a_u) + b:
+  the branches' last hidden activations are mixed and the output layer runs
+  once.
+
+Only the summation order differs from two full forwards (``cfg_eps``, the
+reference), so the two agree to float64 rounding (tests hold full sampler
+runs to 1e-12). Per-step scalar preconditioning of the output, as in EDM's
+c_skip and c_out, is affine too and keeps the fusion valid.
+
 Step indices n are 1-based (1..N); abar(0) = 1 by convention.
 """
 
@@ -201,6 +218,48 @@ class Denoiser:
         out = self.net.forward(self._stack_input(x_n, n, c))
         return out[0] if single else out
 
+    def guided_eps(self, condition: np.ndarray, null_condition: np.ndarray, w: float,
+                   batch: int):
+        """The guided noise estimate of one sampling run, as a function
+        ``eps(x_n, n)`` of a (batch, latent_dim) latent and a step.
+
+        It equals ``cfg_eps(self, x_n, n, condition, null_condition, w)`` up to
+        float rounding, without computing twice what the two branches share
+        (see the module docstring). ``condition`` and ``null_condition`` are
+        (cond_dim,) or (batch, cond_dim); ``w == 0`` skips the null branch.
+        """
+        if w < 0:
+            raise ValidationError(f"guidance weight must be >= 0, got {w}")
+        layers = self.net.layers
+        first, last = layers[0], layers[-1]
+        t0, c0 = self.latent_dim, self.latent_dim + self.time_embed_dim
+        w_x, w_t, w_c = first.w[:, :t0], first.w[:, t0:c0], first.w[:, c0:]
+
+        def condition_bias(c):
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape not in ((self.cond_dim,), (batch, self.cond_dim)):
+                raise ShapeError(f"condition has shape {c.shape}, wanted ({self.cond_dim},) "
+                                 f"or ({batch}, {self.cond_dim})")
+            return c @ w_c.T + first.b
+
+        def hidden(shared, bias):
+            a = smallnet.activate(first.activation, shared + bias)
+            for l in layers[1:-1]:
+                a = smallnet.activate(l.activation, a @ l.w.T + l.b)
+            return a
+
+        bias_c = condition_bias(condition)
+        bias_u = None if w == 0.0 else condition_bias(null_condition)
+
+        def eps(x_n: np.ndarray, n: int) -> np.ndarray:
+            shared = x_n @ w_x.T + time_embedding(n, self.time_embed_dim) @ w_t.T
+            a = hidden(shared, bias_c)
+            if bias_u is not None:
+                a = (w + 1.0) * a - w * hidden(shared, bias_u)
+            return a if len(layers) == 1 else a @ last.w.T + last.b
+
+        return eps
+
     def save(self, path, fusion: ConditionFusion | None = None, extra_meta: dict | None = None) -> None:
         arrays, net_meta = smallnet.net_state(self.net, "denoiser.")
         meta = {
@@ -227,6 +286,19 @@ class Denoiser:
             cond_dim=int(meta["cond_dim"]),
             time_embed_dim=int(meta["time_embed_dim"]),
         )
+        # guided_eps slices layer 0 by these widths and needs an affine output
+        in_dim = den.latent_dim + den.time_embed_dim + den.cond_dim
+        out_act = den.net.layers[-1].activation
+        for bad, problem in (
+            (den.net.in_dim != in_dim, f"net input width {den.net.in_dim} != latent_dim "
+                                       f"+ time_embed_dim + cond_dim = {in_dim}"),
+            (den.net.out_dim != den.latent_dim,
+             f"net output width {den.net.out_dim} != latent_dim {den.latent_dim}"),
+            (out_act != "identity", f"output activation {out_act!r} is not 'identity'"),
+        ):
+            if bad:
+                raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
+                                      "rerun train-diffusion")
         fusion = None
         if "fusion.W" in arrays:
             fusion = ConditionFusion(
@@ -314,7 +386,8 @@ def training_step(
 
 def cfg_eps(denoiser: Denoiser, x_n: np.ndarray, n, c: np.ndarray,
             null_condition: np.ndarray, w: float) -> np.ndarray:
-    """Guided noise estimate (w+1) * eps(x,n,c) - w * eps(x,n,null)."""
+    """Guided noise estimate (w+1) * eps(x,n,c) - w * eps(x,n,null), as two
+    full forwards: the reference for ``Denoiser.guided_eps``."""
     if w < 0:
         raise ValidationError(f"guidance weight must be >= 0, got {w}")
     cond = denoiser.predict(x_n, n, c)
@@ -353,10 +426,11 @@ def sample_ddpm(
     taken, and sqrt(posterior_var) noise is added (none at n=1). Deterministic
     for a fixed seed. Returns (n_samples, latent_dim).
     """
+    guided = denoiser.guided_eps(condition, null_condition, w, n_samples)
     rng = smallnet.spawn_rng(seed, 707)
     x = _prior_draw(rng, n_samples, denoiser.latent_dim)
     for n in range(sched.N, 0, -1):
-        eps_bar = cfg_eps(denoiser, x, n, condition, null_condition, w)
+        eps_bar = guided(x, n)
         _check_finite(eps_bar, n)
         x0_hat = _x0_estimate(sched, x, eps_bar, n)
         mu, var = posterior(sched, x, x0_hat, n)
@@ -391,10 +465,11 @@ def sample_ddim(
     single-step x0 estimate.
     """
     ts = ddim_timesteps(sched.N, steps)
+    guided = denoiser.guided_eps(condition, null_condition, w, n_samples)
     rng = smallnet.spawn_rng(seed, 708)
     x = _prior_draw(rng, n_samples, denoiser.latent_dim)
     for i, n in enumerate(ts):
-        eps_bar = cfg_eps(denoiser, x, n, condition, null_condition, w)
+        eps_bar = guided(x, n)
         _check_finite(eps_bar, n)
         x0_hat = _x0_estimate(sched, x, eps_bar, n)
         n_prev = ts[i + 1] if i + 1 < len(ts) else 0

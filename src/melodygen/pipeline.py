@@ -354,6 +354,8 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     """Text prompt -> retrieve -> fuse -> sample -> decode -> WAV."""
     if not prompt or not prompt.strip():
         raise ValidationError("prompt must be a non-empty string")
+    if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
+        raise ValidationError(f"tag must be a plain file name under generated/, got {tag!r}")
     art = Artifacts(workdir)
     model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import smallnet
 from .errors import FormatError, ValidationError
 from .melody_codec import BIN_SECONDS, MelodyTripletSeq, parse_pitch
 
@@ -256,6 +257,7 @@ _PCM16_MAX = 32767
 
 
 def write_wav(path, w: Waveform) -> None:
+    """16-bit mono PCM, clipped to [-1, 1] and written atomically."""
     data = np.clip(w.samples, -1.0, 1.0)
     pcm = np.round(data * _PCM16_MAX).astype("<i2")
     payload = pcm.tobytes()
@@ -275,9 +277,7 @@ def write_wav(path, w: Waveform) -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    smallnet.write_atomic(path, [header, payload])
 
 
 def read_wav(path) -> Waveform:

@@ -12,6 +12,7 @@ across platforms for a given seed). Child streams are derived through
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ def spawn_rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "tanh":
@@ -173,7 +174,7 @@ class DenseNet:
             inputs.append(a)
             z = a @ l.w.T + l.b
             preacts.append(z)
-            a = _act(l.activation, z)
+            a = activate(l.activation, z)
         cache = (inputs, preacts, single)
         return (a[0] if single else a), cache
 
@@ -299,19 +300,25 @@ _PREAMBLE = struct.Struct("<4sIQ")
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    path = Path(path)
     payloads = [(k, np.asarray(v, dtype=np.float64)) for k, v in sorted(arrays.items())]
     header = json.dumps(
         {"arrays": [[k, list(a.shape)] for k, a in payloads], "meta": meta or {}},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
+    preamble = _PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(header))
+    write_atomic(path, itertools.chain([preamble, header],
+                                       (a.astype("<f4").tobytes() for _, a in payloads)))
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings of ``chunks`` to ``<path>.tmp``, then rename it over
+    ``path``: a failed write leaves any previous file intact and no ``.tmp``."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(header)))
-            f.write(header)
-            for _, a in payloads:
-                f.write(a.astype("<f4").tobytes())
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -92,6 +92,53 @@ def test_dotted_tags_keep_separate_outputs(trained):
         assert (gen / f"take1{suffix}").read_bytes() == data
 
 
+@pytest.mark.parametrize("tag", ["", ".", "..", "sub/x", "../x", "/tmp/x", "sub\\x"])
+def test_unsafe_tag_exits_1_before_loading(tmp_path, capsys, tag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    capsys.readouterr()
+    # an empty working directory would exit 2 had the stack been loaded first
+    assert generate(config, tmp_path / "work", tag) == cli.EXIT_VALIDATION
+    assert "ValidationError" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def edit_meta(meta, field, value):
+    if field == "activation":
+        meta["net"]["activations"][-1] = value
+    else:
+        for key, delta in value.items():
+            meta[key] += delta
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("in_dim", {"cond_dim": 1}, "input width"),
+    ("out_dim", {"latent_dim": 2, "cond_dim": -2}, "output width"),
+    ("activation", "tanh", "output activation"),
+], ids=["in_dim", "out_dim", "activation"])
+def test_misshapen_denoiser_exits_1_naming_it(damaged, capsys, field, value, problem):
+    config, work, path = damaged
+    arrays, meta = smallnet.load_checkpoint(path)
+    edit_meta(meta, field, value)
+    smallnet.save_checkpoint(path, arrays, meta)
+    capsys.readouterr()
+    assert generate(config, work) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "diffusion.ckpt" in err and problem in err
+
+
+def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_full):
+    config, work = trained
+    report = tmp_path / "report.json"
+    report.write_text("previous report")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", "ablation", "--report", str(report)]) == cli.EXIT_RUNTIME
+    assert "No space left" in capsys.readouterr().err
+    assert report.read_text() == "previous report"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_build_index_before_train_clmp_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))
@@ -192,3 +239,28 @@ def test_generated_wav_matches_golden_hash(trained):
     assert generate(config, work, "golden") == cli.EXIT_OK
     digest = hashlib.sha256((work / "generated" / "golden.wav").read_bytes()).hexdigest()
     assert digest == GOLDEN_WAV_SHA256[key]
+
+
+# The same prompt and seed through the other sampler and without guidance,
+# keyed as above.
+GOLDEN_VARIANT_WAV_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"): {
+        "ddpm": "4a4c0b74064ef36607b300960c41a5f1d79618d55c3c29c4602d572373e463ab",
+        "cfg0": "ae328cb0f6f52bb2ec9b7ab2200f7dfee4b3036daac503ac80ebaa9e077133a4",
+    },
+}
+
+
+@pytest.mark.parametrize("variant, flags", [
+    ("ddpm", ["--sampler", "ddpm"]),
+    ("cfg0", ["--cfg", "0"]),
+])
+def test_generated_wav_variant_matches_golden_hash(trained, variant, flags):
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_VARIANT_WAV_SHA256:
+        pytest.skip(f"no golden WAV hash pinned for {key}")
+    config, work = trained
+    assert cli.main(["generate", "--config", str(config), "--out", str(work),
+                     "--prompt", "a calm melody", "--tag", variant, *flags]) == cli.EXIT_OK
+    digest = hashlib.sha256((work / "generated" / f"{variant}.wav").read_bytes()).hexdigest()
+    assert digest == GOLDEN_VARIANT_WAV_SHA256[key][variant]

@@ -390,3 +390,88 @@ class TestSamplers:
         a = df.sample_ddim(den, s, c.copy(), np.zeros(3), 3.0, steps=5, seed=13)
         b = df.sample_ddim(den, s, c.copy(), np.zeros(3), 3.0, steps=5, seed=13)
         assert np.array_equal(a, b)
+
+
+def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
+    """DDIM as two full forwards per step through ``cfg_eps``."""
+    ts = df.ddim_timesteps(s.N, steps)
+    x = smallnet.spawn_rng(seed, 708).standard_normal((n_samples, den.latent_dim))
+    for i, n in enumerate(ts):
+        eps = df.cfg_eps(den, x, n, c, null, w)
+        ab = s.alpha_bar[n - 1]
+        x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
+        ab_prev = s.alpha_bar[ts[i + 1] - 1] if i + 1 < len(ts) else 1.0
+        x = math.sqrt(ab_prev) * x0 + math.sqrt(1 - ab_prev) * eps
+    return x
+
+
+def reference_ddpm(den, s, c, null, w, seed, n_samples):
+    """Ancestral sampling as two full forwards per step through ``cfg_eps``."""
+    rng = smallnet.spawn_rng(seed, 707)
+    x = rng.standard_normal((n_samples, den.latent_dim))
+    for n in range(s.N, 0, -1):
+        eps = df.cfg_eps(den, x, n, c, null, w)
+        ab = s.alpha_bar[n - 1]
+        mu, var = df.posterior(s, x, (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab), n)
+        x = mu + math.sqrt(var) * rng.standard_normal(x.shape) if n > 1 else mu
+    return x
+
+
+class Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"denoiser net used ({name})")
+
+
+class TestFusedGuidance:
+    """The samplers' fused guidance against the two-forward ``cfg_eps`` loop."""
+
+    SCHED = df.make_schedule(20, 1e-3, 0.05)
+
+    def make(self, hidden, per_row, seed=0):
+        den = df.Denoiser.create(latent_dim=12, cond_dim=5, hidden=hidden,
+                                 time_embed_dim=8, seed=seed)
+        rng = smallnet.make_rng(100 + seed)
+        c = rng.standard_normal((3, 5) if per_row else 5)
+        return den, c, rng.standard_normal(5)
+
+    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0, 7.5])
+    def test_samplers_match_cfg_eps_loop(self, hidden, per_row, w):
+        den, c, null = self.make(hidden, per_row)
+        ddim = df.sample_ddim(den, self.SCHED, c, null, w, steps=7, seed=21, n_samples=3)
+        ddpm = df.sample_ddpm(den, self.SCHED, c, null, w, seed=22, n_samples=3)
+        assert np.allclose(ddim, reference_ddim(den, self.SCHED, c, null, w, 7, 21, 3),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(ddpm, reference_ddpm(den, self.SCHED, c, null, w, 22, 3),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
+    def test_null_equal_to_condition_is_the_conditional_branch(self, per_row):
+        den, c, _ = self.make([8, 6], per_row, seed=1)
+        for w in (1.0, 3.0, 7.5):
+            guided = df.sample_ddim(den, self.SCHED, c, c, w, steps=7, seed=23, n_samples=3)
+            cond = df.sample_ddim(den, self.SCHED, c, c, 0.0, steps=7, seed=23, n_samples=3)
+            assert np.allclose(guided, cond, rtol=0, atol=1e-12)
+
+    def test_w_zero_never_reads_the_null(self):
+        den, c, _ = self.make(16, False, seed=2)
+        null = np.full(5, np.nan)
+        x = df.sample_ddpm(den, self.SCHED, c, null, 0.0, seed=24, n_samples=3)
+        assert np.array_equal(x, df.sample_ddpm(den, self.SCHED, c, np.zeros(5), 0.0,
+                                                seed=24, n_samples=3))
+
+    def test_negative_w_rejected_before_the_denoiser_runs(self):
+        den, c, null = self.make(16, False)
+        den.net = Untouchable()
+        with pytest.raises(ValidationError):
+            df.sample_ddim(den, self.SCHED, c, null, -0.5, steps=7, seed=25)
+        with pytest.raises(ValidationError):
+            df.sample_ddpm(den, self.SCHED, c, null, -0.5, seed=25)
+
+    def test_condition_rows_must_match_samples(self):
+        den, c, null = self.make(16, True)
+        with pytest.raises(ShapeError):
+            df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=26, n_samples=2)
+        with pytest.raises(ShapeError):
+            df.sample_ddpm(den, self.SCHED, c[0], null[:4], 3.0, seed=26, n_samples=3)

@@ -257,6 +257,14 @@ class TestWav:
             sig.read_wav(path)
         assert "fmt" in str(e.value) and "3" in str(e.value)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, disk_full):
+        path = tmp_path / "w.wav"
+        path.write_bytes(b"previous take")
+        with pytest.raises(OSError):
+            sig.write_wav(path, sig.Waveform(np.zeros(100)))
+        assert path.read_bytes() == b"previous take"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.wav"]
+
     def test_clipping_on_write(self, tmp_path):
         path = tmp_path / "c.wav"
         sig.write_wav(path, sig.Waveform(np.array([2.0, -2.0])))

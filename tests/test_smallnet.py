@@ -236,29 +236,8 @@ class TestCheckpointFormat:
         assert arrays["s"].shape == () and arrays["s"] == 2.5
         assert arrays["z"].shape == (0, 3)
 
-    def test_failed_write_keeps_previous_checkpoint(self, saved, monkeypatch):
+    def test_failed_write_keeps_previous_checkpoint(self, saved, disk_full):
         before = saved.read_bytes()
-
-        class DiskFull:
-            """A file whose second write fails, as on a full disk."""
-
-            def __init__(self, f):
-                self.f, self.writes = f, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError(28, "No space left on device")
-                return self.f.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-        monkeypatch.setattr(smallnet, "open", lambda *a, **k: DiskFull(open(*a, **k)),
-                            raising=False)
         with pytest.raises(OSError):
             smallnet.save_checkpoint(saved, {"w": np.ones(4)}, {"k": "new"})
         assert saved.read_bytes() == before
