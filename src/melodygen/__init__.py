@@ -2,7 +2,7 @@
 
 Subpackages by stage:
 
-- ``smallnet``      dense nets, manual gradients, Adam/AdamW, checkpoints
+- ``smallnet``      dense nets, manual gradients, Adam, checkpoints
 - ``melody_codec``  note events <-> triplet token strings
 - ``signal``        mel analysis, tone synthesis, oscillator vocoder, WAV I/O
 - ``clmp``          tri-modal contrastive alignment (text/waveform/melody)

@@ -19,31 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallnet
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .melody_codec import MelodyTripletSeq, N_BINS, parse_pitch
 from .signal import MelGrid
 
 TEXT_DIM = 256
 _TEXT_HASH_KEY = b"melodygen.text.v1"  # fixed: featurization must never drift
 
-MODALITIES = ("text", "waveform", "melody")
 DIRECTIONS = ("W2T", "T2W", "W2M", "M2W", "T2M", "M2T")
+MIN_RETRIEVAL_ITEMS = 10  # R@10 needs at least ten candidates per query
 
 _TOKEN_FEATURE_DIM = 128 + 2  # one-hot pitch + scaled duration/rest bins
-
-
-@dataclass
-class Embedding:
-    values: np.ndarray
-    modality: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.modality not in MODALITIES:
-            raise ValidationError(f"unknown modality {self.modality!r}")
-        norm = np.linalg.norm(self.values)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(f"embedding must be unit-norm, got ||v|| = {norm}")
 
 
 @dataclass
@@ -212,8 +198,7 @@ class _HeadPath:
 
     def __init__(self, head: smallnet.DenseNet, feats: np.ndarray):
         self.head = head
-        raw, self.cache = head.forward_cached(feats)
-        self.raw = raw if raw.ndim == 2 else raw[None, :]
+        self.raw, self.cache = head.forward_cached(feats)
         self.emb, self.norms = _normalize_rows(self.raw)
 
     def backward(self, d_emb: np.ndarray):
@@ -248,20 +233,25 @@ class _MelodyPath:
         return embed_grads, head_grads
 
 
-def encode(model: ClmpModel, modality: str, payload) -> Embedding:
-    """Embed one item. ``payload`` is a feature vector for text/waveform
-    (from the featurizers) or a MelodyTripletSeq for melody."""
+def _features(modality: str, items) -> np.ndarray | list[np.ndarray]:
+    """Featurizer output for a batch: (n, d) for text and waveform, one (L, 130)
+    token array per item for melody."""
     if modality == "text":
-        path = _HeadPath(model.text_head, np.asarray(payload, dtype=np.float64)[None, :])
-    elif modality == "waveform":
-        path = _HeadPath(model.wave_head, np.asarray(payload, dtype=np.float64)[None, :])
-    elif modality == "melody":
-        if not isinstance(payload, MelodyTripletSeq):
-            raise ValidationError("melody payload must be a MelodyTripletSeq")
-        path = _MelodyPath(model, [melody_token_features(payload)])
-    else:
-        raise ValidationError(f"unknown modality {modality!r}")
-    return Embedding(path.emb[0], modality)
+        return np.stack([featurize_text(t) for t in items])
+    if modality == "waveform":
+        return np.stack([featurize_wave(m) for m in items])
+    if modality == "melody":
+        return [melody_token_features(s) for s in items]
+    raise ValidationError(f"unknown modality {modality!r}")
+
+
+def embed(model: ClmpModel, modality: str, items) -> np.ndarray:
+    """(n, embed_dim) unit rows, one per item. ``items`` are caption strings
+    for "text", MelGrids for "waveform" and MelodyTripletSeqs for "melody"."""
+    feats = _features(modality, items)
+    if modality == "melody":
+        return _MelodyPath(model, feats).emb
+    return _HeadPath(model.text_head if modality == "text" else model.wave_head, feats).emb
 
 
 def _directed_infonce(sim: np.ndarray, tau: float):
@@ -288,10 +278,8 @@ _PAIR_ORDER = (("m", "w"), ("w", "m"), ("w", "t"), ("t", "w"), ("t", "m"), ("m",
 class _BatchGraph:
     """One contrastive batch: all three encode paths plus the total loss."""
 
-    def __init__(self, model: ClmpModel, text_feats, wave_feats, melody_feats,
-                 use_melody_terms: bool = True):
+    def __init__(self, model: ClmpModel, text_feats, wave_feats, melody_feats):
         self.model = model
-        self.use_melody_terms = use_melody_terms
         self.text = _HeadPath(model.text_head, text_feats)
         self.wave = _HeadPath(model.wave_head, wave_feats)
         self.melody = _MelodyPath(model, melody_feats)
@@ -300,15 +288,11 @@ class _BatchGraph:
         model = self.model
         tau = model.tau
         emb = {"t": self.text.emb, "w": self.wave.emb, "m": self.melody.emb}
-        if self.use_melody_terms:
-            pairs = _PAIR_ORDER
-        else:
-            pairs = (("w", "t"), ("t", "w"))
         d_emb = {k: np.zeros_like(v) for k, v in emb.items()}
         total = 0.0
         d_log_tau = 0.0
-        scale = 1.0 / len(pairs)
-        for a, b in pairs:
+        scale = 1.0 / len(_PAIR_ORDER)
+        for a, b in _PAIR_ORDER:
             loss, d_sim, d_lt = _directed_infonce(emb[a] @ emb[b].T, tau)
             total += scale * loss
             d_emb[a] += scale * (d_sim @ emb[b])
@@ -327,19 +311,17 @@ class _BatchGraph:
 
 def _batch_features(batch: list[Triple]):
     """Text, wave and per-token melody features of aligned items."""
-    text = np.stack([featurize_text(t.text) for t in batch])
-    wave = np.stack([featurize_wave(t.mel) for t in batch])
-    melody = [melody_token_features(t.melody) for t in batch]
-    return text, wave, melody
+    return (_features("text", [t.text for t in batch]),
+            _features("waveform", [t.mel for t in batch]),
+            _features("melody", [t.melody for t in batch]))
 
 
-def contrastive_total_loss(model: ClmpModel, batch: list[Triple],
-                           use_melody_terms: bool = True) -> float:
+def contrastive_total_loss(model: ClmpModel, batch: list[Triple]) -> float:
     """Mean of the directed InfoNCE terms over a batch of aligned triples."""
     if len(batch) < 2:
         raise ValidationError(f"contrastive batch needs N >= 2, got {len(batch)}")
     text, wave, melody = _batch_features(batch)
-    graph = _BatchGraph(model, text, wave, melody, use_melody_terms)
+    graph = _BatchGraph(model, text, wave, melody)
     loss, _ = graph.loss_and_grads()
     return loss
 
@@ -350,7 +332,6 @@ class ClmpTrainConfig:
     epochs: int = 30
     learning_rate: float = 1e-5
     seed: int = 0
-    use_melody_terms: bool = True
 
 
 @dataclass
@@ -373,7 +354,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
     text, wave, melody = _batch_features(corpus)
 
     rng = smallnet.spawn_rng(config.seed, 202)
-    opt = smallnet.Optimizer(kind="adam", learning_rate=config.learning_rate)
+    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
     params = model.parameters()
     names = model.parameter_names()
     curve = []
@@ -383,25 +364,12 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
         epoch_loss = 0.0
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            graph = _BatchGraph(
-                model, text[idx], wave[idx], [melody[i] for i in idx],
-                config.use_melody_terms,
-            )
+            graph = _BatchGraph(model, text[idx], wave[idx], [melody[i] for i in idx])
             loss, grads = graph.loss_and_grads()
             opt.step(params, grads, names)
             epoch_loss += loss
         curve.append(epoch_loss / n_batches)
     return TrainResult(model=model, loss_curve=curve)
-
-
-def embed_corpus(model: ClmpModel, triples: list[Triple]):
-    """(text, wave, melody) embedding matrices for an item list."""
-    text, wave, melody = _batch_features(triples)
-    return (
-        _HeadPath(model.text_head, text).emb,
-        _HeadPath(model.wave_head, wave).emb,
-        _MelodyPath(model, melody).emb,
-    )
 
 
 def eval_retrieval(model: ClmpModel, triples: list[Triple],
@@ -412,10 +380,12 @@ def eval_retrieval(model: ClmpModel, triples: list[Triple],
     query). Ranks count strictly-greater similarities, so exact ties do not
     push the mate down.
     """
-    if len(triples) < 10:
-        raise ValidationError(f"evaluation set needs >= 10 items, got {len(triples)}")
-    t, w, m = embed_corpus(model, triples)
-    emb = {"T": t, "W": w, "M": m}
+    if len(triples) < MIN_RETRIEVAL_ITEMS:
+        raise ValidationError(f"evaluation set needs >= {MIN_RETRIEVAL_ITEMS} items, "
+                              f"got {len(triples)}")
+    emb = {"T": embed(model, "text", [t.text for t in triples]),
+           "W": embed(model, "waveform", [t.mel for t in triples]),
+           "M": embed(model, "melody", [t.melody for t in triples])}
     out = {}
     for d in directions:
         if len(d) != 3 or d[0] not in emb or d[2] not in emb:

@@ -214,19 +214,19 @@ def generate_corpus(n: int, seed: int, out_dir,
         raise ValidationError(f"n must be >= 1, got {n}")
     out = Path(out_dir)
     (out / "wav").mkdir(parents=True, exist_ok=True)
-    records = []
-    with open(out / "manifest.jsonl", "w", encoding="utf-8") as manifest:
-        for i in range(n):
-            record, wave = make_record(i, seed, sample_rate, clip_samples)
-            write_wav(out / record.wav_path, wave)
-            manifest.write(json.dumps({
-                "id": record.id,
-                "text": record.text,
-                "melody": record.melody_tokens,
-                "wav": record.wav_path,
-                "archetype": record.archetype.to_dict(),
-            }, sort_keys=True) + "\n")
-            records.append(record)
+    records, lines = [], []
+    for i in range(n):
+        record, wave = make_record(i, seed, sample_rate, clip_samples)
+        write_wav(out / record.wav_path, wave)
+        lines.append(json.dumps({
+            "id": record.id,
+            "text": record.text,
+            "melody": record.melody_tokens,
+            "wav": record.wav_path,
+            "archetype": record.archetype.to_dict(),
+        }, sort_keys=True) + "\n")
+        records.append(record)
+    smallnet.write_atomic(out / "manifest.jsonl", ["".join(lines).encode("utf-8")])
     return records
 
 

@@ -58,10 +58,8 @@ class NoiseSchedule:
         return np.where(n == 0, 1.0, self.alpha_bar[np.maximum(n, 1) - 1])
 
 
-def make_schedule(N: int, beta_start: float = 1e-4, beta_end: float = 0.02,
-                  kind: str = "linear") -> NoiseSchedule:
-    if kind != "linear":
-        raise ValidationError(f"unknown schedule kind {kind!r}")
+def make_schedule(N: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+    """Linear beta schedule from beta_start to beta_end over N steps."""
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     if not (0.0 < beta_start <= beta_end < 1.0):

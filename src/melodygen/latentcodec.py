@@ -167,7 +167,7 @@ class LatentTrainConfig:
 
 def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
                       config: LatentTrainConfig) -> list[float]:
-    """AdamW on pooled patches from all grids; returns the loss history."""
+    """Adam on pooled patches from all grids; returns the loss history."""
     if len(mels) < 32:
         raise ValidationError(f"need at least 32 training grids, got {len(mels)}")
     r = model.compression
@@ -178,7 +178,7 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
     pool = np.concatenate(pool, axis=0)
 
     rng = smallnet.spawn_rng(config.seed, 405)
-    opt = smallnet.Optimizer(kind="adamw", learning_rate=config.learning_rate)
+    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
     params = model.parameters()
     names = model.parameter_names()
     history = []

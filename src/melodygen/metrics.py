@@ -126,7 +126,7 @@ def train_probe(features: np.ndarray, labels: list[str],
         raise ValidationError("not enough samples to train the probe")
 
     net = smallnet.DenseNet.create([x.shape[1], config.hidden, len(classes)], "tanh", rng)
-    opt = smallnet.Optimizer(kind="adam", learning_rate=config.learning_rate)
+    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
     params, names = net.parameters(), net.parameter_names("probe.")
     eye = np.eye(len(classes))
     for _ in range(config.epochs):

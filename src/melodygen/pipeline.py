@@ -182,7 +182,7 @@ def run_build_index(cfg: PipelineConfig, workdir) -> int:
     records = _load_records(cfg, art)
     train_records, _ = _split(cfg, records)
     model = _load_clmp(cfg, art)
-    melodies = np.stack([clmp.encode(model, "melody", r.melody).values for r in train_records])
+    melodies = clmp.embed(model, "melody", [r.melody for r in train_records])
     smallnet.save_checkpoint(art.index_path, {"melodies": melodies},
                              {"ids": [r.id for r in train_records]})
     return len(melodies)
@@ -265,11 +265,10 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     art.require(art.latent_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
 
-    triples = build_triples(cfg, art, train_records)
-    text_emb, wave_emb, _ = clmp.embed_corpus(model, triples)
-    x0 = np.stack([
-        latentcodec.encode_mel(codec, t.mel).values.ravel() for t in triples
-    ])
+    mels = [record_mel(cfg, art, r) for r in train_records]
+    text_emb = clmp.embed(model, "text", [r.text for r in train_records])
+    wave_emb = clmp.embed(model, "waveform", mels)
+    x0 = np.stack([latentcodec.encode_mel(codec, m).values.ravel() for m in mels])
     r_wave = melodies[retrieve(melodies, wave_emb)]
     r_text = melodies[retrieve(melodies, text_emb)]
 
@@ -285,7 +284,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     )
     fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, cfg.diffusion.cond_dim,
                                               seed=cfg.seed)
-    opt = smallnet.Optimizer(kind="adamw", learning_rate=cfg.diffusion.learning_rate)
+    opt = smallnet.Optimizer(learning_rate=cfg.diffusion.learning_rate)
     params = denoiser.parameters() + fusion.parameters()
     names = denoiser.parameter_names() + fusion.parameter_names()
     rng = smallnet.spawn_rng(cfg.seed, 1001)
@@ -363,7 +362,7 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     steps = cfg.diffusion.ddim_steps if steps is None else steps
     w = cfg.diffusion.cfg_w if w is None else w
 
-    query = clmp.encode(model, "text", clmp.featurize_text(prompt)).values[None, :]
+    query = clmp.embed(model, "text", [prompt])
     melody = np.zeros_like(query)
     retrieved_id = None
     if use_melody:
@@ -434,10 +433,13 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     """
     if mode not in EVAL_MODES:
         raise ValidationError(f"unknown evaluate mode {mode!r} (want one of {EVAL_MODES})")
-    art = Artifacts(workdir)
-    records = _load_records(cfg, art)
     if cfg.corpus.eval_count < 2:
         raise ValidationError("corpus.eval_count must be >= 2 for evaluation")
+    if mode == "standard" and cfg.corpus.eval_count < clmp.MIN_RETRIEVAL_ITEMS:
+        raise ValidationError(f"corpus.eval_count must be >= {clmp.MIN_RETRIEVAL_ITEMS} for "
+                              f"the standard mode's retrieval table, got {cfg.corpus.eval_count}")
+    art = Artifacts(workdir)
+    records = _load_records(cfg, art)
     model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
     train_records, eval_records = _split(cfg, records)
@@ -445,10 +447,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     seed = cfg.seed if seed is None else seed
 
     ref_feats = np.stack([clmp.featurize_wave(t.mel) for t in eval_triples])
-    queries = np.stack([
-        clmp.encode(model, "text", clmp.featurize_text(t.text)).values
-        for t in eval_triples
-    ])
+    queries = clmp.embed(model, "text", [t.text for t in eval_triples])
     conditions = fusion.forward(queries, melodies[retrieve(melodies, queries)])
 
     def gen_feats(*, steps, w, gseed, conds=conditions):
@@ -459,9 +458,8 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
                     "feature_source": "wave_features_of_decoded_mel"}
 
     if mode == "standard":
-        train_triples = build_triples(cfg, art, train_records)
         probe = metrics.train_probe(
-            np.stack([clmp.featurize_wave(t.mel) for t in train_triples]),
+            np.stack([clmp.featurize_wave(record_mel(cfg, art, r)) for r in train_records]),
             [r.archetype.label for r in train_records],
             metrics.ProbeTrainConfig(seed=cfg.seed),
         )

@@ -1,4 +1,4 @@
-"""Dense networks with hand-written gradients, Adam/AdamW, and binary checkpoints.
+"""Dense networks with hand-written gradients, Adam, and binary checkpoints.
 
 Everything here is plain numpy in float64. Gradients are computed by explicit
 reverse-mode passes (no autograd), which keeps the arithmetic auditable and
@@ -210,25 +210,20 @@ class DenseNet:
 
 @dataclass
 class Optimizer:
-    """Adam / AdamW over a fixed list of parameter arrays.
+    """Adam over a fixed list of parameter arrays.
 
-    ``adam`` folds weight decay into the gradient (classic L2); ``adamw``
-    applies it as a decoupled multiplicative decay. Moment buffers are lazily
-    shaped on the first step and must shape-match thereafter.
+    Moment buffers are lazily shaped on the first step and must shape-match
+    thereafter.
     """
 
-    kind: str = "adam"
     learning_rate: float = 1e-3
     betas: tuple[float, float] = (0.9, 0.999)
-    weight_decay: float = 0.0
     eps: float = 1e-8
     step_count: int = 0
     _m: list[np.ndarray] = field(default_factory=list, repr=False)
     _v: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("adam", "adamw"):
-            raise ValidationError(f"unknown optimizer kind {self.kind!r}")
         if not (0.0 < self.learning_rate or self.learning_rate == 0.0):
             raise ValidationError("learning_rate must be >= 0")
 
@@ -265,15 +260,11 @@ class Optimizer:
         bc2 = 1.0 - b2**self.step_count
         for p, g, m, v in zip(params, grads, self._m, self._v):
             g = np.asarray(g, dtype=np.float64)
-            if self.kind == "adam" and self.weight_decay != 0.0:
-                g = g + self.weight_decay * p
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.kind == "adamw" and self.weight_decay != 0.0:
-                p -= self.learning_rate * self.weight_decay * p
             p -= self.learning_rate * update
 
 

@@ -158,9 +158,25 @@ def test_melody_database_keeps_ids_and_float32_values(trained):
     train_records, _ = pipeline._split(cfg, pipeline._load_records(cfg, art))
     assert ids == [r.id for r in train_records]
     model = clmp.ClmpModel.load(art.clmp_path)
-    encoded = np.stack([clmp.encode(model, "melody", r.melody).values for r in train_records])
+    encoded = np.concatenate([clmp.embed(model, "melody", [r.melody]) for r in train_records])
     assert melodies.dtype == np.float64
     assert np.array_equal(melodies, encoded.astype(np.float32).astype(np.float64))
+
+
+def test_standard_evaluate_below_retrieval_minimum_exits_1_before_sampling(
+        trained, capsys, monkeypatch):
+    config, work = trained
+    # pytest.fail raises a BaseException, which the CLI does not catch
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
+                        lambda *a, **k: pytest.fail("sampled before the size check"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", "standard"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "corpus.eval_count" in err
+    monkeypatch.undo()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", "ablation"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("melodies, ids", [

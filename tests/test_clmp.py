@@ -108,28 +108,26 @@ class TestFeaturizeWave:
         assert float(a @ b) < 0.99
 
 
-class TestEncode:
-    def test_unit_norm_outputs(self):
+class TestEmbed:
+    @pytest.mark.parametrize("modality", ["text", "waveform", "melody"])
+    def test_batch_rows_equal_one_item_batches(self, modality):
         model = toy_model()
-        rng = smallnet.make_rng(19)
-        for modality, payload in (
-            ("text", clmp.featurize_text("warm pad")),
-            ("waveform", clmp.featurize_wave(toy_mel(rng))),
-            ("melody", toy_melody()),
-        ):
-            emb = clmp.encode(model, modality, payload)
-            assert np.linalg.norm(emb.values) == pytest.approx(1.0, abs=1e-9)
-            assert emb.modality == modality
+        triples = toy_triples(7, seed=19)
+        items = [{"text": t.text, "waveform": t.mel, "melody": t.melody}[modality]
+                 for t in triples]
+        batch = clmp.embed(model, modality, items)
+        assert batch.shape == (7, model.embed_dim)
+        singles = np.concatenate([clmp.embed(model, modality, [item]) for item in items])
+        assert np.allclose(batch, singles, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_mean_pool_repeat_invariance(self):
-        model = toy_model()
-        one = clmp.encode(model, "melody", toy_melody((60,)))
-        five = clmp.encode(model, "melody", toy_melody((60,) * 5))
-        assert np.allclose(one.values, five.values)
+        one, five = clmp.embed(toy_model(), "melody", [toy_melody((60,)), toy_melody((60,) * 5)])
+        assert np.allclose(one, five)
 
     def test_unknown_modality(self):
         with pytest.raises(ValidationError):
-            clmp.encode(toy_model(), "video", np.zeros(4))
+            clmp.embed(toy_model(), "video", [np.zeros(4)])
 
 
 class TestContrastiveLoss:
@@ -247,9 +245,9 @@ class TestTraining:
         path = tmp_path / "m.json"
         model.save(path)
         back = clmp.ClmpModel.load(path)
-        text = clmp.featurize_text("gentle rising line")
-        assert np.allclose(clmp.encode(model, "text", text).values,
-                           clmp.encode(back, "text", text).values, atol=1e-6)
+        text = ["gentle rising line"]
+        assert np.allclose(clmp.embed(model, "text", text), clmp.embed(back, "text", text),
+                           atol=1e-6)
 
 
 class TestEvalRetrieval:

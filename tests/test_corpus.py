@@ -80,6 +80,14 @@ class TestGenerate:
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert lo <= start <= hi
 
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, disk_full):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("previous manifest\n")
+        with pytest.raises(OSError):
+            corpus.generate_corpus(3, seed=5, out_dir=tmp_path)
+        assert manifest.read_text() == "previous manifest\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_clip_length_enforced(self, tmp_path):
         records = corpus.generate_corpus(4, seed=12, out_dir=tmp_path, clip_samples=20000)
         for r in records:

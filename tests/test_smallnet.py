@@ -108,26 +108,20 @@ class TestBackward:
 class TestOptimizer:
     def test_zero_grad_adamw_no_decay_keeps_params(self):
         p = np.array([1.5, -2.0])
-        opt = smallnet.Optimizer(kind="adamw", learning_rate=0.1, weight_decay=0.0)
+        opt = smallnet.Optimizer(learning_rate=0.1)
         opt.step([p], [np.zeros(2)])
         assert np.allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_moves_by_lr(self):
         # bias correction makes the first update m_hat/sqrt(v_hat) = 1
         p = np.array([0.0])
-        opt = smallnet.Optimizer(kind="adam", learning_rate=0.1)
+        opt = smallnet.Optimizer(learning_rate=0.1)
         opt.step([p], [np.array([1.0])])
         assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
-    def test_adamw_decoupled_decay(self):
-        p = np.array([1.0])
-        opt = smallnet.Optimizer(kind="adamw", learning_rate=0.5, weight_decay=0.01)
-        opt.step([p], [np.array([0.0])])
-        assert p[0] == pytest.approx(1.0 - 0.5 * 0.01 * 1.0)
-
     def test_nonfinite_gradient_rejected_with_name(self):
         p = np.array([1.0])
-        opt = smallnet.Optimizer(kind="adam", learning_rate=0.1)
+        opt = smallnet.Optimizer(learning_rate=0.1)
         with pytest.raises(GradientError) as e:
             opt.step([p], [np.array([np.nan])], names=["w0"])
         assert "w0" in str(e.value)
@@ -135,7 +129,7 @@ class TestOptimizer:
 
     def test_step_count_increments(self):
         p = np.array([0.0])
-        opt = smallnet.Optimizer(kind="adam", learning_rate=0.1)
+        opt = smallnet.Optimizer(learning_rate=0.1)
         for expected in (1, 2, 3):
             opt.step([p], [np.array([0.5])])
             assert opt.step_count == expected
@@ -144,7 +138,7 @@ class TestOptimizer:
         def run():
             rng = smallnet.make_rng(11)
             net = smallnet.DenseNet.create([3, 4, 2], "tanh", rng)
-            opt = smallnet.Optimizer(kind="adamw", learning_rate=1e-2, weight_decay=1e-3)
+            opt = smallnet.Optimizer(learning_rate=1e-2)
             for _ in range(20):
                 x = rng.standard_normal(3)
                 up = net.forward(x)  # pulls outputs toward zero
