@@ -201,10 +201,10 @@ class _HeadPath:
         self.raw, self.cache = head.forward_cached(feats)
         self.emb, self.norms = _normalize_rows(self.raw)
 
-    def backward(self, d_emb: np.ndarray):
+    def backward(self, d_emb: np.ndarray, input_cols=None):
+        """(head grads, feature grads in ``input_cols``, or None by default)."""
         d_raw = _normalize_rows_backward(self.raw, self.emb, self.norms, d_emb)
-        grads, d_feats = self.head.backward_cached(self.cache, d_raw)
-        return grads, d_feats
+        return self.head.backward_cached(self.cache, d_raw, input_cols)
 
 
 class _MelodyPath:
@@ -225,11 +225,12 @@ class _MelodyPath:
         self.emb = self.head_path.emb
 
     def backward(self, d_emb: np.ndarray):
-        head_grads, d_pooled = self.head_path.backward(d_emb)
+        head_grads, d_pooled = self.head_path.backward(d_emb, slice(None))
         d_tok = np.zeros_like(self.tok)
         for i in range(len(self.lengths)):
             d_tok[self.bounds[i]:self.bounds[i + 1]] = d_pooled[i] / self.lengths[i]
-        embed_grads, _ = self.model.melody_token_embed.backward_cached(self.tok_cache, d_tok)
+        embed_grads, _ = self.model.melody_token_embed.backward_cached(self.tok_cache, d_tok,
+                                                                       None)
         return embed_grads, head_grads
 
 

@@ -319,6 +319,17 @@ class TrainingStepResult:
     uncond_mask: np.ndarray  # (B,) bool
 
 
+def _row_blocks(n_rows: int, width: int):
+    """Slices of at most ``smallnet.CACHE_BLOCK`` elements' worth of rows of an
+    (n_rows, width) array, each with a scratch array of its shape, so that
+    elementwise passes over large arrays keep their temporaries in cache."""
+    step = max(1, smallnet.CACHE_BLOCK // width)
+    scratch = np.empty((min(step, n_rows), width))
+    for r in range(0, n_rows, step):
+        rows = slice(r, min(r + step, n_rows))
+        yield rows, scratch[:rows.stop - r]
+
+
 def training_step(
     denoiser: Denoiser,
     sched: NoiseSchedule,
@@ -326,9 +337,10 @@ def training_step(
     conditions: np.ndarray | None,
     null_condition: np.ndarray,
     uncond_prob: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     steps: np.ndarray | None = None,
     noise: np.ndarray | None = None,
+    uncond: np.ndarray | None = None,
 ) -> TrainingStepResult:
     """One eps-prediction step over a batch.
 
@@ -338,13 +350,17 @@ def training_step(
     mean over the batch). Returns gradients for the denoiser, the condition
     rows, and the null vector so the caller can backprop into the fusion map.
 
-    ``steps`` and ``noise`` override the random draws for deterministic
-    replay (oracle tests, debugging).
+    ``steps``, ``noise`` and ``uncond`` (a (B,) bool mask, True where the null
+    is used) replace the random draws, in that order, for deterministic replay
+    or for drawing ahead; with all three given, ``rng`` is not read and may be
+    None.
     """
     if not (0.0 <= uncond_prob <= 1.0):
         raise ValidationError(f"uncond_prob must be in [0, 1], got {uncond_prob}")
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    batch = x0.shape[0]
+    batch, lat = x0.shape
+    if lat != denoiser.latent_dim:
+        raise ShapeError(f"latent has dim {lat}, denoiser wants {denoiser.latent_dim}")
     if conditions is None:
         conditions = np.zeros((batch, denoiser.cond_dim))
         uncond_prob = 1.0
@@ -360,20 +376,38 @@ def training_step(
     eps = rng.standard_normal(x0.shape) if noise is None else np.asarray(noise, dtype=np.float64)
     if eps.shape != x0.shape:
         raise ShapeError(f"noise shape {eps.shape} != x0 shape {x0.shape}")
-    mask = rng.random(batch) < uncond_prob
-    c_eff = np.where(mask[:, None], null_condition[None, :], conditions)
+    mask = rng.random(batch) < uncond_prob if uncond is None else np.asarray(uncond)
+    if mask.shape != (batch,) or mask.dtype != bool:
+        raise ShapeError(f"uncond must be a ({batch},) bool mask, got {mask.dtype} "
+                         f"{mask.shape}")
 
+    # one input buffer [x_n || temb(n) || c_eff], with x_n built row block by
+    # row block
+    c0 = lat + denoiser.time_embed_dim
+    inp = np.empty((batch, c0 + denoiser.cond_dim))
+    inp[:, lat:c0] = time_embedding(n, denoiser.time_embed_dim)
+    inp[:, c0:] = conditions
+    inp[mask, c0:] = null_condition
     ab = sched.alpha_bar[n - 1][:, None]
-    x_n = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    inp = np.concatenate(
-        [x_n, time_embedding(n, denoiser.time_embed_dim), c_eff], axis=1
-    )
+    root_ab, root_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    for rows, t in _row_blocks(batch, lat):
+        x_n = inp[rows, :lat]
+        np.multiply(root_ab[rows], x0[rows], out=x_n)
+        np.multiply(root_1mab[rows], eps[rows], out=t)
+        x_n += t
+
     out, cache = denoiser.net.forward_cached(inp)
-    diff = out - eps
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    d_out = 2.0 * diff / batch
-    grads, d_inp = denoiser.net.backward_cached(cache, d_out)
-    d_c_eff = d_inp[:, denoiser.latent_dim + denoiser.time_embed_dim:]
+    # d_out = 2 (out - eps) / batch, and each row's squared error on the way
+    d_out = np.empty_like(out)
+    row_sq = np.empty(batch)
+    for rows, t in _row_blocks(batch, lat):
+        diff = np.subtract(out[rows], eps[rows], out=d_out[rows])
+        np.multiply(diff, diff, out=t)
+        np.sum(t, axis=1, out=row_sq[rows])
+        diff *= 2.0
+        diff /= batch
+    loss = float(np.mean(row_sq))
+    grads, d_c_eff = denoiser.net.backward_cached(cache, d_out, slice(c0, None))
     d_conditions = np.where(mask[:, None], 0.0, d_c_eff)
     d_null = d_c_eff[mask].sum(axis=0) if mask.any() else np.zeros(denoiser.cond_dim)
     return TrainingStepResult(loss, grads, d_conditions, d_null, mask)

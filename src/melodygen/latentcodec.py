@@ -194,7 +194,7 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
         d_xh = 2.0 * diff / diff.size
         dec_grads, dz = model.decoder.backward_cached(dec_cache, d_xh)
         dz = dz + 2.0 * model.kl_weight * z / z.size
-        enc_grads, _ = model.encoder.backward_cached(enc_cache, dz)
+        enc_grads, _ = model.encoder.backward_cached(enc_cache, dz, None)
         opt.step(params, enc_grads + dec_grads, names)
         history.append(loss)
     return history

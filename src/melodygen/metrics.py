@@ -138,7 +138,7 @@ def train_probe(features: np.ndarray, labels: list[str],
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             d_logits = (p - eye[y[idx]]) / len(idx)
-            grads, _ = net.backward_cached(cache, d_logits)
+            grads, _ = net.backward_cached(cache, d_logits, None)
             opt.step(params, grads, names)
 
     probe = ProbeClassifier(net=net, classes=classes)

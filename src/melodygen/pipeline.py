@@ -22,6 +22,7 @@ every training stage and drive evaluation.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,21 +289,38 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     params = denoiser.parameters() + fusion.parameters()
     names = denoiser.parameter_names() + fusion.parameter_names()
     rng = smallnet.spawn_rng(cfg.seed, 1001)
+    batch = min(cfg.diffusion.batch_size, len(x0))
+
+    def draw():
+        # one step's draws, in the order of the one stream: batch rows, then
+        # training_step's steps, noise and condition dropout
+        idx = rng.integers(0, len(x0), size=batch)
+        steps = rng.integers(1, sched.N + 1, size=batch)
+        noise = rng.standard_normal((batch, latent_dim))
+        return idx, steps, noise, rng.random(batch) < cfg.diffusion.uncond_prob
+
     phase_boundary = int(cfg.diffusion.phase_split * cfg.diffusion.train_steps)
     history = []
-    for step_i in range(cfg.diffusion.train_steps):
-        idx = rng.integers(0, len(x0), size=min(cfg.diffusion.batch_size, len(x0)))
-        if step_i < phase_boundary:
-            queries, hits = wave_emb[idx], r_wave[idx]
-        else:
-            queries, hits = text_emb[idx], r_text[idx]
-        result = diffusion.training_step(
-            denoiser, sched, x0[idx], fusion.forward(queries, hits), fusion.null_condition,
-            cfg.diffusion.uncond_prob, rng,
-        )
-        fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
-        opt.step(params, result.denoiser_grads + fusion_grads, names)
-        history.append(result.loss)
+    # a worker draws step k+1 while step k computes (the normal fill releases
+    # the GIL); k+1 is submitted only after k's draws are in hand and
+    # training_step gets no rng, so the stream is consumed in the same order
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = drawer.submit(draw)
+        for step_i in range(cfg.diffusion.train_steps):
+            idx, steps, noise, uncond = pending.result()
+            if step_i + 1 < cfg.diffusion.train_steps:
+                pending = drawer.submit(draw)
+            if step_i < phase_boundary:
+                queries, hits = wave_emb[idx], r_wave[idx]
+            else:
+                queries, hits = text_emb[idx], r_text[idx]
+            result = diffusion.training_step(
+                denoiser, sched, x0[idx], fusion.forward(queries, hits), fusion.null_condition,
+                cfg.diffusion.uncond_prob, None, steps=steps, noise=noise, uncond=uncond,
+            )
+            fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
+            opt.step(params, result.denoiser_grads + fusion_grads, names)
+            history.append(result.loss)
 
     c, th, fw = _latent_shape(cfg)
     denoiser.save(art.diffusion_path, fusion=fusion, extra_meta={

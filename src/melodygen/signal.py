@@ -141,9 +141,8 @@ def mel_spectrogram(
         f_max = w.sample_rate / 2.0
     window = _hann(n_fft)
     scale = window.sum() / 2.0  # full-scale sine -> magnitude ~1 -> ~0 dB
-    n_frames = 1 + (len(w.samples) - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = w.samples[idx] * window
+    # frame t is samples[t * hop : t * hop + n_fft], a strided view, not a gather
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, n_fft)[::hop] * window
     power = np.abs(np.fft.rfft(frames, axis=1) / scale) ** 2
     fb, _ = mel_filterbank(n_mels, n_fft, w.sample_rate, f_min, f_max)
     mel_power = power @ fb.T

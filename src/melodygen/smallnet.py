@@ -3,6 +3,9 @@
 Everything here is plain numpy in float64. Gradients are computed by explicit
 reverse-mode passes (no autograd), which keeps the arithmetic auditable and
 lets finite-difference oracles check every trainable module in the package.
+The backward pass computes only the input-gradient columns its caller asks
+for, and Adam updates each parameter in place, a cache-sized block at a time,
+with the textbook update's arithmetic in the textbook order.
 
 Randomness: all seeded streams use numpy's PCG64 generator (a counter-based
 generator whose output stream is pinned by the numpy random API and identical
@@ -48,13 +51,12 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+    """Derivative of a non-identity activation at ``z``."""
     # relu derivative at exactly 0 is taken as 0
     if name == "relu":
         return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+    t = np.tanh(z)
+    return 1.0 - t * t
 
 
 @dataclass
@@ -81,7 +83,8 @@ class DenseNet:
 
     Accepts single vectors ``(in,)`` or batches ``(n, in)``; output shape
     mirrors the input. ``backward`` returns the exact reverse-mode gradient of
-    the forward map (summed over the batch for parameters).
+    the forward map (summed over the batch for parameters); identity layers
+    pass their upstream gradient through unmultiplied.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -172,17 +175,20 @@ class DenseNet:
         inputs, preacts = [], []
         for l in self.layers:
             inputs.append(a)
-            z = a @ l.w.T + l.b
+            z = a @ l.w.T
+            z += l.b
             preacts.append(z)
             a = activate(l.activation, z)
         cache = (inputs, preacts, single)
         return (a[0] if single else a), cache
 
-    def backward_cached(self, cache, upstream: np.ndarray):
+    def backward_cached(self, cache, upstream: np.ndarray, input_cols=slice(None)):
         """Gradients from a cached forward.
 
         Returns ``(grads, input_grad)`` where grads is a flat list matching
         ``parameters()`` order. Parameter gradients are summed over the batch.
+        ``input_grad`` holds the input columns ``input_cols`` selects (all by
+        default); ``input_cols=None`` skips it and returns None.
         """
         inputs, preacts, single = cache
         g = np.asarray(upstream, dtype=np.float64)
@@ -196,10 +202,14 @@ class DenseNet:
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
-            dz = g * _act_grad(l.activation, preacts[i])
+            dz = g if l.activation == "identity" else g * _act_grad(l.activation, preacts[i])
             grads[2 * i] = dz.T @ inputs[i]
             grads[2 * i + 1] = dz.sum(axis=0)
-            g = dz @ l.w
+            if i:
+                g = dz @ l.w
+        if input_cols is None:
+            return grads, None
+        g = dz @ self.layers[0].w[:, input_cols]
         return grads, (g[0] if single else g)
 
     def backward(self, x: np.ndarray, upstream: np.ndarray):
@@ -208,12 +218,19 @@ class DenseNet:
         return self.backward_cached(cache, upstream)
 
 
+# Elementwise passes over large arrays (Adam, the denoiser's training glue) run
+# this many elements at a time, so their temporaries stay in cache
+CACHE_BLOCK = 16384
+
+
 @dataclass
 class Optimizer:
     """Adam over a fixed list of parameter arrays.
 
     Moment buffers are lazily shaped on the first step and must shape-match
-    thereafter.
+    thereafter. Each parameter is updated in place, ``CACHE_BLOCK`` elements
+    at a time, through two reused scratch buffers; per element the arithmetic
+    and its order are the textbook update's.
     """
 
     learning_rate: float = 1e-3
@@ -222,10 +239,39 @@ class Optimizer:
     step_count: int = 0
     _m: list[np.ndarray] = field(default_factory=list, repr=False)
     _v: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scratch: np.ndarray = field(default_factory=lambda: np.empty((2, CACHE_BLOCK)),
+                                 init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.learning_rate or self.learning_rate == 0.0):
             raise ValidationError("learning_rate must be >= 0")
+
+    def _checked(self, params, grads, names) -> list[np.ndarray]:
+        """The gradients as float64 arrays, once every check passed; raises
+        before anything is updated."""
+        if names is None:
+            names = [f"param[{i}]" for i in range(len(params))]
+        if not len(params) == len(grads) == len(names):
+            raise ShapeError(f"{len(params)} parameters, {len(grads)} gradients and "
+                             f"{len(names)} names")
+        if self._m and len(self._m) != len(params):
+            raise ShapeError("parameter list changed size under the optimizer")
+        out = []
+        for i, (p, g, name) in enumerate(zip(params, grads, names)):
+            g = np.asarray(g, dtype=np.float64)
+            if p.shape != g.shape:
+                raise ShapeError(f"gradient shape {g.shape} != parameter shape "
+                                 f"{p.shape} for {name}")
+            if self._m and self._m[i].shape != p.shape:
+                raise ShapeError(f"parameter {name} has shape {p.shape}, but had "
+                                 f"{self._m[i].shape} when the optimizer first saw it")
+            if not p.flags.c_contiguous:
+                raise ShapeError(f"parameter {name} is not contiguous and cannot be "
+                                 "updated in place")
+            if not np.isfinite(g).all():
+                raise GradientError("non-finite gradient, update rejected", name)
+            out.append(g)
+        return out
 
     def step(
         self,
@@ -233,39 +279,40 @@ class Optimizer:
         grads: list[np.ndarray],
         names: list[str] | None = None,
     ) -> None:
-        """Apply one bias-corrected update in place. Rejects non-finite grads."""
-        if names is None:
-            names = [f"param[{i}]" for i in range(len(params))]
-        if len(params) != len(grads):
-            raise ShapeError(
-                f"{len(params)} parameters but {len(grads)} gradients"
-            )
-        for p, g, name in zip(params, grads, names):
-            if p.shape != np.asarray(g).shape:
-                raise ShapeError(
-                    f"gradient shape {np.asarray(g).shape} != parameter shape "
-                    f"{p.shape} for {name}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise GradientError("non-finite gradient, update rejected", name)
+        """Apply one bias-corrected update in place. Rejects non-finite grads,
+        leaving parameters, moments and ``step_count`` unchanged."""
+        grads = self._checked(params, grads, names)
         if not self._m:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
-        elif len(self._m) != len(params):
-            raise ShapeError("parameter list changed size under the optimizer")
 
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
+        lr, eps = self.learning_rate, self.eps
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            g = np.asarray(g, dtype=np.float64)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p -= self.learning_rate * update
+            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for start in range(0, p.size, CACHE_BLOCK):
+                blk = slice(start, start + CACHE_BLOCK)
+                pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+                t, u = self._scratch[0, :pb.size], self._scratch[1, :pb.size]
+                # m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g
+                mb *= b1
+                np.multiply(1.0 - b1, gb, out=t)
+                mb += t
+                vb *= b2
+                np.multiply(1.0 - b2, gb, out=t)
+                t *= gb
+                vb += t
+                # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps))
+                np.divide(vb, bc2, out=t)
+                np.sqrt(t, out=t)
+                t += eps
+                np.divide(mb, bc1, out=u)
+                u /= t
+                u *= lr
+                pb -= u
 
 
 # --- checkpoint I/O -----------------------------------------------------

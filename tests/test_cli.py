@@ -4,11 +4,15 @@ database's exact retrieval."""
 import hashlib
 import json
 import platform
+import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from melodygen import PipelineConfig, cli, clmp, pipeline, smallnet
+from melodygen.errors import GradientError
 
 TINY = {
     "seed": 3,
@@ -197,6 +201,55 @@ def test_mismatched_melody_database_exits_1_naming_it(trained, capsys, melodies,
         path.write_bytes(good)
 
 
+
+@pytest.fixture
+def work_copy(trained, tmp_path):
+    """A copy of the trained working directory, for tests that retrain in it."""
+    work = tmp_path / "work"
+    shutil.copytree(trained[1], work)
+    return work
+
+
+def test_train_diffusion_is_bit_identical_under_fast_thread_switching(trained, work_copy):
+    config, work = trained
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main(["train-diffusion", "--config", str(config),
+                         "--out", str(work_copy)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+    assert (work_copy / "diffusion.ckpt").read_bytes() == (work / "diffusion.ckpt").read_bytes()
+
+
+def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
+        work_copy, tmp_path, capsys, monkeypatch):
+    work = work_copy
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "diffusion": {**TINY["diffusion"], "train_steps": 6}}))
+    before = (work / "diffusion.ckpt").read_bytes()
+    baseline = threading.active_count()
+    step, calls = smallnet.Optimizer.step, []
+
+    def failing_step(self, params, grads, names=None):
+        calls.append(threading.active_count())
+        if len(calls) == 3:
+            raise GradientError("non-finite gradient, update rejected", names[0])
+        step(self, params, grads, names)
+
+    monkeypatch.setattr(smallnet.Optimizer, "step", failing_step)
+    capsys.readouterr()
+    assert cli.main(["train-diffusion", "--config", str(config),
+                     "--out", str(work)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "GradientError" in err and "unexpected" not in err
+    assert len(calls) == 3 and calls[-1] > baseline  # the worker was drawing step 4
+    assert threading.active_count() == baseline
+    assert (work / "diffusion.ckpt").read_bytes() == before
+
+
 def unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -280,3 +333,26 @@ def test_generated_wav_variant_matches_golden_hash(trained, variant, flags):
                      "--prompt", "a calm melody", "--tag", variant, *flags]) == cli.EXIT_OK
     digest = hashlib.sha256((work / "generated" / f"{variant}.wav").read_bytes()).hexdigest()
     assert digest == GOLDEN_VARIANT_WAV_SHA256[key][variant]
+
+
+# SHA-256 of each checkpoint the tiny stack's training stages write, keyed as
+# above: they pin the training arithmetic and its random stream directly.
+GOLDEN_CHECKPOINT_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"): {
+        "clmp.ckpt": "a7e3f7e768a0f7fc48bb0c075fcf92f53333382446c5d7f961aa87ec5e823796",
+        "melody.ckpt": "092fcebbdd55fc471733a0168c7b50dd8ae708f179b97b37ffd1467c8eeb1946",
+        "latentcodec.ckpt": "4ed1d2c783ded0ac5c5e80435287a0e7efc415a642c92b4937581171b935f555",
+        "diffusion.ckpt": "23d0676d30d47464106495bbd8c76daab599b0754eb5dc1bf3ccb794894d4887",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["clmp.ckpt", "melody.ckpt", "latentcodec.ckpt",
+                                  "diffusion.ckpt"])
+def test_trained_checkpoint_matches_golden_hash(trained, name):
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_CHECKPOINT_SHA256:
+        pytest.skip(f"no golden checkpoint hashes pinned for {key}")
+    _, work = trained
+    digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_CHECKPOINT_SHA256[key][name]

@@ -175,6 +175,23 @@ class TestFusion:
         check_grads(loss_and_grads, [fusion.W, fusion.b], rng)
 
 
+def reference_training_step(den, sched, x0, cond, null, n, eps, uncond):
+    """training_step's arithmetic as whole-array expressions, with the full
+    input gradient of the net sliced afterwards."""
+    c_eff = np.where(uncond[:, None], null[None, :], cond)
+    ab = sched.alpha_bar[n - 1][:, None]
+    x_n = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    inp = np.concatenate([x_n, df.time_embedding(n, den.time_embed_dim), c_eff], axis=1)
+    out, cache = den.net.forward_cached(inp)
+    diff = out - eps
+    loss = float(np.mean(np.sum(diff * diff, axis=1)))
+    grads, d_inp = den.net.backward_cached(cache, 2.0 * diff / len(x0))
+    d_c_eff = d_inp[:, den.latent_dim + den.time_embed_dim:]
+    d_null = d_c_eff[uncond].sum(axis=0) if uncond.any() else np.zeros(den.cond_dim)
+    return df.TrainingStepResult(loss, grads, np.where(uncond[:, None], 0.0, d_c_eff),
+                                 d_null, uncond)
+
+
 class TestTrainingStep:
     def test_oracle_denoiser_zero_loss(self):
         # inject the exact noise via the replay knobs and a net stub that
@@ -190,13 +207,56 @@ class TestTrainingStep:
             def forward_cached(self, inp):
                 return eps, ("cache", inp.shape)
 
-            def backward_cached(self, cache, upstream):
-                return [], np.zeros(cache[1])
+            def backward_cached(self, cache, upstream, input_cols=slice(None)):
+                return [], np.zeros(cache[1])[:, input_cols]
 
         den.net = OracleNet()
         res = df.training_step(den, s, x0, None, np.zeros(den.cond_dim), 1.0,
                                rng, steps=n, noise=eps)
         assert res.loss == 0.0
+
+    @pytest.mark.parametrize("latent_dim, batch", [(4, 6), (5000, 7)])
+    def test_given_draws_leave_rng_untouched_and_match_drawn_path(self, latent_dim, batch):
+        # latent 5000: several row blocks, the last one short
+        den = tiny_denoiser(latent_dim=latent_dim, seed=9)
+        s = df.make_schedule(30, 1e-3, 0.05)
+        data = smallnet.make_rng(40)
+        x0 = data.standard_normal((batch, latent_dim))
+        cond = data.standard_normal((batch, 3))
+        null = data.standard_normal(3)
+        drawn = df.training_step(den, s, x0, cond, null, 0.5, smallnet.make_rng(41))
+        replay_rng = smallnet.make_rng(41)
+        n = replay_rng.integers(1, s.N + 1, size=batch)
+        eps = replay_rng.standard_normal(x0.shape)
+        uncond = replay_rng.random(batch) < 0.5
+        assert uncond.any() and not uncond.all()
+        rng = smallnet.make_rng(42)
+        state = rng.bit_generator.state
+        eps_before = eps.copy()
+        given = df.training_step(den, s, x0, cond, null, 0.5, rng,
+                                 steps=n, noise=eps, uncond=uncond)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(eps, eps_before)
+        reference = reference_training_step(den, s, x0, cond, null, n, eps, uncond)
+        for res in (drawn, given):
+            assert res.loss == reference.loss
+            assert np.array_equal(res.uncond_mask, uncond)
+            # the condition columns' gradient is its own BLAS product, which
+            # may round differently from the same columns of the full one
+            assert np.allclose(res.d_conditions, reference.d_conditions, rtol=1e-14, atol=1e-15)
+            assert np.allclose(res.d_null, reference.d_null, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(res.d_conditions, given.d_conditions)
+            assert np.array_equal(res.d_null, given.d_null)
+            for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
+                assert np.array_equal(g, r)
+
+    def test_uncond_mask_shape_checked(self):
+        den = tiny_denoiser()
+        s = df.make_schedule(10, 1e-2, 0.1)
+        rng = smallnet.make_rng(43)
+        with pytest.raises(ShapeError):
+            df.training_step(den, s, np.zeros((4, 4)), None, np.zeros(3), 1.0, rng,
+                             uncond=np.ones(3, dtype=bool))
 
     def test_zero_denoiser_loss_near_latent_dim(self):
         # E||eps||^2 = latent_dim for a zero predictor (chi-square mean)

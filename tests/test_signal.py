@@ -54,6 +54,31 @@ class TestMelSpectrogram:
             assert np.all(fb[m_i][outside] == 0)
 
 
+def reference_mel_spectrogram(w: sig.Waveform, n_mels: int, n_fft: int, hop: int) -> np.ndarray:
+    """The analysis with frames gathered by a fancy index, one row per frame."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    n_frames = 1 + (len(w.samples) - n_fft) // hop
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = w.samples[idx] * window
+    power = np.abs(np.fft.rfft(frames, axis=1) / (window.sum() / 2.0)) ** 2
+    fb, _ = sig.mel_filterbank(n_mels, n_fft, w.sample_rate, 0.0, w.sample_rate / 2.0)
+    return 10.0 * np.log10(np.maximum(power @ fb.T, 10.0 ** (sig.DB_FLOOR / 10.0)))
+
+
+@pytest.mark.parametrize("n_samples, n_fft, hop", [
+    (1024, 1024, 256),             # one frame
+    (1024 + 256 * 9, 1024, 256),   # frames tile the clip exactly
+    (1024 + 256 * 9 + 100, 1024, 256),  # (len - n_fft) % hop != 0
+    (5000, 512, 300),
+    (777, 64, 1),
+    (4000, 256, 1000),             # hop longer than the window
+])
+def test_mel_spectrogram_matches_gather_reference(n_samples, n_fft, hop):
+    w = sig.Waveform(np.random.default_rng(n_samples).standard_normal(n_samples))
+    m = sig.mel_spectrogram(w, n_mels=32, n_fft=n_fft, hop=hop)
+    assert np.array_equal(m.values, reference_mel_spectrogram(w, 32, n_fft, hop))
+
+
 class TestSynthesizeMelody:
     def test_a4_sine_duration_and_frequency(self):
         seq = MelodyTripletSeq((MelodyTriplet("A4", bin_duration(0.5), 0),))

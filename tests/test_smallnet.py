@@ -6,7 +6,7 @@ import pytest
 
 from melodygen import smallnet
 from melodygen.errors import FormatError, GradientError, ShapeError, ValidationError
-from fdcheck import central_diff_grad, max_rel_err, sample_coords
+from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
 def identity_net(n):
@@ -99,6 +99,30 @@ class TestBackward:
         for a, b in zip(batch_grads, summed):
             assert np.allclose(a, b)
 
+    @pytest.mark.parametrize("cols", [slice(2, 5), slice(4, None), slice(None)])
+    def test_selected_input_columns_match_full_gradient(self, cols):
+        rng = smallnet.make_rng(9)
+        net = smallnet.DenseNet.create([6, 5, 3], "tanh", rng)
+        x = rng.standard_normal((4, 6))
+        up = rng.standard_normal((4, 3))  # loss = sum(up * net(x))
+        _, cache = net.forward_cached(x)
+        full_grads, full = net.backward_cached(cache, up)
+        grads, selected = net.backward_cached(cache, up, cols)
+        # a column block is its own BLAS product, which may round differently
+        assert np.allclose(selected, full[:, cols], rtol=1e-14, atol=1e-15)
+        for g, f in zip(grads, full_grads):
+            assert np.array_equal(g, f)
+        skipped, none = net.backward_cached(cache, up, None)
+        assert none is None
+        for g, f in zip(skipped, full_grads):
+            assert np.array_equal(g, f)
+
+        def loss_and_grads():
+            _, c = net.forward_cached(x)
+            return float(np.sum(up * net.forward(x))), [net.backward_cached(c, up, cols)[1]]
+
+        check_grads(loss_and_grads, [x[:, cols]], rng)
+
     def test_upstream_shape_checked(self):
         net = identity_net(2)
         with pytest.raises(ShapeError):
@@ -149,6 +173,73 @@ class TestOptimizer:
         a, b = run(), run()
         for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)  # bit-identical
+
+
+    def test_rejected_gradient_leaves_state_unchanged(self):
+        rng = smallnet.make_rng(13)
+        params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
+        opt = smallnet.Optimizer(learning_rate=0.1)
+        for _ in range(2):
+            opt.step(params, [rng.standard_normal(p.shape) for p in params])
+        before = [a.copy() for a in params + opt._m + opt._v]
+        bad = [rng.standard_normal((3, 4)), np.array([0.0, np.inf, 0.0, 0.0])]
+        with pytest.raises(GradientError, match="b0"):
+            opt.step(params, bad, ["w0", "b0"])
+        assert opt.step_count == 2
+        for a, b in zip(params + opt._m + opt._v, before):
+            assert np.array_equal(a, b)
+
+    def test_short_name_list_rejected_before_any_check_is_skipped(self):
+        p, q = np.zeros(2), np.zeros(3)
+        opt = smallnet.Optimizer(learning_rate=0.1)
+        with pytest.raises(ShapeError, match="names"):
+            opt.step([p, q], [np.ones(2), np.full(3, np.nan)], ["w0"])
+        assert np.array_equal(q, np.zeros(3)) and opt.step_count == 0
+
+    def test_parameter_reshaped_since_first_step_rejected(self):
+        opt = smallnet.Optimizer(learning_rate=0.1)
+        opt.step([np.zeros((2, 3))], [np.ones((2, 3))], ["w0"])
+        with pytest.raises(ShapeError, match="w0"):
+            opt.step([np.zeros((3, 2))], [np.ones((3, 2))], ["w0"])
+        assert opt.step_count == 1
+
+    def test_non_contiguous_parameter_rejected(self):
+        # an in-place blocked update through a flattened copy would be lost
+        p = np.zeros((4, 4))[:, ::2]
+        opt = smallnet.Optimizer(learning_rate=0.1)
+        with pytest.raises(ShapeError, match="contiguous"):
+            opt.step([p], [np.ones((4, 2))], ["w0"])
+
+
+def reference_adam(opt, params, grads, m, v, t):
+    """The textbook whole-array update the blocked one must equal bit for bit."""
+    b1, b2 = opt.betas
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * g * g
+        update = (mm / bc1) / (np.sqrt(vv / bc2) + opt.eps)
+        p -= opt.learning_rate * update
+
+
+@pytest.mark.parametrize("shape", [
+    (), (7,), (smallnet.CACHE_BLOCK,), (3, smallnet.CACHE_BLOCK // 2 + 1),
+    (2 * smallnet.CACHE_BLOCK + 5,),
+], ids=["0-d", "under_one_block", "one_block", "not_a_multiple", "two_blocks_and_5"])
+def test_blocked_adam_matches_reference_bit_for_bit(shape):
+    rng = smallnet.make_rng(14)
+    params = [rng.standard_normal(shape), rng.standard_normal(5)]
+    ref = [p.copy() for p in params]
+    m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+    opt = smallnet.Optimizer(learning_rate=3e-3)
+    for t in range(1, 5):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
+        opt.step(params, grads)
+        reference_adam(opt, ref, grads, m, v, t)
+        for a, b in zip(params + opt._m + opt._v, ref + m + v):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpoint:
