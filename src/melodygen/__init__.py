@@ -3,7 +3,7 @@
 Subpackages by stage:
 
 - ``smallnet``      dense nets, manual gradients, Adam, checkpoints
-- ``melody_codec``  note events <-> triplet token strings
+- ``melody_codec``  melody triplets <-> triplet token strings
 - ``signal``        mel analysis, tone synthesis, oscillator vocoder, WAV I/O
 - ``clmp``          tri-modal contrastive alignment (text/waveform/melody)
 - ``latentcodec``   patchwise mel <-> latent autoencoder

@@ -11,6 +11,7 @@ error, 2 missing artifact, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -94,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed, steps=args.steps, w=args.cfg,
                 use_melody=not args.no_melody, sampler=args.sampler, tag=args.tag,
             )
-            print(json.dumps(result.to_dict(), indent=2))
+            print(json.dumps(dataclasses.asdict(result), indent=2))
         elif args.command == "evaluate":
             report = pipeline.run_evaluate(cfg, args.out, mode=args.mode, seed=args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)

@@ -165,11 +165,12 @@ class ClmpModel:
     @classmethod
     def load(cls, path) -> "ClmpModel":
         arrays, meta = smallnet.load_checkpoint(path)
-        nets = {
-            name: smallnet.net_from_state(arrays, meta["nets"][name], prefix=f"{name}.")
-            for name in ("text_head", "wave_head", "melody_token_embed", "melody_head")
-        }
-        return cls(log_tau=arrays["log_tau"], embed_dim=int(meta["embed_dim"]), **nets)
+        with smallnet.checkpoint_keys(path):
+            nets = {
+                name: smallnet.net_from_state(arrays, meta["nets"][name], prefix=f"{name}.")
+                for name in ("text_head", "wave_head", "melody_token_embed", "melody_head")
+            }
+            return cls(log_tau=arrays["log_tau"], embed_dim=int(meta["embed_dim"]), **nets)
 
     def _nets(self) -> dict[str, smallnet.DenseNet]:
         return {
@@ -317,16 +318,6 @@ def _batch_features(batch: list[Triple]):
             _features("melody", [t.melody for t in batch]))
 
 
-def contrastive_total_loss(model: ClmpModel, batch: list[Triple]) -> float:
-    """Mean of the directed InfoNCE terms over a batch of aligned triples."""
-    if len(batch) < 2:
-        raise ValidationError(f"contrastive batch needs N >= 2, got {len(batch)}")
-    text, wave, melody = _batch_features(batch)
-    graph = _BatchGraph(model, text, wave, melody)
-    loss, _ = graph.loss_and_grads()
-    return loss
-
-
 @dataclass
 class ClmpTrainConfig:
     batch_size: int = 48
@@ -373,9 +364,9 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
     return TrainResult(model=model, loss_curve=curve)
 
 
-def eval_retrieval(model: ClmpModel, triples: list[Triple],
-                   directions: tuple[str, ...] = DIRECTIONS) -> dict:
-    """R@1/5/10 and mAP@10 per direction; the true mate is the same item.
+def eval_retrieval(model: ClmpModel, triples: list[Triple]) -> dict:
+    """R@1/5/10 and mAP@10 for each of ``DIRECTIONS``; the true mate is the
+    same item.
 
     mAP@10 is mean(1/rank) with rank > 10 scored as 0 (one relevant item per
     query). Ranks count strictly-greater similarities, so exact ties do not
@@ -388,11 +379,8 @@ def eval_retrieval(model: ClmpModel, triples: list[Triple],
            "W": embed(model, "waveform", [t.mel for t in triples]),
            "M": embed(model, "melody", [t.melody for t in triples])}
     out = {}
-    for d in directions:
-        if len(d) != 3 or d[0] not in emb or d[2] not in emb:
-            raise ValidationError(f"unknown retrieval direction {d!r}")
-        q, c = emb[d[0]], emb[d[2]]
-        sims = q @ c.T
+    for d in DIRECTIONS:
+        sims = emb[d[0]] @ emb[d[2]].T
         diag = np.diag(sims)
         ranks = 1 + (sims > diag[:, None]).sum(axis=1)
         out[d] = {

@@ -181,8 +181,3 @@ class PipelineConfig:
         if not isinstance(doc, dict):
             raise ValidationError("config root must be a JSON object")
         return cls.from_dict(doc)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")

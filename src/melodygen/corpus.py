@@ -230,6 +230,10 @@ def generate_corpus(n: int, seed: int, out_dir,
     return records
 
 
+# the type of each manifest field; a record that breaks one is named by line
+_FIELD_TYPES = {"id": str, "text": str, "melody": str, "wav": str, "archetype": dict}
+
+
 def load_corpus(manifest_path) -> CorpusLoadResult:
     """Read and validate a manifest; bad records are reported, good ones kept."""
     manifest_path = Path(manifest_path)
@@ -245,7 +249,14 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
             record_id = f"line {line_no}"
             try:
                 doc = json.loads(line)
-                record_id = doc.get("id", record_id)
+                if not isinstance(doc, dict):
+                    raise ValidationError(f"record is a JSON {type(doc).__name__}, "
+                                          "not an object")
+                for key, kind in _FIELD_TYPES.items():
+                    if not isinstance(doc[key], kind):
+                        raise ValidationError(f"field {key!r} must be a {kind.__name__}, "
+                                              f"got {doc[key]!r}")
+                record_id = doc["id"]
                 record = CorpusRecord(
                     id=doc["id"],
                     text=doc["text"],

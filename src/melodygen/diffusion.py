@@ -6,8 +6,9 @@ the Gaussian posterior q(x_{n-1} | x_n, x0), and epsilon-prediction training.
 Conditioning is one fused vector per row, c = [query || melody] W + b; a
 learned constant null vector stands in for "no condition" and is trained by
 random condition dropout, enabling classifier-free guidance
-eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). Samplers: ancestral (DDPM) and
-deterministic subsequence (DDIM, eta=0).
+eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). A training step draws nothing:
+its steps, noise and dropout mask come from the caller, which owns the random
+stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0).
 
 The samplers compute eps_bar with ``Denoiser.guided_eps``, which does the
 work the two branches share once. It is exact, not an approximation:
@@ -258,32 +259,32 @@ class Denoiser:
 
         return eps
 
-    def save(self, path, fusion: ConditionFusion | None = None, extra_meta: dict | None = None) -> None:
+    def save(self, path, fusion: ConditionFusion, extra_meta: dict) -> None:
         arrays, net_meta = smallnet.net_state(self.net, "denoiser.")
+        arrays.update(zip(fusion.parameter_names(), fusion.parameters()))
         meta = {
             "latent_dim": self.latent_dim,
             "cond_dim": self.cond_dim,
             "time_embed_dim": self.time_embed_dim,
             "net": net_meta,
+            "extra": extra_meta,
         }
-        if fusion is not None:
-            arrays["fusion.W"] = fusion.W
-            arrays["fusion.b"] = fusion.b
-            arrays["fusion.null_condition"] = fusion.null_condition
-        if extra_meta:
-            meta["extra"] = extra_meta
         smallnet.save_checkpoint(path, arrays, meta)
 
     @classmethod
     def load(cls, path):
-        """Returns (denoiser, fusion_or_None, extra_meta)."""
+        """Returns (denoiser, fusion, extra_meta)."""
         arrays, meta = smallnet.load_checkpoint(path)
-        den = cls(
-            net=smallnet.net_from_state(arrays, meta["net"], "denoiser."),
-            latent_dim=int(meta["latent_dim"]),
-            cond_dim=int(meta["cond_dim"]),
-            time_embed_dim=int(meta["time_embed_dim"]),
-        )
+        with smallnet.checkpoint_keys(path):
+            den = cls(
+                net=smallnet.net_from_state(arrays, meta["net"], "denoiser."),
+                latent_dim=int(meta["latent_dim"]),
+                cond_dim=int(meta["cond_dim"]),
+                time_embed_dim=int(meta["time_embed_dim"]),
+            )
+            fusion = ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
+                                     null_condition=arrays["fusion.null_condition"])
+            extra = meta["extra"]
         # guided_eps slices layer 0 by these widths and needs an affine output
         in_dim = den.latent_dim + den.time_embed_dim + den.cond_dim
         out_act = den.net.layers[-1].activation
@@ -297,14 +298,7 @@ class Denoiser:
             if bad:
                 raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
                                       "rerun train-diffusion")
-        fusion = None
-        if "fusion.W" in arrays:
-            fusion = ConditionFusion(
-                W=arrays["fusion.W"],
-                b=arrays["fusion.b"],
-                null_condition=arrays["fusion.null_condition"],
-            )
-        return den, fusion, meta.get("extra", {})
+        return den, fusion, extra
 
 
 # --- training -----------------------------------------------------------------
@@ -316,7 +310,6 @@ class TrainingStepResult:
     denoiser_grads: list[np.ndarray]
     d_conditions: np.ndarray  # (B, d_c); zero rows where the null was used
     d_null: np.ndarray  # (d_c,)
-    uncond_mask: np.ndarray  # (B,) bool
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -334,49 +327,39 @@ def training_step(
     denoiser: Denoiser,
     sched: NoiseSchedule,
     x0: np.ndarray,
-    conditions: np.ndarray | None,
+    conditions: np.ndarray,
     null_condition: np.ndarray,
-    uncond_prob: float,
-    rng: np.random.Generator | None,
-    steps: np.ndarray | None = None,
-    noise: np.ndarray | None = None,
-    uncond: np.ndarray | None = None,
+    *,
+    steps: np.ndarray,
+    noise: np.ndarray,
+    uncond: np.ndarray,
 ) -> TrainingStepResult:
-    """One eps-prediction step over a batch.
+    """One eps-prediction step over a batch of B rows, on the caller's draws.
 
-    Per sample: draw n uniform in 1..N and eps ~ N(0, I); with probability
-    ``uncond_prob`` swap the row's condition for the learned null. The loss is
+    Row i is noised to step ``steps[i]`` (in 1..N) with ``noise[i]``, and
+    conditioned on ``conditions[i]``, or on the learned null where the (B,)
+    bool mask ``uncond`` is True. The loss is
     mean_i ||eps_i - eps_theta(x_n_i, n_i, c_i)||^2 (squared norm per sample,
     mean over the batch). Returns gradients for the denoiser, the condition
     rows, and the null vector so the caller can backprop into the fusion map.
-
-    ``steps``, ``noise`` and ``uncond`` (a (B,) bool mask, True where the null
-    is used) replace the random draws, in that order, for deterministic replay
-    or for drawing ahead; with all three given, ``rng`` is not read and may be
-    None.
+    ``noise`` is read, never written.
     """
-    if not (0.0 <= uncond_prob <= 1.0):
-        raise ValidationError(f"uncond_prob must be in [0, 1], got {uncond_prob}")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim != 2 or x0.shape[1] != denoiser.latent_dim:
+        raise ShapeError(f"x0 has shape {x0.shape}, denoiser wants (B, {denoiser.latent_dim})")
     batch, lat = x0.shape
-    if lat != denoiser.latent_dim:
-        raise ShapeError(f"latent has dim {lat}, denoiser wants {denoiser.latent_dim}")
-    if conditions is None:
-        conditions = np.zeros((batch, denoiser.cond_dim))
-        uncond_prob = 1.0
     conditions = np.asarray(conditions, dtype=np.float64)
     if conditions.shape != (batch, denoiser.cond_dim):
         raise ShapeError(
             f"conditions shape {conditions.shape} != ({batch}, {denoiser.cond_dim})"
         )
-
-    n = rng.integers(1, sched.N + 1, size=batch) if steps is None else np.asarray(steps)
+    n = np.asarray(steps)
     if n.shape != (batch,) or n.min() < 1 or n.max() > sched.N:
         raise ValidationError(f"steps must be {batch} values in 1..{sched.N}")
-    eps = rng.standard_normal(x0.shape) if noise is None else np.asarray(noise, dtype=np.float64)
+    eps = np.asarray(noise, dtype=np.float64)
     if eps.shape != x0.shape:
         raise ShapeError(f"noise shape {eps.shape} != x0 shape {x0.shape}")
-    mask = rng.random(batch) < uncond_prob if uncond is None else np.asarray(uncond)
+    mask = np.asarray(uncond)
     if mask.shape != (batch,) or mask.dtype != bool:
         raise ShapeError(f"uncond must be a ({batch},) bool mask, got {mask.dtype} "
                          f"{mask.shape}")
@@ -410,7 +393,7 @@ def training_step(
     grads, d_c_eff = denoiser.net.backward_cached(cache, d_out, slice(c0, None))
     d_conditions = np.where(mask[:, None], 0.0, d_c_eff)
     d_null = d_c_eff[mask].sum(axis=0) if mask.any() else np.zeros(denoiser.cond_dim)
-    return TrainingStepResult(loss, grads, d_conditions, d_null, mask)
+    return TrainingStepResult(loss, grads, d_conditions, d_null)
 
 
 # --- guidance and sampling ------------------------------------------------------

@@ -115,14 +115,15 @@ class LatentCodecModel:
     @classmethod
     def load(cls, path) -> "LatentCodecModel":
         arrays, meta = smallnet.load_checkpoint(path)
-        return cls(
-            encoder=smallnet.net_from_state(arrays, meta["nets"]["encoder"], "encoder."),
-            decoder=smallnet.net_from_state(arrays, meta["nets"]["decoder"], "decoder."),
-            compression=int(meta["compression"]),
-            channels=int(meta["channels"]),
-            kl_weight=float(meta["kl_weight"]),
-            mel_params=dict(meta.get("mel_params", {})),
-        )
+        with smallnet.checkpoint_keys(path):
+            return cls(
+                encoder=smallnet.net_from_state(arrays, meta["nets"]["encoder"], "encoder."),
+                decoder=smallnet.net_from_state(arrays, meta["nets"]["decoder"], "decoder."),
+                compression=int(meta["compression"]),
+                channels=int(meta["channels"]),
+                kl_weight=float(meta["kl_weight"]),
+                mel_params=dict(meta.get("mel_params", {})),
+            )
 
 
 def _scale_db(values: np.ndarray) -> np.ndarray:
@@ -154,7 +155,7 @@ def decode_latent(model: LatentCodecModel, z: LatentGrid) -> MelGrid:
     cells = z.values.transpose(1, 2, 0).reshape(th * fw, model.channels)
     patches = model.decoder.forward(cells)
     values = _unscale_db(_from_patches(patches, th * r, fw * r, r))
-    return MelGrid(values, **model.mel_params) if model.mel_params else MelGrid(values)
+    return MelGrid(values, **model.mel_params)
 
 
 @dataclass
@@ -199,18 +200,3 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
         history.append(loss)
     return history
 
-
-def reconstruction_mae_db(model: LatentCodecModel, mels: list[MelGrid]) -> float:
-    """Mean absolute round-trip error in dB over a list of grids."""
-    total, count = 0.0, 0
-    for m in mels:
-        rec = decode_latent(model, encode_mel(model, m))
-        total += float(np.abs(rec.values - m.values).sum())
-        count += m.values.size
-    return total / count
-
-
-def latent_channel_stds(model: LatentCodecModel, mels: list[MelGrid]) -> np.ndarray:
-    """Per-channel latent std over a corpus (diffusion target scale probe)."""
-    zs = [encode_mel(model, m).values.reshape(model.channels, -1) for m in mels]
-    return np.concatenate(zs, axis=1).std(axis=1)

@@ -1,10 +1,9 @@
-"""Triplet melody token language: note events in, `|<F#3>,<125>,<79>|` out.
+"""Triplet melody token language: triplets <-> `|<F#3>,<125>,<79>|` strings.
 
-Each note becomes a ``<pitch_name>,<duration_bin>,<rest_bin>`` triplet.
-Durations and rests are quantized linearly over 0..6.3 s into 512 bins
-(bin = floor(t / 6.3 * 512), clamped). The rest of note i is the onset gap
-to note i+1 (0 for the final note). Pitch names use sharps only, octave
-convention MIDI 0 = "C-1" (so 60 = "C4").
+Each note is a ``<pitch_name>,<duration_bin>,<rest_bin>`` triplet: its pitch,
+its duration, and the silence after it. Durations and rests are quantized
+linearly over 0..6.3 s into 512 bins (bin = floor(t / 6.3 * 512), clamped).
+Pitch names use sharps only, octave convention MIDI 0 = "C-1" (so 60 = "C4").
 """
 
 from __future__ import annotations
@@ -22,27 +21,6 @@ BIN_SECONDS = MAX_SECONDS / N_BINS
 _SHARP_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 _LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _PITCH_RE = re.compile(r"^([A-G])(#?)(-?\d+)$")
-
-
-@dataclass(frozen=True)
-class NoteEvent:
-    """A note as found in performance data. Velocity is carried but never
-    survives encoding."""
-
-    pitch: int
-    onset: float
-    duration: float
-    velocity: int = 64
-
-    def __post_init__(self):
-        if not (0 <= self.pitch <= 127):
-            raise ValidationError(f"pitch {self.pitch} outside 0..127")
-        if not math.isfinite(self.onset) or self.onset < 0:
-            raise ValidationError(f"onset must be finite and >= 0, got {self.onset}")
-        if not math.isfinite(self.duration) or self.duration <= 0:
-            raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
-        if not (0 <= self.velocity <= 127):
-            raise ValidationError(f"velocity {self.velocity} outside 0..127")
 
 
 @dataclass(frozen=True)
@@ -102,27 +80,6 @@ def parse_pitch(s: str) -> int:
     if not (0 <= p <= 127):
         raise RangeError(f"pitch name {s!r} maps outside MIDI 0..127", p)
     return p
-
-
-def notes_to_triplets(notes: list[NoteEvent]) -> MelodyTripletSeq:
-    """Encode note events: sort by onset, keep pitch/duration, drop velocity.
-
-    The rest bin of note i quantizes max(0, onset[i+1] - onset[i]); the final
-    note's rest is 0.
-    """
-    if not notes:
-        raise ValidationError("cannot encode an empty melody")
-    ordered = sorted(notes, key=lambda n: n.onset)
-    triplets = []
-    for i, note in enumerate(ordered):
-        if i + 1 < len(ordered):
-            rest = max(0.0, ordered[i + 1].onset - note.onset)
-        else:
-            rest = 0.0
-        triplets.append(
-            MelodyTriplet(pitch_name(note.pitch), bin_duration(note.duration), bin_duration(rest))
-        )
-    return MelodyTripletSeq(tuple(triplets))
 
 
 def render_tokens(seq: MelodyTripletSeq) -> str:

@@ -86,14 +86,10 @@ class ProbeClassifier:
     holdout_accuracy: float = float("nan")
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        logits = self.net.forward(np.atleast_2d(np.asarray(features, dtype=np.float64)))
+        logits = self.net.forward(features)
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         return p / p.sum(axis=1, keepdims=True)
-
-    def predict(self, features: np.ndarray) -> list[str]:
-        p = self.predict_proba(features)
-        return [self.classes[i] for i in p.argmax(axis=1)]
 
 
 @dataclass
@@ -107,9 +103,8 @@ class ProbeTrainConfig:
 
 
 def train_probe(features: np.ndarray, labels: list[str],
-                config: ProbeTrainConfig | None = None) -> ProbeClassifier:
+                config: ProbeTrainConfig) -> ProbeClassifier:
     """Softmax classifier over feature vectors; reports held-out accuracy."""
-    config = config or ProbeTrainConfig()
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(labels):
         raise ValidationError(f"features {x.shape} do not match {len(labels)} labels")
@@ -171,10 +166,9 @@ def paired_kl(probe: ProbeClassifier, generated: dict[str, np.ndarray],
 
 def inception_like(probe: ProbeClassifier, generated: np.ndarray) -> float:
     """exp(mean_x KL(p(y|x) || mean posterior)); 1 = no diversity, k = max."""
-    x = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    if x.shape[0] < 2:
-        raise ValidationError(f"need at least 2 samples, got {x.shape[0]}")
-    p = probe.predict_proba(x)
+    if len(generated) < 2:
+        raise ValidationError(f"need at least 2 samples, got {len(generated)}")
+    p = probe.predict_proba(generated)
     p_bar = p.mean(axis=0)
     scores = [kl_divergence(row, p_bar) for row in p]
     return float(np.exp(np.mean(scores)))

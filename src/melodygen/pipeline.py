@@ -86,16 +86,6 @@ class GenerationResult:
     wav_path: str
     sampler: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "retrieved_melody_id": self.retrieved_melody_id,
-            "latent_path": self.latent_path,
-            "mel_path": self.mel_path,
-            "wav_path": self.wav_path,
-            "sampler": self.sampler,
-        }
-
 
 # --- corpus and features -----------------------------------------------------
 
@@ -111,7 +101,7 @@ def run_synth_data(cfg: PipelineConfig, workdir) -> list[CorpusRecord]:
     )
 
 
-def _load_records(cfg: PipelineConfig, art: Artifacts) -> list[CorpusRecord]:
+def _load_records(art: Artifacts) -> list[CorpusRecord]:
     art.require(art.manifest)
     result = load_corpus(art.manifest)
     if result.errors:
@@ -147,7 +137,7 @@ def _split(cfg: PipelineConfig, items: list):
 
 def run_train_clmp(cfg: PipelineConfig, workdir) -> clmp.TrainResult:
     art = Artifacts(workdir)
-    records = _load_records(cfg, art)
+    records = _load_records(art)
     train_records, _ = _split(cfg, records)
     triples = build_triples(cfg, art, train_records)
     model = clmp.ClmpModel.create(
@@ -167,7 +157,7 @@ def run_train_clmp(cfg: PipelineConfig, workdir) -> clmp.TrainResult:
     return result
 
 
-def _load_clmp(cfg: PipelineConfig, art: Artifacts) -> clmp.ClmpModel:
+def _load_clmp(art: Artifacts) -> clmp.ClmpModel:
     art.require(art.clmp_path)
     return clmp.ClmpModel.load(art.clmp_path)
 
@@ -180,9 +170,9 @@ def run_build_index(cfg: PipelineConfig, workdir) -> int:
     ``meta["ids"][i]``. Search over it is exact (``retrieve``).
     """
     art = Artifacts(workdir)
-    records = _load_records(cfg, art)
+    records = _load_records(art)
     train_records, _ = _split(cfg, records)
-    model = _load_clmp(cfg, art)
+    model = _load_clmp(art)
     melodies = clmp.embed(model, "melody", [r.melody for r in train_records])
     smallnet.save_checkpoint(art.index_path, {"melodies": melodies},
                              {"ids": [r.id for r in train_records]})
@@ -216,7 +206,7 @@ def retrieve(melodies: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
     art = Artifacts(workdir)
-    records = _load_records(cfg, art)
+    records = _load_records(art)
     train_records, _ = _split(cfg, records)
     mels = [record_mel(cfg, art, r) for r in train_records]
     model = latentcodec.LatentCodecModel.create(
@@ -259,9 +249,9 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     dropout trains the null vector for guidance.
     """
     art = Artifacts(workdir)
-    records = _load_records(cfg, art)
+    records = _load_records(art)
     train_records, _ = _split(cfg, records)
-    model = _load_clmp(cfg, art)
+    model = _load_clmp(art)
     melodies, _ = _load_index(cfg, art)
     art.require(art.latent_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
@@ -292,8 +282,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     batch = min(cfg.diffusion.batch_size, len(x0))
 
     def draw():
-        # one step's draws, in the order of the one stream: batch rows, then
-        # training_step's steps, noise and condition dropout
+        # one step's draws, in the order of the one stream: batch rows, steps,
+        # noise, condition dropout
         idx = rng.integers(0, len(x0), size=batch)
         steps = rng.integers(1, sched.N + 1, size=batch)
         noise = rng.standard_normal((batch, latent_dim))
@@ -302,8 +292,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     phase_boundary = int(cfg.diffusion.phase_split * cfg.diffusion.train_steps)
     history = []
     # a worker draws step k+1 while step k computes (the normal fill releases
-    # the GIL); k+1 is submitted only after k's draws are in hand and
-    # training_step gets no rng, so the stream is consumed in the same order
+    # the GIL); k+1 is submitted only after k's draws are in hand and only the
+    # worker reads the stream, so it is consumed in the same order
     with ThreadPoolExecutor(max_workers=1) as drawer:
         pending = drawer.submit(draw)
         for step_i in range(cfg.diffusion.train_steps):
@@ -316,7 +306,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
                 queries, hits = text_emb[idx], r_text[idx]
             result = diffusion.training_step(
                 denoiser, sched, x0[idx], fusion.forward(queries, hits), fusion.null_condition,
-                cfg.diffusion.uncond_prob, None, steps=steps, noise=noise, uncond=uncond,
+                steps=steps, noise=noise, uncond=uncond,
             )
             fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
             opt.step(params, result.denoiser_grads + fusion_grads, names)
@@ -337,16 +327,15 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
 
 
 def _load_generation_stack(cfg: PipelineConfig, art: Artifacts):
-    model = _load_clmp(cfg, art)
+    model = _load_clmp(art)
     melodies, ids = _load_index(cfg, art)
     art.require(art.latent_path, art.diffusion_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
     denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
-    if fusion is None:
-        raise ValidationError("diffusion checkpoint lacks the condition fusion arrays")
-    sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
-                                    float(extra["beta_end"]))
-    shape = (int(extra["latent_channels"]), int(extra["latent_t"]), int(extra["latent_f"]))
+    with smallnet.checkpoint_keys(art.diffusion_path):
+        sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
+                                        float(extra["beta_end"]))
+        shape = (int(extra["latent_channels"]), int(extra["latent_t"]), int(extra["latent_f"]))
     return model, melodies, ids, codec, denoiser, fusion, sched, shape
 
 
@@ -420,9 +409,10 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
 EVAL_MODES = ("standard", "ablation", "steps_sweep", "cfg_sweep")
 SWEEP_STEPS = (10, 25, 50, 100, 200)
 SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+SWEEP_SEEDS = 5  # generation seeds per point of the ablation and the sweeps
 
 
-def _generated_features(cfg, codec, denoiser, sched, fusion, conditions, shape, *,
+def _generated_features(codec, denoiser, sched, fusion, conditions, shape, *,
                         steps, w, seed) -> np.ndarray:
     lats = _sample_latents(denoiser, sched, fusion, conditions,
                            sampler="ddim", steps=steps, w=w, seed=seed)
@@ -441,13 +431,16 @@ def _fad(gen_feats: np.ndarray, ref_feats: np.ndarray) -> float:
 
 
 def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
-                 seed: int | None = None, sweep_seeds: int = 5) -> dict:
+                 seed: int | None = None) -> dict:
     """Evaluation modes over the held-out split.
 
     standard    FAD-like / paired KL / IS-like plus the retrieval table
     ablation    melody-conditioned vs zero-padded-melody FAD-like, per seed
-    steps_sweep metrics vs DDIM step count
-    cfg_sweep   metrics vs guidance weight
+    steps_sweep FAD-like vs DDIM step count
+    cfg_sweep   FAD-like vs guidance weight
+
+    The last three score ``SWEEP_SEEDS`` generation seeds, seed + 1000 k for
+    k = 1.., at each point.
     """
     if mode not in EVAL_MODES:
         raise ValidationError(f"unknown evaluate mode {mode!r} (want one of {EVAL_MODES})")
@@ -457,7 +450,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         raise ValidationError(f"corpus.eval_count must be >= {clmp.MIN_RETRIEVAL_ITEMS} for "
                               f"the standard mode's retrieval table, got {cfg.corpus.eval_count}")
     art = Artifacts(workdir)
-    records = _load_records(cfg, art)
+    records = _load_records(art)
     model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
     train_records, eval_records = _split(cfg, records)
@@ -469,11 +462,19 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     conditions = fusion.forward(queries, melodies[retrieve(melodies, queries)])
 
     def gen_feats(*, steps, w, gseed, conds=conditions):
-        return _generated_features(cfg, codec, denoiser, sched, fusion, conds, shape,
+        return _generated_features(codec, denoiser, sched, fusion, conds, shape,
                                    steps=steps, w=w, seed=gseed)
+
+    sweep_seeds = [seed + 1000 * (k + 1) for k in range(SWEEP_SEEDS)]
+
+    def sweep_fads(*, steps, w, conds=conditions) -> list[float]:
+        """FAD-like against the references at (steps, w, conds), one per sweep seed."""
+        return [_fad(gen_feats(steps=steps, w=w, gseed=g, conds=conds), ref_feats)
+                for g in sweep_seeds]
 
     report: dict = {"mode": mode, "n_samples": len(eval_triples),
                     "feature_source": "wave_features_of_decoded_mel"}
+    steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
     if mode == "standard":
         probe = metrics.train_probe(
@@ -481,7 +482,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
             [r.archetype.label for r in train_records],
             metrics.ProbeTrainConfig(seed=cfg.seed),
         )
-        feats = gen_feats(steps=cfg.diffusion.ddim_steps, w=cfg.diffusion.cfg_w, gseed=seed)
+        feats = gen_feats(steps=steps, w=w, gseed=seed)
         gen_by_id = {t.id: f for t, f in zip(eval_triples, feats)}
         ref_by_id = {t.id: f for t, f in zip(eval_triples, ref_feats)}
         report.update({
@@ -494,34 +495,22 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         return report
 
     if mode == "ablation":
-        zero_conditions = fusion.forward(queries, np.zeros_like(queries))
-        runs = []
-        for s in range(sweep_seeds):
-            gseed = seed + 1000 * (s + 1)
-            fad_mel = _fad(gen_feats(steps=cfg.diffusion.ddim_steps,
-                                     w=cfg.diffusion.cfg_w, gseed=gseed), ref_feats)
-            fad_zero = _fad(gen_feats(steps=cfg.diffusion.ddim_steps,
-                                      w=cfg.diffusion.cfg_w, gseed=gseed,
-                                      conds=zero_conditions), ref_feats)
-            runs.append({"seed": gseed, "fad_with_melody": fad_mel,
-                         "fad_zero_melody": fad_zero})
-        report["runs"] = runs
-        report["median_fad_with_melody"] = float(np.median([r["fad_with_melody"] for r in runs]))
-        report["median_fad_zero_melody"] = float(np.median([r["fad_zero_melody"] for r in runs]))
+        with_melody = sweep_fads(steps=steps, w=w)
+        zero_melody = sweep_fads(steps=steps, w=w,
+                                 conds=fusion.forward(queries, np.zeros_like(queries)))
+        report["runs"] = [{"seed": g, "fad_with_melody": a, "fad_zero_melody": b}
+                          for g, a, b in zip(sweep_seeds, with_melody, zero_melody)]
+        report["median_fad_with_melody"] = float(np.median(with_melody))
+        report["median_fad_zero_melody"] = float(np.median(zero_melody))
         return report
 
-    sweep = SWEEP_STEPS if mode == "steps_sweep" else SWEEP_CFG
+    key, values = ("steps", SWEEP_STEPS) if mode == "steps_sweep" else ("w", SWEEP_CFG)
     points = []
-    for value in sweep:
-        steps = value if mode == "steps_sweep" else cfg.diffusion.ddim_steps
-        w = cfg.diffusion.cfg_w if mode == "steps_sweep" else value
-        if steps > sched.N:
+    for value in values:
+        at = {"steps": steps, "w": w, key: value}
+        if at["steps"] > sched.N:
             continue
-        fads = []
-        for s in range(sweep_seeds):
-            gseed = seed + 1000 * (s + 1)
-            fads.append(_fad(gen_feats(steps=steps, w=w, gseed=gseed), ref_feats))
-        key = "steps" if mode == "steps_sweep" else "w"
+        fads = sweep_fads(**at)
         points.append({key: value, "fad_like_median": float(np.median(fads)),
                        "fad_like_runs": fads})
     report["points"] = points

@@ -47,10 +47,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValidationError(f"sample_rate must be > 0, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class MelGrid:

@@ -15,6 +15,7 @@ across platforms for a given seed). Child streams are derived through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -81,10 +82,10 @@ class DenseLayer:
 class DenseNet:
     """A fixed stack of affine layers with {relu, tanh, identity} activations.
 
-    Accepts single vectors ``(in,)`` or batches ``(n, in)``; output shape
-    mirrors the input. ``backward`` returns the exact reverse-mode gradient of
-    the forward map (summed over the batch for parameters); identity layers
-    pass their upstream gradient through unmultiplied.
+    Maps batches ``(n, in)`` to ``(n, out)``. ``backward_cached`` returns the
+    exact reverse-mode gradient of the forward map (summed over the batch for
+    parameters); identity layers pass their upstream gradient through
+    unmultiplied.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -149,21 +150,11 @@ class DenseNet:
             names.append(f"{prefix}b{i}")
         return names
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            [DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers]
-        )
-
-    def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"input has shape {np.asarray(x).shape}, net expects (*, {self.in_dim})"
-            )
-        return x, single
+            raise ShapeError(f"input has shape {x.shape}, net expects (*, {self.in_dim})")
+        return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cached(x)
@@ -171,7 +162,7 @@ class DenseNet:
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping per-layer inputs and pre-activations."""
-        a, single = self._check_input(x)
+        a = self._check_input(x)
         inputs, preacts = [], []
         for l in self.layers:
             inputs.append(a)
@@ -179,8 +170,7 @@ class DenseNet:
             z += l.b
             preacts.append(z)
             a = activate(l.activation, z)
-        cache = (inputs, preacts, single)
-        return (a[0] if single else a), cache
+        return a, (inputs, preacts)
 
     def backward_cached(self, cache, upstream: np.ndarray, input_cols=slice(None)):
         """Gradients from a cached forward.
@@ -190,10 +180,8 @@ class DenseNet:
         ``input_grad`` holds the input columns ``input_cols`` selects (all by
         default); ``input_cols=None`` skips it and returns None.
         """
-        inputs, preacts, single = cache
+        inputs, preacts = cache
         g = np.asarray(upstream, dtype=np.float64)
-        if single:
-            g = g[None, :]
         if g.shape != (inputs[0].shape[0], self.out_dim):
             raise ShapeError(
                 f"upstream grad has shape {np.asarray(upstream).shape}, "
@@ -209,13 +197,7 @@ class DenseNet:
                 g = dz @ l.w
         if input_cols is None:
             return grads, None
-        g = dz @ self.layers[0].w[:, input_cols]
-        return grads, (g[0] if single else g)
-
-    def backward(self, x: np.ndarray, upstream: np.ndarray):
-        """One-shot forward + reverse pass; see ``backward_cached``."""
-        _, cache = self.forward_cached(x)
-        return self.backward_cached(cache, upstream)
+        return grads, dz @ self.layers[0].w[:, input_cols]
 
 
 # Elementwise passes over large arrays (Adam, the denoiser's training glue) run
@@ -249,8 +231,6 @@ class Optimizer:
     def _checked(self, params, grads, names) -> list[np.ndarray]:
         """The gradients as float64 arrays, once every check passed; raises
         before anything is updated."""
-        if names is None:
-            names = [f"param[{i}]" for i in range(len(params))]
         if not len(params) == len(grads) == len(names):
             raise ShapeError(f"{len(params)} parameters, {len(grads)} gradients and "
                              f"{len(names)} names")
@@ -277,7 +257,7 @@ class Optimizer:
         self,
         params: list[np.ndarray],
         grads: list[np.ndarray],
-        names: list[str] | None = None,
+        names: list[str],
     ) -> None:
         """Apply one bias-corrected update in place. Rejects non-finite grads,
         leaving parameters, moments and ``step_count`` unchanged."""
@@ -447,14 +427,20 @@ def net_state(net: DenseNet, prefix: str = "") -> tuple[dict[str, np.ndarray], d
 
 def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str = "") -> DenseNet:
     """Rebuild a net from ``net_state`` output. The net takes the arrays as its
-    parameters without copying them (``load_checkpoint`` returns fresh ones)."""
-    activations = meta["activations"]
-    layers = []
-    for i, act in enumerate(activations):
-        try:
-            w = arrays[f"{prefix}w{i}"]
-            b = arrays[f"{prefix}b{i}"]
-        except KeyError as e:
-            raise ValidationError(f"checkpoint missing array {e.args[0]!r}") from e
-        layers.append(DenseLayer(w, b, act))
-    return DenseNet(layers)
+    parameters without copying them (``load_checkpoint`` returns fresh ones).
+    A missing array or meta key raises ``KeyError``; see ``checkpoint_keys``."""
+    return DenseNet([DenseLayer(arrays[f"{prefix}w{i}"], arrays[f"{prefix}b{i}"], act)
+                     for i, act in enumerate(meta["activations"])])
+
+
+@contextlib.contextmanager
+def checkpoint_keys(path):
+    """Turns a ``KeyError`` raised while reading the arrays and meta of the
+    checkpoint at ``path`` into a ``ValidationError`` naming the file and the
+    key: the file is another kind of checkpoint, or an older layout."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValidationError(f"checkpoint {path} has no {e.args[0]!r}: it is another kind "
+                              "of checkpoint or an older layout; rerun the stage that "
+                              "writes it") from None

@@ -84,6 +84,40 @@ def test_old_format_checkpoint_exits_1_asking_for_rerun(damaged, capsys):
     assert "ValidationError" in err and "diffusion.ckpt" in err and "rerun" in err
 
 
+@pytest.mark.parametrize("source, target, key", [
+    ("latentcodec.ckpt", "clmp.ckpt", "text_head"),
+    ("clmp.ckpt", "diffusion.ckpt", "net"),
+    ("clmp.ckpt", "latentcodec.ckpt", "encoder"),
+], ids=["codec_as_clmp", "clmp_as_diffusion", "clmp_as_codec"])
+def test_wrong_kind_of_checkpoint_exits_1(trained, capsys, source, target, key):
+    config, work = trained
+    good = (work / target).read_bytes()
+    try:
+        shutil.copyfile(work / source, work / target)
+        capsys.readouterr()
+        assert generate(config, work) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and target in err and repr(key) in err
+    finally:
+        (work / target).write_bytes(good)
+
+
+def test_malformed_manifest_line_exits_1_naming_it(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    work = tmp_path / "work"
+    assert cli.main(["synth-data", "--config", str(config), "--out", str(work)]) == 0
+    manifest = pipeline.Artifacts(work).manifest
+    lines = manifest.read_text().splitlines()
+    lines[4] = "[1, 2]"
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["train-clmp", "--config", str(config),
+                     "--out", str(work)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "line 5" in err
+
+
 def test_dotted_tags_keep_separate_outputs(trained):
     config, work = trained
     assert generate(config, work, "take1") == cli.EXIT_OK
@@ -143,15 +177,30 @@ def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_f
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_build_index_before_train_clmp_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("prior, stage, args, missing", [
+    ((), "train-clmp", [], "manifest.jsonl"),
+    ((), "build-index", [], "manifest.jsonl"),
+    (("synth-data",), "build-index", [], "clmp.ckpt"),
+    ((), "train-latent", [], "manifest.jsonl"),
+    ((), "train-diffusion", [], "manifest.jsonl"),
+    (("synth-data",), "train-diffusion", [], "clmp.ckpt"),
+    ((), "generate", ["--prompt", "a calm melody"], "clmp.ckpt"),
+    ((), "evaluate", ["--mode", "ablation"], "manifest.jsonl"),
+], ids=["train-clmp", "build-index", "build-index-after-synth-data", "train-latent",
+        "train-diffusion", "train-diffusion-after-synth-data", "generate", "evaluate"])
+def test_stage_without_inputs_exits_2(tmp_path, capsys, prior, stage, args, missing):
+    """Run in an empty working directory, or after synth-data only, each stage
+    names the first artifact it lacks."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))
     work = tmp_path / "work"
-    assert cli.main(["synth-data", "--config", str(config), "--out", str(work)]) == 0
+    for earlier in prior:
+        assert cli.main([earlier, "--config", str(config), "--out", str(work)]) == 0
     capsys.readouterr()
-    assert cli.main(["build-index", "--config", str(config),
-                     "--out", str(work)]) == cli.EXIT_MISSING_ARTIFACT
-    assert "clmp.ckpt" in capsys.readouterr().err
+    assert cli.main([stage, "--config", str(config), "--out", str(work),
+                     *args]) == cli.EXIT_MISSING_ARTIFACT
+    err = capsys.readouterr().err
+    assert f"missing artifact {missing}" in err
 
 
 def test_melody_database_keeps_ids_and_float32_values(trained):
@@ -159,7 +208,7 @@ def test_melody_database_keeps_ids_and_float32_values(trained):
     cfg = PipelineConfig.from_file(config)
     art = pipeline.Artifacts(work)
     melodies, ids = pipeline._load_index(cfg, art)
-    train_records, _ = pipeline._split(cfg, pipeline._load_records(cfg, art))
+    train_records, _ = pipeline._split(cfg, pipeline._load_records(art))
     assert ids == [r.id for r in train_records]
     model = clmp.ClmpModel.load(art.clmp_path)
     encoded = np.concatenate([clmp.embed(model, "melody", [r.melody]) for r in train_records])
@@ -356,3 +405,35 @@ def test_trained_checkpoint_matches_golden_hash(trained, name):
     _, work = trained
     digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_CHECKPOINT_SHA256[key][name]
+
+
+# SHA-256 of the JSON report of each sweep-style evaluate mode on the tiny
+# stack, keyed as above.
+GOLDEN_REPORT_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"): {
+        "ablation": "533a716e3b4a43324a625bff2dcc101af7df29830e8088e09a43b4088e02597d",
+        "steps_sweep": "100e3e6b4b733202747522f30ff048865109e56d242c3ab6bd488ce0e19e5dd6",
+        "cfg_sweep": "bb2113b9376b369264d63e8260f51e61703f4487a130f09f50280008bce98761",
+    },
+}
+
+
+@pytest.mark.parametrize("mode, n_entries", [
+    ("ablation", 5),
+    ("steps_sweep", 1),  # only 10 of the swept step counts fits n_steps=10
+    ("cfg_sweep", 6),
+])
+def test_evaluate_report_matches_golden_hash(trained, tmp_path, mode, n_entries):
+    config, work = trained
+    path = tmp_path / "report.json"
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", mode, "--report", str(path)]) == cli.EXIT_OK
+    report = json.loads(path.read_text())
+    assert report["mode"] == mode
+    assert report["n_samples"] == TINY["corpus"]["eval_count"]
+    assert len(report["runs" if mode == "ablation" else "points"]) == n_entries
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_REPORT_SHA256:
+        pytest.skip(f"no golden report hashes pinned for {key}")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[key][mode]

@@ -29,6 +29,11 @@ def toy_triples(n, seed=0, bins=16):
     return out
 
 
+def batch_loss(model, batch):
+    """The training loss of ``model`` on one batch of triples."""
+    return clmp._BatchGraph(model, *clmp._batch_features(batch)).loss_and_grads()[0]
+
+
 def toy_model(seed=0, bins=16):
     return clmp.ClmpModel.create(embed_dim=16, wave_dim=2 * bins, hidden=24,
                                  token_embed_dim=8, seed=seed)
@@ -131,10 +136,6 @@ class TestEmbed:
 
 
 class TestContrastiveLoss:
-    def test_batch_size_one_rejected(self):
-        with pytest.raises(ValidationError):
-            clmp.contrastive_total_loss(toy_model(), toy_triples(1))
-
     def test_random_batch_near_log_n(self):
         # independent random query/candidate clouds: each directed term
         # concentrates near log N
@@ -218,12 +219,12 @@ class TestTraining:
         before = [p.copy() for p in model.parameters()]
         triples = toy_triples(16, seed=4)
         fixed_batch = triples[:8]
-        loss_before = clmp.contrastive_total_loss(model, fixed_batch)
+        loss_before = batch_loss(model, fixed_batch)
         clmp.train_clmp(model, triples, clmp.ClmpTrainConfig(
             batch_size=8, epochs=3, learning_rate=0.0, seed=4))
         for a, b in zip(before, model.parameters()):
             assert np.array_equal(a, b)
-        assert clmp.contrastive_total_loss(model, fixed_batch) == loss_before
+        assert batch_loss(model, fixed_batch) == loss_before
 
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
         def run(path):

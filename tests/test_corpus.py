@@ -141,6 +141,24 @@ class TestLoad:
         assert len(result.records) == 3
         assert len(result.errors) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [1, 2], "JSON list"),
+        (lambda doc: {**doc, "text": 5}, "'text' must be a str"),
+        (lambda doc: {**doc, "archetype": "x"}, "'archetype' must be a dict"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "wav"}, "missing field 'wav'"),
+    ], ids=["not_an_object", "text_not_a_string", "archetype_not_an_object", "no_wav"])
+    def test_malformed_line_reported_by_line_number(self, tmp_path, edit, message):
+        corpus.generate_corpus(3, seed=17, out_dir=tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        manifest.write_text("\n".join(lines) + "\n")
+        result = corpus.load_corpus(manifest)
+        assert [r.id for r in result.records] == ["rec00000", "rec00002"]
+        assert len(result.errors) == 1
+        assert result.errors[0].record_id == "line 2"
+        assert message in result.errors[0].message
+
 
 class TestArchetype:
     def test_labels_roundtrip(self):

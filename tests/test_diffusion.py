@@ -188,14 +188,21 @@ def reference_training_step(den, sched, x0, cond, null, n, eps, uncond):
     grads, d_inp = den.net.backward_cached(cache, 2.0 * diff / len(x0))
     d_c_eff = d_inp[:, den.latent_dim + den.time_embed_dim:]
     d_null = d_c_eff[uncond].sum(axis=0) if uncond.any() else np.zeros(den.cond_dim)
-    return df.TrainingStepResult(loss, grads, np.where(uncond[:, None], 0.0, d_c_eff),
-                                 d_null, uncond)
+    return df.TrainingStepResult(loss, grads, np.where(uncond[:, None], 0.0, d_c_eff), d_null)
+
+
+def draws(rng, sched, batch, latent_dim, uncond_prob):
+    """One step's steps, noise and condition-dropout mask, drawn in the
+    training loop's order."""
+    steps = rng.integers(1, sched.N + 1, size=batch)
+    noise = rng.standard_normal((batch, latent_dim))
+    return steps, noise, rng.random(batch) < uncond_prob
 
 
 class TestTrainingStep:
     def test_oracle_denoiser_zero_loss(self):
-        # inject the exact noise via the replay knobs and a net stub that
-        # always answers with it: the loss collapses to 0
+        # a net stub that always answers with the step's exact noise: the loss
+        # collapses to 0
         s = df.make_schedule(10, 1e-2, 0.1)
         den = tiny_denoiser()
         rng = smallnet.make_rng(34)
@@ -211,12 +218,12 @@ class TestTrainingStep:
                 return [], np.zeros(cache[1])[:, input_cols]
 
         den.net = OracleNet()
-        res = df.training_step(den, s, x0, None, np.zeros(den.cond_dim), 1.0,
-                               rng, steps=n, noise=eps)
+        res = df.training_step(den, s, x0, np.zeros((6, den.cond_dim)), np.zeros(den.cond_dim),
+                               steps=n, noise=eps, uncond=np.ones(6, dtype=bool))
         assert res.loss == 0.0
 
     @pytest.mark.parametrize("latent_dim, batch", [(4, 6), (5000, 7)])
-    def test_given_draws_leave_rng_untouched_and_match_drawn_path(self, latent_dim, batch):
+    def test_matches_reference_and_keeps_noise(self, latent_dim, batch):
         # latent 5000: several row blocks, the last one short
         den = tiny_denoiser(latent_dim=latent_dim, seed=9)
         s = df.make_schedule(30, 1e-3, 0.05)
@@ -224,39 +231,47 @@ class TestTrainingStep:
         x0 = data.standard_normal((batch, latent_dim))
         cond = data.standard_normal((batch, 3))
         null = data.standard_normal(3)
-        drawn = df.training_step(den, s, x0, cond, null, 0.5, smallnet.make_rng(41))
-        replay_rng = smallnet.make_rng(41)
-        n = replay_rng.integers(1, s.N + 1, size=batch)
-        eps = replay_rng.standard_normal(x0.shape)
-        uncond = replay_rng.random(batch) < 0.5
+        n, eps, uncond = draws(smallnet.make_rng(41), s, batch, latent_dim, 0.5)
         assert uncond.any() and not uncond.all()
-        rng = smallnet.make_rng(42)
-        state = rng.bit_generator.state
         eps_before = eps.copy()
-        given = df.training_step(den, s, x0, cond, null, 0.5, rng,
-                                 steps=n, noise=eps, uncond=uncond)
-        assert rng.bit_generator.state == state
+        res = df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
         assert np.array_equal(eps, eps_before)
         reference = reference_training_step(den, s, x0, cond, null, n, eps, uncond)
-        for res in (drawn, given):
-            assert res.loss == reference.loss
-            assert np.array_equal(res.uncond_mask, uncond)
-            # the condition columns' gradient is its own BLAS product, which
-            # may round differently from the same columns of the full one
-            assert np.allclose(res.d_conditions, reference.d_conditions, rtol=1e-14, atol=1e-15)
-            assert np.allclose(res.d_null, reference.d_null, rtol=1e-14, atol=1e-15)
-            assert np.array_equal(res.d_conditions, given.d_conditions)
-            assert np.array_equal(res.d_null, given.d_null)
-            for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
-                assert np.array_equal(g, r)
+        assert res.loss == reference.loss
+        # the condition columns' gradient is its own BLAS product, which may
+        # round differently from the same columns of the full one
+        assert np.allclose(res.d_conditions, reference.d_conditions, rtol=1e-14, atol=1e-15)
+        assert np.allclose(res.d_null, reference.d_null, rtol=1e-14, atol=1e-15)
+        for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
+            assert np.array_equal(g, r)
 
     def test_uncond_mask_shape_checked(self):
         den = tiny_denoiser()
         s = df.make_schedule(10, 1e-2, 0.1)
-        rng = smallnet.make_rng(43)
         with pytest.raises(ShapeError):
-            df.training_step(den, s, np.zeros((4, 4)), None, np.zeros(3), 1.0, rng,
+            df.training_step(den, s, np.zeros((4, 4)), np.zeros((4, 3)), np.zeros(3),
+                             steps=np.ones(4, dtype=int), noise=np.zeros((4, 4)),
                              uncond=np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("steps", np.array([1, 2, 0, 3]), ValidationError),
+        ("steps", np.array([1, 2, 11, 3]), ValidationError),
+        ("steps", np.ones(5, dtype=int), ValidationError),
+        ("noise", np.zeros((4, 5)), ShapeError),
+        ("uncond", np.ones(4, dtype=int), ShapeError),
+        ("conditions", np.zeros((4, 2)), ShapeError),
+        ("x0", np.zeros(4), ShapeError),
+    ], ids=["step_0", "step_past_N", "steps_length", "noise_shape", "int_mask",
+            "conditions_width", "x0_vector"])
+    def test_bad_inputs_rejected(self, field, value, error):
+        den = tiny_denoiser()
+        s = df.make_schedule(10, 1e-2, 0.1)
+        args = {"x0": np.zeros((4, 4)), "conditions": np.zeros((4, 3)),
+                "null_condition": np.zeros(3), "steps": np.ones(4, dtype=int),
+                "noise": np.zeros((4, 4)), "uncond": np.zeros(4, dtype=bool)}
+        args[field] = value
+        with pytest.raises(error):
+            df.training_step(den, s, **args)
 
     def test_zero_denoiser_loss_near_latent_dim(self):
         # E||eps||^2 = latent_dim for a zero predictor (chi-square mean)
@@ -269,8 +284,10 @@ class TestTrainingStep:
         rng = smallnet.make_rng(35)
         losses = []
         for _ in range(200):
-            x0 = np.zeros((32, latent_dim))
-            res = df.training_step(den, s, x0, None, np.zeros(den.cond_dim), 1.0, rng)
+            n, eps, uncond = draws(rng, s, 32, latent_dim, 1.0)
+            res = df.training_step(den, s, np.zeros((32, latent_dim)),
+                                   np.zeros((32, den.cond_dim)), np.zeros(den.cond_dim),
+                                   steps=n, noise=eps, uncond=uncond)
             losses.append(res.loss)
         n_total = 200 * 32
         se = math.sqrt(2.0 * latent_dim / n_total)  # var of chi2_k mean
@@ -282,18 +299,20 @@ class TestTrainingStep:
         rng = smallnet.make_rng(36)
         x0 = rng.standard_normal((8, 4))
         cond = rng.standard_normal((8, 3))
-        res = df.training_step(den, s, x0, cond, np.zeros(3), 1.0, rng)
+        n, eps, uncond = draws(rng, s, 8, 4, 1.0)
+        res = df.training_step(den, s, x0, cond, np.zeros(3), steps=n, noise=eps, uncond=uncond)
         assert np.all(res.d_conditions == 0.0)
-        assert np.all(res.uncond_mask)
+        assert np.any(res.d_null != 0.0)
 
     def test_uncond_prob_zero_keeps_all_conditions(self):
         den = tiny_denoiser()
         s = df.make_schedule(20, 1e-3, 0.05)
         rng = smallnet.make_rng(37)
-        res = df.training_step(den, s, rng.standard_normal((8, 4)),
-                               rng.standard_normal((8, 3)), np.zeros(3), 0.0, rng)
-        assert not res.uncond_mask.any()
+        x0, cond = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
+        n, eps, uncond = draws(rng, s, 8, 4, 0.0)
+        res = df.training_step(den, s, x0, cond, np.zeros(3), steps=n, noise=eps, uncond=uncond)
         assert np.all(res.d_null == 0.0)
+        assert np.all(np.any(res.d_conditions != 0.0, axis=1))
 
     def test_denoiser_gradients_match_finite_differences(self):
         den = tiny_denoiser(seed=2)

@@ -61,42 +61,6 @@ class TestPitchNames:
             mc.parse_pitch("C-2")  # MIDI -12
 
 
-class TestNotesToTriplets:
-    def test_single_note(self):
-        seq = mc.notes_to_triplets([mc.NoteEvent(pitch=54, onset=0.0, duration=1.54)])
-        assert seq.triplets == (mc.MelodyTriplet("F#3", 125, 0),)
-
-    def test_simultaneous_onsets_rest_zero(self):
-        notes = [mc.NoteEvent(60, 0.0, 0.5), mc.NoteEvent(64, 0.0, 0.5)]
-        seq = mc.notes_to_triplets(notes)
-        assert seq.triplets[0].rest_bin == 0
-
-    def test_onset_gaps_define_rests(self):
-        notes = [mc.NoteEvent(60, 0.0, 0.4), mc.NoteEvent(62, 1.0, 0.4),
-                 mc.NoteEvent(64, 2.0, 0.4)]
-        seq = mc.notes_to_triplets(notes)
-        # floor(1.0 / 6.3 * 512) = 81 for both gaps; final rest 0
-        assert [t.rest_bin for t in seq] == [81, 81, 0]
-
-    def test_sorts_by_onset(self):
-        notes = [mc.NoteEvent(64, 2.0, 0.4), mc.NoteEvent(60, 0.0, 0.4)]
-        seq = mc.notes_to_triplets(notes)
-        assert [t.pitch_token for t in seq] == ["C4", "E4"]
-
-    def test_velocity_discarded(self):
-        loud = [mc.NoteEvent(60, 0.0, 0.5, velocity=120), mc.NoteEvent(62, 1.0, 0.5, velocity=120)]
-        soft = [mc.NoteEvent(60, 0.0, 0.5, velocity=10), mc.NoteEvent(62, 1.0, 0.5, velocity=10)]
-        assert mc.notes_to_triplets(loud) == mc.notes_to_triplets(soft)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mc.notes_to_triplets([])
-
-    def test_negative_onset_rejected(self):
-        with pytest.raises(ValidationError):
-            mc.NoteEvent(60, -1.0, 0.5)
-
-
 def triplet_strategy():
     return st.builds(
         mc.MelodyTriplet,

@@ -104,7 +104,7 @@ class TestProbe:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
-            metrics.train_probe(np.zeros((10, 3)), ["x"] * 10)
+            metrics.train_probe(np.zeros((10, 3)), ["x"] * 10, metrics.ProbeTrainConfig())
 
 
 class TestPairedKl:

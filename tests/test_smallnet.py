@@ -13,14 +13,20 @@ def identity_net(n):
     return smallnet.DenseNet([smallnet.DenseLayer(np.eye(n), np.zeros(n), "identity")])
 
 
+def backward(net, x, up):
+    """One forward + reverse pass over a batch: (param grads, input grad)."""
+    _, cache = net.forward_cached(x)
+    return net.backward_cached(cache, up)
+
+
 class TestForward:
     def test_identity_net(self):
         net = identity_net(2)
-        assert np.allclose(net.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(net.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_zero_weights_bias_only(self):
         net = smallnet.DenseNet([smallnet.DenseLayer(np.zeros((1, 2)), np.array([3.0]), "identity")])
-        assert np.allclose(net.forward(np.array([5.0, 7.0])), [3.0])
+        assert np.allclose(net.forward(np.array([[5.0, 7.0]])), [[3.0]])
 
     def test_seeded_net_matches_hand_computed_product(self):
         # layer-by-layer oracle: replay the affine/activation chain by hand
@@ -29,7 +35,7 @@ class TestForward:
         x = np.array([0.3, -1.2, 0.7])
         h = np.tanh(net.layers[0].w @ x + net.layers[0].b)
         expected = net.layers[1].w @ h + net.layers[1].b
-        assert np.allclose(net.forward(x), expected, rtol=0, atol=1e-15)
+        assert np.allclose(net.forward(x[None, :])[0], expected, rtol=0, atol=1e-15)
 
     def test_batch_matches_single(self):
         rng = smallnet.make_rng(6)
@@ -37,11 +43,13 @@ class TestForward:
         xs = rng.standard_normal((4, 3))
         batch = net.forward(xs)
         for i in range(4):
-            assert np.allclose(batch[i], net.forward(xs[i]))
+            assert np.allclose(batch[i], net.forward(xs[i:i + 1])[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            identity_net(2).forward(np.array([1.0, 2.0, 3.0]))
+            identity_net(2).forward(np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ShapeError):  # a vector is not a batch
+            identity_net(2).forward(np.array([1.0, 2.0]))
 
     def test_bad_chain_rejected(self):
         with pytest.raises(ShapeError):
@@ -57,26 +65,26 @@ class TestBackward:
         w = rng.standard_normal((3, 4))
         net = smallnet.DenseNet([smallnet.DenseLayer(w, np.zeros(3), "identity")])
         up = rng.standard_normal(3)
-        _, dx = net.backward(rng.standard_normal(4), up)
-        assert np.allclose(dx, w.T @ up)
+        _, dx = backward(net, rng.standard_normal((1, 4)), up[None, :])
+        assert np.allclose(dx[0], w.T @ up)
 
     def test_relu_blocks_gradient_at_negative_preactivation(self):
         net = smallnet.DenseNet([smallnet.DenseLayer(np.array([[1.0]]), np.array([-5.0]), "relu")])
-        grads, dx = net.backward(np.array([1.0]), np.array([1.0]))
-        assert dx[0] == 0.0 and grads[0][0, 0] == 0.0 and grads[1][0] == 0.0
+        grads, dx = backward(net, np.array([[1.0]]), np.array([[1.0]]))
+        assert dx[0, 0] == 0.0 and grads[0][0, 0] == 0.0 and grads[1][0] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     def test_matches_central_differences(self, seed, act):
         rng = smallnet.make_rng(seed)
         net = smallnet.DenseNet.create([4, 6, 3], act, rng)
-        x = rng.standard_normal(4)
-        up = rng.standard_normal(3)  # loss = <up, net(x)>
+        x = rng.standard_normal((1, 4))
+        up = rng.standard_normal((1, 3))  # loss = <up, net(x)>
 
         def loss():
-            return float(up @ net.forward(x))
+            return float(np.sum(up * net.forward(x)))
 
-        grads, _ = net.backward(x, up)
+        grads, _ = backward(net, x, up)
         params = net.parameters()
         worst = 0.0
         for p, g in zip(params, grads):
@@ -90,10 +98,10 @@ class TestBackward:
         net = smallnet.DenseNet.create([3, 2], ["identity"], rng)
         xs = rng.standard_normal((5, 3))
         ups = rng.standard_normal((5, 2))
-        batch_grads, _ = net.backward(xs, ups)
+        batch_grads, _ = backward(net, xs, ups)
         summed = [np.zeros_like(p) for p in net.parameters()]
         for i in range(5):
-            g, _ = net.backward(xs[i], ups[i])
+            g, _ = backward(net, xs[i:i + 1], ups[i:i + 1])
             for acc, gi in zip(summed, g):
                 acc += gi
         for a, b in zip(batch_grads, summed):
@@ -124,23 +132,22 @@ class TestBackward:
         check_grads(loss_and_grads, [x[:, cols]], rng)
 
     def test_upstream_shape_checked(self):
-        net = identity_net(2)
         with pytest.raises(ShapeError):
-            net.backward(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+            backward(identity_net(2), np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestOptimizer:
     def test_zero_grad_adamw_no_decay_keeps_params(self):
         p = np.array([1.5, -2.0])
         opt = smallnet.Optimizer(learning_rate=0.1)
-        opt.step([p], [np.zeros(2)])
+        opt.step([p], [np.zeros(2)], ["p"])
         assert np.allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_moves_by_lr(self):
         # bias correction makes the first update m_hat/sqrt(v_hat) = 1
         p = np.array([0.0])
         opt = smallnet.Optimizer(learning_rate=0.1)
-        opt.step([p], [np.array([1.0])])
+        opt.step([p], [np.array([1.0])], ["p"])
         assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_nonfinite_gradient_rejected_with_name(self):
@@ -155,7 +162,7 @@ class TestOptimizer:
         p = np.array([0.0])
         opt = smallnet.Optimizer(learning_rate=0.1)
         for expected in (1, 2, 3):
-            opt.step([p], [np.array([0.5])])
+            opt.step([p], [np.array([0.5])], ["p"])
             assert opt.step_count == expected
 
     def test_determinism_across_runs(self):
@@ -164,9 +171,9 @@ class TestOptimizer:
             net = smallnet.DenseNet.create([3, 4, 2], "tanh", rng)
             opt = smallnet.Optimizer(learning_rate=1e-2)
             for _ in range(20):
-                x = rng.standard_normal(3)
+                x = rng.standard_normal((1, 3))
                 up = net.forward(x)  # pulls outputs toward zero
-                grads, _ = net.backward(x, up)
+                grads, _ = backward(net, x, up)
                 opt.step(net.parameters(), grads, net.parameter_names())
             return [p.copy() for p in net.parameters()]
 
@@ -180,7 +187,7 @@ class TestOptimizer:
         params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
         opt = smallnet.Optimizer(learning_rate=0.1)
         for _ in range(2):
-            opt.step(params, [rng.standard_normal(p.shape) for p in params])
+            opt.step(params, [rng.standard_normal(p.shape) for p in params], ["w0", "b0"])
         before = [a.copy() for a in params + opt._m + opt._v]
         bad = [rng.standard_normal((3, 4)), np.array([0.0, np.inf, 0.0, 0.0])]
         with pytest.raises(GradientError, match="b0"):
@@ -236,7 +243,7 @@ def test_blocked_adam_matches_reference_bit_for_bit(shape):
     opt = smallnet.Optimizer(learning_rate=3e-3)
     for t in range(1, 5):
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
-        opt.step(params, grads)
+        opt.step(params, grads, ["p", "q"])
         reference_adam(opt, ref, grads, m, v, t)
         for a, b in zip(params + opt._m + opt._v, ref + m + v):
             assert np.array_equal(a, b)
@@ -272,7 +279,7 @@ class TestCheckpoint:
         smallnet.save_checkpoint(path, arrays, meta)
         loaded, meta2 = smallnet.load_checkpoint(path)
         rebuilt = smallnet.net_from_state(loaded, meta2, "n.")
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((3, 4))
         assert np.allclose(rebuilt.forward(x), net.forward(x), atol=1e-6)
         assert [l.activation for l in rebuilt.layers] == [l.activation for l in net.layers]
 
