@@ -66,6 +66,7 @@ def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig().validate()
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.validate()
     return cfg
 
 

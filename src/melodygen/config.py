@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -97,6 +98,7 @@ class PipelineConfig:
                 raise ValidationError(f"{name}: {msg}")
 
         c, s, m, l, d = self.corpus, self.signal, self.clmp, self.latent, self.diffusion
+        check(self.seed >= 0, "seed", "must be >= 0")
         check(c.n_records >= 1, "corpus.n_records", "must be >= 1")
         check(0 <= c.eval_count < c.n_records, "corpus.eval_count",
               "must be >= 0 and < n_records")
@@ -117,6 +119,7 @@ class PipelineConfig:
         check(m.epochs >= 0, "clmp.epochs", "must be >= 0")
         check(l.compression >= 1, "latent.compression", "must be >= 1")
         check(l.channels >= 1, "latent.channels", "must be >= 1")
+        check(l.hidden >= 1, "latent.hidden", "must be >= 1")
         check(l.kl_weight >= 0, "latent.kl_weight", "must be >= 0")
         check(l.steps >= 1, "latent.steps", "must be >= 1")
         check(l.batch_size >= 1, "latent.batch_size", "must be >= 1")
@@ -125,6 +128,7 @@ class PipelineConfig:
               "need 0 < beta_start <= beta_end < 1")
         check(d.batch_size >= 1, "diffusion.batch_size", "must be >= 1")
         check(d.train_steps >= 1, "diffusion.train_steps", "must be >= 1")
+        check(d.hidden >= 1, "diffusion.hidden", "must be >= 1")
         check(d.time_embed_dim % 2 == 0, "diffusion.time_embed_dim", "must be even")
         check(d.cond_dim >= 1, "diffusion.cond_dim", "must be >= 1")
         check(1 <= d.ddim_steps <= d.n_steps, "diffusion.ddim_steps",
@@ -158,8 +162,8 @@ class PipelineConfig:
             for k, v in value.items():
                 if not hasattr(defaults, k):
                     raise ValidationError(f"unknown config key {key}.{k!r}")
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValidationError(f"{key}.{k}: must be a number, got {v!r}")
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise ValidationError(f"{key}.{k}: must be a finite number, got {v!r}")
                 if isinstance(getattr(defaults, k), int):
                     if v != int(v):
                         raise ValidationError(f"{key}.{k}: must be an integer, got {v!r}")

@@ -10,28 +10,51 @@ eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). A training step draws nothing:
 its steps, noise and dropout mask come from the caller, which owns the random
 stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0).
 
-The samplers compute eps_bar with ``Denoiser.guided_eps``, which does the
-work the two branches share once. It is exact, not an approximation:
+Both samplers run through ``GuidedTrajectory``, which carries a whole run in
+the denoiser's hidden space. It is exact in real arithmetic:
 
-- Layer 0 is affine in its input [x_n || temb(n) || c], so its pre-activation
-  splits into x_n W_x + temb(n) W_t + (c W_c + b0). The first two terms are
-  the same in both branches and are computed once per step; the last is
-  constant over a run and is computed once per run for c and for the null.
+- Each step is affine in the latent and the guided estimate,
+  x' = alpha x_n + beta eps_bar(x_n, n) + sigma z, with scalars that come from
+  substituting x0_hat = (x_n - sqrt(1-abar_n) eps_bar) / sqrt(abar_n):
+  - DDIM (eta = 0, abar' = abar at the next step of the subsequence, 1 after
+    the last): alpha = sqrt(abar') / sqrt(abar_n),
+    beta = sqrt(1-abar') - sqrt(abar') sqrt(1-abar_n) / sqrt(abar_n), sigma = 0;
+  - DDPM: alpha = c_x0 / sqrt(abar_n) + c_xn,
+    beta = -c_x0 sqrt(1-abar_n) / sqrt(abar_n), sigma^2 = posterior_var_n,
+    where c_x0 and c_xn are the posterior-mean coefficients (1 and 0, with
+    sigma = 0, at n = 1).
+- The net sees x_n only through layer 0, which is affine in
+  [x_n || temb(n) || c]: its pre-activation is
+  x_n W_x^T + temb(n) W_t^T + (c W_c^T + b0). The first two terms are shared
+  by the two branches; the last is constant over a run and is computed once
+  for c and once for the null.
 - The output layer is affine with identity activation (``Denoiser.load``
-  checks this), so (w+1)(A a_c + b) - w(A a_u + b) = A((w+1) a_c - w a_u) + b:
-  the branches' last hidden activations are mixed and the output layer runs
-  once.
+  checks this), so eps_bar = a A^T + b_out, where
+  a = (w+1) a_c - w a_u mixes the branches' last hidden activations.
 
-Only the summation order differs from two full forwards (``cfg_eps``, the
-reference), so the two agree to float64 rounding (tests hold full sampler
-runs to 1e-12). Per-step scalar preconditioning of the output, as in EDM's
-c_skip and c_out, is affine too and keeps the fusion valid.
+So the latent is always x = g x_N + S A^T + k b_out + R, with scalars g and k,
+S the beta-weighted sum of the mixed activations (batch x last hidden width)
+and R the summed DDPM noise, each scaled by later alphas. Its layer-0 product
+u = x W_x^T follows u' = alpha u + beta (a M^T + W_x b_out) + sigma z W_x^T,
+with M = W_x A formed once per run. A DDIM run therefore makes two batch
+products at the latent width in total, u at x_N and S A^T at the end, besides
+M; DDPM adds one per step for its noise. Only rounding differs from two full
+forwards per step (``cfg_eps``, the reference), so the two agree to float64
+rounding (tests hold full sampler runs to 1e-12).
+
+The finite check keeps the reference's semantics: a non-finite A or b_out
+would make every estimate non-finite, so they are checked once per run and
+reported at the first step; a is checked at every step. A per-step scalar
+preconditioning of the output, as in EDM's c_skip and c_out, is affine and
+scalar, so it keeps the trajectory exact; a skip term that differs per latent
+dim would need the latent-width products back at every step.
 
 Step indices n are 1-based (1..N); abar(0) = 1 by convention.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,19 +114,26 @@ def q_sample(sched: NoiseSchedule, x0: np.ndarray, n: int, eps: np.ndarray) -> n
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
+def _posterior_coefficients(sched: NoiseSchedule, n: int) -> tuple[float, float, float]:
+    """(coef_x0, coef_xn, var) of q(x_{n-1} | x_n, x0) =
+    N(coef_x0 x0 + coef_xn x_n, var I); (1, 0, 0) at n=1."""
+    if n == 1:
+        return 1.0, 0.0, 0.0
+    ab_n = sched.alpha_bar[n - 1]
+    ab_prev = sched.alpha_bar[n - 2]
+    coef_x0 = np.sqrt(ab_prev) * sched.beta[n - 1] / (1.0 - ab_n)
+    coef_xn = np.sqrt(sched.alpha[n - 1]) * (1.0 - ab_prev) / (1.0 - ab_n)
+    return float(coef_x0), float(coef_xn), float(sched.posterior_var[n - 1])
+
+
 def posterior(sched: NoiseSchedule, x_n: np.ndarray, x0: np.ndarray, n: int):
     """Mean and variance of q(x_{n-1} | x_n, x0); n=1 returns (x0, 0)."""
     _check_step(sched, n)
     if n == 1:
         return np.asarray(x0, dtype=np.float64).copy(), 0.0
-    ab_n = sched.alpha_bar[n - 1]
-    ab_prev = sched.alpha_bar[n - 2]
-    beta_n = sched.beta[n - 1]
-    alpha_n = sched.alpha[n - 1]
-    coef_x0 = np.sqrt(ab_prev) * beta_n / (1.0 - ab_n)
-    coef_xn = np.sqrt(alpha_n) * (1.0 - ab_prev) / (1.0 - ab_n)
+    coef_x0, coef_xn, var = _posterior_coefficients(sched, n)
     mu = coef_x0 * np.asarray(x0, dtype=np.float64) + coef_xn * np.asarray(x_n, dtype=np.float64)
-    return mu, float(sched.posterior_var[n - 1])
+    return mu, var
 
 
 # --- conditioning ----------------------------------------------------------
@@ -185,6 +215,9 @@ class Denoiser:
                time_embed_dim: int = 64, seed: int = 0) -> "Denoiser":
         rng = smallnet.spawn_rng(seed, 606)
         hidden = [hidden] if isinstance(hidden, int) else list(hidden)
+        if not hidden or min(hidden) < 1:
+            # GuidedTrajectory carries sampling in the last hidden layer's space
+            raise ValidationError(f"denoiser needs hidden layers of width >= 1, got {hidden}")
         dims = [latent_dim + time_embed_dim + cond_dim] + hidden + [latent_dim]
         return cls(
             net=smallnet.DenseNet.create(dims, "tanh", rng),
@@ -217,48 +250,6 @@ class Denoiser:
         out = self.net.forward(self._stack_input(x_n, n, c))
         return out[0] if single else out
 
-    def guided_eps(self, condition: np.ndarray, null_condition: np.ndarray, w: float,
-                   batch: int):
-        """The guided noise estimate of one sampling run, as a function
-        ``eps(x_n, n)`` of a (batch, latent_dim) latent and a step.
-
-        It equals ``cfg_eps(self, x_n, n, condition, null_condition, w)`` up to
-        float rounding, without computing twice what the two branches share
-        (see the module docstring). ``condition`` and ``null_condition`` are
-        (cond_dim,) or (batch, cond_dim); ``w == 0`` skips the null branch.
-        """
-        if w < 0:
-            raise ValidationError(f"guidance weight must be >= 0, got {w}")
-        layers = self.net.layers
-        first, last = layers[0], layers[-1]
-        t0, c0 = self.latent_dim, self.latent_dim + self.time_embed_dim
-        w_x, w_t, w_c = first.w[:, :t0], first.w[:, t0:c0], first.w[:, c0:]
-
-        def condition_bias(c):
-            c = np.asarray(c, dtype=np.float64)
-            if c.shape not in ((self.cond_dim,), (batch, self.cond_dim)):
-                raise ShapeError(f"condition has shape {c.shape}, wanted ({self.cond_dim},) "
-                                 f"or ({batch}, {self.cond_dim})")
-            return c @ w_c.T + first.b
-
-        def hidden(shared, bias):
-            a = smallnet.activate(first.activation, shared + bias)
-            for l in layers[1:-1]:
-                a = smallnet.activate(l.activation, a @ l.w.T + l.b)
-            return a
-
-        bias_c = condition_bias(condition)
-        bias_u = None if w == 0.0 else condition_bias(null_condition)
-
-        def eps(x_n: np.ndarray, n: int) -> np.ndarray:
-            shared = x_n @ w_x.T + time_embedding(n, self.time_embed_dim) @ w_t.T
-            a = hidden(shared, bias_c)
-            if bias_u is not None:
-                a = (w + 1.0) * a - w * hidden(shared, bias_u)
-            return a if len(layers) == 1 else a @ last.w.T + last.b
-
-        return eps
-
     def save(self, path, fusion: ConditionFusion, extra_meta: dict) -> None:
         arrays, net_meta = smallnet.net_state(self.net, "denoiser.")
         arrays.update(zip(fusion.parameter_names(), fusion.parameters()))
@@ -285,10 +276,12 @@ class Denoiser:
             fusion = ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
                                      null_condition=arrays["fusion.null_condition"])
             extra = meta["extra"]
-        # guided_eps slices layer 0 by these widths and needs an affine output
+        # GuidedTrajectory slices layer 0 by these widths, and needs a hidden
+        # layer and an affine output
         in_dim = den.latent_dim + den.time_embed_dim + den.cond_dim
         out_act = den.net.layers[-1].activation
         for bad, problem in (
+            (len(den.net.layers) < 2, "net has no hidden layer"),
             (den.net.in_dim != in_dim, f"net input width {den.net.in_dim} != latent_dim "
                                        f"+ time_embed_dim + cond_dim = {in_dim}"),
             (den.net.out_dim != den.latent_dim,
@@ -399,12 +392,16 @@ def training_step(
 # --- guidance and sampling ------------------------------------------------------
 
 
+def check_guidance_weight(w: float) -> None:
+    if not (math.isfinite(w) and w >= 0):
+        raise ValidationError(f"guidance weight must be finite and >= 0, got {w}")
+
+
 def cfg_eps(denoiser: Denoiser, x_n: np.ndarray, n, c: np.ndarray,
             null_condition: np.ndarray, w: float) -> np.ndarray:
     """Guided noise estimate (w+1) * eps(x,n,c) - w * eps(x,n,null), as two
-    full forwards: the reference for ``Denoiser.guided_eps``."""
-    if w < 0:
-        raise ValidationError(f"guidance weight must be >= 0, got {w}")
+    full forwards: the reference for ``GuidedTrajectory``."""
+    check_guidance_weight(w)
     cond = denoiser.predict(x_n, n, c)
     if w == 0.0:
         return cond
@@ -412,18 +409,82 @@ def cfg_eps(denoiser: Denoiser, x_n: np.ndarray, n, c: np.ndarray,
     return (w + 1.0) * cond - w * uncond
 
 
+class GuidedTrajectory:
+    """One guided sampling run, carried in the denoiser's hidden space.
+
+    Starts at the (batch, latent_dim) draw ``x_N``. ``step(n, alpha, beta,
+    noise)`` moves the latent x to alpha x + beta eps_bar(x, n) + noise, where
+    eps_bar is ``cfg_eps(denoiser, x, n, condition, null_condition, w)``;
+    ``x()`` returns the latent. ``u`` is x W_x^T, layer 0's product with the
+    latent. See the module docstring for why this is exact. ``condition`` and
+    ``null_condition`` are (cond_dim,) or (batch, cond_dim); ``w == 0`` skips
+    the null branch.
+    """
+
+    def __init__(self, denoiser: Denoiser, condition: np.ndarray,
+                 null_condition: np.ndarray, w: float, x_N: np.ndarray):
+        check_guidance_weight(w)
+        layers = denoiser.net.layers
+        first, last = layers[0], layers[-1]
+        t0, c0 = denoiser.latent_dim, denoiser.latent_dim + denoiser.time_embed_dim
+        w_x, w_c = first.w[:, :t0], first.w[:, c0:]
+        batch = len(x_N)
+
+        def condition_bias(c):
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape not in ((denoiser.cond_dim,), (batch, denoiser.cond_dim)):
+                raise ShapeError(f"condition has shape {c.shape}, wanted ({denoiser.cond_dim},) "
+                                 f"or ({batch}, {denoiser.cond_dim})")
+            return c @ w_c.T + first.b
+
+        self._bias_c = condition_bias(condition)
+        self._bias_u = None if w == 0.0 else condition_bias(null_condition)
+        self._w, self._layers, self._w_x = w, layers, w_x
+        self._w_t, self._time_embed_dim = first.w[:, t0:c0], denoiser.time_embed_dim
+        self._out_finite = bool(np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
+        self._m, self._m_b = w_x @ last.w, w_x @ last.b
+        self._x_N, self._out = x_N, last
+        self.u = x_N @ w_x.T
+        self._s = np.zeros((batch, last.w.shape[1]))
+        self._g, self._k, self._r = 1.0, 0.0, None
+
+    def _hidden(self, shared: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        first = self._layers[0]
+        a = smallnet.activate(first.activation, shared + bias)
+        for l in self._layers[1:-1]:
+            a = smallnet.activate(l.activation, a @ l.w.T + l.b)
+        return a
+
+    def step(self, n: int, alpha: float, beta: float, noise: np.ndarray | None = None) -> None:
+        """x <- alpha x + beta eps_bar(x, n) + noise, for step n (1..N);
+        ``noise`` is a (batch, latent_dim) array or None for none. Raises
+        ``SamplingError`` at step n if eps_bar is not finite."""
+        shared = self.u + time_embedding(n, self._time_embed_dim) @ self._w_t.T
+        a = self._hidden(shared, self._bias_c)
+        if self._bias_u is not None:
+            a = (self._w + 1.0) * a - self._w * self._hidden(shared, self._bias_u)
+        if not (self._out_finite and np.all(np.isfinite(a))):
+            raise SamplingError("denoiser produced non-finite noise estimate", n)
+        u = alpha * self.u + beta * (a @ self._m.T + self._m_b)
+        if self._r is not None:
+            self._r *= alpha
+        if noise is not None:
+            u += noise @ self._w_x.T
+            if self._r is None:
+                self._r = np.zeros_like(self._x_N)
+            self._r += noise
+        self.u = u
+        self._s = alpha * self._s + beta * a
+        self._g *= alpha
+        self._k = alpha * self._k + beta
+
+    def x(self) -> np.ndarray:
+        x = self._g * self._x_N + self._s @ self._out.w.T + self._k * self._out.b
+        return x if self._r is None else x + self._r
+
+
 def _prior_draw(rng: np.random.Generator, n_samples: int, latent_dim: int) -> np.ndarray:
     return rng.standard_normal((n_samples, latent_dim))
-
-
-def _x0_estimate(sched: NoiseSchedule, x_n: np.ndarray, eps_bar: np.ndarray, n: int) -> np.ndarray:
-    ab = sched.alpha_bar[n - 1]
-    return (x_n - np.sqrt(1.0 - ab) * eps_bar) / np.sqrt(ab)
-
-
-def _check_finite(eps_bar: np.ndarray, n: int) -> None:
-    if not np.all(np.isfinite(eps_bar)):
-        raise SamplingError("denoiser produced non-finite noise estimate", n)
 
 
 def sample_ddpm(
@@ -441,19 +502,18 @@ def sample_ddpm(
     taken, and sqrt(posterior_var) noise is added (none at n=1). Deterministic
     for a fixed seed. Returns (n_samples, latent_dim).
     """
-    guided = denoiser.guided_eps(condition, null_condition, w, n_samples)
     rng = smallnet.spawn_rng(seed, 707)
-    x = _prior_draw(rng, n_samples, denoiser.latent_dim)
+    traj = GuidedTrajectory(denoiser, condition, null_condition, w,
+                            _prior_draw(rng, n_samples, denoiser.latent_dim))
     for n in range(sched.N, 0, -1):
-        eps_bar = guided(x, n)
-        _check_finite(eps_bar, n)
-        x0_hat = _x0_estimate(sched, x, eps_bar, n)
-        mu, var = posterior(sched, x, x0_hat, n)
+        ab = sched.alpha_bar[n - 1]
+        root_ab, root_1mab = math.sqrt(ab), math.sqrt(1.0 - ab)
+        coef_x0, coef_xn, var = _posterior_coefficients(sched, n)
+        noise = None
         if n > 1:
-            x = mu + np.sqrt(var) * rng.standard_normal(x.shape)
-        else:
-            x = mu
-    return x
+            noise = math.sqrt(var) * rng.standard_normal((n_samples, denoiser.latent_dim))
+        traj.step(n, coef_x0 / root_ab + coef_xn, -coef_x0 * root_1mab / root_ab, noise)
+    return traj.x()
 
 
 def ddim_timesteps(N: int, steps: int) -> list[int]:
@@ -480,14 +540,13 @@ def sample_ddim(
     single-step x0 estimate.
     """
     ts = ddim_timesteps(sched.N, steps)
-    guided = denoiser.guided_eps(condition, null_condition, w, n_samples)
     rng = smallnet.spawn_rng(seed, 708)
-    x = _prior_draw(rng, n_samples, denoiser.latent_dim)
+    traj = GuidedTrajectory(denoiser, condition, null_condition, w,
+                            _prior_draw(rng, n_samples, denoiser.latent_dim))
     for i, n in enumerate(ts):
-        eps_bar = guided(x, n)
-        _check_finite(eps_bar, n)
-        x0_hat = _x0_estimate(sched, x, eps_bar, n)
-        n_prev = ts[i + 1] if i + 1 < len(ts) else 0
-        ab_prev = float(sched.abar(n_prev))
-        x = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_bar
-    return x
+        ab = sched.alpha_bar[n - 1]
+        ab_prev = float(sched.abar(ts[i + 1] if i + 1 < len(ts) else 0))
+        root_ab, root_ab_prev = math.sqrt(ab), math.sqrt(ab_prev)
+        traj.step(n, root_ab_prev / root_ab,
+                  math.sqrt(1.0 - ab_prev) - root_ab_prev * math.sqrt(1.0 - ab) / root_ab)
+    return traj.x()

@@ -362,12 +362,13 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
         raise ValidationError("prompt must be a non-empty string")
     if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
         raise ValidationError(f"tag must be a plain file name under generated/, got {tag!r}")
-    art = Artifacts(workdir)
-    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
-        _load_generation_stack(cfg, art)
     seed = cfg.seed if seed is None else seed
     steps = cfg.diffusion.ddim_steps if steps is None else steps
     w = cfg.diffusion.cfg_w if w is None else w
+    diffusion.check_guidance_weight(w)
+    art = Artifacts(workdir)
+    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
+        _load_generation_stack(cfg, art)
 
     query = clmp.embed(model, "text", [prompt])
     melody = np.zeros_like(query)

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import reference_ddim
 from melodygen import PipelineConfig, cli, clmp, pipeline, smallnet
 from melodygen.errors import GradientError
 
@@ -138,6 +139,41 @@ def test_unsafe_tag_exits_1_before_loading(tmp_path, capsys, tag):
     # an empty working directory would exit 2 had the stack been loaded first
     assert generate(config, tmp_path / "work", tag) == cli.EXIT_VALIDATION
     assert "ValidationError" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--cfg", "nan"], "guidance weight"),
+    (["--cfg", "inf"], "guidance weight"),
+    (["--cfg", "-1"], "guidance weight"),
+    (["--seed", "-1"], "seed"),
+], ids=["cfg_nan", "cfg_inf", "cfg_negative", "seed_negative"])
+def test_bad_generate_flag_exits_1_before_loading(tmp_path, capsys, flags, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    capsys.readouterr()
+    # an empty working directory would exit 2 had the stack been loaded first
+    assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "work"),
+                     "--prompt", "a calm melody", *flags]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and field in err
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"seed": -2}, "seed"),
+    ({"latent": {**TINY["latent"], "hidden": 0}}, "latent.hidden"),
+    ({"diffusion": {**TINY["diffusion"], "hidden": 0}}, "diffusion.hidden"),
+    ({"diffusion": {**TINY["diffusion"], "cfg_w": float("inf")}}, "diffusion.cfg_w"),
+    ({"latent": {**TINY["latent"], "steps": float("inf")}}, "latent.steps"),
+], ids=["seed", "latent_hidden", "diffusion_hidden", "cfg_w_inf", "int_field_inf"])
+def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, **edit}))
+    capsys.readouterr()
+    assert cli.main(["synth-data", "--config", str(config),
+                     "--out", str(tmp_path / "work")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and field in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -407,13 +443,44 @@ def test_trained_checkpoint_matches_golden_hash(trained, name):
     assert digest == GOLDEN_CHECKPOINT_SHA256[key][name]
 
 
+def assert_reports_agree(got, want, where="report"):
+    """Equal JSON trees, except that floats need only agree to rel 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-12, abs=0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for k in want:
+            assert_reports_agree(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, v) in enumerate(zip(got, want)):
+            assert_reports_agree(g, v, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("mode", ["ablation", "steps_sweep", "cfg_sweep"])
+def test_evaluate_report_matches_reference_sampler(trained, capsys, monkeypatch, mode):
+    """Each sweep-style report agrees with one whose DDIM runs take two full
+    denoiser forwards per step."""
+    config, work = trained
+    args = ["evaluate", "--config", str(config), "--out", str(work), "--mode", mode]
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_OK
+    shipped = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim", reference_ddim)
+    assert cli.main(args) == cli.EXIT_OK
+    assert_reports_agree(shipped, json.loads(capsys.readouterr().out))
+
+
 # SHA-256 of the JSON report of each sweep-style evaluate mode on the tiny
-# stack, keyed as above.
+# stack, keyed as above. A sampler change that moves only the last bits of
+# the reports may re-pin these once the reference-sampler check above passes.
 GOLDEN_REPORT_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
-        "ablation": "533a716e3b4a43324a625bff2dcc101af7df29830e8088e09a43b4088e02597d",
-        "steps_sweep": "100e3e6b4b733202747522f30ff048865109e56d242c3ab6bd488ce0e19e5dd6",
-        "cfg_sweep": "bb2113b9376b369264d63e8260f51e61703f4487a130f09f50280008bce98761",
+        "ablation": "7de08f55f04710d135fc8efb6a95e99eb34a096fa095509c469d4e8953223e41",
+        "steps_sweep": "988000b229392d18ab6d1cac3e9ced494c25f7f861bd439d8c5f73c9bb07b492",
+        "cfg_sweep": "5fbeb23921ea3cd84d76c579d0e4108a4e02f84cf2228a9d019421086b33f652",
     },
 }
 

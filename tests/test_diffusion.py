@@ -6,6 +6,7 @@ import pytest
 from melodygen import diffusion as df
 from melodygen import smallnet
 from melodygen.errors import SamplingError, ShapeError, ValidationError
+from conftest import reference_ddim, reference_ddpm
 from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
@@ -471,31 +472,6 @@ class TestSamplers:
         assert np.array_equal(a, b)
 
 
-def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
-    """DDIM as two full forwards per step through ``cfg_eps``."""
-    ts = df.ddim_timesteps(s.N, steps)
-    x = smallnet.spawn_rng(seed, 708).standard_normal((n_samples, den.latent_dim))
-    for i, n in enumerate(ts):
-        eps = df.cfg_eps(den, x, n, c, null, w)
-        ab = s.alpha_bar[n - 1]
-        x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
-        ab_prev = s.alpha_bar[ts[i + 1] - 1] if i + 1 < len(ts) else 1.0
-        x = math.sqrt(ab_prev) * x0 + math.sqrt(1 - ab_prev) * eps
-    return x
-
-
-def reference_ddpm(den, s, c, null, w, seed, n_samples):
-    """Ancestral sampling as two full forwards per step through ``cfg_eps``."""
-    rng = smallnet.spawn_rng(seed, 707)
-    x = rng.standard_normal((n_samples, den.latent_dim))
-    for n in range(s.N, 0, -1):
-        eps = df.cfg_eps(den, x, n, c, null, w)
-        ab = s.alpha_bar[n - 1]
-        mu, var = df.posterior(s, x, (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab), n)
-        x = mu + math.sqrt(var) * rng.standard_normal(x.shape) if n > 1 else mu
-    return x
-
-
 class Untouchable:
     def __getattr__(self, name):
         raise AssertionError(f"denoiser net used ({name})")
@@ -554,3 +530,36 @@ class TestFusedGuidance:
             df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=26, n_samples=2)
         with pytest.raises(ShapeError):
             df.sample_ddpm(den, self.SCHED, c[0], null[:4], 3.0, seed=26, n_samples=3)
+
+    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
+    def test_hidden_product_tracks_the_latent(self, monkeypatch, hidden, per_row):
+        """After every DDIM and DDPM step, u is the latent's layer-0 product."""
+        den, c, null = self.make(hidden, per_row, seed=3)
+        w_x = den.net.layers[0].w[:, :den.latent_dim]
+        step, steps_seen = df.GuidedTrajectory.step, []
+
+        def checked_step(traj, n, *args):
+            step(traj, n, *args)
+            assert np.allclose(traj.u, traj.x() @ w_x.T, rtol=0, atol=1e-12)
+            steps_seen.append(n)
+
+        monkeypatch.setattr(df.GuidedTrajectory, "step", checked_step)
+        df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=27, n_samples=3)
+        df.sample_ddpm(den, self.SCHED, c, null, 3.0, seed=28, n_samples=3)
+        assert steps_seen == df.ddim_timesteps(self.SCHED.N, 7) + list(range(self.SCHED.N, 0, -1))
+
+
+class TestHiddenLayerRequired:
+    def test_create_refuses_a_net_without_hidden_layer(self):
+        for hidden in ([], 0, [8, 0]):
+            with pytest.raises(ValidationError):
+                df.Denoiser.create(latent_dim=4, cond_dim=3, hidden=hidden, time_embed_dim=8)
+
+    def test_load_refuses_a_net_without_hidden_layer(self, tmp_path):
+        den = tiny_denoiser()
+        den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.make_rng(0))
+        path = tmp_path / "diffusion.ckpt"
+        den.save(path, df.ConditionFusion.create(2, 3), {})
+        with pytest.raises(ValidationError, match="no hidden layer"):
+            df.Denoiser.load(path)
