@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallnet
+from .config import ClmpConfig
 from .errors import ValidationError
 from .melody_codec import MelodyTripletSeq, N_BINS, parse_pitch
 from .signal import MelGrid
@@ -111,22 +112,18 @@ class ClmpModel:
     embed_dim: int
 
     @classmethod
-    def create(
-        cls,
-        embed_dim: int = 64,
-        wave_dim: int = 128,
-        hidden: int = 128,
-        token_embed_dim: int = 32,
-        seed: int = 0,
-    ) -> "ClmpModel":
+    def create(cls, config: ClmpConfig, wave_dim: int, seed: int) -> "ClmpModel":
+        """Seeded init of the widths in ``config``; ``wave_dim`` is the
+        waveform featurizer's width, twice the mel bin count."""
         rng = smallnet.spawn_rng(seed, 101)
+        hidden, embed_dim, token_dim = config.hidden, config.embed_dim, config.token_embed_dim
         return cls(
             text_head=smallnet.DenseNet.create([TEXT_DIM, hidden, embed_dim], "tanh", rng),
             wave_head=smallnet.DenseNet.create([wave_dim, hidden, embed_dim], "tanh", rng),
             melody_token_embed=smallnet.DenseNet.create(
-                [_TOKEN_FEATURE_DIM, token_embed_dim], ["identity"], rng
+                [_TOKEN_FEATURE_DIM, token_dim], ["identity"], rng
             ),
-            melody_head=smallnet.DenseNet.create([token_embed_dim, hidden, embed_dim], "tanh", rng),
+            melody_head=smallnet.DenseNet.create([token_dim, hidden, embed_dim], "tanh", rng),
             log_tau=np.array([np.log(0.07)]),
             embed_dim=embed_dim,
         )
@@ -319,20 +316,13 @@ def _batch_features(batch: list[Triple]):
 
 
 @dataclass
-class ClmpTrainConfig:
-    batch_size: int = 48
-    epochs: int = 30
-    learning_rate: float = 1e-5
-    seed: int = 0
-
-
-@dataclass
 class TrainResult:
     model: ClmpModel
     loss_curve: list[float] = field(default_factory=list)
 
 
-def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) -> TrainResult:
+def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
+               seed: int) -> TrainResult:
     """Batch-gradient training with Adam; loss recorded per epoch.
 
     Features are computed once up front (they are deterministic). Epoch order
@@ -340,15 +330,12 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
     sees exactly ``batch_size`` items.
     """
     if len(corpus) < config.batch_size:
-        raise ValidationError(
-            f"corpus has {len(corpus)} items, need at least batch_size={config.batch_size}"
-        )
+        raise ValidationError(f"clmp.batch_size={config.batch_size} is more than the "
+                              f"{len(corpus)} training items")
     text, wave, melody = _batch_features(corpus)
 
-    rng = smallnet.spawn_rng(config.seed, 202)
-    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
-    params = model.parameters()
-    names = model.parameter_names()
+    rng = smallnet.spawn_rng(seed, 202)
+    opt = smallnet.Optimizer(model.parameters(), model.parameter_names(), config.learning_rate)
     curve = []
     n_batches = len(corpus) // config.batch_size
     for _ in range(config.epochs):
@@ -358,7 +345,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpTrainConfig) 
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
             graph = _BatchGraph(model, text[idx], wave[idx], [melody[i] for i in idx])
             loss, grads = graph.loss_and_grads()
-            opt.step(params, grads, names)
+            opt.step(grads)
             epoch_loss += loss
         curve.append(epoch_loss / n_batches)
     return TrainResult(model=model, loss_curve=curve)

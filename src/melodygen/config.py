@@ -13,6 +13,10 @@ every violated constraint names the offending field. Defaults follow the
 reference settings (contrastive batch 48 at lr 1e-5; diffusion lr 1e-4,
 denoising steps 100, guidance weight 3, compression level 4); desk-scale
 runs usually shrink the record counts and raise the learning rates.
+
+This module is the single home of every hyperparameter and its default: the
+model constructors and trainers take their section of ``PipelineConfig``
+and restate no value of it.
 """
 
 from __future__ import annotations
@@ -121,15 +125,18 @@ class PipelineConfig:
         check(l.channels >= 1, "latent.channels", "must be >= 1")
         check(l.hidden >= 1, "latent.hidden", "must be >= 1")
         check(l.kl_weight >= 0, "latent.kl_weight", "must be >= 0")
+        check(l.learning_rate >= 0, "latent.learning_rate", "must be >= 0")
         check(l.steps >= 1, "latent.steps", "must be >= 1")
         check(l.batch_size >= 1, "latent.batch_size", "must be >= 1")
         check(d.n_steps >= 1, "diffusion.n_steps", "must be >= 1")
         check(0 < d.beta_start <= d.beta_end < 1, "diffusion.beta_start",
               "need 0 < beta_start <= beta_end < 1")
+        check(d.learning_rate >= 0, "diffusion.learning_rate", "must be >= 0")
         check(d.batch_size >= 1, "diffusion.batch_size", "must be >= 1")
         check(d.train_steps >= 1, "diffusion.train_steps", "must be >= 1")
         check(d.hidden >= 1, "diffusion.hidden", "must be >= 1")
-        check(d.time_embed_dim % 2 == 0, "diffusion.time_embed_dim", "must be even")
+        check(d.time_embed_dim > 0 and d.time_embed_dim % 2 == 0, "diffusion.time_embed_dim",
+              "must be positive and even")
         check(d.cond_dim >= 1, "diffusion.cond_dim", "must be >= 1")
         check(1 <= d.ddim_steps <= d.n_steps, "diffusion.ddim_steps",
               "must be in 1..n_steps")

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallnet
+from .config import DiffusionConfig
 from .errors import SamplingError, ShapeError, ValidationError
 
 
@@ -82,7 +83,7 @@ class NoiseSchedule:
         return np.where(n == 0, 1.0, self.alpha_bar[np.maximum(n, 1) - 1])
 
 
-def make_schedule(N: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def make_schedule(N: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta schedule from beta_start to beta_end over N steps."""
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
@@ -149,7 +150,7 @@ class ConditionFusion:
     null_condition: np.ndarray  # (d_c,)
 
     @classmethod
-    def create(cls, embed_dim: int, cond_dim: int, seed: int = 0) -> "ConditionFusion":
+    def create(cls, embed_dim: int, cond_dim: int, seed: int) -> "ConditionFusion":
         rng = smallnet.spawn_rng(seed, 505)
         w = rng.uniform(-1.0, 1.0, size=(2 * embed_dim, cond_dim)) / np.sqrt(2 * embed_dim)
         return cls(W=w, b=np.zeros(cond_dim), null_condition=np.zeros(cond_dim))
@@ -211,19 +212,20 @@ class Denoiser:
     time_embed_dim: int
 
     @classmethod
-    def create(cls, latent_dim: int, cond_dim: int, hidden: list[int] | int = 128,
-               time_embed_dim: int = 64, seed: int = 0) -> "Denoiser":
+    def create(cls, latent_dim: int, config: DiffusionConfig, seed: int) -> "Denoiser":
+        """Seeded init of one hidden layer of ``config.hidden`` units over the
+        widths in ``config``."""
+        if config.hidden < 1:
+            # GuidedTrajectory carries sampling in the hidden layer's space
+            raise ValidationError(f"denoiser needs a hidden layer of width >= 1, "
+                                  f"got {config.hidden}")
         rng = smallnet.spawn_rng(seed, 606)
-        hidden = [hidden] if isinstance(hidden, int) else list(hidden)
-        if not hidden or min(hidden) < 1:
-            # GuidedTrajectory carries sampling in the last hidden layer's space
-            raise ValidationError(f"denoiser needs hidden layers of width >= 1, got {hidden}")
-        dims = [latent_dim + time_embed_dim + cond_dim] + hidden + [latent_dim]
+        dims = [latent_dim + config.time_embed_dim + config.cond_dim, config.hidden, latent_dim]
         return cls(
             net=smallnet.DenseNet.create(dims, "tanh", rng),
             latent_dim=latent_dim,
-            cond_dim=cond_dim,
-            time_embed_dim=time_embed_dim,
+            cond_dim=config.cond_dim,
+            time_embed_dim=config.time_embed_dim,
         )
 
     def parameters(self) -> list[np.ndarray]:

@@ -12,11 +12,12 @@ well-scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import smallnet
+from .config import LatentConfig
 from .errors import ShapeError, ValidationError
 from .signal import DB_FLOOR, MelGrid
 
@@ -70,27 +71,21 @@ class LatentCodecModel:
     compression: int
     channels: int
     kl_weight: float
-    mel_params: dict = field(default_factory=dict)
+    mel_params: dict  # MelGrid keywords for decoded grids
 
     @classmethod
-    def create(
-        cls,
-        compression: int = 4,
-        channels: int = 8,
-        hidden: int = 32,
-        kl_weight: float = 1e-3,
-        seed: int = 0,
-        mel_params: dict | None = None,
-    ) -> "LatentCodecModel":
+    def create(cls, config: LatentConfig, mel_params: dict, seed: int) -> "LatentCodecModel":
         rng = smallnet.spawn_rng(seed, 404)
-        patch = compression * compression
+        patch = config.compression * config.compression
         return cls(
-            encoder=smallnet.DenseNet.create([patch, hidden, channels], "tanh", rng),
-            decoder=smallnet.DenseNet.create([channels, hidden, patch], "tanh", rng),
-            compression=compression,
-            channels=channels,
-            kl_weight=kl_weight,
-            mel_params=dict(mel_params or {}),
+            encoder=smallnet.DenseNet.create([patch, config.hidden, config.channels], "tanh",
+                                             rng),
+            decoder=smallnet.DenseNet.create([config.channels, config.hidden, patch], "tanh",
+                                             rng),
+            compression=config.compression,
+            channels=config.channels,
+            kl_weight=config.kl_weight,
+            mel_params=dict(mel_params),
         )
 
     def parameters(self) -> list[np.ndarray]:
@@ -158,19 +153,12 @@ def decode_latent(model: LatentCodecModel, z: LatentGrid) -> MelGrid:
     return MelGrid(values, **model.mel_params)
 
 
-@dataclass
-class LatentTrainConfig:
-    steps: int = 2000
-    batch_size: int = 256  # patches per step
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-
-def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
-                      config: LatentTrainConfig) -> list[float]:
+def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid], config: LatentConfig,
+                      seed: int) -> list[float]:
     """Adam on pooled patches from all grids; returns the loss history."""
     if len(mels) < 32:
-        raise ValidationError(f"need at least 32 training grids, got {len(mels)}")
+        raise ValidationError(f"need at least 32 training grids, got {len(mels)}: raise "
+                              "corpus.n_records or lower corpus.eval_count")
     r = model.compression
     pool = []
     for m in mels:
@@ -178,10 +166,8 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
         pool.append(_to_patches(_scale_db(m.values), r))
     pool = np.concatenate(pool, axis=0)
 
-    rng = smallnet.spawn_rng(config.seed, 405)
-    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
-    params = model.parameters()
-    names = model.parameter_names()
+    rng = smallnet.spawn_rng(seed, 405)
+    opt = smallnet.Optimizer(model.parameters(), model.parameter_names(), config.learning_rate)
     history = []
     for _ in range(config.steps):
         idx = rng.integers(0, len(pool), size=config.batch_size)
@@ -196,7 +182,6 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid],
         dec_grads, dz = model.decoder.backward_cached(dec_cache, d_xh)
         dz = dz + 2.0 * model.kl_weight * z / z.size
         enc_grads, _ = model.encoder.backward_cached(enc_cache, dz, None)
-        opt.step(params, enc_grads + dec_grads, names)
+        opt.step(enc_grads + dec_grads)
         history.append(loss)
     return history
-

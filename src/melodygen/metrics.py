@@ -92,18 +92,15 @@ class ProbeClassifier:
         return p / p.sum(axis=1, keepdims=True)
 
 
-@dataclass
-class ProbeTrainConfig:
-    hidden: int = 64
-    epochs: int = 60
-    batch_size: int = 32
-    learning_rate: float = 3e-3
-    holdout_fraction: float = 0.2
-    seed: int = 0
+# the probe's one training recipe
+PROBE_HIDDEN = 64
+PROBE_EPOCHS = 60
+PROBE_BATCH_SIZE = 32
+PROBE_LEARNING_RATE = 3e-3
+PROBE_HOLDOUT_FRACTION = 0.2
 
 
-def train_probe(features: np.ndarray, labels: list[str],
-                config: ProbeTrainConfig) -> ProbeClassifier:
+def train_probe(features: np.ndarray, labels: list[str], seed: int) -> ProbeClassifier:
     """Softmax classifier over feature vectors; reports held-out accuracy."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(labels):
@@ -113,28 +110,28 @@ def train_probe(features: np.ndarray, labels: list[str],
         raise ValidationError("probe needs at least two classes")
     y = np.array([classes.index(l) for l in labels])
 
-    rng = smallnet.spawn_rng(config.seed, 808)
+    rng = smallnet.spawn_rng(seed, 808)
     order = rng.permutation(len(y))
-    n_hold = max(1, int(len(y) * config.holdout_fraction))
+    n_hold = max(1, int(len(y) * PROBE_HOLDOUT_FRACTION))
     hold, train = order[:n_hold], order[n_hold:]
     if len(train) < 2:
         raise ValidationError("not enough samples to train the probe")
 
-    net = smallnet.DenseNet.create([x.shape[1], config.hidden, len(classes)], "tanh", rng)
-    opt = smallnet.Optimizer(learning_rate=config.learning_rate)
-    params, names = net.parameters(), net.parameter_names("probe.")
+    net = smallnet.DenseNet.create([x.shape[1], PROBE_HIDDEN, len(classes)], "tanh", rng)
+    opt = smallnet.Optimizer(net.parameters(), net.parameter_names("probe."),
+                             PROBE_LEARNING_RATE)
     eye = np.eye(len(classes))
-    for _ in range(config.epochs):
+    for _ in range(PROBE_EPOCHS):
         perm = rng.permutation(len(train))
-        for b in range(0, len(train), config.batch_size):
-            idx = train[perm[b:b + config.batch_size]]
+        for b in range(0, len(train), PROBE_BATCH_SIZE):
+            idx = train[perm[b:b + PROBE_BATCH_SIZE]]
             logits, cache = net.forward_cached(x[idx])
             logits = logits - logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             d_logits = (p - eye[y[idx]]) / len(idx)
             grads, _ = net.backward_cached(cache, d_logits, None)
-            opt.step(params, grads, names)
+            opt.step(grads)
 
     probe = ProbeClassifier(net=net, classes=classes)
     pred = probe.predict_proba(x[hold]).argmax(axis=1)

@@ -140,19 +140,8 @@ def run_train_clmp(cfg: PipelineConfig, workdir) -> clmp.TrainResult:
     records = _load_records(art)
     train_records, _ = _split(cfg, records)
     triples = build_triples(cfg, art, train_records)
-    model = clmp.ClmpModel.create(
-        embed_dim=cfg.clmp.embed_dim,
-        wave_dim=2 * cfg.signal.n_mels,
-        hidden=cfg.clmp.hidden,
-        token_embed_dim=cfg.clmp.token_embed_dim,
-        seed=cfg.seed,
-    )
-    result = clmp.train_clmp(model, triples, clmp.ClmpTrainConfig(
-        batch_size=cfg.clmp.batch_size,
-        epochs=cfg.clmp.epochs,
-        learning_rate=cfg.clmp.learning_rate,
-        seed=cfg.seed,
-    ))
+    model = clmp.ClmpModel.create(cfg.clmp, 2 * cfg.signal.n_mels, cfg.seed)
+    result = clmp.train_clmp(model, triples, cfg.clmp, cfg.seed)
     model.save(art.clmp_path)
     return result
 
@@ -209,26 +198,10 @@ def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
     records = _load_records(art)
     train_records, _ = _split(cfg, records)
     mels = [record_mel(cfg, art, r) for r in train_records]
-    model = latentcodec.LatentCodecModel.create(
-        compression=cfg.latent.compression,
-        channels=cfg.latent.channels,
-        hidden=cfg.latent.hidden,
-        kl_weight=cfg.latent.kl_weight,
-        seed=cfg.seed,
-        mel_params={
-            "frame_hop": cfg.signal.hop,
-            "n_fft": cfg.signal.n_fft,
-            "f_min": 0.0,
-            "f_max": cfg.signal.sample_rate / 2,
-            "sample_rate": cfg.signal.sample_rate,
-        },
-    )
-    history = latentcodec.train_latentcodec(model, mels, latentcodec.LatentTrainConfig(
-        steps=cfg.latent.steps,
-        batch_size=cfg.latent.batch_size,
-        learning_rate=cfg.latent.learning_rate,
-        seed=cfg.seed,
-    ))
+    mel_params = {"frame_hop": cfg.signal.hop, "n_fft": cfg.signal.n_fft, "f_min": 0.0,
+                  "f_max": cfg.signal.sample_rate / 2, "sample_rate": cfg.signal.sample_rate}
+    model = latentcodec.LatentCodecModel.create(cfg.latent, mel_params, cfg.seed)
+    history = latentcodec.train_latentcodec(model, mels, cfg.latent, cfg.seed)
     model.save(art.latent_path)
     return history
 
@@ -263,23 +236,16 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     r_wave = melodies[retrieve(melodies, wave_emb)]
     r_text = melodies[retrieve(melodies, text_emb)]
 
+    d = cfg.diffusion
     latent_dim = x0.shape[1]
-    sched = diffusion.make_schedule(cfg.diffusion.n_steps, cfg.diffusion.beta_start,
-                                    cfg.diffusion.beta_end)
-    denoiser = diffusion.Denoiser.create(
-        latent_dim=latent_dim,
-        cond_dim=cfg.diffusion.cond_dim,
-        hidden=cfg.diffusion.hidden,
-        time_embed_dim=cfg.diffusion.time_embed_dim,
-        seed=cfg.seed,
-    )
-    fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, cfg.diffusion.cond_dim,
-                                              seed=cfg.seed)
-    opt = smallnet.Optimizer(learning_rate=cfg.diffusion.learning_rate)
-    params = denoiser.parameters() + fusion.parameters()
-    names = denoiser.parameter_names() + fusion.parameter_names()
+    sched = diffusion.make_schedule(d.n_steps, d.beta_start, d.beta_end)
+    denoiser = diffusion.Denoiser.create(latent_dim, d, cfg.seed)
+    fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, d.cond_dim, cfg.seed)
+    opt = smallnet.Optimizer(denoiser.parameters() + fusion.parameters(),
+                             denoiser.parameter_names() + fusion.parameter_names(),
+                             d.learning_rate)
     rng = smallnet.spawn_rng(cfg.seed, 1001)
-    batch = min(cfg.diffusion.batch_size, len(x0))
+    batch = min(d.batch_size, len(x0))
 
     def draw():
         # one step's draws, in the order of the one stream: batch rows, steps,
@@ -287,18 +253,18 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
         idx = rng.integers(0, len(x0), size=batch)
         steps = rng.integers(1, sched.N + 1, size=batch)
         noise = rng.standard_normal((batch, latent_dim))
-        return idx, steps, noise, rng.random(batch) < cfg.diffusion.uncond_prob
+        return idx, steps, noise, rng.random(batch) < d.uncond_prob
 
-    phase_boundary = int(cfg.diffusion.phase_split * cfg.diffusion.train_steps)
+    phase_boundary = int(d.phase_split * d.train_steps)
     history = []
     # a worker draws step k+1 while step k computes (the normal fill releases
     # the GIL); k+1 is submitted only after k's draws are in hand and only the
     # worker reads the stream, so it is consumed in the same order
     with ThreadPoolExecutor(max_workers=1) as drawer:
         pending = drawer.submit(draw)
-        for step_i in range(cfg.diffusion.train_steps):
+        for step_i in range(d.train_steps):
             idx, steps, noise, uncond = pending.result()
-            if step_i + 1 < cfg.diffusion.train_steps:
+            if step_i + 1 < d.train_steps:
                 pending = drawer.submit(draw)
             if step_i < phase_boundary:
                 queries, hits = wave_emb[idx], r_wave[idx]
@@ -309,15 +275,13 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
                 steps=steps, noise=noise, uncond=uncond,
             )
             fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
-            opt.step(params, result.denoiser_grads + fusion_grads, names)
+            opt.step(result.denoiser_grads + fusion_grads)
             history.append(result.loss)
 
     c, th, fw = _latent_shape(cfg)
     denoiser.save(art.diffusion_path, fusion=fusion, extra_meta={
         "latent_channels": c, "latent_t": th, "latent_f": fw,
-        "n_steps": cfg.diffusion.n_steps,
-        "beta_start": cfg.diffusion.beta_start,
-        "beta_end": cfg.diffusion.beta_end,
+        "n_steps": d.n_steps, "beta_start": d.beta_start, "beta_end": d.beta_end,
         "embed_dim": cfg.clmp.embed_dim,
     })
     return history
@@ -455,6 +419,12 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
     train_records, eval_records = _split(cfg, records)
+    leaked = set(ids).intersection(r.id for r in eval_records)
+    if leaked:
+        raise ValidationError(f"corpus.eval_count: {len(leaked)} held-out records (e.g. "
+                              f"{min(leaked)}) are in the training split of "
+                              f"{art.index_path.name}; evaluate with the eval_count the "
+                              "stack was trained with")
     eval_triples = build_triples(cfg, art, eval_records)
     seed = cfg.seed if seed is None else seed
 
@@ -481,7 +451,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         probe = metrics.train_probe(
             np.stack([clmp.featurize_wave(record_mel(cfg, art, r)) for r in train_records]),
             [r.archetype.label for r in train_records],
-            metrics.ProbeTrainConfig(seed=cfg.seed),
+            cfg.seed,
         )
         feats = gen_feats(steps=steps, w=w, gseed=seed)
         gen_by_id = {t.id: f for t, f in zip(eval_triples, feats)}

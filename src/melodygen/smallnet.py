@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -205,73 +205,60 @@ class DenseNet:
 CACHE_BLOCK = 16384
 
 
-@dataclass
 class Optimizer:
-    """Adam over a fixed list of parameter arrays.
+    """Adam over a fixed list of parameter arrays, bound with their names at
+    construction, where the moment buffers are allocated.
 
-    Moment buffers are lazily shaped on the first step and must shape-match
-    thereafter. Each parameter is updated in place, ``CACHE_BLOCK`` elements
-    at a time, through two reused scratch buffers; per element the arithmetic
-    and its order are the textbook update's.
+    Each parameter is updated in place, ``CACHE_BLOCK`` elements at a time,
+    through two reused scratch buffers; per element the arithmetic and its
+    order are the textbook update's.
     """
 
-    learning_rate: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    step_count: int = 0
-    _m: list[np.ndarray] = field(default_factory=list, repr=False)
-    _v: list[np.ndarray] = field(default_factory=list, repr=False)
-    _scratch: np.ndarray = field(default_factory=lambda: np.empty((2, CACHE_BLOCK)),
-                                 init=False, repr=False)
+    betas = (0.9, 0.999)
+    eps = 1e-8
 
-    def __post_init__(self):
-        if not (0.0 < self.learning_rate or self.learning_rate == 0.0):
+    def __init__(self, params: list[np.ndarray], names: list[str], learning_rate: float):
+        if not (0.0 < learning_rate or learning_rate == 0.0):
             raise ValidationError("learning_rate must be >= 0")
+        if len(params) != len(names):
+            raise ShapeError(f"{len(params)} parameters and {len(names)} names")
+        for p, name in zip(params, names):
+            if not p.flags.c_contiguous:
+                raise ShapeError(f"parameter {name} is not contiguous and cannot be "
+                                 "updated in place")
+        self.params, self.names = list(params), list(names)
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self._m = [np.zeros_like(p) for p in params]
+        self._v = [np.zeros_like(p) for p in params]
+        self._scratch = np.empty((2, CACHE_BLOCK))
 
-    def _checked(self, params, grads, names) -> list[np.ndarray]:
+    def _checked(self, grads) -> list[np.ndarray]:
         """The gradients as float64 arrays, once every check passed; raises
         before anything is updated."""
-        if not len(params) == len(grads) == len(names):
-            raise ShapeError(f"{len(params)} parameters, {len(grads)} gradients and "
-                             f"{len(names)} names")
-        if self._m and len(self._m) != len(params):
-            raise ShapeError("parameter list changed size under the optimizer")
+        if len(grads) != len(self.params):
+            raise ShapeError(f"{len(grads)} gradients for {len(self.params)} parameters")
         out = []
-        for i, (p, g, name) in enumerate(zip(params, grads, names)):
+        for p, g, name in zip(self.params, grads, self.names):
             g = np.asarray(g, dtype=np.float64)
             if p.shape != g.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                                  f"{p.shape} for {name}")
-            if self._m and self._m[i].shape != p.shape:
-                raise ShapeError(f"parameter {name} has shape {p.shape}, but had "
-                                 f"{self._m[i].shape} when the optimizer first saw it")
-            if not p.flags.c_contiguous:
-                raise ShapeError(f"parameter {name} is not contiguous and cannot be "
-                                 "updated in place")
             if not np.isfinite(g).all():
                 raise GradientError("non-finite gradient, update rejected", name)
             out.append(g)
         return out
 
-    def step(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        names: list[str],
-    ) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
         """Apply one bias-corrected update in place. Rejects non-finite grads,
         leaving parameters, moments and ``step_count`` unchanged."""
-        grads = self._checked(params, grads, names)
-        if not self._m:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-
+        grads = self._checked(grads)
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         lr, eps = self.learning_rate, self.eps
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
             p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for start in range(0, p.size, CACHE_BLOCK):
                 blk = slice(start, start + CACHE_BLOCK)

@@ -165,7 +165,11 @@ def test_bad_generate_flag_exits_1_before_loading(tmp_path, capsys, flags, field
     ({"diffusion": {**TINY["diffusion"], "hidden": 0}}, "diffusion.hidden"),
     ({"diffusion": {**TINY["diffusion"], "cfg_w": float("inf")}}, "diffusion.cfg_w"),
     ({"latent": {**TINY["latent"], "steps": float("inf")}}, "latent.steps"),
-], ids=["seed", "latent_hidden", "diffusion_hidden", "cfg_w_inf", "int_field_inf"])
+    ({"diffusion": {**TINY["diffusion"], "time_embed_dim": -2}}, "diffusion.time_embed_dim"),
+    ({"latent": {**TINY["latent"], "learning_rate": -1}}, "latent.learning_rate"),
+    ({"diffusion": {**TINY["diffusion"], "learning_rate": -1}}, "diffusion.learning_rate"),
+], ids=["seed", "latent_hidden", "diffusion_hidden", "cfg_w_inf", "int_field_inf",
+        "time_embed_dim_negative", "latent_lr_negative", "diffusion_lr_negative"])
 def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, **edit}))
@@ -268,6 +272,22 @@ def test_standard_evaluate_below_retrieval_minimum_exits_1_before_sampling(
                      "--mode", "ablation"]) == cli.EXIT_OK
 
 
+def test_evaluate_over_training_records_exits_1_before_sampling(
+        trained, tmp_path, capsys, monkeypatch):
+    _, work = trained
+    # the stack was trained on all but the last 4 records; 12 would score 8
+    # training records as held out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "corpus": {**TINY["corpus"], "eval_count": 12}}))
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
+                        lambda *a, **k: pytest.fail("sampled before the split check"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", "ablation"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "corpus.eval_count" in err and "melody.ckpt" in err
+
+
 @pytest.mark.parametrize("melodies, ids", [
     (np.zeros((3, TINY["clmp"]["embed_dim"] + 1)), ["a", "b", "c"]),
     (np.zeros((3, TINY["clmp"]["embed_dim"])), ["a", "b"]),
@@ -295,6 +315,22 @@ def work_copy(trained, tmp_path):
     return work
 
 
+@pytest.mark.parametrize("stage, edit, field", [
+    ("train-clmp", {"clmp": {**TINY["clmp"], "batch_size": 40}}, "clmp.batch_size"),
+    ("train-latent", {"corpus": {**TINY["corpus"], "eval_count": 10}}, "corpus.eval_count"),
+], ids=["clmp_batch_over_training_split", "latent_training_split_too_small"])
+def test_training_split_too_small_exits_1_naming_the_field(work_copy, tmp_path, capsys,
+                                                           stage, edit, field):
+    # 32 training records: fewer than a batch of 40, or 26 with 10 held out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, **edit}))
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(config),
+                     "--out", str(work_copy)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and field in err
+
+
 def test_train_diffusion_is_bit_identical_under_fast_thread_switching(trained, work_copy):
     config, work = trained
     baseline = threading.active_count()
@@ -318,11 +354,11 @@ def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
     baseline = threading.active_count()
     step, calls = smallnet.Optimizer.step, []
 
-    def failing_step(self, params, grads, names=None):
+    def failing_step(self, grads):
         calls.append(threading.active_count())
         if len(calls) == 3:
-            raise GradientError("non-finite gradient, update rejected", names[0])
-        step(self, params, grads, names)
+            raise GradientError("non-finite gradient, update rejected", self.names[0])
+        step(self, grads)
 
     monkeypatch.setattr(smallnet.Optimizer, "step", failing_step)
     capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 
 from melodygen import clmp, smallnet
 from melodygen import melody_codec as mc
+from melodygen.config import ClmpConfig
 from melodygen.errors import ValidationError
 from melodygen.signal import DB_FLOOR, MelGrid
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
@@ -35,8 +36,8 @@ def batch_loss(model, batch):
 
 
 def toy_model(seed=0, bins=16):
-    return clmp.ClmpModel.create(embed_dim=16, wave_dim=2 * bins, hidden=24,
-                                 token_embed_dim=8, seed=seed)
+    return clmp.ClmpModel.create(ClmpConfig(embed_dim=16, hidden=24, token_embed_dim=8),
+                                 wave_dim=2 * bins, seed=seed)
 
 
 class TestFeaturizeText:
@@ -209,8 +210,8 @@ class TestTraining:
     def test_loss_decreases_over_first_epochs(self):
         model = toy_model(seed=3)
         triples = toy_triples(40, seed=3)
-        result = clmp.train_clmp(model, triples, clmp.ClmpTrainConfig(
-            batch_size=8, epochs=5, learning_rate=1e-3, seed=3))
+        result = clmp.train_clmp(model, triples, ClmpConfig(
+            batch_size=8, epochs=5, learning_rate=1e-3), seed=3)
         curve = result.loss_curve
         assert all(curve[i + 1] < curve[i] for i in range(4))
 
@@ -220,8 +221,8 @@ class TestTraining:
         triples = toy_triples(16, seed=4)
         fixed_batch = triples[:8]
         loss_before = batch_loss(model, fixed_batch)
-        clmp.train_clmp(model, triples, clmp.ClmpTrainConfig(
-            batch_size=8, epochs=3, learning_rate=0.0, seed=4))
+        clmp.train_clmp(model, triples, ClmpConfig(
+            batch_size=8, epochs=3, learning_rate=0.0), seed=4)
         for a, b in zip(before, model.parameters()):
             assert np.array_equal(a, b)
         assert batch_loss(model, fixed_batch) == loss_before
@@ -229,8 +230,8 @@ class TestTraining:
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
         def run(path):
             model = toy_model(seed=5)
-            clmp.train_clmp(model, toy_triples(16, seed=5), clmp.ClmpTrainConfig(
-                batch_size=8, epochs=3, learning_rate=1e-3, seed=5))
+            clmp.train_clmp(model, toy_triples(16, seed=5), ClmpConfig(
+                batch_size=8, epochs=3, learning_rate=1e-3), seed=5)
             model.save(path)
 
         run(tmp_path / "a.json")
@@ -238,8 +239,8 @@ class TestTraining:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_corpus_smaller_than_batch_rejected(self):
-        with pytest.raises(ValidationError):
-            clmp.train_clmp(toy_model(), toy_triples(4), clmp.ClmpTrainConfig(batch_size=8))
+        with pytest.raises(ValidationError, match="clmp.batch_size"):
+            clmp.train_clmp(toy_model(), toy_triples(4), ClmpConfig(batch_size=8), seed=0)
 
     def test_checkpoint_roundtrip_preserves_embeddings(self, tmp_path):
         model = toy_model(seed=6)

@@ -5,14 +5,21 @@ import pytest
 
 from melodygen import diffusion as df
 from melodygen import smallnet
+from melodygen.config import DiffusionConfig
 from melodygen.errors import SamplingError, ShapeError, ValidationError
 from conftest import reference_ddim, reference_ddpm
 from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
-def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0):
-    return df.Denoiser.create(latent_dim=latent_dim, cond_dim=cond_dim,
-                              hidden=16, time_embed_dim=8, seed=seed)
+def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0, hidden=16):
+    """A denoiser with time_embed_dim 8. A list ``hidden`` gives one tanh layer
+    per width; ``create`` builds only one, so that net is built directly."""
+    if isinstance(hidden, int):
+        config = DiffusionConfig(cond_dim=cond_dim, hidden=hidden, time_embed_dim=8)
+        return df.Denoiser.create(latent_dim, config, seed)
+    net = smallnet.DenseNet.create([latent_dim + 8 + cond_dim, *hidden, latent_dim], "tanh",
+                                   smallnet.spawn_rng(seed, 606))
+    return df.Denoiser(net, latent_dim, cond_dim, time_embed_dim=8)
 
 
 class TestSchedule:
@@ -483,8 +490,7 @@ class TestFusedGuidance:
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
     def make(self, hidden, per_row, seed=0):
-        den = df.Denoiser.create(latent_dim=12, cond_dim=5, hidden=hidden,
-                                 time_embed_dim=8, seed=seed)
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, hidden=hidden)
         rng = smallnet.make_rng(100 + seed)
         c = rng.standard_normal((3, 5) if per_row else 5)
         return den, c, rng.standard_normal(5)
@@ -552,14 +558,13 @@ class TestFusedGuidance:
 
 class TestHiddenLayerRequired:
     def test_create_refuses_a_net_without_hidden_layer(self):
-        for hidden in ([], 0, [8, 0]):
-            with pytest.raises(ValidationError):
-                df.Denoiser.create(latent_dim=4, cond_dim=3, hidden=hidden, time_embed_dim=8)
+        with pytest.raises(ValidationError, match="hidden layer"):
+            tiny_denoiser(hidden=0)
 
     def test_load_refuses_a_net_without_hidden_layer(self, tmp_path):
         den = tiny_denoiser()
         den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.make_rng(0))
         path = tmp_path / "diffusion.ckpt"
-        den.save(path, df.ConditionFusion.create(2, 3), {})
+        den.save(path, df.ConditionFusion.create(2, 3, seed=0), {})
         with pytest.raises(ValidationError, match="no hidden layer"):
             df.Denoiser.load(path)

@@ -3,9 +3,15 @@ import pytest
 
 from melodygen import latentcodec as lc
 from melodygen import smallnet
+from melodygen.config import LatentConfig
 from melodygen.errors import ShapeError, ValidationError
 from melodygen.signal import DB_FLOOR, MelGrid
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
+
+
+def codec(seed, **fields):
+    """A codec of the default widths, or those ``fields`` set."""
+    return lc.LatentCodecModel.create(LatentConfig(**fields), {}, seed)
 
 
 def random_mel(rng, t=16, f=16):
@@ -14,14 +20,14 @@ def random_mel(rng, t=16, f=16):
 
 class TestShapes:
     def test_shape_law_64x64_r4_c8(self):
-        model = lc.LatentCodecModel.create(compression=4, channels=8, seed=0)
+        model = codec(0, compression=4, channels=8)
         rng = smallnet.make_rng(0)
         z = lc.encode_mel(model, random_mel(rng, 64, 64))
         assert z.values.shape == (8, 16, 16)
 
     @pytest.mark.parametrize("t,f,r,c", [(8, 8, 2, 3), (16, 32, 4, 8), (12, 12, 4, 2)])
     def test_shape_law_general(self, t, f, r, c):
-        model = lc.LatentCodecModel.create(compression=r, channels=c, seed=1)
+        model = codec(1, compression=r, channels=c)
         rng = smallnet.make_rng(1)
         z = lc.encode_mel(model, random_mel(rng, t, f))
         assert z.values.shape == (c, t // r, f // r)
@@ -29,13 +35,13 @@ class TestShapes:
         assert rec.values.shape == (t, f)
 
     def test_indivisible_shape_rejected(self):
-        model = lc.LatentCodecModel.create(compression=4, seed=2)
+        model = codec(2, compression=4)
         rng = smallnet.make_rng(2)
         with pytest.raises(ShapeError):
             lc.encode_mel(model, random_mel(rng, 10, 16))
 
     def test_latent_shape_mismatch_rejected(self):
-        model = lc.LatentCodecModel.create(compression=4, channels=8, seed=3)
+        model = codec(3, compression=4, channels=8)
         z = lc.LatentGrid(np.zeros((4, 2, 2)), channels=4, compression=4)
         with pytest.raises(ShapeError):
             lc.decode_latent(model, z)
@@ -48,7 +54,7 @@ class TestShapes:
 
 class TestEncodeDecode:
     def test_zero_encoder_gives_zero_latent(self):
-        model = lc.LatentCodecModel.create(compression=2, channels=4, seed=4)
+        model = codec(4, compression=2, channels=4)
         for layer in model.encoder.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
@@ -57,7 +63,7 @@ class TestEncodeDecode:
         assert np.all(z.values == 0.0)
 
     def test_zero_decoder_gives_floor_grid(self):
-        model = lc.LatentCodecModel.create(compression=2, channels=4, seed=5)
+        model = codec(5, compression=2, channels=4)
         for layer in model.decoder.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
@@ -66,7 +72,7 @@ class TestEncodeDecode:
         assert np.all(rec.values == DB_FLOOR)
 
     def test_patch_locality(self):
-        model = lc.LatentCodecModel.create(compression=4, channels=4, seed=6)
+        model = codec(6, compression=4, channels=4)
         rng = smallnet.make_rng(6)
         m = random_mel(rng, 16, 16)
         z0 = lc.encode_mel(model, m)
@@ -78,13 +84,13 @@ class TestEncodeDecode:
         assert not changed[1:, :].any() and not changed[0, 1:].any()
 
     def test_decode_clamped_to_db_range(self):
-        model = lc.LatentCodecModel.create(compression=2, channels=4, seed=7)
+        model = codec(7, compression=2, channels=4)
         z = lc.LatentGrid(50.0 * np.ones((4, 2, 2)), channels=4, compression=2)
         rec = lc.decode_latent(model, z)
         assert rec.values.min() >= DB_FLOOR and rec.values.max() <= 0.0
 
     def test_determinism(self):
-        model = lc.LatentCodecModel.create(seed=8)
+        model = codec(8)
         rng = smallnet.make_rng(8)
         m = random_mel(rng, 16, 16)
         assert np.array_equal(lc.encode_mel(model, m).values, lc.encode_mel(model, m).values)
@@ -104,8 +110,9 @@ class TestTraining:
 
     def test_kl_weight_zero_is_plain_autoencoder(self):
         mels = self._mels()
-        model = lc.LatentCodecModel.create(compression=4, channels=8, kl_weight=0.0, seed=10)
-        hist = lc.train_latentcodec(model, mels, lc.LatentTrainConfig(steps=50, seed=10))
+        model = codec(10, compression=4, channels=8, kl_weight=0.0)
+        hist = lc.train_latentcodec(model, mels, LatentConfig(steps=50, learning_rate=1e-3),
+                                    seed=10)
         # loss equals pure reconstruction MSE: recompute on a fresh batch
         patches = lc._to_patches(lc._scale_db(mels[0].values), 4)
         z = model.encoder.forward(patches)
@@ -115,31 +122,31 @@ class TestTraining:
 
     def test_large_kl_weight_shrinks_latents(self):
         mels = self._mels()
-        small = lc.LatentCodecModel.create(compression=4, channels=8, kl_weight=0.0, seed=11)
-        big = lc.LatentCodecModel.create(compression=4, channels=8, kl_weight=10.0, seed=11)
-        cfg = lc.LatentTrainConfig(steps=400, seed=11)
-        lc.train_latentcodec(small, mels, cfg)
-        lc.train_latentcodec(big, mels, cfg)
+        small = codec(11, compression=4, channels=8, kl_weight=0.0)
+        big = codec(11, compression=4, channels=8, kl_weight=10.0)
+        cfg = LatentConfig(steps=400, learning_rate=1e-3)
+        lc.train_latentcodec(small, mels, cfg, seed=11)
+        lc.train_latentcodec(big, mels, cfg, seed=11)
         z_small = np.mean(lc.encode_mel(small, mels[0]).values ** 2)
         z_big = np.mean(lc.encode_mel(big, mels[0]).values ** 2)
         assert z_big < z_small
 
     def test_loss_decreases(self):
         mels = self._mels()
-        model = lc.LatentCodecModel.create(seed=12)
-        hist = lc.train_latentcodec(model, mels, lc.LatentTrainConfig(steps=300, seed=12))
+        model = codec(12)
+        hist = lc.train_latentcodec(model, mels, LatentConfig(steps=300, learning_rate=1e-3),
+                                    seed=12)
         assert np.mean(hist[-50:]) < np.mean(hist[:50])
 
     def test_too_few_grids_rejected(self):
-        model = lc.LatentCodecModel.create(seed=13)
-        with pytest.raises(ValidationError):
-            lc.train_latentcodec(model, self._mels(n=5), lc.LatentTrainConfig(steps=10))
+        model = codec(13)
+        with pytest.raises(ValidationError, match="corpus.eval_count"):
+            lc.train_latentcodec(model, self._mels(n=5), LatentConfig(steps=10), seed=0)
 
     def test_gradients_match_finite_differences(self):
         rng = smallnet.make_rng(14)
         for seed in (0, 1, 2):
-            model = lc.LatentCodecModel.create(compression=2, channels=3, hidden=6,
-                                               kl_weight=0.05, seed=seed)
+            model = codec(seed, compression=2, channels=3, hidden=6, kl_weight=0.05)
             x = rng.random((10, 4))
 
             def loss():
@@ -162,9 +169,9 @@ class TestTraining:
             assert worst <= 1e-4
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        model = lc.LatentCodecModel.create(seed=15, mel_params={"frame_hop": 256, "n_fft": 1024,
-                                                                "f_min": 0.0, "f_max": 8000.0,
-                                                                "sample_rate": 16000})
+        model = lc.LatentCodecModel.create(LatentConfig(), {"frame_hop": 256, "n_fft": 1024,
+                                                            "f_min": 0.0, "f_max": 8000.0,
+                                                            "sample_rate": 16000}, seed=15)
         path = tmp_path / "codec.json"
         model.save(path)
         back = lc.LatentCodecModel.load(path)

@@ -85,14 +85,14 @@ class TestProbe:
 
     def test_well_separated_classes_high_accuracy(self):
         feats, labels = self._separable()
-        probe = metrics.train_probe(feats, labels, metrics.ProbeTrainConfig(epochs=40, seed=5))
+        probe = metrics.train_probe(feats, labels, seed=5)
         assert probe.holdout_accuracy >= 0.9
 
     def test_shuffled_labels_chance_accuracy(self):
         feats, labels = self._separable()
         rng = smallnet.make_rng(6)
         shuffled = [labels[i] for i in rng.permutation(len(labels))]
-        probe = metrics.train_probe(feats, shuffled, metrics.ProbeTrainConfig(epochs=20, seed=6))
+        probe = metrics.train_probe(feats, shuffled, seed=6)
         assert probe.holdout_accuracy <= 0.5  # chance is 0.25 for 4 classes
 
     def test_probabilities_sum_to_one(self):
@@ -104,7 +104,7 @@ class TestProbe:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
-            metrics.train_probe(np.zeros((10, 3)), ["x"] * 10, metrics.ProbeTrainConfig())
+            metrics.train_probe(np.zeros((10, 3)), ["x"] * 10, seed=0)
 
 
 class TestPairedKl:

@@ -139,42 +139,43 @@ class TestBackward:
 class TestOptimizer:
     def test_zero_grad_adamw_no_decay_keeps_params(self):
         p = np.array([1.5, -2.0])
-        opt = smallnet.Optimizer(learning_rate=0.1)
-        opt.step([p], [np.zeros(2)], ["p"])
+        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
+        opt.step([np.zeros(2)])
         assert np.allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_moves_by_lr(self):
         # bias correction makes the first update m_hat/sqrt(v_hat) = 1
         p = np.array([0.0])
-        opt = smallnet.Optimizer(learning_rate=0.1)
-        opt.step([p], [np.array([1.0])], ["p"])
+        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
+        opt.step([np.array([1.0])])
         assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_nonfinite_gradient_rejected_with_name(self):
         p = np.array([1.0])
-        opt = smallnet.Optimizer(learning_rate=0.1)
+        opt = smallnet.Optimizer([p], ["w0"], learning_rate=0.1)
         with pytest.raises(GradientError) as e:
-            opt.step([p], [np.array([np.nan])], names=["w0"])
+            opt.step([np.array([np.nan])])
         assert "w0" in str(e.value)
         assert p[0] == 1.0  # update rejected
 
     def test_step_count_increments(self):
         p = np.array([0.0])
-        opt = smallnet.Optimizer(learning_rate=0.1)
+        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
         for expected in (1, 2, 3):
-            opt.step([p], [np.array([0.5])], ["p"])
+            opt.step([np.array([0.5])])
             assert opt.step_count == expected
 
     def test_determinism_across_runs(self):
         def run():
             rng = smallnet.make_rng(11)
             net = smallnet.DenseNet.create([3, 4, 2], "tanh", rng)
-            opt = smallnet.Optimizer(learning_rate=1e-2)
+            opt = smallnet.Optimizer(net.parameters(), net.parameter_names(),
+                                     learning_rate=1e-2)
             for _ in range(20):
                 x = rng.standard_normal((1, 3))
                 up = net.forward(x)  # pulls outputs toward zero
                 grads, _ = backward(net, x, up)
-                opt.step(net.parameters(), grads, net.parameter_names())
+                opt.step(grads)
             return [p.copy() for p in net.parameters()]
 
         a, b = run(), run()
@@ -185,37 +186,35 @@ class TestOptimizer:
     def test_rejected_gradient_leaves_state_unchanged(self):
         rng = smallnet.make_rng(13)
         params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
-        opt = smallnet.Optimizer(learning_rate=0.1)
+        opt = smallnet.Optimizer(params, ["w0", "b0"], learning_rate=0.1)
         for _ in range(2):
-            opt.step(params, [rng.standard_normal(p.shape) for p in params], ["w0", "b0"])
+            opt.step([rng.standard_normal(p.shape) for p in params])
         before = [a.copy() for a in params + opt._m + opt._v]
         bad = [rng.standard_normal((3, 4)), np.array([0.0, np.inf, 0.0, 0.0])]
         with pytest.raises(GradientError, match="b0"):
-            opt.step(params, bad, ["w0", "b0"])
+            opt.step(bad)
         assert opt.step_count == 2
         for a, b in zip(params + opt._m + opt._v, before):
             assert np.array_equal(a, b)
 
     def test_short_name_list_rejected_before_any_check_is_skipped(self):
-        p, q = np.zeros(2), np.zeros(3)
-        opt = smallnet.Optimizer(learning_rate=0.1)
         with pytest.raises(ShapeError, match="names"):
-            opt.step([p, q], [np.ones(2), np.full(3, np.nan)], ["w0"])
-        assert np.array_equal(q, np.zeros(3)) and opt.step_count == 0
+            smallnet.Optimizer([np.zeros(2), np.zeros(3)], ["w0"], learning_rate=0.1)
 
-    def test_parameter_reshaped_since_first_step_rejected(self):
-        opt = smallnet.Optimizer(learning_rate=0.1)
-        opt.step([np.zeros((2, 3))], [np.ones((2, 3))], ["w0"])
-        with pytest.raises(ShapeError, match="w0"):
-            opt.step([np.zeros((3, 2))], [np.ones((3, 2))], ["w0"])
-        assert opt.step_count == 1
+    def test_gradient_count_and_shapes_checked(self):
+        p, q = np.zeros(2), np.zeros(3)
+        opt = smallnet.Optimizer([p, q], ["w0", "b0"], learning_rate=0.1)
+        with pytest.raises(ShapeError, match="gradients"):
+            opt.step([np.ones(2)])
+        with pytest.raises(ShapeError, match="b0"):
+            opt.step([np.ones(2), np.ones(4)])
+        assert opt.step_count == 0 and not p.any() and not q.any()
 
     def test_non_contiguous_parameter_rejected(self):
         # an in-place blocked update through a flattened copy would be lost
         p = np.zeros((4, 4))[:, ::2]
-        opt = smallnet.Optimizer(learning_rate=0.1)
         with pytest.raises(ShapeError, match="contiguous"):
-            opt.step([p], [np.ones((4, 2))], ["w0"])
+            smallnet.Optimizer([p], ["w0"], learning_rate=0.1)
 
 
 def reference_adam(opt, params, grads, m, v, t):
@@ -240,10 +239,10 @@ def test_blocked_adam_matches_reference_bit_for_bit(shape):
     params = [rng.standard_normal(shape), rng.standard_normal(5)]
     ref = [p.copy() for p in params]
     m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
-    opt = smallnet.Optimizer(learning_rate=3e-3)
+    opt = smallnet.Optimizer(params, ["p", "q"], learning_rate=3e-3)
     for t in range(1, 5):
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
-        opt.step(params, grads, ["p", "q"])
+        opt.step(grads)
         reference_adam(opt, ref, grads, m, v, t)
         for a, b in zip(params + opt._m + opt._v, ref + m + v):
             assert np.array_equal(a, b)
