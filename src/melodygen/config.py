@@ -15,8 +15,8 @@ denoising steps 100, guidance weight 3, compression level 4); desk-scale
 runs usually shrink the record counts and raise the learning rates.
 
 This module is the single home of every hyperparameter and its default: the
-model constructors and trainers take their section of ``PipelineConfig``
-and restate no value of it.
+model constructors, the trainers and the mel analysis take their section of
+``PipelineConfig`` and restate no value of it.
 """
 
 from __future__ import annotations

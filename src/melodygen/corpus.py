@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import smallnet
+from .config import SignalConfig
 from .errors import MelodyGenError, ValidationError
 from .melody_codec import (
     MelodyTriplet,
@@ -123,13 +124,9 @@ class Archetype:
 class CorpusRecord:
     id: str
     text: str
-    melody_tokens: str
+    melody: MelodyTripletSeq
     wav_path: str  # relative to the manifest directory
     archetype: Archetype
-
-    @property
-    def melody(self) -> MelodyTripletSeq:
-        return parse_tokens(self.melody_tokens)
 
 
 @dataclass
@@ -179,9 +176,10 @@ def _fit_length(w: Waveform, n_samples: int) -> Waveform:
     return Waveform(s, sample_rate=w.sample_rate)
 
 
-def make_record(index: int, seed: int, sample_rate: int = 16000,
-                clip_samples: int | None = None) -> tuple[CorpusRecord, Waveform]:
-    """Deterministically build record ``index`` of the corpus for ``seed``."""
+def make_record(index: int, seed: int, sample_rate: int,
+                clip_samples: int | None) -> tuple[CorpusRecord, Waveform]:
+    """Deterministically build record ``index`` of the corpus for ``seed``; its
+    waveform is cut or zero-padded to ``clip_samples`` unless that is None."""
     rng = smallnet.spawn_rng(seed, 909, index)
     archetype = Archetype(
         pattern=PATTERNS[int(rng.integers(0, len(PATTERNS)))],
@@ -199,7 +197,7 @@ def make_record(index: int, seed: int, sample_rate: int = 16000,
     record = CorpusRecord(
         id=f"rec{index:05d}",
         text=text,
-        melody_tokens=render_tokens(melody),
+        melody=melody,
         wav_path=f"wav/rec{index:05d}.wav",
         archetype=archetype,
     )
@@ -207,7 +205,7 @@ def make_record(index: int, seed: int, sample_rate: int = 16000,
 
 
 def generate_corpus(n: int, seed: int, out_dir,
-                    sample_rate: int = 16000,
+                    sample_rate: int = SignalConfig.sample_rate,
                     clip_samples: int | None = None) -> list[CorpusRecord]:
     """Write n records (manifest.jsonl + wav files) under out_dir."""
     if n < 1:
@@ -221,7 +219,7 @@ def generate_corpus(n: int, seed: int, out_dir,
         lines.append(json.dumps({
             "id": record.id,
             "text": record.text,
-            "melody": record.melody_tokens,
+            "melody": render_tokens(record.melody),
             "wav": record.wav_path,
             "archetype": record.archetype.to_dict(),
         }, sort_keys=True) + "\n")
@@ -257,16 +255,16 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                         raise ValidationError(f"field {key!r} must be a {kind.__name__}, "
                                               f"got {doc[key]!r}")
                 record_id = doc["id"]
+                archetype = Archetype.from_dict(doc["archetype"])
+                if not doc["text"].strip():
+                    raise ValidationError("text is empty")
                 record = CorpusRecord(
                     id=doc["id"],
                     text=doc["text"],
-                    melody_tokens=doc["melody"],
+                    melody=parse_tokens(doc["melody"]),
                     wav_path=doc["wav"],
-                    archetype=Archetype.from_dict(doc["archetype"]),
+                    archetype=archetype,
                 )
-                if not record.text.strip():
-                    raise ValidationError("text is empty")
-                parse_tokens(record.melody_tokens)
                 wav_file = base / record.wav_path
                 if not wav_file.exists():
                     raise ValidationError(f"wav file missing: {record.wav_path}")

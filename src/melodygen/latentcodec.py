@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallnet
-from .config import LatentConfig
+from .config import LatentConfig, SignalConfig
 from .errors import ShapeError, ValidationError
 from .signal import DB_FLOOR, MelGrid
 
@@ -71,10 +71,11 @@ class LatentCodecModel:
     compression: int
     channels: int
     kl_weight: float
-    mel_params: dict  # MelGrid keywords for decoded grids
+    mel_params: dict  # frame_hop, n_fft and sample_rate of decoded grids
 
     @classmethod
-    def create(cls, config: LatentConfig, mel_params: dict, seed: int) -> "LatentCodecModel":
+    def create(cls, config: LatentConfig, signal: SignalConfig,
+               seed: int) -> "LatentCodecModel":
         rng = smallnet.spawn_rng(seed, 404)
         patch = config.compression * config.compression
         return cls(
@@ -85,7 +86,8 @@ class LatentCodecModel:
             compression=config.compression,
             channels=config.channels,
             kl_weight=config.kl_weight,
-            mel_params=dict(mel_params),
+            mel_params={"frame_hop": signal.hop, "n_fft": signal.n_fft,
+                        "sample_rate": signal.sample_rate},
         )
 
     def parameters(self) -> list[np.ndarray]:
@@ -117,7 +119,9 @@ class LatentCodecModel:
                 compression=int(meta["compression"]),
                 channels=int(meta["channels"]),
                 kl_weight=float(meta["kl_weight"]),
-                mel_params=dict(meta.get("mel_params", {})),
+                # an older layout also holds the constant band f_min, f_max
+                mel_params={k: int(meta["mel_params"][k])
+                            for k in ("frame_hop", "n_fft", "sample_rate")},
             )
 
 

@@ -92,13 +92,8 @@ class GenerationResult:
 
 def run_synth_data(cfg: PipelineConfig, workdir) -> list[CorpusRecord]:
     art = Artifacts(workdir)
-    return generate_corpus(
-        cfg.corpus.n_records,
-        cfg.seed,
-        art.corpus_dir,
-        sample_rate=cfg.signal.sample_rate,
-        clip_samples=cfg.signal.clip_samples,
-    )
+    return generate_corpus(cfg.corpus.n_records, cfg.seed, art.corpus_dir,
+                           cfg.signal.sample_rate, cfg.signal.clip_samples)
 
 
 def _load_records(art: Artifacts) -> list[CorpusRecord]:
@@ -111,10 +106,18 @@ def _load_records(art: Artifacts) -> list[CorpusRecord]:
 
 
 def record_mel(cfg: PipelineConfig, art: Artifacts, record: CorpusRecord) -> signal.MelGrid:
-    wave = signal.read_wav(art.corpus_dir / record.wav_path)
-    return signal.mel_spectrogram(
-        wave, n_mels=cfg.signal.n_mels, n_fft=cfg.signal.n_fft, hop=cfg.signal.hop
-    )
+    """The mel grid of ``record``'s WAV under ``cfg.signal``; a WAV synthesized
+    under other signal settings is refused."""
+    path = art.corpus_dir / record.wav_path
+    try:
+        mel = signal.mel_spectrogram(signal.read_wav(path), cfg.signal)
+        if mel.n_frames != cfg.signal.mel_frames:
+            raise ValidationError(f"it gives {mel.n_frames} mel frames, but "
+                                  f"signal.mel_frames is {cfg.signal.mel_frames}")
+    except ValidationError as e:
+        raise ValidationError(f"corpus record {path}: {e}; rerun synth-data with this "
+                              "config") from None
+    return mel
 
 
 def build_triples(cfg: PipelineConfig, art: Artifacts,
@@ -198,9 +201,7 @@ def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
     records = _load_records(art)
     train_records, _ = _split(cfg, records)
     mels = [record_mel(cfg, art, r) for r in train_records]
-    mel_params = {"frame_hop": cfg.signal.hop, "n_fft": cfg.signal.n_fft, "f_min": 0.0,
-                  "f_max": cfg.signal.sample_rate / 2, "sample_rate": cfg.signal.sample_rate}
-    model = latentcodec.LatentCodecModel.create(cfg.latent, mel_params, cfg.seed)
+    model = latentcodec.LatentCodecModel.create(cfg.latent, cfg.signal, cfg.seed)
     history = latentcodec.train_latentcodec(model, mels, cfg.latent, cfg.seed)
     model.save(art.latent_path)
     return history

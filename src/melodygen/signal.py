@@ -1,8 +1,12 @@
 """Mel-spectrogram analysis, deterministic tone synthesis, and WAV I/O.
 
 Analysis: Hann-windowed magnitude STFT, scaled so a full-scale sine peaks
-near 0 dB, then an HTK-scale triangular mel filterbank and power-dB with a
-floor at -80 dB (the package-wide "silence" value).
+near 0 dB, then an HTK-scale triangular mel filterbank spanning 0 Hz to
+Nyquist, and power-dB with a floor at -80 dB (the package-wide "silence"
+value).
+
+The signal parameters have no defaults here: the analysis takes its
+``config.SignalConfig``, and waveforms and mel grids carry their own.
 
 Synthesis is an additive oscillator bank in both directions: melody triplets
 drive harmonic stacks at equal-temperament frequencies, and mel grids are
@@ -14,21 +18,17 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import smallnet
+from .config import SignalConfig
 from .errors import FormatError, ValidationError
 from .melody_codec import BIN_SECONDS, MelodyTripletSeq, parse_pitch
 
 DB_FLOOR = -80.0
 _POWER_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
-
-DEFAULT_SAMPLE_RATE = 16000
-DEFAULT_N_FFT = 1024
-DEFAULT_HOP = 256
-DEFAULT_N_MELS = 64
 
 _FADE_SECONDS = 0.010
 
@@ -36,7 +36,7 @@ _FADE_SECONDS = 0.010
 @dataclass
 class Waveform:
     samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    sample_rate: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -53,11 +53,9 @@ class MelGrid:
     """T x F log-power grid (frames x mel bins, dB, floored at -80)."""
 
     values: np.ndarray
-    frame_hop: int = DEFAULT_HOP
-    n_fft: int = DEFAULT_N_FFT
-    f_min: float = 0.0
-    f_max: float = field(default=DEFAULT_SAMPLE_RATE / 2)
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    frame_hop: int
+    n_fft: int
+    sample_rate: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -87,8 +85,8 @@ def mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_max: float):
-    """Triangular filters on the HTK mel scale.
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
+    """Triangular filters on the HTK mel scale, spanning 0 Hz to sample_rate / 2.
 
     Returns (weights, centers_hz): weights is (n_mels, n_fft//2 + 1) with each
     triangle peaking at 1.0 and zero outside its support. Results are cached
@@ -97,9 +95,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_ma
     """
     if n_mels < 1:
         raise ValidationError("n_mels must be >= 1")
-    if not (0 <= f_min < f_max <= sample_rate / 2):
-        raise ValidationError(f"need 0 <= f_min < f_max <= sr/2, got [{f_min}, {f_max}]")
-    mel_pts = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_fft // 2 + 1)
     weights = np.zeros((n_mels, len(fft_freqs)))
@@ -119,32 +115,27 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def mel_spectrogram(
-    w: Waveform,
-    n_mels: int = DEFAULT_N_MELS,
-    n_fft: int = DEFAULT_N_FFT,
-    hop: int = DEFAULT_HOP,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-) -> MelGrid:
+def mel_spectrogram(w: Waveform, signal: SignalConfig) -> MelGrid:
+    """The mel grid of ``w`` under ``signal``, whose sample rate ``w`` must have."""
+    n_fft, hop = signal.n_fft, signal.hop
+    if w.sample_rate != signal.sample_rate:
+        raise ValidationError(f"waveform is sampled at {w.sample_rate} Hz, but "
+                              f"signal.sample_rate is {signal.sample_rate}")
     if hop <= 0:
         raise ValidationError(f"hop must be > 0, got {hop}")
     if len(w.samples) < n_fft:
         raise ValidationError(
             f"waveform has {len(w.samples)} samples, need at least n_fft={n_fft}"
         )
-    if f_max is None:
-        f_max = w.sample_rate / 2.0
     window = _hann(n_fft)
     scale = window.sum() / 2.0  # full-scale sine -> magnitude ~1 -> ~0 dB
     # frame t is samples[t * hop : t * hop + n_fft], a strided view, not a gather
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, n_fft)[::hop] * window
     power = np.abs(np.fft.rfft(frames, axis=1) / scale) ** 2
-    fb, _ = mel_filterbank(n_mels, n_fft, w.sample_rate, f_min, f_max)
+    fb, _ = mel_filterbank(signal.n_mels, n_fft, w.sample_rate)
     mel_power = power @ fb.T
     values = 10.0 * np.log10(np.maximum(mel_power, _POWER_FLOOR))
-    return MelGrid(values, frame_hop=hop, n_fft=n_fft, f_min=f_min, f_max=f_max,
-                   sample_rate=w.sample_rate)
+    return MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=w.sample_rate)
 
 
 def pitch_to_hz(p: int) -> float:
@@ -152,11 +143,8 @@ def pitch_to_hz(p: int) -> float:
     return 440.0 * 2.0 ** ((p - 69) / 12.0)
 
 
-def synthesize_melody(
-    seq: MelodyTripletSeq,
-    timbre: list[float] | tuple[float, ...] = (1.0,),
-    sr: int = DEFAULT_SAMPLE_RATE,
-) -> Waveform:
+def synthesize_melody(seq: MelodyTripletSeq, timbre: list[float] | tuple[float, ...],
+                      sr: int) -> Waveform:
     """Render a triplet sequence as an additive-harmonic tone sequence.
 
     Each triplet produces duration_bin * (6.3/512) seconds of tone (harmonic
@@ -209,7 +197,7 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     """
     sr = m.sample_rate
     hop, n_frames = m.frame_hop, m.n_frames
-    _, centers = mel_filterbank(m.n_mels, m.n_fft, sr, m.f_min, m.f_max)
+    _, centers = mel_filterbank(m.n_mels, m.n_fft, sr)
     n_out = m.n_fft + hop * (n_frames - 1)
     amps = np.where(m.values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
     out = np.zeros(n_out)

@@ -6,6 +6,15 @@ import pytest
 
 from melodygen import diffusion as df
 from melodygen import smallnet
+from melodygen.config import SignalConfig
+from melodygen.signal import MelGrid
+
+SIGNAL = SignalConfig()
+
+
+def mel_grid(values):
+    """A mel grid of ``values`` framed as the default signal settings frame it."""
+    return MelGrid(values, SIGNAL.hop, SIGNAL.n_fft, SIGNAL.sample_rate)
 
 
 class DiskFull:

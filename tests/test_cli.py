@@ -331,6 +331,70 @@ def test_training_split_too_small_exits_1_naming_the_field(work_copy, tmp_path, 
     assert "ValidationError" in err and field in err
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"mel_frames": 32}, "signal.mel_frames"),
+    ({"sample_rate": 8000}, "signal.sample_rate"),
+], ids=["mel_frames", "sample_rate"])
+def test_corpus_of_other_signal_settings_exits_1_before_training(tmp_path, capsys, edit,
+                                                                  field):
+    """A corpus synthesized under TINY's signal settings is refused by the first
+    stage that featurizes it under others, before it writes a checkpoint."""
+    synth, train = tmp_path / "synth.json", tmp_path / "train.json"
+    synth.write_text(json.dumps(TINY))
+    train.write_text(json.dumps({**TINY, "signal": {**TINY["signal"], **edit}}))
+    work = tmp_path / "work"
+    assert cli.main(["synth-data", "--config", str(synth), "--out", str(work)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train-clmp", "--config", str(train),
+                     "--out", str(work)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and field in err
+    assert "rec00000.wav" in err and "rerun synth-data" in err
+    assert [p.name for p in work.iterdir()] == ["corpus"]
+
+
+def edit_checkpoint_meta(path, edit):
+    arrays, meta = smallnet.load_checkpoint(path)
+    edit(meta)
+    smallnet.save_checkpoint(path, arrays, meta)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda meta: meta.pop("mel_params"), "mel_params"),
+    (lambda meta: meta["mel_params"].pop("n_fft"), "n_fft"),
+], ids=["no_mel_params", "no_n_fft"])
+def test_codec_without_mel_params_exits_1_naming_the_key(trained, work_copy, capsys, edit,
+                                                          key):
+    config, _ = trained
+    edit_checkpoint_meta(work_copy / "latentcodec.ckpt", edit)
+    capsys.readouterr()
+    assert generate(config, work_copy) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "latentcodec.ckpt" in err and repr(key) in err
+
+
+# SHA-256 of the tiny stack's codec checkpoint in the layout that also stored
+# the mel band's constant f_min and f_max, keyed as the golden hashes below
+OLD_LAYOUT_CODEC_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"):
+        "4ed1d2c783ded0ac5c5e80435287a0e7efc415a642c92b4937581171b935f555",
+}
+
+
+def test_codec_of_the_layout_with_a_mel_band_decodes_bit_identically(trained, work_copy):
+    config, work = trained
+    path = work_copy / "latentcodec.ckpt"
+    edit_checkpoint_meta(path, lambda meta: meta["mel_params"].update(f_min=0.0, f_max=8000.0))
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key in OLD_LAYOUT_CODEC_SHA256:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OLD_LAYOUT_CODEC_SHA256[key]
+    assert generate(config, work, "current_codec") == cli.EXIT_OK
+    assert generate(config, work_copy, "current_codec") == cli.EXIT_OK
+    for suffix in (".wav", ".mel.ckpt", ".latent.ckpt"):
+        name = f"generated/current_codec{suffix}"
+        assert (work_copy / name).read_bytes() == (work / name).read_bytes()
+
+
 def test_train_diffusion_is_bit_identical_under_fast_thread_switching(trained, work_copy):
     config, work = trained
     baseline = threading.active_count()
@@ -431,6 +495,28 @@ def test_generated_wav_matches_golden_hash(trained):
     assert digest == GOLDEN_WAV_SHA256[key]
 
 
+# SHA-256 of the mel and latent checkpoints written next to that WAV, keyed as
+# above. The mel checkpoint's header carries the decoded grid's frame_hop,
+# n_fft and sample_rate.
+GOLDEN_GENERATED_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"): {
+        "golden.mel.ckpt": "31a97eb64f7958edbfb128d2ebe55b4cdce613e351a8e6308a09e713aa3de993",
+        "golden.latent.ckpt": "bd5d17030226dca54b1fdd1240bb9e742fc1620246968ac175942cadf2964c92",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["golden.mel.ckpt", "golden.latent.ckpt"])
+def test_generated_checkpoint_matches_golden_hash(trained, name):
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_GENERATED_SHA256:
+        pytest.skip(f"no golden generated-checkpoint hashes pinned for {key}")
+    config, work = trained
+    assert generate(config, work, "golden") == cli.EXIT_OK
+    digest = hashlib.sha256((work / "generated" / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_GENERATED_SHA256[key][name]
+
+
 # The same prompt and seed through the other sampler and without guidance,
 # keyed as above.
 GOLDEN_VARIANT_WAV_SHA256 = {
@@ -462,7 +548,7 @@ GOLDEN_CHECKPOINT_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
         "clmp.ckpt": "a7e3f7e768a0f7fc48bb0c075fcf92f53333382446c5d7f961aa87ec5e823796",
         "melody.ckpt": "092fcebbdd55fc471733a0168c7b50dd8ae708f179b97b37ffd1467c8eeb1946",
-        "latentcodec.ckpt": "4ed1d2c783ded0ac5c5e80435287a0e7efc415a642c92b4937581171b935f555",
+        "latentcodec.ckpt": "5a63eaa914be4dd19efaeb29230f7dc31d62f848b484c0d146db8a748883a9a6",
         "diffusion.ckpt": "23d0676d30d47464106495bbd8c76daab599b0754eb5dc1bf3ccb794894d4887",
     },
 }

@@ -5,7 +5,8 @@ from melodygen import clmp, smallnet
 from melodygen import melody_codec as mc
 from melodygen.config import ClmpConfig
 from melodygen.errors import ValidationError
-from melodygen.signal import DB_FLOOR, MelGrid
+from melodygen.signal import DB_FLOOR
+from conftest import SIGNAL, mel_grid
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
@@ -16,7 +17,7 @@ def toy_melody(pitches=(60, 64, 67), dur=40, rest=0):
 
 
 def toy_mel(rng, frames=24, bins=16):
-    return MelGrid(DB_FLOOR + 60.0 * rng.random((frames, bins)))
+    return mel_grid(DB_FLOOR + 60.0 * rng.random((frames, bins)))
 
 
 def toy_triples(n, seed=0, bins=16):
@@ -93,7 +94,7 @@ class TestFeaturizeText:
 
 class TestFeaturizeWave:
     def test_constant_grid(self):
-        m = MelGrid(np.full((10, 8), -20.0))
+        m = mel_grid(np.full((10, 8), -20.0))
         v = clmp.featurize_wave(m)
         assert np.allclose(v[8:], 0.0)  # std half
         assert np.allclose(v[:8], v[0])  # equal mean half
@@ -101,16 +102,15 @@ class TestFeaturizeWave:
     def test_time_shuffle_invariant(self):
         rng = smallnet.make_rng(18)
         m = toy_mel(rng)
-        shuffled = MelGrid(m.values[rng.permutation(m.values.shape[0])],
-                           frame_hop=m.frame_hop, n_fft=m.n_fft)
+        shuffled = mel_grid(m.values[rng.permutation(m.values.shape[0])])
         assert np.allclose(clmp.featurize_wave(m), clmp.featurize_wave(shuffled))
 
     def test_octave_pair_distinguishable(self):
         from melodygen.signal import mel_spectrogram, synthesize_melody
-        low = synthesize_melody(toy_melody((48, 50, 52), dur=60))
-        high = synthesize_melody(toy_melody((60, 62, 64), dur=60))
-        a = clmp.featurize_wave(mel_spectrogram(low))
-        b = clmp.featurize_wave(mel_spectrogram(high))
+        low = synthesize_melody(toy_melody((48, 50, 52), dur=60), (1.0,), SIGNAL.sample_rate)
+        high = synthesize_melody(toy_melody((60, 62, 64), dur=60), (1.0,), SIGNAL.sample_rate)
+        a = clmp.featurize_wave(mel_spectrogram(low, SIGNAL))
+        b = clmp.featurize_wave(mel_spectrogram(high, SIGNAL))
         assert float(a @ b) < 0.99
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from melodygen import corpus, signal
+from melodygen.config import SignalConfig
 from melodygen.errors import ValidationError
-from melodygen.melody_codec import parse_pitch, parse_tokens
+from melodygen.melody_codec import parse_pitch
 
 
 class TestGenerate:
@@ -25,9 +26,9 @@ class TestGenerate:
 
     def test_melody_tokens_roundtrip(self, tmp_path):
         records = corpus.generate_corpus(20, seed=7, out_dir=tmp_path)
-        for r in records:
-            seq = parse_tokens(r.melody_tokens)
-            assert len(seq) >= 1
+        assert all(len(r.melody) >= 1 for r in records)
+        loaded = corpus.load_corpus(tmp_path / "manifest.jsonl").records
+        assert [r.melody for r in loaded] == [r.melody for r in records]
 
     def test_text_names_all_archetype_fields(self, tmp_path):
         records = corpus.generate_corpus(40, seed=8, out_dir=tmp_path)
@@ -43,7 +44,7 @@ class TestGenerate:
     def test_text_names_start_note(self, tmp_path):
         records = corpus.generate_corpus(20, seed=9, out_dir=tmp_path)
         for r in records:
-            first_pitch = parse_tokens(r.melody_tokens).triplets[0].pitch_token
+            first_pitch = r.melody.triplets[0].pitch_token
             assert first_pitch.lower() in r.text.lower()
 
     def test_register_orders_mean_active_mel_bin(self, tmp_path):
@@ -53,7 +54,7 @@ class TestGenerate:
             if r.archetype.register not in by_register:
                 continue
             w = signal.read_wav(tmp_path / r.wav_path)
-            m = signal.mel_spectrogram(w)
+            m = signal.mel_spectrogram(w, SignalConfig())
             active = m.values > signal.DB_FLOOR + 20.0
             bins = np.where(active.any(axis=0))[0]
             weights = active.sum(axis=0)[bins]
@@ -64,7 +65,7 @@ class TestGenerate:
     def test_melody_pitch_range_matches_register(self, tmp_path):
         records = corpus.generate_corpus(60, seed=11, out_dir=tmp_path)
         for r in records:
-            pitches = [parse_pitch(t.pitch_token) for t in parse_tokens(r.melody_tokens)]
+            pitches = [parse_pitch(t.pitch_token) for t in r.melody]
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert min(pitches) >= lo
             assert max(pitches) <= min(hi + 12, 127)  # patterns span up to an octave
@@ -76,7 +77,7 @@ class TestGenerate:
         records = corpus.generate_corpus(60, seed=11, out_dir=tmp_path)
         assert {r.archetype.register for r in records} == set(corpus.REGISTERS)
         for r in records:
-            start = parse_pitch(parse_tokens(r.melody_tokens).triplets[0].pitch_token)
+            start = parse_pitch(r.melody.triplets[0].pitch_token)
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert lo <= start <= hi
 

@@ -3,19 +3,20 @@ import pytest
 
 from melodygen import latentcodec as lc
 from melodygen import smallnet
-from melodygen.config import LatentConfig
+from melodygen.config import LatentConfig, SignalConfig
 from melodygen.errors import ShapeError, ValidationError
-from melodygen.signal import DB_FLOOR, MelGrid
+from melodygen.signal import DB_FLOOR
+from conftest import mel_grid
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
 def codec(seed, **fields):
     """A codec of the default widths, or those ``fields`` set."""
-    return lc.LatentCodecModel.create(LatentConfig(**fields), {}, seed)
+    return lc.LatentCodecModel.create(LatentConfig(**fields), SignalConfig(), seed)
 
 
 def random_mel(rng, t=16, f=16):
-    return MelGrid(DB_FLOOR + 70.0 * rng.random((t, f)))
+    return mel_grid(DB_FLOOR + 70.0 * rng.random((t, f)))
 
 
 class TestShapes:
@@ -78,7 +79,7 @@ class TestEncodeDecode:
         z0 = lc.encode_mel(model, m)
         bumped = m.values.copy()
         bumped[0:4, 0:4] += 5.0  # one patch
-        z1 = lc.encode_mel(model, MelGrid(bumped))
+        z1 = lc.encode_mel(model, mel_grid(bumped))
         changed = np.any(z0.values != z1.values, axis=0)
         assert changed[0, 0]
         assert not changed[1:, :].any() and not changed[0, 1:].any()
@@ -105,7 +106,7 @@ class TestTraining:
             row = DB_FLOOR + 70.0 * rng.random((1, 16))
             col = 0.5 + 0.5 * rng.random((16, 1))
             values = np.clip(DB_FLOOR + (row - DB_FLOOR) * col, DB_FLOOR, 0.0)
-            out.append(MelGrid(values))
+            out.append(mel_grid(values))
         return out
 
     def test_kl_weight_zero_is_plain_autoencoder(self):
@@ -169,9 +170,9 @@ class TestTraining:
             assert worst <= 1e-4
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        model = lc.LatentCodecModel.create(LatentConfig(), {"frame_hop": 256, "n_fft": 1024,
-                                                            "f_min": 0.0, "f_max": 8000.0,
-                                                            "sample_rate": 16000}, seed=15)
+        model = lc.LatentCodecModel.create(LatentConfig(), SignalConfig(hop=128, n_fft=512,
+                                                                        sample_rate=8000),
+                                           seed=15)
         path = tmp_path / "codec.json"
         model.save(path)
         back = lc.LatentCodecModel.load(path)
@@ -179,4 +180,6 @@ class TestTraining:
         m = random_mel(rng, 16, 16)
         assert np.allclose(lc.encode_mel(back, m).values, lc.encode_mel(model, m).values,
                            atol=1e-6)
-        assert back.mel_params["sample_rate"] == 16000
+        assert back.mel_params == {"frame_hop": 128, "n_fft": 512, "sample_rate": 8000}
+        grid = lc.decode_latent(back, lc.encode_mel(back, m))
+        assert (grid.frame_hop, grid.n_fft, grid.sample_rate) == (128, 512, 8000)

@@ -1,7 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from conftest import SIGNAL, mel_grid
+from melodygen import corpus
 from melodygen import signal as sig
+from melodygen.config import SignalConfig
 from melodygen.errors import FormatError, ValidationError
 from melodygen.melody_codec import BIN_SECONDS, MelodyTriplet, MelodyTripletSeq, bin_duration
 
@@ -13,37 +18,41 @@ def sine(freq, seconds=1.0, sr=16000, amp=1.0):
 
 class TestMelSpectrogram:
     def test_440hz_argmax_is_nearest_center(self):
-        m = sig.mel_spectrogram(sine(440.0), n_mels=64)
-        _, centers = sig.mel_filterbank(64, 1024, 16000, 0.0, 8000.0)
+        m = sig.mel_spectrogram(sine(440.0), SIGNAL)
+        _, centers = sig.mel_filterbank(64, 1024, 16000)
         expected_bin = int(np.argmin(np.abs(centers - 440.0)))
         argmax = np.argmax(m.values, axis=1)
         assert np.all(argmax == expected_bin)
 
     def test_all_zero_waveform_hits_floor(self):
-        m = sig.mel_spectrogram(sig.Waveform(np.zeros(4000)))
+        m = sig.mel_spectrogram(sig.Waveform(np.zeros(4000), 16000), SIGNAL)
         assert np.all(m.values == sig.DB_FLOOR)
 
     def test_doubling_amplitude_adds_6db(self):
-        quiet = sig.mel_spectrogram(sine(440.0, amp=0.25))
-        loud = sig.mel_spectrogram(sine(440.0, amp=0.5))
+        quiet = sig.mel_spectrogram(sine(440.0, amp=0.25), SIGNAL)
+        loud = sig.mel_spectrogram(sine(440.0, amp=0.5), SIGNAL)
         above = quiet.values > sig.DB_FLOOR + 12.0  # stay clear of the clamp
         diff = loud.values[above] - quiet.values[above]
         assert np.allclose(diff, 20 * np.log10(2), atol=0.05)
 
     def test_too_short_input(self):
         with pytest.raises(ValidationError):
-            sig.mel_spectrogram(sig.Waveform(np.zeros(100)), n_fft=1024)
+            sig.mel_spectrogram(sig.Waveform(np.zeros(100), 16000), SignalConfig(n_fft=1024))
 
     def test_bad_hop(self):
         with pytest.raises(ValidationError):
-            sig.mel_spectrogram(sig.Waveform(np.zeros(4000)), hop=0)
+            sig.mel_spectrogram(sig.Waveform(np.zeros(4000), 16000), SignalConfig(hop=0))
+
+    def test_other_sample_rate_rejected_naming_the_field(self):
+        with pytest.raises(ValidationError, match="signal.sample_rate is 8000"):
+            sig.mel_spectrogram(sine(440.0), SignalConfig(sample_rate=8000))
 
     def test_frame_count(self):
-        m = sig.mel_spectrogram(sig.Waveform(np.zeros(1024 + 256 * 9)))
+        m = sig.mel_spectrogram(sig.Waveform(np.zeros(1024 + 256 * 9), 16000), SIGNAL)
         assert m.n_frames == 10
 
     def test_filterbank_rows_positive_and_triangular(self):
-        fb, centers = sig.mel_filterbank(64, 1024, 16000, 0.0, 8000.0)
+        fb, centers = sig.mel_filterbank(64, 1024, 16000)
         assert fb.shape == (64, 513)
         assert np.all(fb.sum(axis=1) > 0)
         assert np.all(fb >= 0)
@@ -61,7 +70,7 @@ def reference_mel_spectrogram(w: sig.Waveform, n_mels: int, n_fft: int, hop: int
     idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = w.samples[idx] * window
     power = np.abs(np.fft.rfft(frames, axis=1) / (window.sum() / 2.0)) ** 2
-    fb, _ = sig.mel_filterbank(n_mels, n_fft, w.sample_rate, 0.0, w.sample_rate / 2.0)
+    fb, _ = sig.mel_filterbank(n_mels, n_fft, w.sample_rate)
     return 10.0 * np.log10(np.maximum(power @ fb.T, 10.0 ** (sig.DB_FLOOR / 10.0)))
 
 
@@ -74,8 +83,8 @@ def reference_mel_spectrogram(w: sig.Waveform, n_mels: int, n_fft: int, hop: int
     (4000, 256, 1000),             # hop longer than the window
 ])
 def test_mel_spectrogram_matches_gather_reference(n_samples, n_fft, hop):
-    w = sig.Waveform(np.random.default_rng(n_samples).standard_normal(n_samples))
-    m = sig.mel_spectrogram(w, n_mels=32, n_fft=n_fft, hop=hop)
+    w = sig.Waveform(np.random.default_rng(n_samples).standard_normal(n_samples), 16000)
+    m = sig.mel_spectrogram(w, SignalConfig(n_mels=32, n_fft=n_fft, hop=hop))
     assert np.array_equal(m.values, reference_mel_spectrogram(w, 32, n_fft, hop))
 
 
@@ -94,7 +103,7 @@ class TestSynthesizeMelody:
             MelodyTriplet("C4", 40, 40),
             MelodyTriplet("E4", 40, 0),
         ))
-        w = sig.synthesize_melody(seq)
+        w = sig.synthesize_melody(seq, (1.0,), 16000)
         start = round(40 * BIN_SECONDS * 16000)
         end = round(80 * BIN_SECONDS * 16000)
         assert np.all(w.samples[start:end] == 0.0)
@@ -117,49 +126,49 @@ class TestSynthesizeMelody:
         seq = MelodyTripletSeq(tuple(
             MelodyTriplet("C4", d, r) for d, r in [(17, 5), (33, 0), (90, 12)]
         ))
-        w = sig.synthesize_melody(seq)
+        w = sig.synthesize_melody(seq, (1.0,), 16000)
         expected = (17 + 5 + 33 + 0 + 90 + 12) * BIN_SECONDS
         assert abs(len(w.samples) - expected * 16000) <= 1
 
     def test_peak_normalized(self):
         seq = MelodyTripletSeq((MelodyTriplet("A4", 100, 0),))
-        w = sig.synthesize_melody(seq, (0.01,))
+        w = sig.synthesize_melody(seq, (0.01,), 16000)
         assert np.max(np.abs(w.samples)) == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            sig.synthesize_melody(MelodyTripletSeq(()))
+            sig.synthesize_melody(MelodyTripletSeq(()), (1.0,), 16000)
 
 
 class TestMelToWaveform:
     def test_single_active_bin_is_pure_tone(self):
-        fb, centers = sig.mel_filterbank(64, 1024, 16000, 0.0, 8000.0)
+        fb, centers = sig.mel_filterbank(64, 1024, 16000)
         values = np.full((40, 64), sig.DB_FLOOR)
         values[:, 20] = -6.0
-        w = sig.mel_to_waveform(sig.MelGrid(values))
+        w = sig.mel_to_waveform(mel_grid(values))
         spec = np.abs(np.fft.rfft(w.samples))
         freqs = np.fft.rfftfreq(len(w.samples), 1 / 16000)
         assert abs(freqs[np.argmax(spec)] - centers[20]) <= 2 * freqs[1]
 
     def test_all_floor_is_silence(self):
-        w = sig.mel_to_waveform(sig.MelGrid(np.full((16, 64), sig.DB_FLOOR)))
+        w = sig.mel_to_waveform(mel_grid(np.full((16, 64), sig.DB_FLOOR)))
         assert np.all(w.samples == 0.0)
 
     def test_roundtrip_recovers_sparse_argmax(self):
         values = np.full((32, 64), sig.DB_FLOOR)
         values[:, 33] = -3.0
-        w = sig.mel_to_waveform(sig.MelGrid(values))
-        back = sig.mel_spectrogram(w, n_mels=64)
+        w = sig.mel_to_waveform(mel_grid(values))
+        back = sig.mel_spectrogram(w, SIGNAL)
         assert np.all(np.argmax(back.values, axis=1) == 33)
 
     def test_output_length(self):
-        m = sig.MelGrid(np.full((10, 64), sig.DB_FLOOR))
+        m = mel_grid(np.full((10, 64), sig.DB_FLOOR))
         w = sig.mel_to_waveform(m)
         assert len(w.samples) == 1024 + 256 * 9
 
 
 class TestFilterbankCache:
-    ARGS = (64, 1024, 16000, 0.0, 8000.0)
+    ARGS = (64, 1024, 16000)
 
     def test_cached_result_is_bit_equal_to_a_fresh_build(self):
         weights, centers = sig.mel_filterbank(*self.ARGS)
@@ -179,14 +188,14 @@ class TestFilterbankCache:
 
     def test_invalid_arguments_still_rejected(self):
         with pytest.raises(ValidationError):
-            sig.mel_filterbank(64, 1024, 16000, 0.0, 9000.0)
+            sig.mel_filterbank(0, 1024, 16000)
 
 
 def reference_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
     """The vocoder as first written: np.interp and a fresh tone array per
     active bin."""
     sr = m.sample_rate
-    _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, m.n_fft, sr, m.f_min, m.f_max)
+    _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, m.n_fft, sr)
     n_out = m.n_fft + m.frame_hop * (m.n_frames - 1)
     amps = np.where(m.values <= sig.DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
     out = np.zeros(n_out)
@@ -218,24 +227,25 @@ class TestMelToWaveformMatchesReference:
         values = rng.uniform(sig.DB_FLOOR, 0.0, (frames, n_mels))
         values[:, rng.choice(n_mels, n_mels // 3, replace=False)] = sig.DB_FLOOR
         values[rng.random(values.shape) < 0.2] = sig.DB_FLOOR
-        m = sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, f_max=sr / 2, sample_rate=sr)
+        m = sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=sr)
         assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
 
     def test_all_floor_grid(self):
-        m = sig.MelGrid(np.full((12, 64), sig.DB_FLOOR))
+        m = mel_grid(np.full((12, 64), sig.DB_FLOOR))
         assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
 
 
 @pytest.mark.parametrize("field", ["frame_hop", "n_fft"])
 def test_mel_grid_rejects_non_positive_framing(field):
     with pytest.raises(ValidationError, match=field):
-        sig.MelGrid(np.zeros((4, 8)), **{field: 0})
+        sig.MelGrid(np.zeros((4, 8)), **{"frame_hop": 256, "n_fft": 1024, "sample_rate": 16000,
+                                         field: 0})
 
 
 class TestWav:
     def test_roundtrip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = sig.Waveform(rng.uniform(-1, 1, 1000))
+        w = sig.Waveform(rng.uniform(-1, 1, 1000), 16000)
         path = tmp_path / "x.wav"
         sig.write_wav(path, w)
         back = sig.read_wav(path)
@@ -254,12 +264,12 @@ class TestWav:
         )
         assert len(golden) == 50
         path = tmp_path / "g.wav"
-        sig.write_wav(path, sig.Waveform(np.array([0.0, 0.5, -0.5])))
+        sig.write_wav(path, sig.Waveform(np.array([0.0, 0.5, -0.5]), 16000))
         assert path.read_bytes() == golden
 
     def test_truncated_file_reports_header_error(self, tmp_path):
         path = tmp_path / "t.wav"
-        sig.write_wav(path, sig.Waveform(np.zeros(100)))
+        sig.write_wav(path, sig.Waveform(np.zeros(100), 16000))
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(FormatError):
             sig.read_wav(path)
@@ -286,12 +296,33 @@ class TestWav:
         path = tmp_path / "w.wav"
         path.write_bytes(b"previous take")
         with pytest.raises(OSError):
-            sig.write_wav(path, sig.Waveform(np.zeros(100)))
+            sig.write_wav(path, sig.Waveform(np.zeros(100), 16000))
         assert path.read_bytes() == b"previous take"
         assert [p.name for p in tmp_path.iterdir()] == ["w.wav"]
 
     def test_clipping_on_write(self, tmp_path):
         path = tmp_path / "c.wav"
-        sig.write_wav(path, sig.Waveform(np.array([2.0, -2.0])))
+        sig.write_wav(path, sig.Waveform(np.array([2.0, -2.0]), 16000))
         back = sig.read_wav(path)
         assert np.allclose(back.samples, [1.0, -1.0])
+
+
+SIGNAL_PARAMETERS = {"sample_rate", "sr", "n_fft", "hop", "frame_hop", "n_mels"}
+
+
+def test_signal_parameters_have_no_default_outside_signal_config():
+    """``config.SignalConfig`` is the one home of the signal parameters: no
+    public function or dataclass of ``melodygen.signal``, and no parameter of
+    ``corpus.make_record``, restates one as a default."""
+    public = {name: obj for name, obj in vars(sig).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == sig.__name__}
+    assert {"Waveform", "MelGrid", "mel_filterbank", "mel_spectrogram",
+            "synthesize_melody"} <= public.keys()
+    public["corpus.make_record"] = corpus.make_record
+    defaulted = [f"{name}({p.name}={p.default!r})" for name, obj in public.items()
+                 for p in inspect.signature(obj).parameters.values()
+                 if p.name in SIGNAL_PARAMETERS and p.default is not p.empty]
+    assert defaulted == []
+    generate_rate = inspect.signature(corpus.generate_corpus).parameters["sample_rate"]
+    assert generate_rate.default == SignalConfig().sample_rate
