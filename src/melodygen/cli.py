@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate audio from a text prompt")
     common(g)
     g.add_argument("--prompt", required=True, help="text description")
-    g.add_argument("--steps", type=int, help="DDIM step count")
+    g.add_argument("--steps", type=int, help="DDIM step count (ddim sampler only)")
     g.add_argument("--cfg", type=float, help="guidance weight w")
     g.add_argument("--no-melody", action="store_true",
                    help="zero-pad the melody half of the condition")

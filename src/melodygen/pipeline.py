@@ -322,18 +322,33 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
                  use_melody: bool = True,
                  sampler: str = "ddim",
                  tag: str = "gen") -> GenerationResult:
-    """Text prompt -> retrieve -> fuse -> sample -> decode -> WAV."""
+    """Text prompt -> retrieve -> fuse -> sample -> decode -> WAV.
+
+    ``steps`` (``--steps``) is the DDIM step count, in 1..n_steps of
+    diffusion.ckpt; ``diffusion.ddim_steps`` when None. DDPM always runs all
+    n_steps and takes no ``steps``.
+    """
     if not prompt or not prompt.strip():
         raise ValidationError("prompt must be a non-empty string")
     if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
         raise ValidationError(f"tag must be a plain file name under generated/, got {tag!r}")
+    if sampler == "ddpm" and steps is not None:
+        raise ValidationError(f"--steps sets the DDIM step count, but the ddpm sampler runs "
+                              f"all n_steps of diffusion.ckpt; got --steps {steps}")
     seed = cfg.seed if seed is None else seed
-    steps = cfg.diffusion.ddim_steps if steps is None else steps
     w = cfg.diffusion.cfg_w if w is None else w
     diffusion.check_guidance_weight(w)
     art = Artifacts(workdir)
     model, melodies, ids, codec, denoiser, fusion, sched, shape = \
         _load_generation_stack(cfg, art)
+    if sampler == "ddpm":
+        steps = sched.N
+    else:
+        source = "diffusion.ddim_steps" if steps is None else "--steps"
+        steps = cfg.diffusion.ddim_steps if steps is None else steps
+        if not 1 <= steps <= sched.N:
+            raise ValidationError(f"{source} must be in 1..{sched.N} (the n_steps of "
+                                  f"{art.diffusion_path.name}), got {steps}")
 
     query = clmp.embed(model, "text", [prompt])
     melody = np.zeros_like(query)

@@ -147,7 +147,10 @@ def test_unsafe_tag_exits_1_before_loading(tmp_path, capsys, tag):
     (["--cfg", "inf"], "guidance weight"),
     (["--cfg", "-1"], "guidance weight"),
     (["--seed", "-1"], "seed"),
-], ids=["cfg_nan", "cfg_inf", "cfg_negative", "seed_negative"])
+    (["--sampler", "ddpm", "--steps", "-4"], "--steps"),
+    (["--sampler", "ddpm", "--steps", "10"], "--steps"),
+], ids=["cfg_nan", "cfg_inf", "cfg_negative", "seed_negative", "ddpm_steps_negative",
+        "ddpm_steps_in_range"])
 def test_bad_generate_flag_exits_1_before_loading(tmp_path, capsys, flags, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))
@@ -157,6 +160,37 @@ def test_bad_generate_flag_exits_1_before_loading(tmp_path, capsys, flags, field
                      "--prompt", "a calm melody", *flags]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and field in err
+
+
+@pytest.mark.parametrize("flags, edit, named", [
+    (["--steps", "0"], {}, "--steps"),
+    (["--steps", "-4"], {}, "--steps"),
+    (["--steps", "11"], {}, "--steps"),
+    ([], {"n_steps": 20, "ddim_steps": 15}, "diffusion.ddim_steps"),
+], ids=["flag_0", "flag_negative", "flag_over_n_steps", "config_over_checkpoint_n_steps"])
+def test_ddim_steps_out_of_range_exits_1_naming_the_source_and_checkpoint(
+        trained, tmp_path, capsys, flags, edit, named):
+    _, work = trained
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "diffusion": {**TINY["diffusion"], **edit}}))
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(config), "--out", str(work),
+                     "--prompt", "a calm melody", "--tag", "bad_steps",
+                     *flags]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{named} must be in 1..{TINY['diffusion']['n_steps']}" in err
+    assert "n_steps of diffusion.ckpt" in err
+    assert not list((work / "generated").glob("bad_steps*"))
+
+
+def test_ddpm_reports_the_steps_it_ran(trained, capsys):
+    config, work = trained
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(config), "--out", str(work),
+                     "--prompt", "a calm melody", "--tag", "ddpm_steps",
+                     "--sampler", "ddpm"]) == cli.EXIT_OK
+    record = json.loads(capsys.readouterr().out)["sampler"]
+    assert record["sampler"] == "ddpm" and record["steps"] == TINY["diffusion"]["n_steps"]
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -313,6 +347,44 @@ def work_copy(trained, tmp_path):
     work = tmp_path / "work"
     shutil.copytree(trained[1], work)
     return work
+
+
+# Each subcommand with the arguments it needs; evaluate writes a report so
+# that it, too, has a file to fail on.
+SUBCOMMAND_ARGS = {
+    "synth-data": [], "train-clmp": [], "build-index": [], "train-latent": [],
+    "train-diffusion": [], "generate": ["--prompt", "a calm melody"],
+    "evaluate": ["--mode", "ablation", "--report", "{tmp}/report.json"],
+}
+EXIT_CASES = [(command, code) for command in SUBCOMMAND_ARGS
+              for code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_MISSING_ARTIFACT,
+                           cli.EXIT_RUNTIME)
+              if (command, code) != ("synth-data", cli.EXIT_MISSING_ARTIFACT)]  # reads nothing
+
+
+@pytest.mark.parametrize("command, code", EXIT_CASES,
+                         ids=[f"{command}-{code}" for command, code in EXIT_CASES])
+def test_every_subcommand_exit_code(trained, tmp_path, capsys, request, command, code):
+    """0 on a trained working directory; 1 for a bad config field; 2 in an
+    empty working directory; 3 when the disk fills on the first write."""
+    config, work = tmp_path / "config.json", tmp_path / "work"
+    bad = {"diffusion": {**TINY["diffusion"], "hidden": 0}}
+    config.write_text(json.dumps({**TINY, **bad} if code == cli.EXIT_VALIDATION else TINY))
+    if code != cli.EXIT_MISSING_ARTIFACT:
+        shutil.copytree(trained[1], work)
+    if code == cli.EXIT_RUNTIME:
+        request.getfixturevalue("disk_full")
+    args = [a.format(tmp=tmp_path) for a in SUBCOMMAND_ARGS[command]]
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), "--out", str(work), *args]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert isinstance(json.loads(out), dict) and not err
+        return
+    assert not out
+    assert {cli.EXIT_VALIDATION: "ValidationError: diffusion.hidden",
+            cli.EXIT_MISSING_ARTIFACT: "missing artifact",
+            cli.EXIT_RUNTIME: "No space left on device"}[code] in err
 
 
 @pytest.mark.parametrize("stage, edit, field", [

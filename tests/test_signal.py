@@ -192,8 +192,8 @@ class TestFilterbankCache:
 
 
 def reference_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
-    """The vocoder as first written: np.interp and a fresh tone array per
-    active bin."""
+    """The vocoder as first written: np.interp and one sine per active bin
+    per sample, sin(2 pi c_b t / sr)."""
     sr = m.sample_rate
     _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, m.n_fft, sr)
     n_out = m.n_fft + m.frame_hop * (m.n_frames - 1)
@@ -214,7 +214,85 @@ def reference_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
     return out
 
 
+# x86's 80-bit long double carries 11 more mantissa bits than float64; where
+# long double is float64 the extended reference is no better than the others.
+HAS_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def extended_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
+    """The vocoder's formula summed sample by sample in long double, phases
+    and amplitudes alike: the yardstick for both float64 evaluations."""
+    ld, sr, hop = np.longdouble, m.sample_rate, m.frame_hop
+    _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, m.n_fft, sr)
+    amps = np.where(m.values <= sig.DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
+    t = np.arange(m.n_fft + hop * (m.n_frames - 1), dtype=ld)
+    # linear between frame centers, constant before the first and after the last
+    pos = np.clip((t - ld(m.n_fft) / 2) / hop, 0, m.n_frames - 1)
+    j = np.minimum(pos.astype(int), max(m.n_frames - 2, 0))
+    nxt, frac = np.minimum(j + 1, m.n_frames - 1), pos - j
+    two_pi = 8 * np.arctan(ld(1))
+    out = np.zeros(len(t), dtype=ld)
+    for b in np.flatnonzero(np.any(amps > 0, axis=0)):
+        a = amps[:, b].astype(ld)
+        cycles = ld(centers[b]) * t / sr
+        out += (a[j] + (a[nxt] - a[j]) * frac) * np.sin(two_pi * (cycles - np.floor(cycles)))
+    peak = np.max(np.abs(out))
+    return (out / peak).astype(np.float64) if peak > 1e-12 else np.zeros(len(t))
+
+
+def random_values(rng, frames, n_mels):
+    """Uniform dB values with a third of the bins and a fifth of the cells at the floor."""
+    values = rng.uniform(sig.DB_FLOOR, 0.0, (frames, n_mels))
+    values[:, rng.choice(n_mels, n_mels // 3, replace=False)] = sig.DB_FLOOR
+    values[rng.random(values.shape) < 0.2] = sig.DB_FLOOR
+    return values
+
+
+def random_grid(seed, frames, n_mels, n_fft, hop, sr):
+    values = random_values(np.random.default_rng(seed), frames, n_mels)
+    return sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=sr)
+
+
+def sweep_grids(count=50, seed=16):
+    """Random shapes; of each five, one has an odd n_fft, one hop > n_fft, one
+    a single frame, one a single active bin and one only floor values."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        frames, n_mels = int(rng.integers(2, 24)), int(rng.integers(1, 49))
+        n_fft, hop = 2 * int(rng.integers(8, 350)), int(rng.integers(1, 300))
+        sr = int(rng.choice([8000, 16000, 22050]))
+        if k % 5 == 0:
+            n_fft += 1
+        elif k % 5 == 1:
+            hop = n_fft + int(rng.integers(1, 200))
+        elif k % 5 == 2:
+            frames = 1
+        values = random_values(rng, frames, n_mels)
+        if k % 5 >= 3:
+            values[:] = sig.DB_FLOOR
+        if k % 5 == 3:
+            values[:, rng.integers(n_mels)] = rng.uniform(-60.0, 0.0, frames)
+        yield sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=sr)
+
+
+def assert_matches_references(m: sig.MelGrid, tmp_path):
+    """Within 1e-10 of the formula as first written, within 1e-11 of the
+    long-double sum, and the same WAV bytes as the former."""
+    got = sig.mel_to_waveform(m).samples
+    old = reference_mel_to_waveform(m)
+    assert got.shape == old.shape
+    assert np.max(np.abs(got - old)) <= 1e-10
+    if HAS_EXTENDED:
+        assert np.max(np.abs(got - extended_mel_to_waveform(m))) <= 1e-11
+    sig.write_wav(tmp_path / "got.wav", sig.Waveform(got, m.sample_rate))
+    sig.write_wav(tmp_path / "old.wav", sig.Waveform(old, m.sample_rate))
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "old.wav").read_bytes()
+
+
 class TestMelToWaveformMatchesReference:
+    """Angle addition rounds differently from one sine per sample, so the
+    float samples are held to a tolerance and the WAV bytes to equality."""
+
     @pytest.mark.parametrize("seed,frames,n_mels,n_fft,hop,sr", [
         (0, 128, 64, 1024, 256, 16000),
         (1, 7, 16, 512, 128, 8000),
@@ -222,17 +300,25 @@ class TestMelToWaveformMatchesReference:
         (3, 5, 8, 255, 100, 16000),  # odd n_fft: frame centers fall between samples
         (4, 1, 16, 256, 200, 16000),  # one frame, hop longer than the half window
     ])
-    def test_random_grid_with_floor_bins(self, seed, frames, n_mels, n_fft, hop, sr):
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(sig.DB_FLOOR, 0.0, (frames, n_mels))
-        values[:, rng.choice(n_mels, n_mels // 3, replace=False)] = sig.DB_FLOOR
-        values[rng.random(values.shape) < 0.2] = sig.DB_FLOOR
-        m = sig.MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=sr)
-        assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
+    def test_random_grid_with_floor_bins(self, seed, frames, n_mels, n_fft, hop, sr, tmp_path):
+        assert_matches_references(random_grid(seed, frames, n_mels, n_fft, hop, sr), tmp_path)
 
-    def test_all_floor_grid(self):
+    def test_all_floor_grid(self, tmp_path):
         m = mel_grid(np.full((12, 64), sig.DB_FLOOR))
-        assert np.array_equal(sig.mel_to_waveform(m).samples, reference_mel_to_waveform(m))
+        assert_matches_references(m, tmp_path)
+        assert np.all(sig.mel_to_waveform(m).samples == 0.0)
+
+    def test_random_shapes(self, tmp_path):
+        for m in sweep_grids():
+            assert_matches_references(m, tmp_path)
+
+    def test_sweep_covers_the_edge_shapes(self):
+        grids = list(sweep_grids())
+        active = [int(np.sum(np.any(m.values > sig.DB_FLOOR, axis=0))) for m in grids]
+        assert any(m.n_fft % 2 for m in grids)
+        assert any(m.frame_hop > m.n_fft for m in grids)
+        assert any(m.n_frames == 1 for m in grids)
+        assert 1 in active and 0 in active
 
 
 @pytest.mark.parametrize("field", ["frame_hop", "n_fft"])
