@@ -13,6 +13,7 @@ under ``wav/``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,6 +128,7 @@ class CorpusRecord:
     melody: MelodyTripletSeq
     wav_path: str  # relative to the manifest directory
     archetype: Archetype
+    wav_sha256: str | None = None  # of the WAV file's bytes, set by load_corpus
 
 
 @dataclass
@@ -233,12 +235,17 @@ _FIELD_TYPES = {"id": str, "text": str, "melody": str, "wav": str, "archetype": 
 
 
 def load_corpus(manifest_path) -> CorpusLoadResult:
-    """Read and validate a manifest; bad records are reported, good ones kept."""
+    """Read and validate a manifest; bad records are reported, good ones kept.
+
+    Each kept record carries the SHA-256 of its WAV file. A record whose id an
+    earlier line already holds is reported, naming both lines.
+    """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ValidationError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     result = CorpusLoadResult()
+    id_lines: dict[str, int] = {}  # the line that first holds each id
     with open(manifest_path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -254,6 +261,9 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                     if not isinstance(doc[key], kind):
                         raise ValidationError(f"field {key!r} must be a {kind.__name__}, "
                                               f"got {doc[key]!r}")
+                first = id_lines.setdefault(doc["id"], line_no)
+                if first != line_no:
+                    raise ValidationError(f"id {doc['id']!r} is already held by line {first}")
                 record_id = doc["id"]
                 archetype = Archetype.from_dict(doc["archetype"])
                 if not doc["text"].strip():
@@ -268,7 +278,9 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                 wav_file = base / record.wav_path
                 if not wav_file.exists():
                     raise ValidationError(f"wav file missing: {record.wav_path}")
-                read_wav(wav_file)
+                raw = wav_file.read_bytes()
+                read_wav(raw)
+                record.wav_sha256 = hashlib.sha256(raw).hexdigest()
             except (MelodyGenError, KeyError, json.JSONDecodeError) as e:
                 msg = f"missing field {e}" if isinstance(e, KeyError) else str(e)
                 result.errors.append(RecordError(record_id=str(record_id), message=msg))

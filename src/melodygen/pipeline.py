@@ -10,6 +10,13 @@ All stages read and write artifacts under a single working directory:
                            melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
       diffusion.ckpt       denoiser + condition fusion checkpoint
+      features.ckpt        the mel grid of every corpus record, training and
+                           held-out, as one exact float64 array "mels" of
+                           shape (n_records, mel_frames, n_mels); its meta
+                           holds the record ids, each WAV's SHA-256 and the
+                           signal settings. Built by the first stage that
+                           reads audio and rebuilt whenever these no longer
+                           match the corpus (``corpus_mels``)
       generated/           per generation <tag>.wav, plus <tag>.mel.ckpt
                            and <tag>.latent.ckpt (checkpoint files holding
                            one array each)
@@ -22,6 +29,7 @@ every training stage and drive evaluation.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +39,7 @@ import numpy as np
 from . import clmp, diffusion, latentcodec, metrics, signal, smallnet
 from .config import PipelineConfig
 from .corpus import CorpusRecord, generate_corpus, load_corpus
-from .errors import MissingArtifactError, ValidationError
+from .errors import FormatError, MissingArtifactError, ValidationError
 
 
 class Artifacts:
@@ -63,6 +71,10 @@ class Artifacts:
     @property
     def diffusion_path(self) -> Path:
         return self.root / "diffusion.ckpt"
+
+    @property
+    def features_path(self) -> Path:
+        return self.root / "features.ckpt"
 
     @property
     def generated_dir(self) -> Path:
@@ -120,12 +132,39 @@ def record_mel(cfg: PipelineConfig, art: Artifacts, record: CorpusRecord) -> sig
     return mel
 
 
-def build_triples(cfg: PipelineConfig, art: Artifacts,
-                  records: list[CorpusRecord]) -> list[clmp.Triple]:
-    return [
-        clmp.Triple(id=r.id, text=r.text, melody=r.melody, mel=record_mel(cfg, art, r))
-        for r in records
-    ]
+def corpus_mels(cfg: PipelineConfig, art: Artifacts,
+                records: list[CorpusRecord]) -> list[signal.MelGrid]:
+    """The mel grid of every record of the corpus, in order.
+
+    Read from features.ckpt when it was built from these record ids and WAV
+    digests under ``cfg.signal``. Otherwise the grids are computed
+    (``record_mel``) and features.ckpt is written. The file is a pure
+    function of the WAVs, so a mismatch rebuilds it and never refuses.
+    """
+    built_from = {"ids": [r.id for r in records],
+                  "wav_sha256": [r.wav_sha256 for r in records],
+                  "signal": dataclasses.asdict(cfg.signal)}
+    values = None
+    if art.features_path.exists():
+        try:
+            arrays, meta = smallnet.load_checkpoint(art.features_path)
+        except (FormatError, ValidationError):
+            arrays, meta = {}, None
+        if meta == built_from and "mels" in arrays:
+            values = arrays["mels"]
+    s = cfg.signal
+    if values is None:
+        values = np.empty((len(records), s.mel_frames, s.n_mels))
+        for row, r in zip(values, records):
+            row[...] = record_mel(cfg, art, r).values
+        smallnet.save_checkpoint(art.features_path, {"mels": values}, built_from,
+                                 exact=("mels",))
+    return [signal.MelGrid(v, s.hop, s.n_fft, s.sample_rate) for v in values]
+
+
+def _triples(records: list[CorpusRecord], mels: list[signal.MelGrid]) -> list[clmp.Triple]:
+    return [clmp.Triple(id=r.id, text=r.text, melody=r.melody, mel=m)
+            for r, m in zip(records, mels)]
 
 
 def _split(cfg: PipelineConfig, items: list):
@@ -142,7 +181,7 @@ def run_train_clmp(cfg: PipelineConfig, workdir) -> clmp.TrainResult:
     art = Artifacts(workdir)
     records = _load_records(art)
     train_records, _ = _split(cfg, records)
-    triples = build_triples(cfg, art, train_records)
+    triples = _triples(train_records, _split(cfg, corpus_mels(cfg, art, records))[0])
     model = clmp.ClmpModel.create(cfg.clmp, 2 * cfg.signal.n_mels, cfg.seed)
     result = clmp.train_clmp(model, triples, cfg.clmp, cfg.seed)
     model.save(art.clmp_path)
@@ -199,8 +238,7 @@ def retrieve(melodies: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
     art = Artifacts(workdir)
     records = _load_records(art)
-    train_records, _ = _split(cfg, records)
-    mels = [record_mel(cfg, art, r) for r in train_records]
+    mels = _split(cfg, corpus_mels(cfg, art, records))[0]
     model = latentcodec.LatentCodecModel.create(cfg.latent, cfg.signal, cfg.seed)
     history = latentcodec.train_latentcodec(model, mels, cfg.latent, cfg.seed)
     model.save(art.latent_path)
@@ -230,10 +268,11 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     art.require(art.latent_path)
     codec = latentcodec.LatentCodecModel.load(art.latent_path)
 
-    mels = [record_mel(cfg, art, r) for r in train_records]
+    mels = _split(cfg, corpus_mels(cfg, art, records))[0]
     text_emb = clmp.embed(model, "text", [r.text for r in train_records])
     wave_emb = clmp.embed(model, "waveform", mels)
     x0 = np.stack([latentcodec.encode_mel(codec, m).values.ravel() for m in mels])
+    del mels  # the step loop reads x0 and the embeddings only
     r_wave = melodies[retrieve(melodies, wave_emb)]
     r_text = melodies[retrieve(melodies, text_emb)]
 
@@ -441,7 +480,8 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
                               f"{min(leaked)}) are in the training split of "
                               f"{art.index_path.name}; evaluate with the eval_count the "
                               "stack was trained with")
-    eval_triples = build_triples(cfg, art, eval_records)
+    train_mels, eval_mels = _split(cfg, corpus_mels(cfg, art, records))
+    eval_triples = _triples(eval_records, eval_mels)
     seed = cfg.seed if seed is None else seed
 
     ref_feats = np.stack([clmp.featurize_wave(t.mel) for t in eval_triples])
@@ -465,7 +505,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
 
     if mode == "standard":
         probe = metrics.train_probe(
-            np.stack([clmp.featurize_wave(record_mel(cfg, art, r)) for r in train_records]),
+            np.stack([clmp.featurize_wave(m) for m in train_mels]),
             [r.archetype.label for r in train_records],
             cfg.seed,
         )

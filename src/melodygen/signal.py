@@ -137,7 +137,12 @@ def mel_spectrogram(w: Waveform, signal: SignalConfig) -> MelGrid:
     scale = window.sum() / 2.0  # full-scale sine -> magnitude ~1 -> ~0 dB
     # frame t is samples[t * hop : t * hop + n_fft], a strided view, not a gather
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, n_fft)[::hop] * window
-    power = np.abs(np.fft.rfft(frames, axis=1) / scale) ** 2
+    spectrum = np.fft.rfft(frames, axis=1)
+    # |X / scale|^2 without complex temporaries: dividing a complex by a real
+    # multiplies both parts by 1 / scale, and x ** 2 is x * x, bit for bit
+    spectrum.view(np.float64)[...] *= 1.0 / scale
+    power = np.abs(spectrum)
+    power *= power
     fb, _ = mel_filterbank(signal.n_mels, n_fft, w.sample_rate)
     mel_power = power @ fb.T
     values = 10.0 * np.log10(np.maximum(mel_power, _POWER_FLOOR))
@@ -294,9 +299,13 @@ def write_wav(path, w: Waveform) -> None:
     smallnet.write_atomic(path, [header, payload])
 
 
-def read_wav(path) -> Waveform:
-    with open(path, "rb") as f:
-        raw = f.read()
+def read_wav(source) -> Waveform:
+    """Decode a WAV file, given its path or its bytes."""
+    if isinstance(source, bytes):
+        raw = source
+    else:
+        with open(source, "rb") as f:
+            raw = f.read()
     if len(raw) < 12:
         raise FormatError("file too short for a RIFF header", len(raw))
     if raw[0:4] != b"RIFF":

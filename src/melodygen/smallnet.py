@@ -293,10 +293,14 @@ class Optimizer:
 #   16      H     UTF-8 JSON header, compact with sorted keys:
 #                 {"arrays": [[name, shape], ...], "meta": {...}}
 #                 with the arrays in sorted-name order
-#   16+H    ...   each array's float32 payload, in header order, back to back
+#   16+H    ...   each array's payload, in header order, back to back
 #
-# Values are quantized to float32 on save, so a load -> save round trip is
-# byte-exact. The payload sizes must account for every byte of the file.
+# An array's payload is float32 ("<f4"): values are quantized on save, so a
+# load -> save round trip is byte-exact. An array the writer names in
+# ``exact`` is stored as float64 ("<f8") instead, bit for bit, and its header
+# entry carries that type as a third element: [name, shape, "<f8"]. Entries
+# without it are float32, so a checkpoint with no exact array has the bytes
+# it always had. The payload sizes must account for every byte of the file.
 # Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
 # failed write leaves any previous checkpoint intact.
 
@@ -304,15 +308,23 @@ CHECKPOINT_MAGIC = b"MGCK"
 _PREAMBLE = struct.Struct("<4sIQ")
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    payloads = [(k, np.asarray(v, dtype=np.float64)) for k, v in sorted(arrays.items())]
-    header = json.dumps(
-        {"arrays": [[k, list(a.shape)] for k, a in payloads], "meta": meta or {}},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
+_EXACT = "<f8"
+
+
+def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
+                    exact: tuple[str, ...] = ()) -> None:
+    """Write ``arrays`` and ``meta``; the arrays named in ``exact`` keep their
+    float64 values bit for bit, the others are stored as float32."""
+    payloads = [(k, np.asarray(v, dtype=np.float64), _EXACT if k in exact else "<f4")
+                for k, v in sorted(arrays.items())]
+    entries = [[k, list(a.shape)] + ([dtype] if dtype == _EXACT else [])
+               for k, a, dtype in payloads]
+    header = json.dumps({"arrays": entries, "meta": meta or {}},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     preamble = _PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(header))
     write_atomic(path, itertools.chain([preamble, header],
-                                       (a.astype("<f4").tobytes() for _, a in payloads)))
+                                       (a.astype(dtype, copy=False).tobytes()
+                                        for _, a, dtype in payloads)))
 
 
 def write_atomic(path, chunks) -> None:
@@ -330,7 +342,7 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def _parse_header(raw: bytes, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
+def _parse_header(raw: bytes, path) -> tuple[list[tuple[str, tuple[int, ...], str]], dict]:
     start = _PREAMBLE.size
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -343,18 +355,19 @@ def _parse_header(raw: bytes, path) -> tuple[list[tuple[str, tuple[int, ...]]], 
                           "'meta' object", start)
     specs = []
     for entry in entries:
-        ok = (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        ok = (isinstance(entry, list) and len(entry) in (2, 3) and isinstance(entry[0], str)
               and isinstance(entry[1], list)
-              and all(type(d) is int for d in entry[1]))
+              and all(type(d) is int for d in entry[1])
+              and entry[2:] in ([], [_EXACT]))
         if not ok:
             raise FormatError(f"checkpoint {path}: bad array entry {entry!r} in header",
                               start)
-        name, shape = entry
+        name, shape = entry[:2]
         if any(d < 0 for d in shape):
             raise FormatError(f"checkpoint {path}: array {name!r} has a negative "
                               f"dimension in shape {shape}", start)
-        specs.append((name, tuple(shape)))
-    if len({name for name, _ in specs}) != len(specs):
+        specs.append((name, tuple(shape), _EXACT if entry[2:] else "<f4"))
+    if len({name for name, _, _ in specs}) != len(specs):
         raise FormatError(f"checkpoint {path}: an array name is listed twice", start)
     return specs, meta
 
@@ -388,14 +401,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                           f"the end of the {len(raw)}-byte file", 8)
     specs, meta = _parse_header(raw[_PREAMBLE.size:offset], path)
     arrays = {}
-    for name, shape in specs:
+    for name, shape, dtype in specs:
         count = math.prod(shape)
-        if offset + 4 * count > len(raw):
+        size = np.dtype(dtype).itemsize * count
+        if offset + size > len(raw):
             raise FormatError(f"checkpoint {path}: array {name!r} truncated (wants "
-                              f"{4 * count} bytes, has {len(raw) - offset})", offset)
-        arrays[name] = (np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+                              f"{size} bytes, has {len(raw) - offset})", offset)
+        arrays[name] = (np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
                         .astype(np.float64).reshape(shape))
-        offset += 4 * count
+        offset += size
     if offset != len(raw):
         raise FormatError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after "
                           "the last array", offset)

@@ -1,6 +1,7 @@
 """Command-line runs on a tiny trained working directory, and the melody
 database's exact retrieval."""
 
+import dataclasses
 import hashlib
 import json
 import platform
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_ddim
-from melodygen import PipelineConfig, cli, clmp, pipeline, smallnet
+from melodygen import PipelineConfig, cli, clmp, pipeline, signal, smallnet
 from melodygen.errors import GradientError
 
 TINY = {
@@ -117,6 +118,36 @@ def test_malformed_manifest_line_exits_1_naming_it(tmp_path, capsys):
                      "--out", str(work)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and "line 5" in err
+
+
+def test_duplicate_record_id_exits_1_naming_both_lines(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    work = tmp_path / "work"
+    assert cli.main(["synth-data", "--config", str(config), "--out", str(work)]) == 0
+    manifest = pipeline.Artifacts(work).manifest
+    lines = manifest.read_text().splitlines()
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "id": "rec00000"})
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["train-clmp", "--config", str(config),
+                     "--out", str(work)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    last = TINY["corpus"]["n_records"]
+    assert "ValidationError" in err
+    assert f"line {last}: id 'rec00000' is already held by line 1" in err
+
+
+def test_empty_manifest_exits_1_at_the_training_split_check(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    work = tmp_path / "work"
+    assert cli.main(["synth-data", "--config", str(config), "--out", str(work)]) == 0
+    pipeline.Artifacts(work).manifest.write_text("")
+    capsys.readouterr()
+    assert cli.main(["train-clmp", "--config", str(config),
+                     "--out", str(work)]) == cli.EXIT_VALIDATION
+    assert "clmp.batch_size=10 is more than the 0 training items" in capsys.readouterr().err
 
 
 def test_dotted_tags_keep_separate_outputs(trained):
@@ -425,6 +456,79 @@ def test_corpus_of_other_signal_settings_exits_1_before_training(tmp_path, capsy
     assert [p.name for p in work.iterdir()] == ["corpus"]
 
 
+@pytest.fixture
+def mel_calls(monkeypatch):
+    """The arguments of every ``signal.mel_spectrogram`` call the test makes."""
+    calls, original = [], signal.mel_spectrogram
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "mel_spectrogram", counted)
+    return calls
+
+
+def test_features_hold_each_records_exact_mel_grid(trained):
+    config, work = trained
+    cfg = PipelineConfig.from_file(config)
+    art = pipeline.Artifacts(work)
+    records = pipeline._load_records(art)
+    arrays, meta = smallnet.load_checkpoint(art.features_path)
+    assert meta == {"ids": [r.id for r in records],
+                    "wav_sha256": [r.wav_sha256 for r in records],
+                    "signal": dataclasses.asdict(cfg.signal)}
+    assert arrays["mels"].shape == (len(records), cfg.signal.mel_frames, cfg.signal.n_mels)
+    for r, values in zip(records, arrays["mels"]):
+        assert np.array_equal(values, pipeline.record_mel(cfg, art, r).values)
+
+
+def test_current_features_leave_evaluate_and_retraining_without_stft(trained, work_copy,
+                                                                      mel_calls):
+    config, work = trained
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work_copy),
+                     "--mode", "ablation"]) == cli.EXIT_OK
+    assert cli.main(["train-latent", "--config", str(config),
+                     "--out", str(work_copy)]) == cli.EXIT_OK
+    assert len(mel_calls) == 0
+    for name in ("features.ckpt", "latentcodec.ckpt"):
+        assert (work_copy / name).read_bytes() == (work / name).read_bytes()
+
+
+def test_edited_wav_rebuilds_the_features_once(trained, work_copy, mel_calls):
+    config, work = trained
+    wav = work_copy / "corpus" / "wav" / "rec00005.wav"
+    raw = bytearray(wav.read_bytes())
+    raw[-1] ^= 1  # the last sample moves by 256 steps
+    wav.write_bytes(bytes(raw))
+    for _ in range(2):
+        assert cli.main(["train-latent", "--config", str(config),
+                         "--out", str(work_copy)]) == cli.EXIT_OK
+    assert len(mel_calls) == TINY["corpus"]["n_records"]
+    old = smallnet.load_checkpoint(work / "features.ckpt")[0]["mels"]
+    new = smallnet.load_checkpoint(work_copy / "features.ckpt")[0]["mels"]
+    changed = [i for i in range(len(old)) if not np.array_equal(old[i], new[i])]
+    assert changed == [5]
+
+
+def test_corpus_resynthesized_under_other_mel_frames_is_refused_over_old_features(
+        tmp_path, capsys):
+    tiny, other = tmp_path / "tiny.json", tmp_path / "other.json"
+    tiny.write_text(json.dumps(TINY))
+    other.write_text(json.dumps({**TINY, "signal": {**TINY["signal"], "mel_frames": 32}}))
+    work = tmp_path / "work"
+    for stage, config in (("synth-data", tiny), ("train-clmp", tiny), ("synth-data", other)):
+        assert cli.main([stage, "--config", str(config), "--out", str(work)]) == 0
+    before = {name: (work / name).read_bytes() for name in ("features.ckpt", "clmp.ckpt")}
+    capsys.readouterr()
+    assert cli.main(["train-clmp", "--config", str(tiny),
+                     "--out", str(work)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "signal.mel_frames" in err
+    assert "rec00000.wav" in err and "rerun synth-data" in err
+    assert {name: (work / name).read_bytes() for name in before} == before
+
+
 def edit_checkpoint_meta(path, edit):
     arrays, meta = smallnet.load_checkpoint(path)
     edit(meta)
@@ -635,6 +739,24 @@ def test_trained_checkpoint_matches_golden_hash(trained, name):
     _, work = trained
     digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_CHECKPOINT_SHA256[key][name]
+
+
+# SHA-256 of the tiny stack's features.ckpt, keyed as above: it pins the
+# float64 mel grids bit for bit, and the ids, WAV digests and signal settings
+# they were built from.
+GOLDEN_FEATURES_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"):
+        "0b9780259318ebccc57f1655716021d07c61dc939e5d7051e84c53490a4188ec",
+}
+
+
+def test_features_match_golden_hash(trained):
+    key = (platform.machine(), np.__version__, _blas_name())
+    if key not in GOLDEN_FEATURES_SHA256:
+        pytest.skip(f"no golden features hash pinned for {key}")
+    _, work = trained
+    digest = hashlib.sha256((work / "features.ckpt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_FEATURES_SHA256[key]
 
 
 def assert_reports_agree(got, want, where="report"):

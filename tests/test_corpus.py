@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -129,6 +130,12 @@ class TestLoad:
         assert result.errors[0].record_id == records[1].id
         assert "999" in result.errors[0].message
 
+    def test_records_carry_their_wav_digest(self, tmp_path):
+        corpus.generate_corpus(3, seed=18, out_dir=tmp_path)
+        for r in corpus.load_corpus(tmp_path / "manifest.jsonl").records:
+            digest = hashlib.sha256((tmp_path / r.wav_path).read_bytes()).hexdigest()
+            assert r.wav_sha256 == digest
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValidationError):
             corpus.load_corpus(tmp_path / "nope.jsonl")
@@ -147,7 +154,9 @@ class TestLoad:
         (lambda doc: {**doc, "text": 5}, "'text' must be a str"),
         (lambda doc: {**doc, "archetype": "x"}, "'archetype' must be a dict"),
         (lambda doc: {k: v for k, v in doc.items() if k != "wav"}, "missing field 'wav'"),
-    ], ids=["not_an_object", "text_not_a_string", "archetype_not_an_object", "no_wav"])
+        (lambda doc: {**doc, "id": "rec00000"}, "id 'rec00000' is already held by line 1"),
+    ], ids=["not_an_object", "text_not_a_string", "archetype_not_an_object", "no_wav",
+            "duplicate_id"])
     def test_malformed_line_reported_by_line_number(self, tmp_path, edit, message):
         corpus.generate_corpus(3, seed=17, out_dir=tmp_path)
         manifest = tmp_path / "manifest.jsonl"

@@ -64,7 +64,8 @@ class TestMelSpectrogram:
 
 
 def reference_mel_spectrogram(w: sig.Waveform, n_mels: int, n_fft: int, hop: int) -> np.ndarray:
-    """The analysis with frames gathered by a fancy index, one row per frame."""
+    """The analysis with frames gathered by a fancy index, one row per frame, and
+    the power spectrum as |X / scale|^2 through complex temporaries."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
     n_frames = 1 + (len(w.samples) - n_fft) // hop
     idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
@@ -86,6 +87,15 @@ def test_mel_spectrogram_matches_gather_reference(n_samples, n_fft, hop):
     w = sig.Waveform(np.random.default_rng(n_samples).standard_normal(n_samples), 16000)
     m = sig.mel_spectrogram(w, SignalConfig(n_mels=32, n_fft=n_fft, hop=hop))
     assert np.array_equal(m.values, reference_mel_spectrogram(w, 32, n_fft, hop))
+
+
+def test_mel_spectrogram_of_corpus_clips_matches_reference():
+    """Clips with exact-zero rests and a wide range of levels, as the corpus has."""
+    for index in range(12):
+        _, w = corpus.make_record(index, 7, SIGNAL.sample_rate, SIGNAL.clip_samples)
+        m = sig.mel_spectrogram(w, SIGNAL)
+        assert np.array_equal(m.values, reference_mel_spectrogram(w, SIGNAL.n_mels,
+                                                                  SIGNAL.n_fft, SIGNAL.hop))
 
 
 class TestSynthesizeMelody:
@@ -337,6 +347,13 @@ class TestWav:
         back = sig.read_wav(path)
         assert back.sample_rate == 16000
         assert np.max(np.abs(back.samples - w.samples)) <= 1 / 32767
+
+    def test_bytes_decode_as_the_file_does(self, tmp_path):
+        path = tmp_path / "x.wav"
+        sig.write_wav(path, sig.Waveform(np.random.default_rng(4).uniform(-1, 1, 300), 8000))
+        from_bytes, from_path = sig.read_wav(path.read_bytes()), sig.read_wav(path)
+        assert from_bytes.sample_rate == from_path.sample_rate == 8000
+        assert np.array_equal(from_bytes.samples, from_path.samples)
 
     def test_golden_bytes(self, tmp_path):
         # 3 samples [0, 0.5, -0.5] at 16 kHz: canonical 44-byte header + 6 bytes.

@@ -342,6 +342,32 @@ class TestCheckpointFormat:
         header_len = struct.unpack_from("<Q", saved.read_bytes(), 8)[0]
         assert e.value.offset == 16 + header_len + 2 * 4  # after "b"'s two floats
 
+    def test_exact_array_roundtrips_bit_for_bit(self, tmp_path):
+        rng = smallnet.make_rng(16)
+        arrays = {"x": rng.standard_normal((4, 3, 2)) * 1e-7, "w": rng.standard_normal(5)}
+        path = tmp_path / "exact.ckpt"
+        smallnet.save_checkpoint(path, arrays, {"k": 1}, exact=("x",))
+        loaded, meta = smallnet.load_checkpoint(path)
+        assert meta == {"k": 1}
+        assert loaded["x"].dtype == np.float64 and loaded["x"].flags.writeable
+        assert loaded["x"].tobytes() == arrays["x"].tobytes()
+        assert np.array_equal(loaded["w"], arrays["w"].astype(np.float32))
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<Q", raw, 8)[0]
+        assert raw[16:16 + header_len] == (b'{"arrays":[["w",[5]],["x",[4,3,2],"<f8"]],'
+                                           b'"meta":{"k":1}}')
+        assert raw[16 + header_len + 5 * 4:] == arrays["x"].astype("<f8").tobytes()
+
+    def test_truncated_exact_payload(self, tmp_path):
+        path = tmp_path / "exact.ckpt"
+        smallnet.save_checkpoint(path, {"a": np.ones(2), "x": np.arange(3.0)}, exact=("x",))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(path)
+        assert "'x' truncated (wants 24 bytes, has 23)" in str(e.value)
+        header_len = struct.unpack_from("<Q", path.read_bytes(), 8)[0]
+        assert e.value.offset == 16 + header_len + 2 * 4  # after "a"'s two floats
+
     def test_trailing_bytes(self, saved):
         size = len(saved.read_bytes())
         saved.write_bytes(saved.read_bytes() + b"\0\0\0")
@@ -364,7 +390,9 @@ class TestCheckpointFormat:
         (b'{"arrays":[["w",[2.5]]],"meta":{}}', bytes(8), "bad array entry"),
         (b'{"arrays":[["w",[1]],["w",[1]]],"meta":{}}', bytes(8), "listed twice"),
         (b'{"arrays":[]}', b"", "'meta' object"),
-    ], ids=["unparseable", "negative_dim", "float_dim", "duplicate_name", "no_meta"])
+        (b'{"arrays":[["w",[1],"<f2"]],"meta":{}}', bytes(2), "bad array entry"),
+    ], ids=["unparseable", "negative_dim", "float_dim", "duplicate_name", "no_meta",
+            "unknown_payload_type"])
     def test_malformed_header(self, tmp_path, header, payload, message):
         path = tmp_path / "bad.ckpt"
         _write_checkpoint_bytes(path, header, payload)
