@@ -35,12 +35,17 @@ the denoiser's hidden space. It is exact in real arithmetic:
 So the latent is always x = g x_N + S A^T + k b_out + R, with scalars g and k,
 S the beta-weighted sum of the mixed activations (batch x last hidden width)
 and R the summed DDPM noise, each scaled by later alphas. Its layer-0 product
-u = x W_x^T follows u' = alpha u + beta (a M^T + W_x b_out) + sigma z W_x^T,
-with M = W_x A formed once per run. A DDIM run therefore makes two batch
-products at the latent width in total, u at x_N and S A^T at the end, besides
-M; DDPM adds one per step for its noise. Only rounding differs from two full
-forwards per step (``cfg_eps``, the reference), so the two agree to float64
-rounding (tests hold full sampler runs to 1e-12).
+u = x W_x^T follows u' = alpha u + beta (a M^T + m_b) + sigma z W_x^T, with
+M = W_x A and m_b = W_x b_out. Both depend only on the weights: ``Denoiser.save``
+forms them from the float32 weights diffusion.ckpt stores and writes them to
+it as exact float64 arrays, and a loaded denoiser reads them from there (one
+never saved forms them from its current weights). A DDIM run therefore makes
+two batch products at the latent width in total, u at x_N and S A^T at the
+end; DDPM adds one per step for its noise. Each run also forms its step table
+once: the alpha and beta of every step, and every step's time term
+temb(n) W_t^T. Only rounding differs from two full forwards per step
+(``cfg_eps``, the reference), so the two agree to float64 rounding (tests
+hold full sampler runs to 1e-12).
 
 The finite check keeps the reference's semantics: a non-finite A or b_out
 would make every estimate non-finite, so they are checked once per run and
@@ -55,7 +60,7 @@ Step indices n are 1-based (1..N); abar(0) = 1 by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,11 +81,6 @@ class NoiseSchedule:
     @property
     def N(self) -> int:
         return len(self.beta)
-
-    def abar(self, n) -> np.ndarray | float:
-        """alpha_bar at step n (scalar or array of steps), with abar(0) = 1."""
-        n = np.asarray(n)
-        return np.where(n == 0, 1.0, self.alpha_bar[np.maximum(n, 1) - 1])
 
 
 def make_schedule(N: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -202,14 +202,32 @@ def time_embedding(n, dim: int) -> np.ndarray:
     return emb[0] if np.isscalar(n) or np.ndim(n) == 0 else emb
 
 
+# diffusion.ckpt's exact arrays: GuidedTrajectory's M = W_x A and m_b = W_x b_out
+SAMPLER_ARRAYS = ("sampler.M", "sampler.m_b")
+
+
+def _sampler_constants(w0: np.ndarray, w_out: np.ndarray, b_out: np.ndarray,
+                       latent_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W_x A, W_x b_out) for layer-0 weights ``w0``, whose first ``latent_dim``
+    columns are W_x, and output-layer weights A = ``w_out`` and bias ``b_out``."""
+    w_x = w0[:, :latent_dim]
+    return w_x @ w_out, w_x @ b_out
+
+
 @dataclass
 class Denoiser:
-    """eps-prediction net over [flattened latent || time embedding || c]."""
+    """eps-prediction net over [flattened latent || time embedding || c].
+
+    ``stored_constants`` holds the (M, m_b) that ``load`` read from the
+    checkpoint; they are products of the weights, so a loaded denoiser's
+    weights are not to be edited in place.
+    """
 
     net: smallnet.DenseNet
     latent_dim: int
     cond_dim: int
     time_embed_dim: int
+    stored_constants: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, latent_dim: int, config: DiffusionConfig, seed: int) -> "Denoiser":
@@ -252,9 +270,23 @@ class Denoiser:
         out = self.net.forward(self._stack_input(x_n, n, c))
         return out[0] if single else out
 
+    def sampler_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """``GuidedTrajectory``'s (M, m_b) = (W_x A, W_x b_out): the stored pair
+        of a loaded denoiser, else formed from the current weights."""
+        if self.stored_constants is not None:
+            return self.stored_constants
+        first, last = self.net.layers[0], self.net.layers[-1]
+        return _sampler_constants(first.w, last.w, last.b, self.latent_dim)
+
     def save(self, path, fusion: ConditionFusion, extra_meta: dict) -> None:
+        """Write the net, the fusion map and ``extra_meta``, plus the sampler
+        constants as exact arrays, formed from the float32 weights the file
+        stores so that they equal those formed from the loaded weights."""
         arrays, net_meta = smallnet.net_state(self.net, "denoiser.")
         arrays.update(zip(fusion.parameter_names(), fusion.parameters()))
+        first, last = self.net.layers[0], self.net.layers[-1]
+        arrays.update(zip(SAMPLER_ARRAYS, _sampler_constants(
+            *map(smallnet.as_stored, (first.w, last.w, last.b)), self.latent_dim)))
         meta = {
             "latent_dim": self.latent_dim,
             "cond_dim": self.cond_dim,
@@ -262,13 +294,15 @@ class Denoiser:
             "net": net_meta,
             "extra": extra_meta,
         }
-        smallnet.save_checkpoint(path, arrays, meta)
+        smallnet.save_checkpoint(path, arrays, meta, exact=SAMPLER_ARRAYS)
 
     @classmethod
     def load(cls, path):
-        """Returns (denoiser, fusion, extra_meta)."""
+        """Returns (denoiser, fusion, extra_meta). A net the sampler cannot
+        carry, or missing, misshapen or non-finite sampler constants, raise
+        ``ValidationError`` naming the file."""
         arrays, meta = smallnet.load_checkpoint(path)
-        with smallnet.checkpoint_keys(path):
+        with smallnet.checkpoint_keys(path, "train-diffusion"):
             den = cls(
                 net=smallnet.net_from_state(arrays, meta["net"], "denoiser."),
                 latent_dim=int(meta["latent_dim"]),
@@ -278,6 +312,11 @@ class Denoiser:
             fusion = ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
                                      null_condition=arrays["fusion.null_condition"])
             extra = meta["extra"]
+
+        def refuse(problem):
+            raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
+                                  "rerun train-diffusion")
+
         # GuidedTrajectory slices layer 0 by these widths, and needs a hidden
         # layer and an affine output
         in_dim = den.latent_dim + den.time_embed_dim + den.cond_dim
@@ -291,8 +330,15 @@ class Denoiser:
             (out_act != "identity", f"output activation {out_act!r} is not 'identity'"),
         ):
             if bad:
-                raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
-                                      "rerun train-diffusion")
+                refuse(problem)
+        with smallnet.checkpoint_keys(path, "train-diffusion"):
+            den.stored_constants = tuple(arrays[k] for k in SAMPLER_ARRAYS)
+        hidden = (den.net.layers[0].w.shape[0], den.net.layers[-1].w.shape[1])
+        for name, a, shape in zip(SAMPLER_ARRAYS, den.stored_constants, (hidden, hidden[:1])):
+            if a.shape != shape:
+                refuse(f"{name} has shape {a.shape}, wanted {shape}")
+            if not np.isfinite(a).all():
+                refuse(f"{name} is not finite")
         return den, fusion, extra
 
 
@@ -416,15 +462,16 @@ class GuidedTrajectory:
 
     Starts at the (batch, latent_dim) draw ``x_N``. ``step(n, alpha, beta,
     noise)`` moves the latent x to alpha x + beta eps_bar(x, n) + noise, where
-    eps_bar is ``cfg_eps(denoiser, x, n, condition, null_condition, w)``;
-    ``x()`` returns the latent. ``u`` is x W_x^T, layer 0's product with the
-    latent. See the module docstring for why this is exact. ``condition`` and
-    ``null_condition`` are (cond_dim,) or (batch, cond_dim); ``w == 0`` skips
-    the null branch.
+    eps_bar is ``cfg_eps(denoiser, x, n, condition, null_condition, w)``, for
+    each step n of ``steps`` in turn; ``x()`` returns the latent. ``u`` is
+    x W_x^T, layer 0's product with the latent. See the module docstring for
+    why this is exact. ``condition`` and ``null_condition`` are (cond_dim,) or
+    (batch, cond_dim); ``w == 0`` skips the null branch. ``time_rows[n]`` is
+    step n's layer-0 time term temb(n) W_t^T, formed once per run.
     """
 
     def __init__(self, denoiser: Denoiser, condition: np.ndarray,
-                 null_condition: np.ndarray, w: float, x_N: np.ndarray):
+                 null_condition: np.ndarray, w: float, x_N: np.ndarray, steps: list[int]):
         check_guidance_weight(w)
         layers = denoiser.net.layers
         first, last = layers[0], layers[-1]
@@ -442,9 +489,11 @@ class GuidedTrajectory:
         self._bias_c = condition_bias(condition)
         self._bias_u = None if w == 0.0 else condition_bias(null_condition)
         self._w, self._layers, self._w_x = w, layers, w_x
-        self._w_t, self._time_embed_dim = first.w[:, t0:c0], denoiser.time_embed_dim
+        w_t = first.w[:, t0:c0]
+        temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
+        self.time_rows = {n: row @ w_t.T for n, row in zip(steps, temb)}
         self._out_finite = bool(np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
-        self._m, self._m_b = w_x @ last.w, w_x @ last.b
+        self._m, self._m_b = denoiser.sampler_constants()
         self._x_N, self._out = x_N, last
         self.u = x_N @ w_x.T
         self._s = np.zeros((batch, last.w.shape[1]))
@@ -461,7 +510,7 @@ class GuidedTrajectory:
         """x <- alpha x + beta eps_bar(x, n) + noise, for step n (1..N);
         ``noise`` is a (batch, latent_dim) array or None for none. Raises
         ``SamplingError`` at step n if eps_bar is not finite."""
-        shared = self.u + time_embedding(n, self._time_embed_dim) @ self._w_t.T
+        shared = self.u + self.time_rows[n]
         a = self._hidden(shared, self._bias_c)
         if self._bias_u is not None:
             a = (self._w + 1.0) * a - self._w * self._hidden(shared, self._bias_u)
@@ -505,9 +554,10 @@ def sample_ddpm(
     for a fixed seed. Returns (n_samples, latent_dim).
     """
     rng = smallnet.spawn_rng(seed, 707)
+    steps = list(range(sched.N, 0, -1))
     traj = GuidedTrajectory(denoiser, condition, null_condition, w,
-                            _prior_draw(rng, n_samples, denoiser.latent_dim))
-    for n in range(sched.N, 0, -1):
+                            _prior_draw(rng, n_samples, denoiser.latent_dim), steps)
+    for n in steps:
         ab = sched.alpha_bar[n - 1]
         root_ab, root_1mab = math.sqrt(ab), math.sqrt(1.0 - ab)
         coef_x0, coef_xn, var = _posterior_coefficients(sched, n)
@@ -519,7 +569,8 @@ def sample_ddpm(
 
 
 def ddim_timesteps(N: int, steps: int) -> list[int]:
-    """Evenly spaced descending subsequence of 1..N, ending at 1 side."""
+    """``steps`` evenly spaced values of 1..N in descending order: N first and,
+    for ``steps`` >= 2, 1 last."""
     if not (1 <= steps <= N):
         raise ValidationError(f"steps must be in 1..{N}, got {steps}")
     ts = np.unique(np.round(np.linspace(N, 1, steps)).astype(int))[::-1]
@@ -544,11 +595,13 @@ def sample_ddim(
     ts = ddim_timesteps(sched.N, steps)
     rng = smallnet.spawn_rng(seed, 708)
     traj = GuidedTrajectory(denoiser, condition, null_condition, w,
-                            _prior_draw(rng, n_samples, denoiser.latent_dim))
-    for i, n in enumerate(ts):
-        ab = sched.alpha_bar[n - 1]
-        ab_prev = float(sched.abar(ts[i + 1] if i + 1 < len(ts) else 0))
-        root_ab, root_ab_prev = math.sqrt(ab), math.sqrt(ab_prev)
-        traj.step(n, root_ab_prev / root_ab,
-                  math.sqrt(1.0 - ab_prev) - root_ab_prev * math.sqrt(1.0 - ab) / root_ab)
+                            _prior_draw(rng, n_samples, denoiser.latent_dim), ts)
+    # abar at each step, and at the next one (1 after the last)
+    ab = sched.alpha_bar[np.asarray(ts) - 1]
+    ab_next = np.append(ab[1:], 1.0)
+    root_ab, root_ab_next = np.sqrt(ab), np.sqrt(ab_next)
+    alpha = root_ab_next / root_ab
+    beta = np.sqrt(1.0 - ab_next) - root_ab_next * np.sqrt(1.0 - ab) / root_ab
+    for n, a, b in zip(ts, alpha.tolist(), beta.tolist()):
+        traj.step(n, a, b)
     return traj.x()

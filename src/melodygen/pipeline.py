@@ -9,7 +9,10 @@ All stages read and write artifacts under a single working directory:
       melody.ckpt          melody database: one (n, embed_dim) array of unit
                            melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
-      diffusion.ckpt       denoiser + condition fusion checkpoint
+      diffusion.ckpt       denoiser + condition fusion checkpoint, plus the
+                           sampler's exact float64 arrays "sampler.M"
+                           (W_x A) and "sampler.m_b" (W_x b_out), formed
+                           from the float32 weights it stores
       features.ckpt        the mel grid of every corpus record, training and
                            held-out, as one exact float64 array "mels" of
                            shape (n_records, mel_frames, n_mels); its meta

@@ -300,7 +300,10 @@ class Optimizer:
 # ``exact`` is stored as float64 ("<f8") instead, bit for bit, and its header
 # entry carries that type as a third element: [name, shape, "<f8"]. Entries
 # without it are float32, so a checkpoint with no exact array has the bytes
-# it always had. The payload sizes must account for every byte of the file.
+# it always had. Two writers name exact arrays: features.ckpt (the corpus mel
+# grids) and diffusion.ckpt (the sampler's hidden-space constants, formed
+# from the float32 weights it stores). The payload sizes must account for
+# every byte of the file.
 # Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
 # failed write leaves any previous checkpoint intact.
 
@@ -435,13 +438,19 @@ def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str = "") 
 
 
 @contextlib.contextmanager
-def checkpoint_keys(path):
+def checkpoint_keys(path, stage: str = "the stage that writes it"):
     """Turns a ``KeyError`` raised while reading the arrays and meta of the
     checkpoint at ``path`` into a ``ValidationError`` naming the file and the
-    key: the file is another kind of checkpoint, or an older layout."""
+    key: the file is another kind of checkpoint, or an older layout, and
+    ``stage`` writes a current one."""
     try:
         yield
     except KeyError as e:
         raise ValidationError(f"checkpoint {path} has no {e.args[0]!r}: it is another kind "
-                              "of checkpoint or an older layout; rerun the stage that "
-                              "writes it") from None
+                              f"of checkpoint or an older layout; rerun {stage}") from None
+
+
+def as_stored(a: np.ndarray) -> np.ndarray:
+    """The float64 values ``load_checkpoint`` returns for ``a`` stored as a
+    float32 array entry."""
+    return np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)

@@ -28,15 +28,35 @@ TINY = {
 STAGES = ("synth-data", "train-clmp", "build-index", "train-latent", "train-diffusion")
 
 
-@pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
+# The tiny stack with 10 held-out records, the fewest the standard evaluate
+# mode's retrieval table takes, and 32 training records, the fewest the codec
+# trains on
+TINY_STANDARD = {**TINY, "corpus": {"n_records": 42, "eval_count": 10}}
+
+
+def train_stack(root, doc):
     config = root / "config.json"
-    config.write_text(json.dumps(TINY))
+    config.write_text(json.dumps(doc))
     work = root / "work"
     for stage in STAGES:
         assert cli.main([stage, "--config", str(config), "--out", str(work)]) == 0
     return config, work
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    return train_stack(tmp_path_factory.mktemp("cli"), TINY)
+
+
+@pytest.fixture(scope="module")
+def trained_standard(tmp_path_factory):
+    return train_stack(tmp_path_factory.mktemp("cli_standard"), TINY_STANDARD)
+
+
+def evaluate_stack(request, mode):
+    """(config, work, held-out count) of the stack evaluate ``mode`` runs on."""
+    doc, fixture = (TINY_STANDARD, "trained_standard") if mode == "standard" else (TINY, "trained")
+    return *request.getfixturevalue(fixture), doc["corpus"]["eval_count"]
 
 
 def generate(config, work, tag="gen"):
@@ -84,6 +104,19 @@ def test_old_format_checkpoint_exits_1_asking_for_rerun(damaged, capsys):
     assert generate(config, work) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and "diffusion.ckpt" in err and "rerun" in err
+
+
+def test_denoiser_without_sampler_arrays_exits_1_naming_the_key(damaged, capsys):
+    """A diffusion.ckpt of the layout before the sampler constants is refused."""
+    config, work, path = damaged
+    arrays, meta = smallnet.load_checkpoint(path)
+    smallnet.save_checkpoint(path, {k: v for k, v in arrays.items()
+                                    if not k.startswith("sampler.")}, meta)
+    capsys.readouterr()
+    assert generate(config, work) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "diffusion.ckpt" in err and "'sampler.M'" in err
+    assert "rerun train-diffusion" in err
 
 
 @pytest.mark.parametrize("source, target, key", [
@@ -725,7 +758,7 @@ GOLDEN_CHECKPOINT_SHA256 = {
         "clmp.ckpt": "a7e3f7e768a0f7fc48bb0c075fcf92f53333382446c5d7f961aa87ec5e823796",
         "melody.ckpt": "092fcebbdd55fc471733a0168c7b50dd8ae708f179b97b37ffd1467c8eeb1946",
         "latentcodec.ckpt": "5a63eaa914be4dd19efaeb29230f7dc31d62f848b484c0d146db8a748883a9a6",
-        "diffusion.ckpt": "23d0676d30d47464106495bbd8c76daab599b0754eb5dc1bf3ccb794894d4887",
+        "diffusion.ckpt": "1e5aa614aa525b1d8e5d2d492a476d0e46fb57812732866aa02ccd53bc198f0c",
     },
 }
 
@@ -775,11 +808,11 @@ def assert_reports_agree(got, want, where="report"):
         assert got == want, where
 
 
-@pytest.mark.parametrize("mode", ["ablation", "steps_sweep", "cfg_sweep"])
-def test_evaluate_report_matches_reference_sampler(trained, capsys, monkeypatch, mode):
-    """Each sweep-style report agrees with one whose DDIM runs take two full
-    denoiser forwards per step."""
-    config, work = trained
+@pytest.mark.parametrize("mode", ["standard", "ablation", "steps_sweep", "cfg_sweep"])
+def test_evaluate_report_matches_reference_sampler(request, capsys, monkeypatch, mode):
+    """Each report agrees with one whose DDIM runs take two full denoiser
+    forwards per step."""
+    config, work, _ = evaluate_stack(request, mode)
     args = ["evaluate", "--config", str(config), "--out", str(work), "--mode", mode]
     capsys.readouterr()
     assert cli.main(args) == cli.EXIT_OK
@@ -789,11 +822,13 @@ def test_evaluate_report_matches_reference_sampler(trained, capsys, monkeypatch,
     assert_reports_agree(shipped, json.loads(capsys.readouterr().out))
 
 
-# SHA-256 of the JSON report of each sweep-style evaluate mode on the tiny
-# stack, keyed as above. A sampler change that moves only the last bits of
-# the reports may re-pin these once the reference-sampler check above passes.
+# SHA-256 of the JSON report of each evaluate mode on the tiny stack (the
+# standard mode on TINY_STANDARD's), keyed as above. A sampler change that
+# moves only the last bits of the reports may re-pin these once the
+# reference-sampler check above passes.
 GOLDEN_REPORT_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
+        "standard": "8a620f436217ababa452f016f93e41d649022923fc0e97bf6ac3c17cf24ce1a9",
         "ablation": "7de08f55f04710d135fc8efb6a95e99eb34a096fa095509c469d4e8953223e41",
         "steps_sweep": "988000b229392d18ab6d1cac3e9ced494c25f7f861bd439d8c5f73c9bb07b492",
         "cfg_sweep": "5fbeb23921ea3cd84d76c579d0e4108a4e02f84cf2228a9d019421086b33f652",
@@ -802,19 +837,21 @@ GOLDEN_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("mode, n_entries", [
+    ("standard", None),
     ("ablation", 5),
     ("steps_sweep", 1),  # only 10 of the swept step counts fits n_steps=10
     ("cfg_sweep", 6),
 ])
-def test_evaluate_report_matches_golden_hash(trained, tmp_path, mode, n_entries):
-    config, work = trained
+def test_evaluate_report_matches_golden_hash(request, tmp_path, mode, n_entries):
+    config, work, held_out = evaluate_stack(request, mode)
     path = tmp_path / "report.json"
     assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
                      "--mode", mode, "--report", str(path)]) == cli.EXIT_OK
     report = json.loads(path.read_text())
     assert report["mode"] == mode
-    assert report["n_samples"] == TINY["corpus"]["eval_count"]
-    assert len(report["runs" if mode == "ablation" else "points"]) == n_entries
+    assert report["n_samples"] == held_out
+    if n_entries is not None:
+        assert len(report["runs" if mode == "ablation" else "points"]) == n_entries
     key = (platform.machine(), np.__version__, _blas_name())
     if key not in GOLDEN_REPORT_SHA256:
         pytest.skip(f"no golden report hashes pinned for {key}")

@@ -568,3 +568,86 @@ class TestHiddenLayerRequired:
         den.save(path, df.ConditionFusion.create(2, 3, seed=0), {})
         with pytest.raises(ValidationError, match="no hidden layer"):
             df.Denoiser.load(path)
+
+
+def quantized(den):
+    """``den`` with every weight replaced in place by the float32 value a
+    checkpoint stores for it."""
+    for p in den.parameters():
+        p[...] = smallnet.as_stored(p)
+    return den
+
+
+class TestStoredSamplerConstants:
+    SCHED = df.make_schedule(20, 1e-3, 0.05)
+
+    def saved(self, tmp_path, hidden=16):
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=4, hidden=hidden)
+        path = tmp_path / "diffusion.ckpt"
+        den.save(path, df.ConditionFusion.create(2, 5, seed=0), {})
+        return den, path
+
+    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
+    def test_round_trip_stores_the_constants_of_the_loaded_weights(self, tmp_path, hidden):
+        _, path = self.saved(tmp_path, hidden)
+        den = df.Denoiser.load(path)[0]
+        stored = den.sampler_constants()
+        den.stored_constants = None
+        formed = den.sampler_constants()
+        first = den.net.layers[0].w.shape[0]
+        assert [a.shape for a in stored] == [(first, den.net.layers[-1].w.shape[1]), (first,)]
+        for s, f in zip(stored, formed):
+            assert np.array_equal(s, f)
+
+    @pytest.mark.parametrize("w", [0.0, 3.0])
+    def test_samplers_from_loaded_and_quantized_denoisers_are_bit_identical(self, tmp_path, w):
+        den, path = self.saved(tmp_path)
+        loaded, in_memory = df.Denoiser.load(path)[0], quantized(den)
+        assert in_memory.stored_constants is None
+        rng = smallnet.make_rng(5)
+        c, null = rng.standard_normal((3, 5)), rng.standard_normal(5)
+        for sample in (
+            lambda d: df.sample_ddim(d, self.SCHED, c, null, w, steps=7, seed=31, n_samples=3),
+            lambda d: df.sample_ddpm(d, self.SCHED, c, null, w, seed=32, n_samples=3),
+        ):
+            assert np.array_equal(sample(loaded), sample(in_memory))
+
+    @pytest.mark.parametrize("name", df.SAMPLER_ARRAYS)
+    def test_missing_array_is_refused_by_name(self, tmp_path, name):
+        _, path = self.saved(tmp_path)
+        arrays, meta = smallnet.load_checkpoint(path)
+        del arrays[name]
+        smallnet.save_checkpoint(path, arrays, meta)
+        with pytest.raises(ValidationError) as e:
+            df.Denoiser.load(path)
+        assert str(path) in str(e.value) and repr(name) in str(e.value)
+        assert "rerun train-diffusion" in str(e.value)
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("sampler.M", lambda a: a[:, :-1], "has shape"),
+        ("sampler.m_b", lambda a: a[None, :], "has shape"),
+        ("sampler.M", lambda a: np.where(a == a.flat[0], np.nan, a), "is not finite"),
+        ("sampler.m_b", lambda a: np.full_like(a, np.inf), "is not finite"),
+    ], ids=["M_shape", "m_b_shape", "M_nan", "m_b_inf"])
+    def test_damaged_array_is_refused_by_name(self, tmp_path, name, edit, problem):
+        _, path = self.saved(tmp_path)
+        arrays, meta = smallnet.load_checkpoint(path)
+        arrays[name] = edit(arrays[name])
+        smallnet.save_checkpoint(path, arrays, meta, exact=df.SAMPLER_ARRAYS)
+        with pytest.raises(ValidationError, match=f"{name} {problem}.*rerun train-diffusion"):
+            df.Denoiser.load(path)
+
+
+@pytest.mark.parametrize("steps", [df.ddim_timesteps(200, 100), list(range(200, 0, -1)),
+                                   [7]], ids=["ddim", "ddpm", "one_step"])
+def test_step_table_time_rows_equal_the_per_step_embedding(steps):
+    den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=6)
+    w_t = den.net.layers[0].w[:, 12:12 + den.time_embed_dim]
+    table = df.time_embedding(np.asarray(steps), den.time_embed_dim)
+    traj = df.GuidedTrajectory(den, np.zeros(5), np.zeros(5), 3.0,
+                               np.zeros((1, 12)), steps)
+    assert list(traj.time_rows) == steps
+    for row, n in zip(table, steps):
+        per_step = df.time_embedding(n, den.time_embed_dim)
+        assert np.array_equal(row, per_step)
+        assert np.array_equal(traj.time_rows[n], per_step @ w_t.T)
