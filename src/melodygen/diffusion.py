@@ -10,6 +10,13 @@ eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). A training step draws nothing:
 its steps, noise and dropout mask come from the caller, which owns the random
 stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0).
 
+Precision: a training step runs in the denoiser's dtype, which is float32
+under train-diffusion (``pipeline.DENOISER_TRAIN_DTYPE``). Its draws, the
+forward marginal and the loss stay float64, and only the net's passes and
+Adam's update of its weights round to float32. diffusion.ckpt stores float32,
+so the weights it holds are now exactly the trained ones. A loaded denoiser
+is float64, and sampling runs in float64.
+
 Both samplers run through ``GuidedTrajectory``, which carries a whole run in
 the denoiser's hidden space. It is exact in real arithmetic:
 
@@ -353,15 +360,16 @@ class TrainingStepResult:
     d_null: np.ndarray  # (d_c,)
 
 
-def _row_blocks(n_rows: int, width: int):
+def _row_blocks(n_rows: int, width: int, dtype, count: int = 1):
     """Slices of at most ``smallnet.CACHE_BLOCK`` elements' worth of rows of an
-    (n_rows, width) array, each with a scratch array of its shape, so that
-    elementwise passes over large arrays keep their temporaries in cache."""
+    (n_rows, width) array, each with ``count`` scratch arrays of its shape and
+    of ``dtype``, so that elementwise passes over large arrays keep their
+    temporaries in cache."""
     step = max(1, smallnet.CACHE_BLOCK // width)
-    scratch = np.empty((min(step, n_rows), width))
+    scratch = np.empty((count, min(step, n_rows), width), dtype)
     for r in range(0, n_rows, step):
         rows = slice(r, min(r + step, n_rows))
-        yield rows, scratch[:rows.stop - r]
+        yield rows, scratch[:, :rows.stop - r]
 
 
 def training_step(
@@ -384,6 +392,11 @@ def training_step(
     mean over the batch). Returns gradients for the denoiser, the condition
     rows, and the null vector so the caller can backprop into the fusion map.
     ``noise`` is read, never written.
+
+    The net's passes and its gradients are in the denoiser's dtype: x_n is
+    formed in float64 and rounded once into the net's input. The loss sums
+    its squared errors in float64, and the condition and null gradients are
+    float64, as the fusion map is.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[1] != denoiser.latent_dim:
@@ -405,33 +418,34 @@ def training_step(
         raise ShapeError(f"uncond must be a ({batch},) bool mask, got {mask.dtype} "
                          f"{mask.shape}")
 
-    # one input buffer [x_n || temb(n) || c_eff], with x_n built row block by
-    # row block
+    # one input buffer [x_n || temb(n) || c_eff] in the net's dtype, with x_n
+    # built row block by row block
+    dtype = denoiser.net.dtype
     c0 = lat + denoiser.time_embed_dim
-    inp = np.empty((batch, c0 + denoiser.cond_dim))
+    inp = np.empty((batch, c0 + denoiser.cond_dim), dtype)
     inp[:, lat:c0] = time_embedding(n, denoiser.time_embed_dim)
     inp[:, c0:] = conditions
     inp[mask, c0:] = null_condition
     ab = sched.alpha_bar[n - 1][:, None]
     root_ab, root_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
-    for rows, t in _row_blocks(batch, lat):
-        x_n = inp[rows, :lat]
-        np.multiply(root_ab[rows], x0[rows], out=x_n)
-        np.multiply(root_1mab[rows], eps[rows], out=t)
-        x_n += t
+    for rows, (t, u) in _row_blocks(batch, lat, np.float64, count=2):
+        np.multiply(root_ab[rows], x0[rows], out=t)
+        np.multiply(root_1mab[rows], eps[rows], out=u)
+        np.add(t, u, out=inp[rows, :lat])
 
     out, cache = denoiser.net.forward_cached(inp)
     # d_out = 2 (out - eps) / batch, and each row's squared error on the way
     d_out = np.empty_like(out)
     row_sq = np.empty(batch)
-    for rows, t in _row_blocks(batch, lat):
+    for rows, (t,) in _row_blocks(batch, lat, dtype):
         diff = np.subtract(out[rows], eps[rows], out=d_out[rows])
         np.multiply(diff, diff, out=t)
-        np.sum(t, axis=1, out=row_sq[rows])
+        np.sum(t, axis=1, dtype=np.float64, out=row_sq[rows])
         diff *= 2.0
         diff /= batch
     loss = float(np.mean(row_sq))
     grads, d_c_eff = denoiser.net.backward_cached(cache, d_out, slice(c0, None))
+    d_c_eff = d_c_eff.astype(np.float64, copy=False)
     d_conditions = np.where(mask[:, None], 0.0, d_c_eff)
     d_null = d_c_eff[mask].sum(axis=0) if mask.any() else np.zeros(denoiser.cond_dim)
     return TrainingStepResult(loss, grads, d_conditions, d_null)

@@ -9,10 +9,12 @@ All stages read and write artifacts under a single working directory:
       melody.ckpt          melody database: one (n, embed_dim) array of unit
                            melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
-      diffusion.ckpt       denoiser + condition fusion checkpoint, plus the
-                           sampler's exact float64 arrays "sampler.M"
-                           (W_x A) and "sampler.m_b" (W_x b_out), formed
-                           from the float32 weights it stores
+      diffusion.ckpt       denoiser + condition fusion checkpoint (the
+                           denoiser trains in float32 and its weights are
+                           stored exactly), plus the sampler's exact
+                           float64 arrays "sampler.M" (W_x A) and
+                           "sampler.m_b" (W_x b_out), formed from the
+                           float32 weights it stores
       features.ckpt        the mel grid of every corpus record, training and
                            held-out, as one exact float64 array "mels" of
                            shape (n_records, mel_frames, n_mels); its meta
@@ -253,6 +255,10 @@ def _latent_shape(cfg: PipelineConfig) -> tuple[int, int, int]:
     return cfg.latent.channels, cfg.signal.mel_frames // r, cfg.signal.n_mels // r
 
 
+# the dtype train-diffusion trains the denoiser in
+DENOISER_TRAIN_DTYPE = np.float32
+
+
 def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     """Train the conditional denoiser on corpus latents.
 
@@ -262,6 +268,12 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     melody half of the condition is the top-1 database hit for that query.
     Retrievals are precomputed (queries are fixed per record), and condition
     dropout trains the null vector for guidance.
+
+    The denoiser trains in float32: its initial weights are rounded to
+    float32 once, and its forward, backward and Adam update run in float32,
+    so diffusion.ckpt stores the trained weights exactly. The draws, the
+    loss, the fusion map and its update stay float64, and sampling from the
+    saved checkpoint runs in float64.
     """
     art = Artifacts(workdir)
     records = _load_records(art)
@@ -283,6 +295,9 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     latent_dim = x0.shape[1]
     sched = diffusion.make_schedule(d.n_steps, d.beta_start, d.beta_end)
     denoiser = diffusion.Denoiser.create(latent_dim, d, cfg.seed)
+    # rounded as the checkpoint rounds, so the stored weights are never
+    # rounded twice
+    denoiser.net = denoiser.net.astype(DENOISER_TRAIN_DTYPE)
     fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, d.cond_dim, cfg.seed)
     opt = smallnet.Optimizer(denoiser.parameters() + fusion.parameters(),
                              denoiser.parameter_names() + fusion.parameter_names(),

@@ -1,8 +1,11 @@
 """Dense networks with hand-written gradients, Adam, and binary checkpoints.
 
-Everything here is plain numpy in float64. Gradients are computed by explicit
-reverse-mode passes (no autograd), which keeps the arithmetic auditable and
-lets finite-difference oracles check every trainable module in the package.
+Everything here is plain numpy. A net computes in the dtype of its parameters:
+float64, or float32 for a net built from float32 arrays (``DenseNet.astype``),
+and Adam updates each parameter in that parameter's dtype. Gradients are
+computed by explicit reverse-mode passes (no autograd), which keeps the
+arithmetic auditable and lets finite-difference oracles check every trainable
+module in the package.
 The backward pass computes only the input-gradient columns its caller asks
 for, and Adam updates each parameter in place, a cache-sized block at a time,
 with the textbook update's arithmetic in the textbook order.
@@ -55,7 +58,7 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     """Derivative of a non-identity activation at ``z``."""
     # relu derivative at exactly 0 is taken as 0
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (z > 0.0).astype(z.dtype)
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -67,8 +70,11 @@ class DenseLayer:
     activation: str
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        # float32 parameters stay float32; anything else becomes float64
+        dtype = (np.float32 if np.asarray(self.w).dtype == np.asarray(self.b).dtype == np.float32
+                 else np.float64)
+        self.w = np.asarray(self.w, dtype=dtype)
+        self.b = np.asarray(self.b, dtype=dtype)
         if self.w.ndim != 2 or self.b.ndim != 1 or self.w.shape[0] != self.b.shape[0]:
             raise ShapeError(
                 f"layer wants w (out,in) and b (out,), got {self.w.shape} and {self.b.shape}"
@@ -85,7 +91,8 @@ class DenseNet:
     Maps batches ``(n, in)`` to ``(n, out)``. ``backward_cached`` returns the
     exact reverse-mode gradient of the forward map (summed over the batch for
     parameters); identity layers pass their upstream gradient through
-    unmultiplied.
+    unmultiplied. Every layer has the same dtype, ``dtype``, in which the
+    passes take their inputs and upstream gradients and compute everything.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -96,6 +103,8 @@ class DenseNet:
                 raise ShapeError(
                     f"layer dims do not chain: {prev.w.shape[0]} -> {nxt.w.shape[1]}"
                 )
+        if len({l.w.dtype for l in layers}) > 1:
+            raise ValidationError("a DenseNet's layers must share one dtype")
         self.layers = layers
 
     @classmethod
@@ -127,6 +136,16 @@ class DenseNet:
             layers.append(DenseLayer(w, np.zeros(dims[i + 1]), activations[i]))
         return cls(layers)
 
+    def astype(self, dtype) -> "DenseNet":
+        """The same net with its parameters cast to ``dtype`` (float32 or float64)."""
+        return DenseNet([DenseLayer(l.w.astype(dtype), l.b.astype(dtype), l.activation)
+                         for l in self.layers])
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and of the passes' arithmetic."""
+        return self.layers[0].w.dtype
+
     @property
     def in_dim(self) -> int:
         return self.layers[0].w.shape[1]
@@ -151,7 +170,7 @@ class DenseNet:
         return names
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"input has shape {x.shape}, net expects (*, {self.in_dim})")
         return x
@@ -181,7 +200,7 @@ class DenseNet:
         default); ``input_cols=None`` skips it and returns None.
         """
         inputs, preacts = cache
-        g = np.asarray(upstream, dtype=np.float64)
+        g = np.asarray(upstream, dtype=self.dtype)
         if g.shape != (inputs[0].shape[0], self.out_dim):
             raise ShapeError(
                 f"upstream grad has shape {np.asarray(upstream).shape}, "
@@ -209,9 +228,9 @@ class Optimizer:
     """Adam over a fixed list of parameter arrays, bound with their names at
     construction, where the moment buffers are allocated.
 
-    Each parameter is updated in place, ``CACHE_BLOCK`` elements at a time,
-    through two reused scratch buffers; per element the arithmetic and its
-    order are the textbook update's.
+    Each parameter is updated in place, in its own dtype, ``CACHE_BLOCK``
+    elements at a time, through two reused scratch buffers of that dtype; per
+    element the arithmetic and its order are the textbook update's.
     """
 
     betas = (0.9, 0.999)
@@ -231,16 +250,18 @@ class Optimizer:
         self.step_count = 0
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
-        self._scratch = np.empty((2, CACHE_BLOCK))
+        self._scratch = {p.dtype: np.empty((2, CACHE_BLOCK), p.dtype) for p in params}
 
     def _checked(self, grads) -> list[np.ndarray]:
-        """The gradients as float64 arrays, once every check passed; raises
-        before anything is updated."""
+        """The gradients cast to their parameters' dtypes, once every check
+        passed; raises before anything is updated. A gradient that overflows
+        its parameter's dtype is non-finite there and is rejected."""
         if len(grads) != len(self.params):
             raise ShapeError(f"{len(grads)} gradients for {len(self.params)} parameters")
         out = []
         for p, g, name in zip(self.params, grads, self.names):
-            g = np.asarray(g, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                g = np.asarray(g, dtype=p.dtype)
             if p.shape != g.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                                  f"{p.shape} for {name}")
@@ -263,7 +284,7 @@ class Optimizer:
             for start in range(0, p.size, CACHE_BLOCK):
                 blk = slice(start, start + CACHE_BLOCK)
                 pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
-                t, u = self._scratch[0, :pb.size], self._scratch[1, :pb.size]
+                t, u = self._scratch[p.dtype][:, :pb.size]
                 # m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g
                 mb *= b1
                 np.multiply(1.0 - b1, gb, out=t)
@@ -296,14 +317,15 @@ class Optimizer:
 #   16+H    ...   each array's payload, in header order, back to back
 #
 # An array's payload is float32 ("<f4"): values are quantized on save, so a
-# load -> save round trip is byte-exact. An array the writer names in
-# ``exact`` is stored as float64 ("<f8") instead, bit for bit, and its header
-# entry carries that type as a third element: [name, shape, "<f8"]. Entries
-# without it are float32, so a checkpoint with no exact array has the bytes
-# it always had. Two writers name exact arrays: features.ckpt (the corpus mel
-# grids) and diffusion.ckpt (the sampler's hidden-space constants, formed
-# from the float32 weights it stores). The payload sizes must account for
-# every byte of the file.
+# load -> save round trip is byte-exact, and float32 parameters (the
+# denoiser's, which train-diffusion trains in float32) are stored exactly.
+# An array the writer names in ``exact`` is stored as float64 ("<f8")
+# instead, bit for bit, and its header entry carries that type as a third
+# element: [name, shape, "<f8"]. Entries without it are float32, so a
+# checkpoint with no exact array has the bytes it always had. Two writers
+# name exact arrays: features.ckpt (the corpus mel grids) and diffusion.ckpt
+# (the sampler's hidden-space constants, formed from the float32 weights it
+# stores). The payload sizes must account for every byte of the file.
 # Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
 # failed write leaves any previous checkpoint intact.
 

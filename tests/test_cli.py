@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_ddim
-from melodygen import PipelineConfig, cli, clmp, pipeline, signal, smallnet
+from melodygen import PipelineConfig, cli, clmp, diffusion, pipeline, signal, smallnet
 from melodygen.errors import GradientError
 
 TINY = {
@@ -266,8 +266,16 @@ def test_ddpm_reports_the_steps_it_ran(trained, capsys):
     ({"diffusion": {**TINY["diffusion"], "time_embed_dim": -2}}, "diffusion.time_embed_dim"),
     ({"latent": {**TINY["latent"], "learning_rate": -1}}, "latent.learning_rate"),
     ({"diffusion": {**TINY["diffusion"], "learning_rate": -1}}, "diffusion.learning_rate"),
+    ({"diffusion": {**TINY["diffusion"], "batch_size": 0}}, "diffusion.batch_size"),
+    ({"diffusion": {**TINY["diffusion"], "train_steps": 0}}, "diffusion.train_steps"),
+    ({"diffusion": {**TINY["diffusion"], "uncond_prob": 1.5}}, "diffusion.uncond_prob"),
+    ({"diffusion": {**TINY["diffusion"], "phase_split": -0.1}}, "diffusion.phase_split"),
+    ({"diffusion": {**TINY["diffusion"], "beta_start": 0.05, "beta_end": 0.02}},
+     "diffusion.beta_start"),
 ], ids=["seed", "latent_hidden", "diffusion_hidden", "cfg_w_inf", "int_field_inf",
-        "time_embed_dim_negative", "latent_lr_negative", "diffusion_lr_negative"])
+        "time_embed_dim_negative", "latent_lr_negative", "diffusion_lr_negative",
+        "diffusion_batch_size_0", "diffusion_train_steps_0", "uncond_prob_over_1",
+        "phase_split_negative", "beta_start_over_beta_end"])
 def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, **edit}))
@@ -618,6 +626,34 @@ def test_train_diffusion_is_bit_identical_under_fast_thread_switching(trained, w
     assert (work_copy / "diffusion.ckpt").read_bytes() == (work / "diffusion.ckpt").read_bytes()
 
 
+def test_float32_training_tracks_float64_on_the_same_draws(trained, tmp_path, monkeypatch):
+    """train-diffusion's float32 denoiser follows one trained in float64 on the
+    same draws, and diffusion.ckpt holds its float32 weights exactly."""
+    _, work = trained
+    cfg = PipelineConfig.from_dict({**TINY, "diffusion": {**TINY["diffusion"],
+                                                          "train_steps": 40}})
+    trained_params, save = {}, diffusion.Denoiser.save
+
+    def recording_save(self, path, fusion, extra_meta):
+        trained_params[path.parent.name] = {name: p.copy() for name, p in
+                                            zip(self.parameter_names(), self.parameters())}
+        save(self, path, fusion, extra_meta)
+
+    monkeypatch.setattr(diffusion.Denoiser, "save", recording_save)
+    histories = {}
+    for dtype in ("float32", "float64"):
+        shutil.copytree(work, tmp_path / dtype)
+        monkeypatch.setattr(pipeline, "DENOISER_TRAIN_DTYPE", np.dtype(dtype))
+        histories[dtype] = pipeline.run_train_diffusion(cfg, tmp_path / dtype)
+    assert np.allclose(histories["float32"], histories["float64"], rtol=1e-6, atol=0)
+    arrays, _ = smallnet.load_checkpoint(tmp_path / "float32" / "diffusion.ckpt")
+    for name, p32 in trained_params["float32"].items():
+        p64 = trained_params["float64"][name]
+        assert p32.dtype == np.float32 and p64.dtype == np.float64
+        assert np.abs(p32 - p64).max() <= 1e-3 * np.abs(p64).max()
+        assert np.array_equal(arrays[name], p32)
+
+
 def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
         work_copy, tmp_path, capsys, monkeypatch):
     work = work_copy
@@ -683,7 +719,7 @@ def test_generate_is_repeatable(trained):
 # keyed by (machine, numpy version, BLAS): BLAS rounding decides the low bits,
 # so other platforms skip instead of failing.
 GOLDEN_WAV_SHA256 = {
-    ("x86_64", "2.4.6", "scipy-openblas"): "3d1753484d793b2da19ffca118192f2c710310d7b5504ff6c7c72b3916915c01",
+    ("x86_64", "2.4.6", "scipy-openblas"): "eea9e3cf1d60d84cfee1ee540bdc44f3402d9ee838383c0f6ef636f999942485",
 }
 
 
@@ -709,8 +745,8 @@ def test_generated_wav_matches_golden_hash(trained):
 # n_fft and sample_rate.
 GOLDEN_GENERATED_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
-        "golden.mel.ckpt": "31a97eb64f7958edbfb128d2ebe55b4cdce613e351a8e6308a09e713aa3de993",
-        "golden.latent.ckpt": "bd5d17030226dca54b1fdd1240bb9e742fc1620246968ac175942cadf2964c92",
+        "golden.mel.ckpt": "6c5830ef0e60b1465f7bd6a16875dbbb0c32f632fa319650036fce395027830d",
+        "golden.latent.ckpt": "4ac94d59685eabe30448ce8bfcadb76a405dfb4f37c51515b19ab2fe642ab49a",
     },
 }
 
@@ -758,7 +794,7 @@ GOLDEN_CHECKPOINT_SHA256 = {
         "clmp.ckpt": "a7e3f7e768a0f7fc48bb0c075fcf92f53333382446c5d7f961aa87ec5e823796",
         "melody.ckpt": "092fcebbdd55fc471733a0168c7b50dd8ae708f179b97b37ffd1467c8eeb1946",
         "latentcodec.ckpt": "5a63eaa914be4dd19efaeb29230f7dc31d62f848b484c0d146db8a748883a9a6",
-        "diffusion.ckpt": "1e5aa614aa525b1d8e5d2d492a476d0e46fb57812732866aa02ccd53bc198f0c",
+        "diffusion.ckpt": "db45fc644b222b19ee8f9593a2ce413f0db168558261cf05a14665d6c3fb6ca2",
     },
 }
 
@@ -828,10 +864,10 @@ def test_evaluate_report_matches_reference_sampler(request, capsys, monkeypatch,
 # reference-sampler check above passes.
 GOLDEN_REPORT_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
-        "standard": "8a620f436217ababa452f016f93e41d649022923fc0e97bf6ac3c17cf24ce1a9",
-        "ablation": "7de08f55f04710d135fc8efb6a95e99eb34a096fa095509c469d4e8953223e41",
-        "steps_sweep": "988000b229392d18ab6d1cac3e9ced494c25f7f861bd439d8c5f73c9bb07b492",
-        "cfg_sweep": "5fbeb23921ea3cd84d76c579d0e4108a4e02f84cf2228a9d019421086b33f652",
+        "standard": "b6474c8ee4282f2039ce15a74f7b510b2d715f2b44aec1f00c8c405e8a28be49",
+        "ablation": "aaac1beabd620005ab0c99bf5cdf240226ed86819ef316d15199ed20c56a2803",
+        "steps_sweep": "24bab4803497db45a098fea5e4f595f7dab3fafeddb9e306e2f1b60609350188",
+        "cfg_sweep": "6cea0c37dacd1614b5f169236c242115d253d5d5fb10968d25a3771ea4ee94ca",
     },
 }
 

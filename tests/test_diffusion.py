@@ -219,6 +219,8 @@ class TestTrainingStep:
         eps = rng.standard_normal((6, 4))
 
         class OracleNet:
+            dtype = np.dtype(np.float64)
+
             def forward_cached(self, inp):
                 return eps, ("cache", inp.shape)
 
@@ -252,6 +254,29 @@ class TestTrainingStep:
         assert np.allclose(res.d_null, reference.d_null, rtol=1e-14, atol=1e-15)
         for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
             assert np.array_equal(g, r)
+
+    def test_float32_denoiser_steps_in_float32_and_tracks_float64(self):
+        # latent 5000: several row blocks; both nets hold the same values
+        den32 = tiny_denoiser(latent_dim=5000, seed=10)
+        den32.net = den32.net.astype(np.float32)
+        den64 = tiny_denoiser(latent_dim=5000, seed=10)
+        den64.net = den32.net.astype(np.float64)
+        s = df.make_schedule(30, 1e-3, 0.05)
+        data = smallnet.make_rng(42)
+        x0, cond, null = (data.standard_normal((7, 5000)), data.standard_normal((7, 3)),
+                          data.standard_normal(3))
+        n, eps, uncond = draws(smallnet.make_rng(43), s, 7, 5000, 0.5)
+        assert uncond.any() and not uncond.all()
+        r32, r64 = (df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
+                    for den in (den32, den64))
+        assert type(r32.loss) is float and r32.loss == pytest.approx(r64.loss, rel=1e-6)
+        for g32, g64 in zip(r32.denoiser_grads, r64.denoiser_grads):
+            assert g32.dtype == np.float32 and g64.dtype == np.float64
+            assert np.allclose(g32, g64, rtol=1e-4, atol=1e-5 * np.abs(g64).max())
+        for a32, a64 in ((r32.d_conditions, r64.d_conditions), (r32.d_null, r64.d_null)):
+            assert a32.dtype == a64.dtype == np.float64
+            assert np.allclose(a32, a64, rtol=1e-4, atol=1e-5 * np.abs(a64).max())
+        assert all(p.dtype == np.float32 for p in den32.parameters())
 
     def test_uncond_mask_shape_checked(self):
         den = tiny_denoiser()

@@ -217,6 +217,91 @@ class TestOptimizer:
             smallnet.Optimizer([p], ["w0"], learning_rate=0.1)
 
 
+class TestDtype:
+    """A net built from float32 arrays computes in float32; any other net in
+    float64. Adam updates each parameter in its own dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_forward_and_backward_stay_in_the_nets_dtype(self, dtype, act):
+        rng = smallnet.make_rng(15)
+        net = smallnet.DenseNet.create([6, 5, 3], act, rng).astype(dtype)
+        x, up = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
+        out, (inputs, preacts) = net.forward_cached(x)
+        grads, dx = net.backward_cached((inputs, preacts), up)
+        assert net.dtype == dtype
+        for a in [out, dx, *inputs, *preacts, *grads, *net.parameters()]:
+            assert a.dtype == dtype
+
+    def test_float32_passes_track_float64_ones_on_the_same_values(self):
+        rng = smallnet.make_rng(16)
+        net32 = smallnet.DenseNet.create([6, 5, 3], "tanh", rng).astype(np.float32)
+        net64 = net32.astype(np.float64)
+        x, up = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
+        g32, dx32 = backward(net32, x, up)
+        g64, dx64 = backward(net64, x, up)
+        assert np.allclose(net32.forward(x), net64.forward(x), rtol=1e-5, atol=1e-6)
+        for a, b in zip(g32 + [dx32], g64 + [dx64]):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("w, b, dtype", [
+        (np.float32, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float64, np.float32, np.float64),
+        (np.int64, np.int64, np.float64),
+    ])
+    def test_layer_keeps_float32_parameters_only(self, w, b, dtype):
+        layer = smallnet.DenseLayer(np.ones((2, 3), w), np.zeros(2, b), "tanh")
+        assert layer.w.dtype == layer.b.dtype == dtype
+
+    def test_layers_of_two_dtypes_rejected(self):
+        rng = smallnet.make_rng(17)
+        a = smallnet.DenseNet.create([3, 4], ["tanh"], rng).layers
+        b = smallnet.DenseNet.create([4, 2], ["identity"], rng).astype(np.float32).layers
+        with pytest.raises(ValidationError, match="dtype"):
+            smallnet.DenseNet(a + b)
+
+    def test_adam_keeps_each_parameters_dtype(self):
+        rng = smallnet.make_rng(18)
+        params = [rng.standard_normal((3, 4)).astype(np.float32), rng.standard_normal(4)]
+        opt = smallnet.Optimizer(params, ["w0", "b0"], learning_rate=0.1)
+        before = [p.copy() for p in params]
+        for _ in range(3):
+            opt.step([rng.standard_normal(p.shape) for p in params])  # float64 grads
+        for p, p0, m, v in zip(params, before, opt._m, opt._v):
+            assert p.dtype == m.dtype == v.dtype == p0.dtype
+            assert not np.array_equal(p, p0)
+
+    @pytest.mark.parametrize("shape", [(7,), (2 * smallnet.CACHE_BLOCK + 5,)],
+                             ids=["under_one_block", "two_blocks_and_5"])
+    def test_float32_adam_matches_reference_in_float32_bit_for_bit(self, shape):
+        rng = smallnet.make_rng(19)
+        params = [rng.standard_normal(shape).astype(np.float32)]
+        ref = [p.copy() for p in params]
+        m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        opt = smallnet.Optimizer(params, ["p"], learning_rate=3e-3)
+        for t in range(1, 5):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)]
+            opt.step(grads)
+            reference_adam(opt, ref, [g.astype(np.float32) for g in grads], m, v, t)
+            for a, b in zip(params + opt._m + opt._v, ref + m + v):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+
+    def test_gradient_overflowing_a_float32_parameter_rejected_by_name(self):
+        rng = smallnet.make_rng(20)
+        params = [rng.standard_normal(4), rng.standard_normal((2, 3)).astype(np.float32)]
+        opt = smallnet.Optimizer(params, ["b0", "w1"], learning_rate=0.1)
+        opt.step([rng.standard_normal(p.shape) for p in params])
+        before = [a.copy() for a in params + opt._m + opt._v]
+        bad = np.zeros((2, 3))
+        bad[1, 2] = 1e39  # finite in float64, inf in float32
+        with pytest.raises(GradientError, match="w1"):
+            opt.step([np.zeros(4), bad])
+        assert opt.step_count == 1
+        for a, b in zip(params + opt._m + opt._v, before):
+            assert np.array_equal(a, b)
+
+
 def reference_adam(opt, params, grads, m, v, t):
     """The textbook whole-array update the blocked one must equal bit for bit."""
     b1, b2 = opt.betas
