@@ -762,12 +762,13 @@ def test_generated_checkpoint_matches_golden_hash(trained, name):
     assert digest == GOLDEN_GENERATED_SHA256[key][name]
 
 
-# The same prompt and seed through the other sampler and without guidance,
-# keyed as above.
+# The same prompt and seed through the other sampler, without guidance and
+# with a zero melody, keyed as above.
 GOLDEN_VARIANT_WAV_SHA256 = {
     ("x86_64", "2.4.6", "scipy-openblas"): {
         "ddpm": "4a4c0b74064ef36607b300960c41a5f1d79618d55c3c29c4602d572373e463ab",
         "cfg0": "ae328cb0f6f52bb2ec9b7ab2200f7dfee4b3036daac503ac80ebaa9e077133a4",
+        "no_melody": "5270255ee6317e152b12e41f2713fa623b4e1136130ea1d5b322f90fe2964365",
     },
 }
 
@@ -775,6 +776,7 @@ GOLDEN_VARIANT_WAV_SHA256 = {
 @pytest.mark.parametrize("variant, flags", [
     ("ddpm", ["--sampler", "ddpm"]),
     ("cfg0", ["--cfg", "0"]),
+    ("no_melody", ["--no-melody"]),
 ])
 def test_generated_wav_variant_matches_golden_hash(trained, variant, flags):
     key = (platform.machine(), np.__version__, _blas_name())
