@@ -111,6 +111,7 @@ class PipelineConfig:
         check(s.hop > 0, "signal.hop", "must be > 0")
         check(s.n_mels >= 1, "signal.n_mels", "must be >= 1")
         check(s.mel_frames >= 1, "signal.mel_frames", "must be >= 1")
+        check(l.compression >= 1, "latent.compression", "must be >= 1")
         check(s.mel_frames % l.compression == 0, "signal.mel_frames",
               f"must be divisible by latent.compression={l.compression}")
         check(s.n_mels % l.compression == 0, "signal.n_mels",
@@ -121,7 +122,6 @@ class PipelineConfig:
         check(m.batch_size >= 2, "clmp.batch_size", "must be >= 2")
         check(m.learning_rate >= 0, "clmp.learning_rate", "must be >= 0")
         check(m.epochs >= 0, "clmp.epochs", "must be >= 0")
-        check(l.compression >= 1, "latent.compression", "must be >= 1")
         check(l.channels >= 1, "latent.channels", "must be >= 1")
         check(l.hidden >= 1, "latent.hidden", "must be >= 1")
         check(l.kl_weight >= 0, "latent.kl_weight", "must be >= 0")

@@ -506,7 +506,9 @@ class GuidedTrajectory:
         w_t = first.w[:, t0:c0]
         temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
         self.time_rows = {n: row @ w_t.T for n, row in zip(steps, temb)}
-        self._out_finite = bool(np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
+        # Denoiser.load found a loaded denoiser's weights finite
+        self._out_finite = denoiser.stored_constants is not None or bool(
+            np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
         self._m, self._m_b = denoiser.sampler_constants()
         self._x_N, self._out = x_N, last
         self.u = x_N @ w_x.T

@@ -9,19 +9,11 @@ All stages read and write artifacts under a single working directory:
       melody.ckpt          melody database: one (n, embed_dim) array of unit
                            melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
-      diffusion.ckpt       denoiser + condition fusion checkpoint (the
-                           denoiser trains in float32 and its weights are
-                           stored exactly), plus the sampler's exact
-                           float64 arrays "sampler.M" (W_x A) and
-                           "sampler.m_b" (W_x b_out), formed from the
-                           float32 weights it stores
-      features.ckpt        the mel grid of every corpus record, training and
-                           held-out, as one exact float64 array "mels" of
-                           shape (n_records, mel_frames, n_mels); its meta
-                           holds the record ids, each WAV's SHA-256 and the
-                           signal settings. Built by the first stage that
-                           reads audio and rebuilt whenever these no longer
-                           match the corpus (``corpus_mels``)
+      diffusion.ckpt       denoiser + condition fusion checkpoint, with the
+                           sampler's exact float64 constants (``Denoiser.save``)
+      features.ckpt        the exact float64 mel grid of every corpus record,
+                           rebuilt whenever it no longer matches the corpus
+                           (``corpus_mels``)
       generated/           per generation <tag>.wav, plus <tag>.mel.ckpt
                            and <tag>.latent.ckpt (checkpoint files holding
                            one array each)
@@ -30,6 +22,10 @@ Checkpoints (``*.ckpt``) use the binary format of ``smallnet.save_checkpoint``.
 
 Splits are positional: the last ``corpus.eval_count`` records are held out of
 every training stage and drive evaluation.
+
+``generate`` and ``evaluate`` load the trained stack once per call as a
+``GenerationStack`` and make every clip through it: caption -> condition
+(text embedding, retrieved or given melody, fusion) -> latent -> mel grid.
 """
 
 from __future__ import annotations
@@ -52,38 +48,14 @@ class Artifacts:
 
     def __init__(self, root):
         self.root = Path(root)
-
-    @property
-    def corpus_dir(self) -> Path:
-        return self.root / "corpus"
-
-    @property
-    def manifest(self) -> Path:
-        return self.corpus_dir / "manifest.jsonl"
-
-    @property
-    def clmp_path(self) -> Path:
-        return self.root / "clmp.ckpt"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "melody.ckpt"
-
-    @property
-    def latent_path(self) -> Path:
-        return self.root / "latentcodec.ckpt"
-
-    @property
-    def diffusion_path(self) -> Path:
-        return self.root / "diffusion.ckpt"
-
-    @property
-    def features_path(self) -> Path:
-        return self.root / "features.ckpt"
-
-    @property
-    def generated_dir(self) -> Path:
-        return self.root / "generated"
+        self.corpus_dir = self.root / "corpus"
+        self.manifest = self.corpus_dir / "manifest.jsonl"
+        self.clmp_path = self.root / "clmp.ckpt"
+        self.index_path = self.root / "melody.ckpt"
+        self.latent_path = self.root / "latentcodec.ckpt"
+        self.diffusion_path = self.root / "diffusion.ckpt"
+        self.features_path = self.root / "features.ckpt"
+        self.generated_dir = self.root / "generated"
 
     def require(self, *paths: Path) -> None:
         for p in paths:
@@ -348,28 +320,68 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
 # --- generation ----------------------------------------------------------------
 
 
-def _load_generation_stack(cfg: PipelineConfig, art: Artifacts):
-    model = _load_clmp(art)
-    melodies, ids = _load_index(cfg, art)
-    art.require(art.latent_path, art.diffusion_path)
-    codec = latentcodec.LatentCodecModel.load(art.latent_path)
-    denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
-    with smallnet.checkpoint_keys(art.diffusion_path):
-        sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
-                                        float(extra["beta_end"]))
-        shape = (int(extra["latent_channels"]), int(extra["latent_t"]), int(extra["latent_f"]))
-    return model, melodies, ids, codec, denoiser, fusion, sched, shape
+@dataclass
+class GenerationStack:
+    """The trained stack every generation reads, loaded once per stage call:
+    the CLMP model, the melody database (``melodies`` rows of record ``ids``),
+    the codec, the denoiser and its fusion map, their noise schedule and the
+    (channels, T/r, F/r) latent ``shape``. ``generate`` and every ``evaluate``
+    mode turn captions into clips one way: ``conditions`` -> ``sample`` ->
+    ``decode``."""
 
+    clmp: clmp.ClmpModel
+    melodies: np.ndarray
+    ids: list[str]
+    codec: latentcodec.LatentCodecModel
+    denoiser: diffusion.Denoiser
+    fusion: diffusion.ConditionFusion
+    sched: diffusion.NoiseSchedule
+    shape: tuple[int, int, int]
 
-def _sample_latents(denoiser, sched, fusion, conditions: np.ndarray, *,
-                    sampler: str, steps: int, w: float, seed: int) -> np.ndarray:
-    if sampler == "ddim":
-        return diffusion.sample_ddim(denoiser, sched, conditions, fusion.null_condition,
-                                     w, steps, seed, n_samples=len(conditions))
-    if sampler == "ddpm":
-        return diffusion.sample_ddpm(denoiser, sched, conditions, fusion.null_condition,
-                                     w, seed, n_samples=len(conditions))
-    raise ValidationError(f"unknown sampler {sampler!r}")
+    @classmethod
+    def load(cls, cfg: PipelineConfig, art: Artifacts) -> "GenerationStack":
+        model = _load_clmp(art)
+        melodies, ids = _load_index(cfg, art)
+        art.require(art.latent_path, art.diffusion_path)
+        codec = latentcodec.LatentCodecModel.load(art.latent_path)
+        denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
+        with smallnet.checkpoint_keys(art.diffusion_path):
+            sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
+                                            float(extra["beta_end"]))
+            shape = tuple(int(extra[k]) for k in ("latent_channels", "latent_t", "latent_f"))
+        return cls(model, melodies, ids, codec, denoiser, fusion, sched, shape)
+
+    def conditions(self, texts: list[str], melody_sets=(None,)):
+        """One (len(texts), cond_dim) condition array per entry of
+        ``melody_sets``, from the captions ``texts`` embedded once: None fuses
+        each caption's top-1 melody (``retrieve``), an array the melody rows it
+        holds (zeros for the zero-melody ablation). Returns the arrays and the
+        retrieved record ids, None when no entry retrieves."""
+        queries = clmp.embed(self.clmp, "text", texts)
+        conditions, ids = [], None
+        for rows in melody_sets:
+            if rows is None:
+                hits = retrieve(self.melodies, queries)
+                rows, ids = self.melodies[hits], [self.ids[i] for i in hits]
+            conditions.append(self.fusion.forward(queries, rows))
+        return conditions, ids
+
+    def sample(self, conditions: np.ndarray, *, sampler: str, steps: int, w: float,
+               seed: int) -> np.ndarray:
+        """One latent row per condition row; DDPM runs all n_steps."""
+        given = (self.denoiser, self.sched, conditions, self.fusion.null_condition, w)
+        if sampler == "ddim":
+            return diffusion.sample_ddim(*given, steps, seed, n_samples=len(conditions))
+        if sampler == "ddpm":
+            return diffusion.sample_ddpm(*given, seed, n_samples=len(conditions))
+        raise ValidationError(f"unknown sampler {sampler!r}")
+
+    def decode(self, latents: np.ndarray) -> list[signal.MelGrid]:
+        """The mel grid of each latent row."""
+        return [latentcodec.decode_latent(self.codec, latentcodec.LatentGrid(
+                    lat.reshape(self.shape), channels=self.shape[0],
+                    compression=self.codec.compression))
+                for lat in latents]
 
 
 def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
@@ -396,30 +408,20 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     w = cfg.diffusion.cfg_w if w is None else w
     diffusion.check_guidance_weight(w)
     art = Artifacts(workdir)
-    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
-        _load_generation_stack(cfg, art)
+    stack = GenerationStack.load(cfg, art)
     if sampler == "ddpm":
-        steps = sched.N
+        steps = stack.sched.N
     else:
         source = "diffusion.ddim_steps" if steps is None else "--steps"
         steps = cfg.diffusion.ddim_steps if steps is None else steps
-        if not 1 <= steps <= sched.N:
-            raise ValidationError(f"{source} must be in 1..{sched.N} (the n_steps of "
+        if not 1 <= steps <= stack.sched.N:
+            raise ValidationError(f"{source} must be in 1..{stack.sched.N} (the n_steps of "
                                   f"{art.diffusion_path.name}), got {steps}")
 
-    query = clmp.embed(model, "text", [prompt])
-    melody = np.zeros_like(query)
-    retrieved_id = None
-    if use_melody:
-        row = retrieve(melodies, query)[0]
-        melody = melodies[row][None, :]
-        retrieved_id = ids[row]
-
-    lat = _sample_latents(denoiser, sched, fusion, fusion.forward(query, melody),
-                          sampler=sampler, steps=steps, w=w, seed=seed)[0]
-    z = latentcodec.LatentGrid(lat.reshape(shape), channels=shape[0],
-                               compression=codec.compression)
-    mel = latentcodec.decode_latent(codec, z)
+    melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
+    (condition,), ids = stack.conditions([prompt], (melody,))
+    lat = stack.sample(condition, sampler=sampler, steps=steps, w=w, seed=seed)
+    (mel,) = stack.decode(lat)
     wave = signal.mel_to_waveform(mel)
 
     art.generated_dir.mkdir(parents=True, exist_ok=True)
@@ -430,11 +432,11 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     smallnet.save_checkpoint(mel_path, {"mel": mel.values},
                              {"frame_hop": mel.frame_hop, "n_fft": mel.n_fft,
                               "sample_rate": mel.sample_rate})
-    smallnet.save_checkpoint(latent_path, {"latent": z.values},
-                             {"channels": z.channels, "compression": z.compression})
+    smallnet.save_checkpoint(latent_path, {"latent": lat.reshape(stack.shape)},
+                             {"channels": stack.shape[0], "compression": stack.codec.compression})
     return GenerationResult(
         prompt=prompt,
-        retrieved_melody_id=retrieved_id,
+        retrieved_melody_id=None if ids is None else ids[0],
         latent_path=str(latent_path),
         mel_path=str(mel_path),
         wav_path=str(wav_path),
@@ -450,17 +452,8 @@ SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 SWEEP_SEEDS = 5  # generation seeds per point of the ablation and the sweeps
 
 
-def _generated_features(codec, denoiser, sched, fusion, conditions, shape, *,
-                        steps, w, seed) -> np.ndarray:
-    lats = _sample_latents(denoiser, sched, fusion, conditions,
-                           sampler="ddim", steps=steps, w=w, seed=seed)
-    feats = []
-    for lat in lats:
-        z = latentcodec.LatentGrid(lat.reshape(shape), channels=shape[0],
-                                   compression=codec.compression)
-        mel = latentcodec.decode_latent(codec, z)
-        feats.append(clmp.featurize_wave(mel))
-    return np.stack(feats)
+def _features(mels: list[signal.MelGrid]) -> np.ndarray:
+    return np.stack([clmp.featurize_wave(m) for m in mels])
 
 
 def _fad(gen_feats: np.ndarray, ref_feats: np.ndarray) -> float:
@@ -489,10 +482,9 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
                               f"the standard mode's retrieval table, got {cfg.corpus.eval_count}")
     art = Artifacts(workdir)
     records = _load_records(art)
-    model, melodies, ids, codec, denoiser, fusion, sched, shape = \
-        _load_generation_stack(cfg, art)
+    stack = GenerationStack.load(cfg, art)
     train_records, eval_records = _split(cfg, records)
-    leaked = set(ids).intersection(r.id for r in eval_records)
+    leaked = set(stack.ids).intersection(r.id for r in eval_records)
     if leaked:
         raise ValidationError(f"corpus.eval_count: {len(leaked)} held-out records (e.g. "
                               f"{min(leaked)}) are in the training split of "
@@ -501,33 +493,41 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     train_mels, eval_mels = _split(cfg, corpus_mels(cfg, art, records))
     eval_triples = _triples(eval_records, eval_mels)
     seed = cfg.seed if seed is None else seed
-
-    ref_feats = np.stack([clmp.featurize_wave(t.mel) for t in eval_triples])
-    queries = clmp.embed(model, "text", [t.text for t in eval_triples])
-    conditions = fusion.forward(queries, melodies[retrieve(melodies, queries)])
-
-    def gen_feats(*, steps, w, gseed, conds=conditions):
-        return _generated_features(codec, denoiser, sched, fusion, conds, shape,
-                                   steps=steps, w=w, seed=gseed)
+    ref_feats = _features(eval_mels)
+    texts = [t.text for t in eval_triples]
+    steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
     sweep_seeds = [seed + 1000 * (k + 1) for k in range(SWEEP_SEEDS)]
 
-    def sweep_fads(*, steps, w, conds=conditions) -> list[float]:
-        """FAD-like against the references at (steps, w, conds), one per sweep seed."""
-        return [_fad(gen_feats(steps=steps, w=w, gseed=g, conds=conds), ref_feats)
+    def sweep_fads(conditions, *, steps=steps, w=w) -> list[float]:
+        """FAD-like against the references at (conditions, steps, w), one per sweep seed."""
+        return [_fad(_features(stack.decode(stack.sample(conditions, sampler="ddim",
+                                                         steps=steps, w=w, seed=g))),
+                     ref_feats)
                 for g in sweep_seeds]
 
     report: dict = {"mode": mode, "n_samples": len(eval_triples),
                     "feature_source": "wave_features_of_decoded_mel"}
-    steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
+    if mode == "ablation":
+        (with_melody, zero_melody), _ = stack.conditions(
+            texts, (None, np.zeros((len(texts), stack.melodies.shape[1]))))
+        with_melody, zero_melody = sweep_fads(with_melody), sweep_fads(zero_melody)
+        report["runs"] = [{"seed": g, "fad_with_melody": a, "fad_zero_melody": b}
+                          for g, a, b in zip(sweep_seeds, with_melody, zero_melody)]
+        report["median_fad_with_melody"] = float(np.median(with_melody))
+        report["median_fad_zero_melody"] = float(np.median(zero_melody))
+        return report
+
+    (conditions,), _ = stack.conditions(texts)
     if mode == "standard":
         probe = metrics.train_probe(
-            np.stack([clmp.featurize_wave(m) for m in train_mels]),
+            _features(train_mels),
             [r.archetype.label for r in train_records],
             cfg.seed,
         )
-        feats = gen_feats(steps=steps, w=w, gseed=seed)
+        feats = _features(stack.decode(stack.sample(conditions, sampler="ddim", steps=steps,
+                                                    w=w, seed=seed)))
         gen_by_id = {t.id: f for t, f in zip(eval_triples, feats)}
         ref_by_id = {t.id: f for t, f in zip(eval_triples, ref_feats)}
         report.update({
@@ -535,27 +535,17 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
             "kl": metrics.paired_kl(probe, gen_by_id, ref_by_id),
             "is_like": metrics.inception_like(probe, feats),
             "probe_holdout_accuracy": probe.holdout_accuracy,
-            "retrieval": clmp.eval_retrieval(model, eval_triples),
+            "retrieval": clmp.eval_retrieval(stack.clmp, eval_triples),
         })
-        return report
-
-    if mode == "ablation":
-        with_melody = sweep_fads(steps=steps, w=w)
-        zero_melody = sweep_fads(steps=steps, w=w,
-                                 conds=fusion.forward(queries, np.zeros_like(queries)))
-        report["runs"] = [{"seed": g, "fad_with_melody": a, "fad_zero_melody": b}
-                          for g, a, b in zip(sweep_seeds, with_melody, zero_melody)]
-        report["median_fad_with_melody"] = float(np.median(with_melody))
-        report["median_fad_zero_melody"] = float(np.median(zero_melody))
         return report
 
     key, values = ("steps", SWEEP_STEPS) if mode == "steps_sweep" else ("w", SWEEP_CFG)
     points = []
     for value in values:
         at = {"steps": steps, "w": w, key: value}
-        if at["steps"] > sched.N:
+        if at["steps"] > stack.sched.N:
             continue
-        fads = sweep_fads(**at)
+        fads = sweep_fads(conditions, **at)
         points.append({key: value, "fad_like_median": float(np.median(fads)),
                        "fad_like_runs": fads})
     report["points"] = points

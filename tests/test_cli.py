@@ -257,25 +257,59 @@ def test_ddpm_reports_the_steps_it_ran(trained, capsys):
     assert record["sampler"] == "ddpm" and record["steps"] == TINY["diffusion"]["n_steps"]
 
 
+def bad(section, **values):
+    """A config edit that sets ``values`` in ``section`` of TINY."""
+    return {section: {**TINY.get(section, {}), **values}}
+
+
 @pytest.mark.parametrize("edit, field", [
-    ({"seed": -2}, "seed"),
-    ({"latent": {**TINY["latent"], "hidden": 0}}, "latent.hidden"),
-    ({"diffusion": {**TINY["diffusion"], "hidden": 0}}, "diffusion.hidden"),
-    ({"diffusion": {**TINY["diffusion"], "cfg_w": float("inf")}}, "diffusion.cfg_w"),
-    ({"latent": {**TINY["latent"], "steps": float("inf")}}, "latent.steps"),
-    ({"diffusion": {**TINY["diffusion"], "time_embed_dim": -2}}, "diffusion.time_embed_dim"),
-    ({"latent": {**TINY["latent"], "learning_rate": -1}}, "latent.learning_rate"),
-    ({"diffusion": {**TINY["diffusion"], "learning_rate": -1}}, "diffusion.learning_rate"),
-    ({"diffusion": {**TINY["diffusion"], "batch_size": 0}}, "diffusion.batch_size"),
-    ({"diffusion": {**TINY["diffusion"], "train_steps": 0}}, "diffusion.train_steps"),
-    ({"diffusion": {**TINY["diffusion"], "uncond_prob": 1.5}}, "diffusion.uncond_prob"),
-    ({"diffusion": {**TINY["diffusion"], "phase_split": -0.1}}, "diffusion.phase_split"),
-    ({"diffusion": {**TINY["diffusion"], "beta_start": 0.05, "beta_end": 0.02}},
-     "diffusion.beta_start"),
-], ids=["seed", "latent_hidden", "diffusion_hidden", "cfg_w_inf", "int_field_inf",
-        "time_embed_dim_negative", "latent_lr_negative", "diffusion_lr_negative",
-        "diffusion_batch_size_0", "diffusion_train_steps_0", "uncond_prob_over_1",
-        "phase_split_negative", "beta_start_over_beta_end"])
+    pytest.param({"seed": -2}, "seed", id="seed"),
+    pytest.param(bad("corpus", n_records=0), "corpus.n_records", id="n_records_0"),
+    pytest.param(bad("corpus", eval_count=TINY["corpus"]["n_records"]), "corpus.eval_count",
+                 id="eval_count_n_records"),
+    pytest.param(bad("signal", sample_rate=0), "signal.sample_rate", id="sample_rate_0"),
+    pytest.param(bad("signal", n_fft=1023), "signal.n_fft", id="n_fft_odd"),
+    pytest.param(bad("signal", hop=0), "signal.hop", id="hop_0"),
+    pytest.param(bad("signal", n_mels=0), "signal.n_mels", id="n_mels_0"),
+    pytest.param(bad("signal", mel_frames=18), "signal.mel_frames",
+                 id="mel_frames_not_divisible"),
+    pytest.param(bad("clmp", embed_dim=1), "clmp.embed_dim", id="embed_dim_1"),
+    pytest.param(bad("clmp", hidden=0), "clmp.hidden", id="clmp_hidden_0"),
+    pytest.param(bad("clmp", token_embed_dim=0), "clmp.token_embed_dim",
+                 id="token_embed_dim_0"),
+    pytest.param(bad("clmp", batch_size=1), "clmp.batch_size", id="clmp_batch_size_1"),
+    pytest.param(bad("clmp", learning_rate=-1), "clmp.learning_rate", id="clmp_lr_negative"),
+    pytest.param(bad("clmp", epochs=-1), "clmp.epochs", id="clmp_epochs_negative"),
+    pytest.param(bad("latent", compression=0), "latent.compression", id="compression_0"),
+    pytest.param(bad("latent", channels=0), "latent.channels", id="latent_channels_0"),
+    pytest.param(bad("latent", hidden=0), "latent.hidden", id="latent_hidden"),
+    pytest.param(bad("latent", kl_weight=-1), "latent.kl_weight", id="kl_weight_negative"),
+    pytest.param(bad("latent", steps=0), "latent.steps", id="latent_steps_0"),
+    pytest.param(bad("latent", steps=float("inf")), "latent.steps", id="int_field_inf"),
+    pytest.param(bad("latent", learning_rate=-1), "latent.learning_rate",
+                 id="latent_lr_negative"),
+    pytest.param(bad("latent", batch_size=0), "latent.batch_size", id="latent_batch_size_0"),
+    pytest.param(bad("diffusion", n_steps=0), "diffusion.n_steps", id="n_steps_0"),
+    pytest.param(bad("diffusion", beta_start=0.05, beta_end=0.02), "diffusion.beta_start",
+                 id="beta_start_over_beta_end"),
+    pytest.param(bad("diffusion", learning_rate=-1), "diffusion.learning_rate",
+                 id="diffusion_lr_negative"),
+    pytest.param(bad("diffusion", batch_size=0), "diffusion.batch_size",
+                 id="diffusion_batch_size_0"),
+    pytest.param(bad("diffusion", train_steps=0), "diffusion.train_steps",
+                 id="diffusion_train_steps_0"),
+    pytest.param(bad("diffusion", hidden=0), "diffusion.hidden", id="diffusion_hidden"),
+    pytest.param(bad("diffusion", time_embed_dim=-2), "diffusion.time_embed_dim",
+                 id="time_embed_dim_negative"),
+    pytest.param(bad("diffusion", cond_dim=0), "diffusion.cond_dim", id="cond_dim_0"),
+    pytest.param(bad("diffusion", ddim_steps=TINY["diffusion"]["n_steps"] + 1),
+                 "diffusion.ddim_steps", id="ddim_steps_over_n_steps"),
+    pytest.param(bad("diffusion", cfg_w=float("inf")), "diffusion.cfg_w", id="cfg_w_inf"),
+    pytest.param(bad("diffusion", uncond_prob=1.5), "diffusion.uncond_prob",
+                 id="uncond_prob_over_1"),
+    pytest.param(bad("diffusion", phase_split=-0.1), "diffusion.phase_split",
+                 id="phase_split_negative"),
+])
 def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, **edit}))
@@ -283,7 +317,7 @@ def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
     assert cli.main(["synth-data", "--config", str(config),
                      "--out", str(tmp_path / "work")]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "ValidationError" in err and field in err
+    assert f"ValidationError: {field}: " in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -858,6 +892,30 @@ def test_evaluate_report_matches_reference_sampler(request, capsys, monkeypatch,
     monkeypatch.setattr(pipeline.diffusion, "sample_ddim", reference_ddim)
     assert cli.main(args) == cli.EXIT_OK
     assert_reports_agree(shipped, json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--prompt", "a calm melody", "--tag", "once"],
+    ["generate", "--prompt", "a calm melody", "--tag", "once", "--no-melody"],
+    ["evaluate", "--mode", "ablation"],
+], ids=["generate", "generate_no_melody", "evaluate_ablation"])
+def test_stage_loads_the_stack_and_embeds_its_captions_once(trained, monkeypatch, capsys,
+                                                            args):
+    config, work = trained
+    calls, embed, load = [], clmp.embed, diffusion.Denoiser.load
+
+    def counted_embed(model, modality, items):
+        calls.append(modality)
+        return embed(model, modality, items)
+
+    def counted_load(cls, path):
+        calls.append("load")
+        return load(path)
+
+    monkeypatch.setattr(clmp, "embed", counted_embed)
+    monkeypatch.setattr(diffusion.Denoiser, "load", classmethod(counted_load))
+    assert cli.main([*args, "--config", str(config), "--out", str(work)]) == cli.EXIT_OK
+    assert calls == ["load", "text"]
 
 
 # SHA-256 of the JSON report of each evaluate mode on the tiny stack (the

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from melodygen import corpus, signal
 from melodygen.config import SignalConfig
-from melodygen.errors import ValidationError
+from melodygen.errors import FormatError, ValidationError
 from melodygen.melody_codec import parse_pitch
 
 
@@ -168,6 +169,32 @@ class TestLoad:
         assert len(result.errors) == 1
         assert result.errors[0].record_id == "line 2"
         assert message in result.errors[0].message
+
+    # Each edit of a valid WAV's bytes breaks one check of read_wav; the
+    # fmt chunk spans bytes 12..36 and the data chunk header 36..44.
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda raw: b"JUNK" + raw[4:], "bad magic"),
+        (lambda raw: raw[:8] + b"WAVX" + raw[12:], "bad RIFF form"),
+        (lambda raw: raw[:-10], "truncated"),
+        (lambda raw: raw[:12] + raw[36:], "missing 'fmt ' chunk"),
+        (lambda raw: raw[:36], "missing 'data' chunk"),
+        (lambda raw: raw[:20] + struct.pack("<H", 3) + raw[22:], "unsupported encoding 3"),
+        (lambda raw: raw[:22] + struct.pack("<H", 2) + raw[24:], "channel count 2"),
+        (lambda raw: raw[:34] + struct.pack("<H", 24) + raw[36:], "bit depth 24"),
+        (lambda raw: raw[:40] + struct.pack("<I", len(raw) - 45) + raw[44:-1],
+         "odd byte count"),
+    ], ids=["bad_magic", "wrong_form", "truncated_chunk", "no_fmt_chunk", "no_data_chunk",
+            "not_pcm", "stereo", "24_bit", "odd_data_bytes"])
+    def test_malformed_wav_reported_by_id_others_load(self, tmp_path, edit, problem):
+        records = corpus.generate_corpus(3, seed=19, out_dir=tmp_path, clip_samples=512)
+        wav = tmp_path / records[1].wav_path
+        wav.write_bytes(edit(wav.read_bytes()))
+        with pytest.raises(FormatError) as e:
+            signal.read_wav(wav)
+        assert problem in str(e.value)
+        result = corpus.load_corpus(tmp_path / "manifest.jsonl")
+        assert [r.id for r in result.records] == [records[0].id, records[2].id]
+        assert result.errors == [corpus.RecordError(records[1].id, str(e.value))]
 
 
 class TestArchetype:
