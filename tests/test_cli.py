@@ -259,7 +259,7 @@ def test_ddpm_reports_the_steps_it_ran(trained, capsys):
 
 def bad(section, **values):
     """A config edit that sets ``values`` in ``section`` of TINY."""
-    return {section: {**TINY.get(section, {}), **values}}
+    return {section: {**TINY[section], **values}}
 
 
 @pytest.mark.parametrize("edit, field", [
