@@ -32,6 +32,9 @@ MIN_RETRIEVAL_ITEMS = 10  # R@10 needs at least ten candidates per query
 
 _TOKEN_FEATURE_DIM = 128 + 2  # one-hot pitch + scaled duration/rest bins
 
+# ClmpModel's nets, in parameter order; each also names its checkpoint arrays
+NETS = ("text_head", "wave_head", "melody_token_embed", "melody_head")
+
 
 @dataclass
 class Triple:
@@ -132,50 +135,27 @@ class ClmpModel:
     def tau(self) -> float:
         return float(np.exp(self.log_tau[0]))
 
-    def parameters(self) -> list[np.ndarray]:
-        return (
-            self.text_head.parameters()
-            + self.wave_head.parameters()
-            + self.melody_token_embed.parameters()
-            + self.melody_head.parameters()
-            + [self.log_tau]
-        )
-
-    def parameter_names(self) -> list[str]:
-        return (
-            self.text_head.parameter_names("text_head.")
-            + self.wave_head.parameter_names("wave_head.")
-            + self.melody_token_embed.parameter_names("melody_token_embed.")
-            + self.melody_head.parameter_names("melody_head.")
-            + ["log_tau"]
-        )
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        named = {}
+        for name, net in self._nets().items():
+            named.update(net.named_parameters(f"{name}."))
+        return {**named, "log_tau": self.log_tau}
 
     def save(self, path) -> None:
-        arrays: dict[str, np.ndarray] = {"log_tau": self.log_tau}
-        meta: dict = {"embed_dim": self.embed_dim, "nets": {}}
-        for name, net in self._nets().items():
-            a, m = smallnet.net_state(net, prefix=f"{name}.")
-            arrays.update(a)
-            meta["nets"][name] = m
-        smallnet.save_checkpoint(path, arrays, meta)
+        meta = {"embed_dim": self.embed_dim,
+                "nets": {name: smallnet.net_meta(net) for name, net in self._nets().items()}}
+        smallnet.save_checkpoint(path, self.named_parameters(), meta)
 
     @classmethod
     def load(cls, path) -> "ClmpModel":
         arrays, meta = smallnet.load_checkpoint(path)
         with smallnet.checkpoint_keys(path):
-            nets = {
-                name: smallnet.net_from_state(arrays, meta["nets"][name], prefix=f"{name}.")
-                for name in ("text_head", "wave_head", "melody_token_embed", "melody_head")
-            }
+            nets = {name: smallnet.net_from_state(arrays, meta["nets"][name], f"{name}.")
+                    for name in NETS}
             return cls(log_tau=arrays["log_tau"], embed_dim=int(meta["embed_dim"]), **nets)
 
     def _nets(self) -> dict[str, smallnet.DenseNet]:
-        return {
-            "text_head": self.text_head,
-            "wave_head": self.wave_head,
-            "melody_token_embed": self.melody_token_embed,
-            "melody_head": self.melody_head,
-        }
+        return {name: getattr(self, name) for name in NETS}
 
 
 def _normalize_rows(h: np.ndarray):
@@ -335,7 +315,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
     text, wave, melody = _batch_features(corpus)
 
     rng = smallnet.spawn_rng(seed, 202)
-    opt = smallnet.Optimizer(model.parameters(), model.parameter_names(), config.learning_rate)
+    opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)
     curve = []
     n_batches = len(corpus) // config.batch_size
     for _ in range(config.epochs):

@@ -157,8 +157,8 @@ class PipelineConfig:
                 raise ValidationError(f"unknown config section {key!r}")
             f = sections[key]
             if f.name == "seed":
-                if not isinstance(value, int):
-                    raise ValidationError("seed: must be an integer")
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValidationError(f"seed: must be an integer, got {value!r}")
                 kwargs["seed"] = value
                 continue
             section_cls = f.default_factory  # the section dataclass

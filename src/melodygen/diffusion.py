@@ -170,11 +170,9 @@ class ConditionFusion:
     def cond_dim(self) -> int:
         return self.W.shape[1]
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.W, self.b, self.null_condition]
-
-    def parameter_names(self) -> list[str]:
-        return ["fusion.W", "fusion.b", "fusion.null_condition"]
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        return {"fusion.W": self.W, "fusion.b": self.b,
+                "fusion.null_condition": self.null_condition}
 
     def _inputs(self, queries: np.ndarray, melodies: np.ndarray) -> np.ndarray:
         shape = (len(queries), self.embed_dim)
@@ -253,11 +251,8 @@ class Denoiser:
             time_embed_dim=config.time_embed_dim,
         )
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.net.parameters()
-
-    def parameter_names(self) -> list[str]:
-        return self.net.parameter_names("denoiser.")
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        return self.net.named_parameters("denoiser.")
 
     def _stack_input(self, x_n: np.ndarray, n, c: np.ndarray) -> np.ndarray:
         x_n = np.atleast_2d(np.asarray(x_n, dtype=np.float64))
@@ -289,8 +284,7 @@ class Denoiser:
         """Write the net, the fusion map and ``extra_meta``, plus the sampler
         constants as exact arrays, formed from the float32 weights the file
         stores so that they equal those formed from the loaded weights."""
-        arrays, net_meta = smallnet.net_state(self.net, "denoiser.")
-        arrays.update(zip(fusion.parameter_names(), fusion.parameters()))
+        arrays = {**self.named_parameters(), **fusion.named_parameters()}
         first, last = self.net.layers[0], self.net.layers[-1]
         arrays.update(zip(SAMPLER_ARRAYS, _sampler_constants(
             *map(smallnet.as_stored, (first.w, last.w, last.b)), self.latent_dim)))
@@ -298,7 +292,7 @@ class Denoiser:
             "latent_dim": self.latent_dim,
             "cond_dim": self.cond_dim,
             "time_embed_dim": self.time_embed_dim,
-            "net": net_meta,
+            "net": smallnet.net_meta(self.net),
             "extra": extra_meta,
         }
         smallnet.save_checkpoint(path, arrays, meta, exact=SAMPLER_ARRAYS)

@@ -90,24 +90,20 @@ class LatentCodecModel:
                         "sample_rate": signal.sample_rate},
         )
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.encoder.parameters() + self.decoder.parameters()
-
-    def parameter_names(self) -> list[str]:
-        return (self.encoder.parameter_names("encoder.")
-                + self.decoder.parameter_names("decoder."))
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        return {**self.encoder.named_parameters("encoder."),
+                **self.decoder.named_parameters("decoder.")}
 
     def save(self, path) -> None:
-        enc_a, enc_m = smallnet.net_state(self.encoder, "encoder.")
-        dec_a, dec_m = smallnet.net_state(self.decoder, "decoder.")
         meta = {
             "compression": self.compression,
             "channels": self.channels,
             "kl_weight": self.kl_weight,
             "mel_params": self.mel_params,
-            "nets": {"encoder": enc_m, "decoder": dec_m},
+            "nets": {"encoder": smallnet.net_meta(self.encoder),
+                     "decoder": smallnet.net_meta(self.decoder)},
         }
-        smallnet.save_checkpoint(path, {**enc_a, **dec_a}, meta)
+        smallnet.save_checkpoint(path, self.named_parameters(), meta)
 
     @classmethod
     def load(cls, path) -> "LatentCodecModel":
@@ -171,7 +167,7 @@ def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid], config: Late
     pool = np.concatenate(pool, axis=0)
 
     rng = smallnet.spawn_rng(seed, 405)
-    opt = smallnet.Optimizer(model.parameters(), model.parameter_names(), config.learning_rate)
+    opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)
     history = []
     for _ in range(config.steps):
         idx = rng.integers(0, len(pool), size=config.batch_size)

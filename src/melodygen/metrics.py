@@ -118,8 +118,7 @@ def train_probe(features: np.ndarray, labels: list[str], seed: int) -> ProbeClas
         raise ValidationError("not enough samples to train the probe")
 
     net = smallnet.DenseNet.create([x.shape[1], PROBE_HIDDEN, len(classes)], "tanh", rng)
-    opt = smallnet.Optimizer(net.parameters(), net.parameter_names("probe."),
-                             PROBE_LEARNING_RATE)
+    opt = smallnet.Optimizer(net.named_parameters("probe."), PROBE_LEARNING_RATE)
     eye = np.eye(len(classes))
     for _ in range(PROBE_EPOCHS):
         perm = rng.permutation(len(train))

@@ -114,24 +114,26 @@ def corpus_mels(cfg: PipelineConfig, art: Artifacts,
     """The mel grid of every record of the corpus, in order.
 
     Read from features.ckpt when it was built from these record ids and WAV
-    digests under ``cfg.signal``. Otherwise the grids are computed
-    (``record_mel``) and features.ckpt is written. The file is a pure
-    function of the WAVs, so a mismatch rebuilds it and never refuses.
+    digests under ``cfg.signal`` and holds one grid of the configured shape
+    per record. Otherwise the grids are computed (``record_mel``) and
+    features.ckpt is written. The file is a pure function of the WAVs, so a
+    mismatch rebuilds it and never refuses.
     """
+    s = cfg.signal
     built_from = {"ids": [r.id for r in records],
                   "wav_sha256": [r.wav_sha256 for r in records],
-                  "signal": dataclasses.asdict(cfg.signal)}
+                  "signal": dataclasses.asdict(s)}
+    shape = (len(records), s.mel_frames, s.n_mels)
     values = None
     if art.features_path.exists():
         try:
             arrays, meta = smallnet.load_checkpoint(art.features_path)
         except (FormatError, ValidationError):
             arrays, meta = {}, None
-        if meta == built_from and "mels" in arrays:
+        if meta == built_from and "mels" in arrays and arrays["mels"].shape == shape:
             values = arrays["mels"]
-    s = cfg.signal
     if values is None:
-        values = np.empty((len(records), s.mel_frames, s.n_mels))
+        values = np.empty(shape)
         for row, r in zip(values, records):
             row[...] = record_mel(cfg, art, r).values
         smallnet.save_checkpoint(art.features_path, {"mels": values}, built_from,
@@ -271,8 +273,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     # rounded twice
     denoiser.net = denoiser.net.astype(DENOISER_TRAIN_DTYPE)
     fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, d.cond_dim, cfg.seed)
-    opt = smallnet.Optimizer(denoiser.parameters() + fusion.parameters(),
-                             denoiser.parameter_names() + fusion.parameter_names(),
+    opt = smallnet.Optimizer({**denoiser.named_parameters(), **fusion.named_parameters()},
                              d.learning_rate)
     rng = smallnet.spawn_rng(cfg.seed, 1001)
     batch = min(d.batch_size, len(x0))

@@ -10,6 +10,12 @@ The backward pass computes only the input-gradient columns its caller asks
 for, and Adam updates each parameter in place, a cache-sized block at a time,
 with the textbook update's arithmetic in the textbook order.
 
+Parameters are named once: ``DenseNet.named_parameters(prefix)`` is the one
+insertion-ordered name -> array dict of a net (``{prefix}w{i}``,
+``{prefix}b{i}``), and each model builds its own ``named_parameters()`` from
+its nets'. ``Optimizer`` binds that dict, and a model's checkpoint stores the
+same arrays under the same names.
+
 Randomness: all seeded streams use numpy's PCG64 generator (a counter-based
 generator whose output stream is pinned by the numpy random API and identical
 across platforms for a given seed). Child streams are derived through
@@ -34,11 +40,6 @@ from .errors import FormatError, GradientError, ShapeError, ValidationError
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 CHECKPOINT_FORMAT_VERSION = 2
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 stream. Same seed gives the same stream everywhere."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def spawn_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -154,20 +155,13 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[0]
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays (views; in-place updates stick)."""
-        out = []
-        for l in self.layers:
-            out.append(l.w)
-            out.append(l.b)
-        return out
-
-    def parameter_names(self, prefix: str = "") -> list[str]:
-        names = []
-        for i in range(len(self.layers)):
-            names.append(f"{prefix}w{i}")
-            names.append(f"{prefix}b{i}")
-        return names
+    def named_parameters(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """``{prefix}w{i}`` and ``{prefix}b{i}`` of each layer i, in layer order:
+        the arrays themselves, so in-place updates stick."""
+        named = {}
+        for i, l in enumerate(self.layers):
+            named[f"{prefix}w{i}"], named[f"{prefix}b{i}"] = l.w, l.b
+        return named
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
@@ -194,8 +188,8 @@ class DenseNet:
     def backward_cached(self, cache, upstream: np.ndarray, input_cols=slice(None)):
         """Gradients from a cached forward.
 
-        Returns ``(grads, input_grad)`` where grads is a flat list matching
-        ``parameters()`` order. Parameter gradients are summed over the batch.
+        Returns ``(grads, input_grad)`` where grads is a list in
+        ``named_parameters()`` order, summed over the batch.
         ``input_grad`` holds the input columns ``input_cols`` selects (all by
         default); ``input_cols=None`` skips it and returns None.
         """
@@ -225,8 +219,9 @@ CACHE_BLOCK = 16384
 
 
 class Optimizer:
-    """Adam over a fixed list of parameter arrays, bound with their names at
-    construction, where the moment buffers are allocated.
+    """Adam over a fixed name -> array dict (a model's ``named_parameters()``),
+    bound at construction, where the moment buffers are allocated. ``step``
+    takes the gradients as a list in the dict's order.
 
     Each parameter is updated in place, in its own dtype, ``CACHE_BLOCK``
     elements at a time, through two reused scratch buffers of that dtype; per
@@ -236,30 +231,29 @@ class Optimizer:
     betas = (0.9, 0.999)
     eps = 1e-8
 
-    def __init__(self, params: list[np.ndarray], names: list[str], learning_rate: float):
+    def __init__(self, named: dict[str, np.ndarray], learning_rate: float):
         if not (0.0 < learning_rate or learning_rate == 0.0):
             raise ValidationError("learning_rate must be >= 0")
-        if len(params) != len(names):
-            raise ShapeError(f"{len(params)} parameters and {len(names)} names")
-        for p, name in zip(params, names):
+        for name, p in named.items():
             if not p.flags.c_contiguous:
                 raise ShapeError(f"parameter {name} is not contiguous and cannot be "
                                  "updated in place")
-        self.params, self.names = list(params), list(names)
+        self.named = dict(named)
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._m = [np.zeros_like(p) for p in params]
-        self._v = [np.zeros_like(p) for p in params]
-        self._scratch = {p.dtype: np.empty((2, CACHE_BLOCK), p.dtype) for p in params}
+        self._m = [np.zeros_like(p) for p in self.named.values()]
+        self._v = [np.zeros_like(p) for p in self.named.values()]
+        self._scratch = {p.dtype: np.empty((2, CACHE_BLOCK), p.dtype)
+                         for p in self.named.values()}
 
     def _checked(self, grads) -> list[np.ndarray]:
         """The gradients cast to their parameters' dtypes, once every check
         passed; raises before anything is updated. A gradient that overflows
         its parameter's dtype is non-finite there and is rejected."""
-        if len(grads) != len(self.params):
-            raise ShapeError(f"{len(grads)} gradients for {len(self.params)} parameters")
+        if len(grads) != len(self.named):
+            raise ShapeError(f"{len(grads)} gradients for {len(self.named)} parameters")
         out = []
-        for p, g, name in zip(self.params, grads, self.names):
+        for (name, p), g in zip(self.named.items(), grads):
             with np.errstate(over="ignore"):
                 g = np.asarray(g, dtype=p.dtype)
             if p.shape != g.shape:
@@ -279,7 +273,7 @@ class Optimizer:
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         lr, eps = self.learning_rate, self.eps
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+        for p, g, m, v in zip(self.named.values(), grads, self._m, self._v):
             p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for start in range(0, p.size, CACHE_BLOCK):
                 blk = slice(start, start + CACHE_BLOCK)
@@ -441,19 +435,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def net_state(net: DenseNet, prefix: str = "") -> tuple[dict[str, np.ndarray], dict]:
-    """(arrays, meta) pair describing a net, for embedding in a checkpoint."""
-    arrays = {}
-    for i, l in enumerate(net.layers):
-        arrays[f"{prefix}w{i}"] = l.w
-        arrays[f"{prefix}b{i}"] = l.b
-    meta = {"activations": [l.activation for l in net.layers]}
-    return arrays, meta
+def net_meta(net: DenseNet) -> dict:
+    """The checkpoint meta of a net; its arrays are ``named_parameters()``."""
+    return {"activations": [l.activation for l in net.layers]}
 
 
 def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str = "") -> DenseNet:
-    """Rebuild a net from ``net_state`` output. The net takes the arrays as its
-    parameters without copying them (``load_checkpoint`` returns fresh ones).
+    """Rebuild a net from its ``named_parameters(prefix)`` and ``net_meta``. The
+    net takes the arrays as its parameters without copying them
+    (``load_checkpoint`` returns fresh ones).
     A missing array or meta key raises ``KeyError``; see ``checkpoint_keys``."""
     return DenseNet([DenseLayer(arrays[f"{prefix}w{i}"], arrays[f"{prefix}b{i}"], act)
                      for i, act in enumerate(meta["activations"])])

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import reference_ddim
-from melodygen import PipelineConfig, cli, clmp, diffusion, pipeline, signal, smallnet
+from melodygen import (PipelineConfig, cli, clmp, diffusion, latentcodec, pipeline, signal,
+                       smallnet)
 from melodygen.errors import GradientError
 
 TINY = {
@@ -264,6 +265,7 @@ def bad(section, **values):
 
 @pytest.mark.parametrize("edit, field", [
     pytest.param({"seed": -2}, "seed", id="seed"),
+    pytest.param({"seed": True}, "seed", id="seed_bool"),
     pytest.param(bad("corpus", n_records=0), "corpus.n_records", id="n_records_0"),
     pytest.param(bad("corpus", eval_count=TINY["corpus"]["n_records"]), "corpus.eval_count",
                  id="eval_count_n_records"),
@@ -586,6 +588,24 @@ def test_edited_wav_rebuilds_the_features_once(trained, work_copy, mel_calls):
     assert changed == [5]
 
 
+@pytest.mark.parametrize("truncate", [lambda mels: mels[:-1], lambda mels: mels[:, :-1]],
+                         ids=["one_record_short", "one_frame_short"])
+def test_misshapen_features_are_rebuilt(trained, work_copy, mel_calls, truncate):
+    """A features.ckpt with current meta but a mels array of the wrong shape is
+    rebuilt, never used."""
+    config, work = trained
+    path = work_copy / "features.ckpt"
+    arrays, meta = smallnet.load_checkpoint(path)
+    smallnet.save_checkpoint(path, {"mels": truncate(arrays["mels"])}, meta, exact=("mels",))
+    art = pipeline.Artifacts(work_copy)
+    records = pipeline._load_records(art)
+    mels = pipeline.corpus_mels(PipelineConfig.from_file(config), art, records)
+    assert len(mel_calls) == len(records)
+    assert path.read_bytes() == (work / "features.ckpt").read_bytes()
+    fresh = smallnet.load_checkpoint(work / "features.ckpt")[0]["mels"]
+    assert np.array_equal([m.values for m in mels], fresh)
+
+
 def test_corpus_resynthesized_under_other_mel_frames_is_refused_over_old_features(
         tmp_path, capsys):
     tiny, other = tmp_path / "tiny.json", tmp_path / "other.json"
@@ -670,7 +690,7 @@ def test_float32_training_tracks_float64_on_the_same_draws(trained, tmp_path, mo
 
     def recording_save(self, path, fusion, extra_meta):
         trained_params[path.parent.name] = {name: p.copy() for name, p in
-                                            zip(self.parameter_names(), self.parameters())}
+                                            self.named_parameters().items()}
         save(self, path, fusion, extra_meta)
 
     monkeypatch.setattr(diffusion.Denoiser, "save", recording_save)
@@ -688,6 +708,45 @@ def test_float32_training_tracks_float64_on_the_same_draws(trained, tmp_path, mo
         assert np.array_equal(arrays[name], p32)
 
 
+@pytest.mark.parametrize("name", ["clmp.ckpt", "latentcodec.ckpt", "diffusion.ckpt"])
+def test_checkpoint_arrays_are_the_models_named_parameters(trained, name):
+    """Each checkpoint stores exactly its model's ``named_parameters()`` under
+    their names, and diffusion.ckpt also the exact sampler arrays."""
+    path = trained[1] / name
+    extra = ()
+    if name == "diffusion.ckpt":
+        den, fusion, _ = diffusion.Denoiser.load(path)
+        named = {**den.named_parameters(), **fusion.named_parameters()}
+        extra = diffusion.SAMPLER_ARRAYS
+    else:
+        model = clmp.ClmpModel if name == "clmp.ckpt" else latentcodec.LatentCodecModel
+        named = model.load(path).named_parameters()
+    arrays, _ = smallnet.load_checkpoint(path)
+    assert sorted(arrays) == sorted([*named, *extra])
+    for key, p in named.items():
+        assert np.array_equal(arrays[key], p)
+
+
+def test_non_finite_null_gradient_exits_3_naming_the_fusion_key(trained, work_copy, capsys,
+                                                                 monkeypatch):
+    """The denoiser's optimizer binds the fusion map's parameters by name."""
+    config, _ = trained
+    before = (work_copy / "diffusion.ckpt").read_bytes()
+    training_step = diffusion.training_step
+
+    def nan_null(*args, **kwargs):
+        result = training_step(*args, **kwargs)
+        return dataclasses.replace(result, d_null=np.full_like(result.d_null, np.nan))
+
+    monkeypatch.setattr(diffusion, "training_step", nan_null)
+    capsys.readouterr()
+    assert cli.main(["train-diffusion", "--config", str(config),
+                     "--out", str(work_copy)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "GradientError" in err and "'fusion.null_condition'" in err
+    assert (work_copy / "diffusion.ckpt").read_bytes() == before
+
+
 def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
         work_copy, tmp_path, capsys, monkeypatch):
     work = work_copy
@@ -700,7 +759,7 @@ def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
     def failing_step(self, grads):
         calls.append(threading.active_count())
         if len(calls) == 3:
-            raise GradientError("non-finite gradient, update rejected", self.names[0])
+            raise GradientError("non-finite gradient, update rejected", next(iter(self.named)))
         step(self, grads)
 
     monkeypatch.setattr(smallnet.Optimizer, "step", failing_step)
@@ -726,7 +785,7 @@ def reference_top1(melodies, query):
 
 
 def test_retrieve_matches_reference_loop_and_single_queries():
-    rng = smallnet.make_rng(5)
+    rng = smallnet.spawn_rng(5)
     melodies, queries = unit_rows(rng, 40, 8), unit_rows(rng, 100, 8)
     rows = pipeline.retrieve(melodies, queries)
     assert list(rows) == [reference_top1(melodies, q) for q in queries]

@@ -21,7 +21,7 @@ def toy_mel(rng, frames=24, bins=16):
 
 
 def toy_triples(n, seed=0, bins=16):
-    rng = smallnet.make_rng(seed)
+    rng = smallnet.spawn_rng(seed)
     words = ["calm", "bright", "slow", "fast", "deep", "high", "airy", "warm"]
     out = []
     for i in range(n):
@@ -77,7 +77,7 @@ class TestFeaturizeText:
                 v[h % 256] += 1.0 if (h >> 63) & 1 else -1.0
             return v / np.linalg.norm(v)
 
-        rng = smallnet.make_rng(17)
+        rng = smallnet.spawn_rng(17)
         vocab_a = [f"aa{i}" for i in range(60)]
         vocab_b = [f"bb{i}" for i in range(60)]
         cosines = []
@@ -100,7 +100,7 @@ class TestFeaturizeWave:
         assert np.allclose(v[:8], v[0])  # equal mean half
 
     def test_time_shuffle_invariant(self):
-        rng = smallnet.make_rng(18)
+        rng = smallnet.spawn_rng(18)
         m = toy_mel(rng)
         shuffled = mel_grid(m.values[rng.permutation(m.values.shape[0])])
         assert np.allclose(clmp.featurize_wave(m), clmp.featurize_wave(shuffled))
@@ -140,7 +140,7 @@ class TestContrastiveLoss:
     def test_random_batch_near_log_n(self):
         # independent random query/candidate clouds: each directed term
         # concentrates near log N
-        rng = smallnet.make_rng(20)
+        rng = smallnet.spawn_rng(20)
         n = 8
         losses = []
         for _ in range(100):
@@ -160,7 +160,7 @@ class TestContrastiveLoss:
 
     def test_symmetric_batch_identity(self):
         # transposing the similarity matrix gives exactly the other direction
-        rng = smallnet.make_rng(21)
+        rng = smallnet.spawn_rng(21)
         a = rng.standard_normal((6, 16))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal((6, 16))
@@ -171,7 +171,7 @@ class TestContrastiveLoss:
         assert l_ba_via_transpose == pytest.approx(l_ba_direct, rel=1e-12)
 
     def test_directed_terms_nonnegative(self):
-        rng = smallnet.make_rng(22)
+        rng = smallnet.spawn_rng(22)
         for _ in range(50):
             e = rng.standard_normal((5, 8))
             e /= np.linalg.norm(e, axis=1, keepdims=True)
@@ -196,8 +196,8 @@ class TestContrastiveLoss:
             return clmp._BatchGraph(model, text, wave, melody).loss_and_grads()[0]
 
         _, grads = clmp._BatchGraph(model, text, wave, melody).loss_and_grads()
-        params = model.parameters()
-        rng = smallnet.make_rng(900 + seed)
+        params = model.named_parameters().values()
+        rng = smallnet.spawn_rng(900 + seed)
         worst = 0.0
         for p, g in zip(params, grads):
             for coord in sample_coords(rng, p.shape, 3):
@@ -217,13 +217,13 @@ class TestTraining:
 
     def test_zero_lr_keeps_parameters_and_loss(self):
         model = toy_model(seed=4)
-        before = [p.copy() for p in model.parameters()]
+        before = [p.copy() for p in model.named_parameters().values()]
         triples = toy_triples(16, seed=4)
         fixed_batch = triples[:8]
         loss_before = batch_loss(model, fixed_batch)
         clmp.train_clmp(model, triples, ClmpConfig(
             batch_size=8, epochs=3, learning_rate=0.0), seed=4)
-        for a, b in zip(before, model.parameters()):
+        for a, b in zip(before, model.named_parameters().values()):
             assert np.array_equal(a, b)
         assert batch_loss(model, fixed_batch) == loss_before
 
@@ -293,7 +293,7 @@ class TestEvalRetrieval:
 
     def test_chance_level_r1(self):
         # untrained random models on random data: R@1 concentrates near 1/n
-        rng = smallnet.make_rng(23)
+        rng = smallnet.spawn_rng(23)
         n = 64
         r1s = []
         for _ in range(50):

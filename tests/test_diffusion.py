@@ -76,7 +76,7 @@ class TestQSample:
 
     def test_marginal_statistics_monte_carlo(self):
         s = df.make_schedule(100, 1e-4, 0.02)
-        rng = smallnet.make_rng(30)
+        rng = smallnet.spawn_rng(30)
         x0 = np.array([0.7])
         n_draws = 100_000
         for n in (1, 50, 100):
@@ -126,7 +126,7 @@ class TestPosterior:
         abn, abp, beta, alpha = sympy.symbols("abn abp beta alpha", positive=True)
         coef_x0 = sympy.sqrt(abp) * beta / (1 - abn)
         coef_xn = sympy.sqrt(alpha) * (1 - abp) / (1 - abn)
-        rng = smallnet.make_rng(31)
+        rng = smallnet.spawn_rng(31)
         for n in rng.integers(2, 41, size=5):
             n = int(n)
             subs = {abn: s.alpha_bar[n - 1], abp: s.alpha_bar[n - 2],
@@ -155,7 +155,7 @@ class TestFusion:
         assert np.allclose(c, np.concatenate([q, m], axis=1))
 
     def test_zero_padding_ablation(self):
-        rng = smallnet.make_rng(32)
+        rng = smallnet.spawn_rng(32)
         fusion = df.ConditionFusion.create(4, 3, seed=0)
         q = rng.standard_normal((3, 4))
         c = fusion.forward(q, np.zeros_like(q))
@@ -171,7 +171,7 @@ class TestFusion:
             fusion.forward(np.zeros((2, 4)), np.zeros((1, 4)))
 
     def test_gradients_match_finite_differences(self):
-        rng = smallnet.make_rng(33)
+        rng = smallnet.spawn_rng(33)
         fusion = df.ConditionFusion.create(4, 3, seed=1)
         q, m = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         target = rng.standard_normal((5, 3))
@@ -213,7 +213,7 @@ class TestTrainingStep:
         # collapses to 0
         s = df.make_schedule(10, 1e-2, 0.1)
         den = tiny_denoiser()
-        rng = smallnet.make_rng(34)
+        rng = smallnet.spawn_rng(34)
         x0 = rng.standard_normal((6, 4))
         n = rng.integers(1, 11, size=6)
         eps = rng.standard_normal((6, 4))
@@ -237,11 +237,11 @@ class TestTrainingStep:
         # latent 5000: several row blocks, the last one short
         den = tiny_denoiser(latent_dim=latent_dim, seed=9)
         s = df.make_schedule(30, 1e-3, 0.05)
-        data = smallnet.make_rng(40)
+        data = smallnet.spawn_rng(40)
         x0 = data.standard_normal((batch, latent_dim))
         cond = data.standard_normal((batch, 3))
         null = data.standard_normal(3)
-        n, eps, uncond = draws(smallnet.make_rng(41), s, batch, latent_dim, 0.5)
+        n, eps, uncond = draws(smallnet.spawn_rng(41), s, batch, latent_dim, 0.5)
         assert uncond.any() and not uncond.all()
         eps_before = eps.copy()
         res = df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
@@ -262,10 +262,10 @@ class TestTrainingStep:
         den64 = tiny_denoiser(latent_dim=5000, seed=10)
         den64.net = den32.net.astype(np.float64)
         s = df.make_schedule(30, 1e-3, 0.05)
-        data = smallnet.make_rng(42)
+        data = smallnet.spawn_rng(42)
         x0, cond, null = (data.standard_normal((7, 5000)), data.standard_normal((7, 3)),
                           data.standard_normal(3))
-        n, eps, uncond = draws(smallnet.make_rng(43), s, 7, 5000, 0.5)
+        n, eps, uncond = draws(smallnet.spawn_rng(43), s, 7, 5000, 0.5)
         assert uncond.any() and not uncond.all()
         r32, r64 = (df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
                     for den in (den32, den64))
@@ -276,7 +276,7 @@ class TestTrainingStep:
         for a32, a64 in ((r32.d_conditions, r64.d_conditions), (r32.d_null, r64.d_null)):
             assert a32.dtype == a64.dtype == np.float64
             assert np.allclose(a32, a64, rtol=1e-4, atol=1e-5 * np.abs(a64).max())
-        assert all(p.dtype == np.float32 for p in den32.parameters())
+        assert all(p.dtype == np.float32 for p in den32.named_parameters().values())
 
     def test_uncond_mask_shape_checked(self):
         den = tiny_denoiser()
@@ -314,7 +314,7 @@ class TestTrainingStep:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
         s = df.make_schedule(50, 1e-3, 0.05)
-        rng = smallnet.make_rng(35)
+        rng = smallnet.spawn_rng(35)
         losses = []
         for _ in range(200):
             n, eps, uncond = draws(rng, s, 32, latent_dim, 1.0)
@@ -329,7 +329,7 @@ class TestTrainingStep:
     def test_uncond_prob_one_zeroes_condition_grads(self):
         den = tiny_denoiser()
         s = df.make_schedule(20, 1e-3, 0.05)
-        rng = smallnet.make_rng(36)
+        rng = smallnet.spawn_rng(36)
         x0 = rng.standard_normal((8, 4))
         cond = rng.standard_normal((8, 3))
         n, eps, uncond = draws(rng, s, 8, 4, 1.0)
@@ -340,7 +340,7 @@ class TestTrainingStep:
     def test_uncond_prob_zero_keeps_all_conditions(self):
         den = tiny_denoiser()
         s = df.make_schedule(20, 1e-3, 0.05)
-        rng = smallnet.make_rng(37)
+        rng = smallnet.spawn_rng(37)
         x0, cond = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
         n, eps, uncond = draws(rng, s, 8, 4, 0.0)
         res = df.training_step(den, s, x0, cond, np.zeros(3), steps=n, noise=eps, uncond=uncond)
@@ -350,7 +350,7 @@ class TestTrainingStep:
     def test_denoiser_gradients_match_finite_differences(self):
         den = tiny_denoiser(seed=2)
         s = df.make_schedule(20, 1e-3, 0.05)
-        rng = smallnet.make_rng(38)
+        rng = smallnet.spawn_rng(38)
         x0 = rng.standard_normal((5, 4))
         cond = rng.standard_normal((5, 3))
         # freeze the step's randomness so the loss is a pure function of params
@@ -368,7 +368,7 @@ class TestTrainingStep:
         out, cache = den.net.forward_cached(inp)
         grads, _ = den.net.backward_cached(cache, 2.0 * (out - eps) / 5)
         worst = 0.0
-        for p, g in zip(den.net.parameters(), grads):
+        for p, g in zip(den.net.named_parameters().values(), grads):
             for coord in sample_coords(rng, p.shape, 3):
                 num = central_diff_grad(loss, p, [coord])[coord]
                 worst = max(worst, max_rel_err(float(g[coord]), num))
@@ -378,7 +378,7 @@ class TestTrainingStep:
 class TestCfg:
     def test_w_zero_is_conditional_branch(self):
         den = tiny_denoiser(seed=3)
-        rng = smallnet.make_rng(39)
+        rng = smallnet.spawn_rng(39)
         x = rng.standard_normal(4)
         c = rng.standard_normal(3)
         null = rng.standard_normal(3)
@@ -387,7 +387,7 @@ class TestCfg:
 
     def test_equal_branches_cancel(self):
         den = tiny_denoiser(seed=4)
-        rng = smallnet.make_rng(40)
+        rng = smallnet.spawn_rng(40)
         x = rng.standard_normal(4)
         c = rng.standard_normal(3)
         for w in (0.0, 1.0, 3.0, 7.5):
@@ -396,7 +396,7 @@ class TestCfg:
 
     def test_w3_is_4cond_minus_3uncond(self):
         den = tiny_denoiser(seed=5)
-        rng = smallnet.make_rng(41)
+        rng = smallnet.spawn_rng(41)
         x = rng.standard_normal(4)
         c = rng.standard_normal(3)
         null = rng.standard_normal(3)
@@ -405,7 +405,7 @@ class TestCfg:
 
     def test_affine_in_w(self):
         den = tiny_denoiser(seed=6)
-        rng = smallnet.make_rng(42)
+        rng = smallnet.spawn_rng(42)
         x, c, null = rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(3)
         e0 = df.cfg_eps(den, x, 4, c, null, 0.0)
         e1 = df.cfg_eps(den, x, 4, c, null, 1.0)
@@ -516,7 +516,7 @@ class TestFusedGuidance:
 
     def make(self, hidden, per_row, seed=0):
         den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, hidden=hidden)
-        rng = smallnet.make_rng(100 + seed)
+        rng = smallnet.spawn_rng(100 + seed)
         c = rng.standard_normal((3, 5) if per_row else 5)
         return den, c, rng.standard_normal(5)
 
@@ -588,7 +588,7 @@ class TestHiddenLayerRequired:
 
     def test_load_refuses_a_net_without_hidden_layer(self, tmp_path):
         den = tiny_denoiser()
-        den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.make_rng(0))
+        den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.spawn_rng(0))
         path = tmp_path / "diffusion.ckpt"
         den.save(path, df.ConditionFusion.create(2, 3, seed=0), {})
         with pytest.raises(ValidationError, match="no hidden layer"):
@@ -598,7 +598,7 @@ class TestHiddenLayerRequired:
 def quantized(den):
     """``den`` with every weight replaced in place by the float32 value a
     checkpoint stores for it."""
-    for p in den.parameters():
+    for p in den.named_parameters().values():
         p[...] = smallnet.as_stored(p)
     return den
 
@@ -629,7 +629,7 @@ class TestStoredSamplerConstants:
         den, path = self.saved(tmp_path)
         loaded, in_memory = df.Denoiser.load(path)[0], quantized(den)
         assert in_memory.stored_constants is None
-        rng = smallnet.make_rng(5)
+        rng = smallnet.spawn_rng(5)
         c, null = rng.standard_normal((3, 5)), rng.standard_normal(5)
         for sample in (
             lambda d: df.sample_ddim(d, self.SCHED, c, null, w, steps=7, seed=31, n_samples=3),

@@ -22,14 +22,14 @@ def random_mel(rng, t=16, f=16):
 class TestShapes:
     def test_shape_law_64x64_r4_c8(self):
         model = codec(0, compression=4, channels=8)
-        rng = smallnet.make_rng(0)
+        rng = smallnet.spawn_rng(0)
         z = lc.encode_mel(model, random_mel(rng, 64, 64))
         assert z.values.shape == (8, 16, 16)
 
     @pytest.mark.parametrize("t,f,r,c", [(8, 8, 2, 3), (16, 32, 4, 8), (12, 12, 4, 2)])
     def test_shape_law_general(self, t, f, r, c):
         model = codec(1, compression=r, channels=c)
-        rng = smallnet.make_rng(1)
+        rng = smallnet.spawn_rng(1)
         z = lc.encode_mel(model, random_mel(rng, t, f))
         assert z.values.shape == (c, t // r, f // r)
         rec = lc.decode_latent(model, z)
@@ -37,7 +37,7 @@ class TestShapes:
 
     def test_indivisible_shape_rejected(self):
         model = codec(2, compression=4)
-        rng = smallnet.make_rng(2)
+        rng = smallnet.spawn_rng(2)
         with pytest.raises(ShapeError):
             lc.encode_mel(model, random_mel(rng, 10, 16))
 
@@ -48,7 +48,7 @@ class TestShapes:
             lc.decode_latent(model, z)
 
     def test_patch_grid_roundtrip_exact(self):
-        rng = smallnet.make_rng(3)
+        rng = smallnet.spawn_rng(3)
         x = rng.random((12, 8))
         assert np.array_equal(lc._from_patches(lc._to_patches(x, 4), 12, 8, 4), x)
 
@@ -59,7 +59,7 @@ class TestEncodeDecode:
         for layer in model.encoder.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
-        rng = smallnet.make_rng(4)
+        rng = smallnet.spawn_rng(4)
         z = lc.encode_mel(model, random_mel(rng, 8, 8))
         assert np.all(z.values == 0.0)
 
@@ -74,7 +74,7 @@ class TestEncodeDecode:
 
     def test_patch_locality(self):
         model = codec(6, compression=4, channels=4)
-        rng = smallnet.make_rng(6)
+        rng = smallnet.spawn_rng(6)
         m = random_mel(rng, 16, 16)
         z0 = lc.encode_mel(model, m)
         bumped = m.values.copy()
@@ -92,14 +92,14 @@ class TestEncodeDecode:
 
     def test_determinism(self):
         model = codec(8)
-        rng = smallnet.make_rng(8)
+        rng = smallnet.spawn_rng(8)
         m = random_mel(rng, 16, 16)
         assert np.array_equal(lc.encode_mel(model, m).values, lc.encode_mel(model, m).values)
 
 
 class TestTraining:
     def _mels(self, n=40, seed=9):
-        rng = smallnet.make_rng(seed)
+        rng = smallnet.spawn_rng(seed)
         # low-rank structured grids so a small codec can reconstruct them
         out = []
         for _ in range(n):
@@ -145,7 +145,7 @@ class TestTraining:
             lc.train_latentcodec(model, self._mels(n=5), LatentConfig(steps=10), seed=0)
 
     def test_gradients_match_finite_differences(self):
-        rng = smallnet.make_rng(14)
+        rng = smallnet.spawn_rng(14)
         for seed in (0, 1, 2):
             model = codec(seed, compression=2, channels=3, hidden=6, kl_weight=0.05)
             x = rng.random((10, 4))
@@ -163,7 +163,7 @@ class TestTraining:
             enc_grads, _ = model.encoder.backward_cached(enc_cache, dz)
             grads = enc_grads + dec_grads
             worst = 0.0
-            for p, g in zip(model.parameters(), grads):
+            for p, g in zip(model.named_parameters().values(), grads):
                 for coord in sample_coords(rng, p.shape, 3):
                     num = central_diff_grad(loss, p, [coord])[coord]
                     worst = max(worst, max_rel_err(float(g[coord]), num))
@@ -176,7 +176,7 @@ class TestTraining:
         path = tmp_path / "codec.json"
         model.save(path)
         back = lc.LatentCodecModel.load(path)
-        rng = smallnet.make_rng(15)
+        rng = smallnet.spawn_rng(15)
         m = random_mel(rng, 16, 16)
         assert np.allclose(lc.encode_mel(back, m).values, lc.encode_mel(model, m).values,
                            atol=1e-6)

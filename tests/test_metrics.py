@@ -11,7 +11,7 @@ def cloud(mean, cov):
 
 class TestFrechet:
     def test_same_cloud_is_zero(self):
-        rng = smallnet.make_rng(0)
+        rng = smallnet.spawn_rng(0)
         v = rng.standard_normal((50, 6))
         a = metrics.FeatureCloud.from_vectors(v)
         assert metrics.frechet(a, a) <= 1e-6
@@ -27,14 +27,14 @@ class TestFrechet:
         assert metrics.frechet(a, b) == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetry(self):
-        rng = smallnet.make_rng(1)
+        rng = smallnet.spawn_rng(1)
         a = metrics.FeatureCloud.from_vectors(rng.standard_normal((40, 5)))
         b = metrics.FeatureCloud.from_vectors(1.0 + 0.5 * rng.standard_normal((40, 5)))
         assert metrics.frechet(a, b) == pytest.approx(metrics.frechet(b, a), abs=1e-9)
 
     def test_triangle_inequality_spot_checks(self):
         # Fréchet distance between Gaussians is a metric: check sqrt values
-        rng = smallnet.make_rng(2)
+        rng = smallnet.spawn_rng(2)
         clouds = [metrics.FeatureCloud.from_vectors(
             rng.standard_normal(4) + rng.standard_normal((60, 4)) @ np.diag(0.5 + rng.random(4)))
             for _ in range(3)]
@@ -44,7 +44,7 @@ class TestFrechet:
         assert dac <= dab + dbc + 1e-9
 
     def test_matrix_sqrt_squares_back(self):
-        rng = smallnet.make_rng(3)
+        rng = smallnet.spawn_rng(3)
         for _ in range(5):
             m = rng.standard_normal((6, 6))
             cov = m @ m.T
@@ -52,7 +52,7 @@ class TestFrechet:
             assert np.linalg.norm(root @ root - cov) <= 1e-8 * max(1, np.linalg.norm(cov))
 
     def test_regularization_when_n_le_d(self):
-        rng = smallnet.make_rng(4)
+        rng = smallnet.spawn_rng(4)
         v = rng.standard_normal((5, 8))  # n <= d: rank-deficient
         a = metrics.FeatureCloud.from_vectors(v)
         assert np.all(np.linalg.eigvalsh(a.cov) > 0)
@@ -67,14 +67,14 @@ class TestFrechet:
 
 
 def make_probe(classes=("a", "b"), seed=0):
-    rng = smallnet.make_rng(seed)
+    rng = smallnet.spawn_rng(seed)
     net = smallnet.DenseNet.create([4, 8, len(classes)], "tanh", rng)
     return metrics.ProbeClassifier(net=net, classes=tuple(classes))
 
 
 class TestProbe:
     def _separable(self, n_classes=4, n_per=60, seed=5):
-        rng = smallnet.make_rng(seed)
+        rng = smallnet.spawn_rng(seed)
         feats, labels = [], []
         for c in range(n_classes):
             center = np.zeros(8)
@@ -90,14 +90,14 @@ class TestProbe:
 
     def test_shuffled_labels_chance_accuracy(self):
         feats, labels = self._separable()
-        rng = smallnet.make_rng(6)
+        rng = smallnet.spawn_rng(6)
         shuffled = [labels[i] for i in rng.permutation(len(labels))]
         probe = metrics.train_probe(feats, shuffled, seed=6)
         assert probe.holdout_accuracy <= 0.5  # chance is 0.25 for 4 classes
 
     def test_probabilities_sum_to_one(self):
         probe = make_probe()
-        rng = smallnet.make_rng(7)
+        rng = smallnet.spawn_rng(7)
         p = probe.predict_proba(rng.standard_normal((10, 4)))
         assert np.allclose(p.sum(axis=1), 1.0)
         assert np.all(p >= 0)
@@ -110,7 +110,7 @@ class TestProbe:
 class TestPairedKl:
     def test_identical_sets_zero(self):
         probe = make_probe(seed=8)
-        rng = smallnet.make_rng(8)
+        rng = smallnet.spawn_rng(8)
         feats = {f"id{i}": rng.standard_normal(4) for i in range(6)}
         assert metrics.paired_kl(probe, feats, dict(feats)) == pytest.approx(0.0, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestPairedKl:
             pytest.approx(np.log(2), abs=1e-3)
 
     def test_nonnegative_on_random_posteriors(self):
-        rng = smallnet.make_rng(9)
+        rng = smallnet.spawn_rng(9)
         for _ in range(1000):
             p = rng.random(3)
             p /= p.sum()
@@ -150,7 +150,7 @@ class TestInceptionLike:
 
     def test_bounds(self):
         probe = make_probe(classes=("a", "b", "c"), seed=12)
-        rng = smallnet.make_rng(12)
+        rng = smallnet.spawn_rng(12)
         for _ in range(20):
             v = metrics.inception_like(probe, rng.standard_normal((6, 4)))
             assert 1.0 - 1e-9 <= v <= 3.0 + 1e-9

@@ -30,7 +30,7 @@ class TestForward:
 
     def test_seeded_net_matches_hand_computed_product(self):
         # layer-by-layer oracle: replay the affine/activation chain by hand
-        rng = smallnet.make_rng(5)
+        rng = smallnet.spawn_rng(5)
         net = smallnet.DenseNet.create([3, 4, 2], ["tanh", "identity"], rng)
         x = np.array([0.3, -1.2, 0.7])
         h = np.tanh(net.layers[0].w @ x + net.layers[0].b)
@@ -38,7 +38,7 @@ class TestForward:
         assert np.allclose(net.forward(x[None, :])[0], expected, rtol=0, atol=1e-15)
 
     def test_batch_matches_single(self):
-        rng = smallnet.make_rng(6)
+        rng = smallnet.spawn_rng(6)
         net = smallnet.DenseNet.create([3, 5, 2], "relu", rng)
         xs = rng.standard_normal((4, 3))
         batch = net.forward(xs)
@@ -61,7 +61,7 @@ class TestForward:
 
 class TestBackward:
     def test_single_linear_layer_input_grad(self):
-        rng = smallnet.make_rng(7)
+        rng = smallnet.spawn_rng(7)
         w = rng.standard_normal((3, 4))
         net = smallnet.DenseNet([smallnet.DenseLayer(w, np.zeros(3), "identity")])
         up = rng.standard_normal(3)
@@ -76,7 +76,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     def test_matches_central_differences(self, seed, act):
-        rng = smallnet.make_rng(seed)
+        rng = smallnet.spawn_rng(seed)
         net = smallnet.DenseNet.create([4, 6, 3], act, rng)
         x = rng.standard_normal((1, 4))
         up = rng.standard_normal((1, 3))  # loss = <up, net(x)>
@@ -85,7 +85,7 @@ class TestBackward:
             return float(np.sum(up * net.forward(x)))
 
         grads, _ = backward(net, x, up)
-        params = net.parameters()
+        params = net.named_parameters().values()
         worst = 0.0
         for p, g in zip(params, grads):
             for coord in sample_coords(rng, p.shape, 4):
@@ -94,12 +94,12 @@ class TestBackward:
         assert worst <= 1e-4
 
     def test_batch_param_grads_sum_over_batch(self):
-        rng = smallnet.make_rng(8)
+        rng = smallnet.spawn_rng(8)
         net = smallnet.DenseNet.create([3, 2], ["identity"], rng)
         xs = rng.standard_normal((5, 3))
         ups = rng.standard_normal((5, 2))
         batch_grads, _ = backward(net, xs, ups)
-        summed = [np.zeros_like(p) for p in net.parameters()]
+        summed = [np.zeros_like(p) for p in net.named_parameters().values()]
         for i in range(5):
             g, _ = backward(net, xs[i:i + 1], ups[i:i + 1])
             for acc, gi in zip(summed, g):
@@ -109,7 +109,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("cols", [slice(2, 5), slice(4, None), slice(None)])
     def test_selected_input_columns_match_full_gradient(self, cols):
-        rng = smallnet.make_rng(9)
+        rng = smallnet.spawn_rng(9)
         net = smallnet.DenseNet.create([6, 5, 3], "tanh", rng)
         x = rng.standard_normal((4, 6))
         up = rng.standard_normal((4, 3))  # loss = sum(up * net(x))
@@ -139,20 +139,20 @@ class TestBackward:
 class TestOptimizer:
     def test_zero_grad_adamw_no_decay_keeps_params(self):
         p = np.array([1.5, -2.0])
-        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
+        opt = smallnet.Optimizer({"p": p}, learning_rate=0.1)
         opt.step([np.zeros(2)])
         assert np.allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_moves_by_lr(self):
         # bias correction makes the first update m_hat/sqrt(v_hat) = 1
         p = np.array([0.0])
-        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
+        opt = smallnet.Optimizer({"p": p}, learning_rate=0.1)
         opt.step([np.array([1.0])])
         assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_nonfinite_gradient_rejected_with_name(self):
         p = np.array([1.0])
-        opt = smallnet.Optimizer([p], ["w0"], learning_rate=0.1)
+        opt = smallnet.Optimizer({"w0": p}, learning_rate=0.1)
         with pytest.raises(GradientError) as e:
             opt.step([np.array([np.nan])])
         assert "w0" in str(e.value)
@@ -160,23 +160,22 @@ class TestOptimizer:
 
     def test_step_count_increments(self):
         p = np.array([0.0])
-        opt = smallnet.Optimizer([p], ["p"], learning_rate=0.1)
+        opt = smallnet.Optimizer({"p": p}, learning_rate=0.1)
         for expected in (1, 2, 3):
             opt.step([np.array([0.5])])
             assert opt.step_count == expected
 
     def test_determinism_across_runs(self):
         def run():
-            rng = smallnet.make_rng(11)
+            rng = smallnet.spawn_rng(11)
             net = smallnet.DenseNet.create([3, 4, 2], "tanh", rng)
-            opt = smallnet.Optimizer(net.parameters(), net.parameter_names(),
-                                     learning_rate=1e-2)
+            opt = smallnet.Optimizer(net.named_parameters(), learning_rate=1e-2)
             for _ in range(20):
                 x = rng.standard_normal((1, 3))
                 up = net.forward(x)  # pulls outputs toward zero
                 grads, _ = backward(net, x, up)
                 opt.step(grads)
-            return [p.copy() for p in net.parameters()]
+            return [p.copy() for p in net.named_parameters().values()]
 
         a, b = run(), run()
         for pa, pb in zip(a, b):
@@ -184,9 +183,9 @@ class TestOptimizer:
 
 
     def test_rejected_gradient_leaves_state_unchanged(self):
-        rng = smallnet.make_rng(13)
+        rng = smallnet.spawn_rng(13)
         params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
-        opt = smallnet.Optimizer(params, ["w0", "b0"], learning_rate=0.1)
+        opt = smallnet.Optimizer(dict(zip(["w0", "b0"], params)), learning_rate=0.1)
         for _ in range(2):
             opt.step([rng.standard_normal(p.shape) for p in params])
         before = [a.copy() for a in params + opt._m + opt._v]
@@ -197,13 +196,9 @@ class TestOptimizer:
         for a, b in zip(params + opt._m + opt._v, before):
             assert np.array_equal(a, b)
 
-    def test_short_name_list_rejected_before_any_check_is_skipped(self):
-        with pytest.raises(ShapeError, match="names"):
-            smallnet.Optimizer([np.zeros(2), np.zeros(3)], ["w0"], learning_rate=0.1)
-
     def test_gradient_count_and_shapes_checked(self):
         p, q = np.zeros(2), np.zeros(3)
-        opt = smallnet.Optimizer([p, q], ["w0", "b0"], learning_rate=0.1)
+        opt = smallnet.Optimizer({"w0": p, "b0": q}, learning_rate=0.1)
         with pytest.raises(ShapeError, match="gradients"):
             opt.step([np.ones(2)])
         with pytest.raises(ShapeError, match="b0"):
@@ -214,7 +209,7 @@ class TestOptimizer:
         # an in-place blocked update through a flattened copy would be lost
         p = np.zeros((4, 4))[:, ::2]
         with pytest.raises(ShapeError, match="contiguous"):
-            smallnet.Optimizer([p], ["w0"], learning_rate=0.1)
+            smallnet.Optimizer({"w0": p}, learning_rate=0.1)
 
 
 class TestDtype:
@@ -224,17 +219,17 @@ class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     def test_forward_and_backward_stay_in_the_nets_dtype(self, dtype, act):
-        rng = smallnet.make_rng(15)
+        rng = smallnet.spawn_rng(15)
         net = smallnet.DenseNet.create([6, 5, 3], act, rng).astype(dtype)
         x, up = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
         out, (inputs, preacts) = net.forward_cached(x)
         grads, dx = net.backward_cached((inputs, preacts), up)
         assert net.dtype == dtype
-        for a in [out, dx, *inputs, *preacts, *grads, *net.parameters()]:
+        for a in [out, dx, *inputs, *preacts, *grads, *net.named_parameters().values()]:
             assert a.dtype == dtype
 
     def test_float32_passes_track_float64_ones_on_the_same_values(self):
-        rng = smallnet.make_rng(16)
+        rng = smallnet.spawn_rng(16)
         net32 = smallnet.DenseNet.create([6, 5, 3], "tanh", rng).astype(np.float32)
         net64 = net32.astype(np.float64)
         x, up = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
@@ -255,16 +250,16 @@ class TestDtype:
         assert layer.w.dtype == layer.b.dtype == dtype
 
     def test_layers_of_two_dtypes_rejected(self):
-        rng = smallnet.make_rng(17)
+        rng = smallnet.spawn_rng(17)
         a = smallnet.DenseNet.create([3, 4], ["tanh"], rng).layers
         b = smallnet.DenseNet.create([4, 2], ["identity"], rng).astype(np.float32).layers
         with pytest.raises(ValidationError, match="dtype"):
             smallnet.DenseNet(a + b)
 
     def test_adam_keeps_each_parameters_dtype(self):
-        rng = smallnet.make_rng(18)
+        rng = smallnet.spawn_rng(18)
         params = [rng.standard_normal((3, 4)).astype(np.float32), rng.standard_normal(4)]
-        opt = smallnet.Optimizer(params, ["w0", "b0"], learning_rate=0.1)
+        opt = smallnet.Optimizer(dict(zip(["w0", "b0"], params)), learning_rate=0.1)
         before = [p.copy() for p in params]
         for _ in range(3):
             opt.step([rng.standard_normal(p.shape) for p in params])  # float64 grads
@@ -275,11 +270,11 @@ class TestDtype:
     @pytest.mark.parametrize("shape", [(7,), (2 * smallnet.CACHE_BLOCK + 5,)],
                              ids=["under_one_block", "two_blocks_and_5"])
     def test_float32_adam_matches_reference_in_float32_bit_for_bit(self, shape):
-        rng = smallnet.make_rng(19)
+        rng = smallnet.spawn_rng(19)
         params = [rng.standard_normal(shape).astype(np.float32)]
         ref = [p.copy() for p in params]
         m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
-        opt = smallnet.Optimizer(params, ["p"], learning_rate=3e-3)
+        opt = smallnet.Optimizer({"p": params[0]}, learning_rate=3e-3)
         for t in range(1, 5):
             grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)]
             opt.step(grads)
@@ -288,9 +283,9 @@ class TestDtype:
                 assert a.dtype == np.float32 and np.array_equal(a, b)
 
     def test_gradient_overflowing_a_float32_parameter_rejected_by_name(self):
-        rng = smallnet.make_rng(20)
+        rng = smallnet.spawn_rng(20)
         params = [rng.standard_normal(4), rng.standard_normal((2, 3)).astype(np.float32)]
-        opt = smallnet.Optimizer(params, ["b0", "w1"], learning_rate=0.1)
+        opt = smallnet.Optimizer(dict(zip(["b0", "w1"], params)), learning_rate=0.1)
         opt.step([rng.standard_normal(p.shape) for p in params])
         before = [a.copy() for a in params + opt._m + opt._v]
         bad = np.zeros((2, 3))
@@ -320,11 +315,11 @@ def reference_adam(opt, params, grads, m, v, t):
     (2 * smallnet.CACHE_BLOCK + 5,),
 ], ids=["0-d", "under_one_block", "one_block", "not_a_multiple", "two_blocks_and_5"])
 def test_blocked_adam_matches_reference_bit_for_bit(shape):
-    rng = smallnet.make_rng(14)
+    rng = smallnet.spawn_rng(14)
     params = [rng.standard_normal(shape), rng.standard_normal(5)]
     ref = [p.copy() for p in params]
     m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
-    opt = smallnet.Optimizer(params, ["p", "q"], learning_rate=3e-3)
+    opt = smallnet.Optimizer(dict(zip(["p", "q"], params)), learning_rate=3e-3)
     for t in range(1, 5):
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
         opt.step(grads)
@@ -335,7 +330,7 @@ def test_blocked_adam_matches_reference_bit_for_bit(shape):
 
 class TestCheckpoint:
     def test_roundtrip_float32_exact(self, tmp_path):
-        rng = smallnet.make_rng(12)
+        rng = smallnet.spawn_rng(12)
         arrays = {"a": rng.standard_normal((3, 2)).astype(np.float32).astype(np.float64),
                   "b": rng.standard_normal(5).astype(np.float32).astype(np.float64)}
         path = tmp_path / "ck.json"
@@ -346,9 +341,9 @@ class TestCheckpoint:
             assert np.array_equal(loaded[k], arrays[k])
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        rng = smallnet.make_rng(13)
+        rng = smallnet.spawn_rng(13)
         net = smallnet.DenseNet.create([4, 3], ["tanh"], rng)
-        arrays, meta = smallnet.net_state(net)
+        arrays, meta = net.named_parameters(), smallnet.net_meta(net)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         smallnet.save_checkpoint(p1, arrays, meta)
         loaded, meta2 = smallnet.load_checkpoint(p1)
@@ -356,9 +351,9 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_net_state_roundtrip(self, tmp_path):
-        rng = smallnet.make_rng(14)
+        rng = smallnet.spawn_rng(14)
         net = smallnet.DenseNet.create([4, 6, 2], "relu", rng)
-        arrays, meta = smallnet.net_state(net, "n.")
+        arrays, meta = net.named_parameters("n."), smallnet.net_meta(net)
         path = tmp_path / "net.json"
         smallnet.save_checkpoint(path, arrays, meta)
         loaded, meta2 = smallnet.load_checkpoint(path)
@@ -428,7 +423,7 @@ class TestCheckpointFormat:
         assert e.value.offset == 16 + header_len + 2 * 4  # after "b"'s two floats
 
     def test_exact_array_roundtrips_bit_for_bit(self, tmp_path):
-        rng = smallnet.make_rng(16)
+        rng = smallnet.spawn_rng(16)
         arrays = {"x": rng.standard_normal((4, 3, 2)) * 1e-7, "w": rng.standard_normal(5)}
         path = tmp_path / "exact.ckpt"
         smallnet.save_checkpoint(path, arrays, {"k": 1}, exact=("x",))
@@ -506,8 +501,8 @@ class TestCheckpointFormat:
             smallnet.load_checkpoint(path)
 
     def test_net_from_state_adopts_loaded_arrays(self, tmp_path):
-        net = smallnet.DenseNet.create([3, 2], ["tanh"], smallnet.make_rng(15))
-        arrays, meta = smallnet.net_state(net)
+        net = smallnet.DenseNet.create([3, 2], ["tanh"], smallnet.spawn_rng(15))
+        arrays, meta = net.named_parameters(), smallnet.net_meta(net)
         path = tmp_path / "n.ckpt"
         smallnet.save_checkpoint(path, arrays, meta)
         loaded, meta2 = smallnet.load_checkpoint(path)
@@ -517,8 +512,8 @@ class TestCheckpointFormat:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = smallnet.make_rng(42).standard_normal(8)
-        b = smallnet.make_rng(42).standard_normal(8)
+        a = smallnet.spawn_rng(42).standard_normal(8)
+        b = smallnet.spawn_rng(42).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_spawned_streams_differ(self):
