@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from . import pipeline, smallnet
 from .config import PipelineConfig
@@ -98,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps(dataclasses.asdict(result), indent=2))
         elif args.command == "evaluate":
+            if args.report and not Path(args.report).parent.is_dir():
+                raise ValidationError(f"--report: directory {Path(args.report).parent} "
+                                      "does not exist")
             report = pipeline.run_evaluate(cfg, args.out, mode=args.mode, seed=args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)
             if args.report:

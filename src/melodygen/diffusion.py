@@ -33,8 +33,10 @@ the denoiser's hidden space. It is exact in real arithmetic:
 - The net sees x_n only through layer 0, which is affine in
   [x_n || temb(n) || c]: its pre-activation is
   x_n W_x^T + temb(n) W_t^T + (c W_c^T + b0). The first two terms are shared
-  by the two branches; the last is constant over a run and is computed once
-  for c and once for the null.
+  by the two branches; the last is constant over a run, and the branches'
+  are stacked into one (2, batch, hidden) array, so that each step makes one
+  add and one activation per layer for both (for the conditional branch
+  alone when w = 0), and mixes them in two preallocated buffers.
 - The output layer is affine with identity activation (``Denoiser.load``
   checks this), so eps_bar = a A^T + b_out, where
   a = (w+1) a_c - w a_u mixes the branches' last hidden activations.
@@ -50,9 +52,10 @@ never saved forms them from its current weights). A DDIM run therefore makes
 two batch products at the latent width in total, u at x_N and S A^T at the
 end; DDPM adds one per step for its noise. Each run also forms its step table
 once: the alpha and beta of every step, and every step's time term
-temb(n) W_t^T. Only rounding differs from two full forwards per step
-(``cfg_eps``, the reference), so the two agree to float64 rounding (tests
-hold full sampler runs to 1e-12).
+temb(n) W_t^T, as one stacked product of (1, time_embed_dim) rows, which
+rounds as each row's own product does. Only rounding differs from two full
+forwards per step (``cfg_eps``, the reference), so the two agree to float64
+rounding (tests hold full sampler runs to 1e-12).
 
 The finite check keeps the reference's semantics: a non-finite A or b_out
 would make every estimate non-finite, so they are checked once per run and
@@ -475,7 +478,8 @@ class GuidedTrajectory:
     x W_x^T, layer 0's product with the latent. See the module docstring for
     why this is exact. ``condition`` and ``null_condition`` are (cond_dim,) or
     (batch, cond_dim); ``w == 0`` skips the null branch. ``time_rows[n]`` is
-    step n's layer-0 time term temb(n) W_t^T, formed once per run.
+    step n's layer-0 time term temb(n) W_t^T, formed once per run, bit-equal
+    to the row's own product (one (steps, time_embed_dim) product is not).
     """
 
     def __init__(self, denoiser: Denoiser, condition: np.ndarray,
@@ -492,14 +496,15 @@ class GuidedTrajectory:
             if c.shape not in ((denoiser.cond_dim,), (batch, denoiser.cond_dim)):
                 raise ShapeError(f"condition has shape {c.shape}, wanted ({denoiser.cond_dim},) "
                                  f"or ({batch}, {denoiser.cond_dim})")
-            return c @ w_c.T + first.b
+            return np.broadcast_to(c @ w_c.T + first.b, (batch, first.w.shape[0]))
 
-        self._bias_c = condition_bias(condition)
-        self._bias_u = None if w == 0.0 else condition_bias(null_condition)
+        # (branches, batch, hidden): the condition's bias, then the null's when w > 0
+        self._biases = np.stack([condition_bias(c) for c in
+                                 ((condition,) if w == 0.0 else (condition, null_condition))])
         self._w, self._layers, self._w_x = w, layers, w_x
         w_t = first.w[:, t0:c0]
         temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
-        self.time_rows = {n: row @ w_t.T for n, row in zip(steps, temb)}
+        self.time_rows = dict(zip(steps, np.matmul(temb[:, None, :], w_t.T)[:, 0]))
         # Denoiser.load found a loaded denoiser's weights finite
         self._out_finite = denoiser.stored_constants is not None or bool(
             np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
@@ -507,24 +512,23 @@ class GuidedTrajectory:
         self._x_N, self._out = x_N, last
         self.u = x_N @ w_x.T
         self._s = np.zeros((batch, last.w.shape[1]))
+        self._mixed, self._scratch = np.empty((2,) + self._s.shape)
         self._g, self._k, self._r = 1.0, 0.0, None
-
-    def _hidden(self, shared: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        first = self._layers[0]
-        a = smallnet.activate(first.activation, shared + bias)
-        for l in self._layers[1:-1]:
-            a = smallnet.activate(l.activation, a @ l.w.T + l.b)
-        return a
 
     def step(self, n: int, alpha: float, beta: float, noise: np.ndarray | None = None) -> None:
         """x <- alpha x + beta eps_bar(x, n) + noise, for step n (1..N);
         ``noise`` is a (batch, latent_dim) array or None for none. Raises
         ``SamplingError`` at step n if eps_bar is not finite."""
-        shared = self.u + self.time_rows[n]
-        a = self._hidden(shared, self._bias_c)
-        if self._bias_u is not None:
-            a = (self._w + 1.0) * a - self._w * self._hidden(shared, self._bias_u)
-        if not (self._out_finite and np.all(np.isfinite(a))):
+        a = smallnet.activate(self._layers[0].activation,
+                              (self.u + self.time_rows[n]) + self._biases)
+        for l in self._layers[1:-1]:
+            a = smallnet.activate(l.activation, a @ l.w.T + l.b)
+        if len(a) == 2:  # (w+1) a_c - w a_u
+            a = np.subtract(np.multiply(a[0], self._w + 1.0, out=self._mixed),
+                            np.multiply(a[1], self._w, out=self._scratch), out=self._mixed)
+        else:
+            a = a[0]
+        if not (self._out_finite and np.isfinite(a).all()):
             raise SamplingError("denoiser produced non-finite noise estimate", n)
         u = alpha * self.u + beta * (a @ self._m.T + self._m_b)
         if self._r is not None:

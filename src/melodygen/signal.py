@@ -200,6 +200,32 @@ def synthesize_melody(seq: MelodyTripletSeq, timbre: list[float] | tuple[float, 
     return Waveform(out, sample_rate=sr)
 
 
+def _segments(n_fft: int, hop: int) -> tuple[int, int, int]:
+    """Samples before the first frame center; whole segments before it and from the last on."""
+    head = (n_fft + 1) // 2
+    return head, -(-head // hop), -(-(n_fft - head) // hop)
+
+
+@functools.lru_cache(maxsize=16)
+def oscillator_bank(n_mels: int, n_fft: int, sample_rate: int, hop: int, n_frames: int):
+    """(seg_sin, seg_cos, off_sin, off_cos): the sin and cos of each bin's
+    phase at ``mel_to_waveform``'s segment starts on grids of ``n_frames``
+    frames, (segments, n_mels), and at the offsets in a segment, (hop, n_mels).
+    Each column depends on its bin alone. Cached and shared like
+    ``mel_filterbank``'s results, so all four arrays are read-only."""
+    _, centers = mel_filterbank(n_mels, n_fft, sample_rate)
+    head, n_before, n_after = _segments(n_fft, hop)
+    starts = head + hop * np.arange(-n_before, n_frames - 1 + n_after, dtype=np.float64)
+    t = np.concatenate([starts, np.arange(hop, dtype=np.float64)])
+    cycles = np.multiply.outer(t, centers / sample_rate)  # centers in cycles per sample
+    angle = 2.0 * np.pi * (cycles - np.floor(cycles))  # reduced modulo one cycle
+    sin, cos = np.sin(angle), np.cos(angle)
+    tables = sin[:len(starts)], cos[:len(starts)], sin[len(starts):], cos[len(starts):]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def mel_to_waveform(m: MelGrid) -> Waveform:
     """Oscillator-bank resynthesis: one sinusoid per mel bin at its center
     frequency, amplitude 10^(dB/20) interpolated linearly between frame
@@ -214,10 +240,10 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
                           + cos(2*pi*f_b*T_j) sin(2*pi*f_b*o).
 
     The amplitude is affine in o within a segment, so all samples come from
-    two (segments, 2B) x (2B, hop) matrix products over the B active bins,
-    built from 2B * (segments + hop) sines and cosines rather than one sine
-    per bin per sample. Phases are reduced modulo one cycle before they are
-    scaled by 2*pi.
+    two (segments, 2B) x (2B, hop) matrix products over the B active bins.
+    Their sines and cosines depend only on the grid's geometry:
+    ``oscillator_bank`` builds them once per geometry for every bin, and a
+    grid takes its active bins' columns, bit-equal to building them alone.
 
     Tolerance: the samples are not bit-equal to the direct sum of
     sin(2*pi*c_b*t / sr), which rounds its argument differently. After peak
@@ -228,33 +254,25 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     """
     sr = m.sample_rate
     hop, n_frames, n_fft = m.frame_hop, m.n_frames, m.n_fft
-    _, centers = mel_filterbank(m.n_mels, n_fft, sr)
     n_out = n_fft + hop * (n_frames - 1)
     amps = np.where(m.values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
     active = np.flatnonzero(np.any(amps > 0, axis=0))
     amps = amps[:, active]
-    freqs = centers[active] / sr  # cycles per sample
-
-    def oscillators(t):
-        """sin and cos of every active bin's phase at samples t, (len(t), B) each."""
-        cycles = np.multiply.outer(t, freqs)
-        angle = 2.0 * np.pi * (cycles - np.floor(cycles))
-        return np.sin(angle), np.cos(angle)
+    # take keeps C order; a fancy-indexed column subset would be in Fortran
+    # order, and the products below would round differently
+    bank = oscillator_bank(m.n_mels, n_fft, sr, hop, n_frames)
+    seg_sin, seg_cos, off_sin, off_cos = (table.take(active, axis=1) for table in bank)
 
     # Amplitudes follow np.interp between frame centers: amps[j] + slope_j *
     # (t - center_j) in segment j, which starts at the first sample on or after
     # center_j, and constant before the first center and from the last on.
     # Those constant stretches are covered by whole segments of slope 0, so
     # every sample comes from the same two products.
-    head = (n_fft + 1) // 2  # samples before the first frame center
-    n_before, n_after = -(-head // hop), -(-(n_fft - head) // hop)
+    head, n_before, n_after = _segments(n_fft, hop)
     level = np.concatenate([np.repeat(amps[:1], n_before, axis=0), amps[:-1],
                             np.repeat(amps[-1:], n_after, axis=0)])
     slope = np.zeros_like(level)
     slope[n_before:n_before + n_frames - 1] = np.diff(amps, axis=0) / hop
-    starts = head + hop * np.arange(-n_before, n_frames - 1 + n_after, dtype=np.float64)
-    seg_sin, seg_cos = oscillators(starts)
-    off_sin, off_cos = oscillators(np.arange(hop, dtype=np.float64))
     within = np.hstack([off_cos, off_sin]).T  # (2B, hop)
     offsets = np.arange(head, head + hop) - n_fft / 2.0  # t - center_j in every segment
     base = np.hstack([level * seg_sin, level * seg_cos]) @ within

@@ -319,7 +319,9 @@ class Optimizer:
 # checkpoint with no exact array has the bytes it always had. Two writers
 # name exact arrays: features.ckpt (the corpus mel grids) and diffusion.ckpt
 # (the sampler's hidden-space constants, formed from the float32 weights it
-# stores). The payload sizes must account for every byte of the file.
+# stores). The payload sizes must account for every byte of the file, whose
+# size a load takes from its descriptor before it reads each payload straight
+# into the array it returns: an exact one as stored, a float32 one widened once.
 # Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
 # failed write leaves any previous checkpoint intact.
 
@@ -399,38 +401,40 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     not add up raises ``FormatError`` with the byte offset of the fault.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if not CHECKPOINT_MAGIC.startswith(raw[:len(CHECKPOINT_MAGIC)]):
-        raise ValidationError(
-            f"{path} is not a melodygen checkpoint (no {CHECKPOINT_MAGIC!r} magic; "
-            "files of an older format are not read); rerun the stage that writes it"
-        )
-    if len(raw) < _PREAMBLE.size:
-        raise FormatError(f"checkpoint {path}: file too short for the "
-                          f"{_PREAMBLE.size}-byte preamble", len(raw))
-    _, version, header_len = _PREAMBLE.unpack_from(raw)
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValidationError(
-            f"checkpoint {path}: format_version {version!r} not supported "
-            f"(expected {CHECKPOINT_FORMAT_VERSION}); rerun the stage that writes it"
-        )
-    offset = _PREAMBLE.size + header_len
-    if offset > len(raw):
-        raise FormatError(f"checkpoint {path}: header length {header_len} runs past "
-                          f"the end of the {len(raw)}-byte file", 8)
-    specs, meta = _parse_header(raw[_PREAMBLE.size:offset], path)
-    arrays = {}
-    for name, shape, dtype in specs:
-        count = math.prod(shape)
-        size = np.dtype(dtype).itemsize * count
-        if offset + size > len(raw):
-            raise FormatError(f"checkpoint {path}: array {name!r} truncated (wants "
-                              f"{size} bytes, has {len(raw) - offset})", offset)
-        arrays[name] = (np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-                        .astype(np.float64).reshape(shape))
-        offset += size
-    if offset != len(raw):
-        raise FormatError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after "
+        file_size = os.fstat(f.fileno()).st_size
+        preamble = f.read(_PREAMBLE.size)
+        if not CHECKPOINT_MAGIC.startswith(preamble[:len(CHECKPOINT_MAGIC)]):
+            raise ValidationError(
+                f"{path} is not a melodygen checkpoint (no {CHECKPOINT_MAGIC!r} magic; "
+                "files of an older format are not read); rerun the stage that writes it"
+            )
+        if len(preamble) < _PREAMBLE.size:
+            raise FormatError(f"checkpoint {path}: file too short for the "
+                              f"{_PREAMBLE.size}-byte preamble", file_size)
+        _, version, header_len = _PREAMBLE.unpack(preamble)
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValidationError(
+                f"checkpoint {path}: format_version {version!r} not supported "
+                f"(expected {CHECKPOINT_FORMAT_VERSION}); rerun the stage that writes it"
+            )
+        offset = _PREAMBLE.size + header_len
+        if offset > file_size:
+            raise FormatError(f"checkpoint {path}: header length {header_len} runs past "
+                              f"the end of the {file_size}-byte file", 8)
+        specs, meta = _parse_header(f.read(header_len), path)
+        arrays = {}
+        for name, shape, dtype in specs:
+            size, have = np.dtype(dtype).itemsize * math.prod(shape), file_size - offset
+            if size <= have:
+                a = np.empty(shape, dtype)
+                have = f.readinto(a.reshape(-1).view(np.uint8))
+            if have < size:
+                raise FormatError(f"checkpoint {path}: array {name!r} truncated (wants "
+                                  f"{size} bytes, has {have})", offset)
+            arrays[name] = a.astype(np.float64, copy=False)
+            offset += size
+    if offset != file_size:
+        raise FormatError(f"checkpoint {path}: {file_size - offset} trailing bytes after "
                           "the last array", offset)
     return arrays, meta
 

@@ -359,6 +359,19 @@ def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_f
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_evaluate_report_into_a_missing_directory_exits_1_before_evaluating(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "run_evaluate",
+                        lambda *args, **kwargs: pytest.fail("evaluated before checking --report"))
+    missing = tmp_path / "nonexistent" / "dir"
+    assert cli.main(["evaluate", "--out", str(tmp_path / "work"), "--mode", "ablation",
+                     "--report", str(missing / "r.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert not out
+    assert "ValidationError: --report" in err and str(missing) in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 @pytest.mark.parametrize("prior, stage, args, missing", [
     ((), "train-clmp", [], "manifest.jsonl"),
     ((), "build-index", [], "manifest.jsonl"),

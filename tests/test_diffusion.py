@@ -547,6 +547,20 @@ class TestFusedGuidance:
         assert np.array_equal(x, df.sample_ddpm(den, self.SCHED, c, np.zeros(5), 0.0,
                                                 seed=24, n_samples=3))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_non_finite_null_alone_raises_at_the_first_step(self, batch):
+        """The null branch shares the conditional branch's fused pass; a NaN
+        there alone still stops both samplers at their first step."""
+        den, c, null = self.make(16, False, seed=4)
+        null[2] = np.nan
+        with pytest.raises(SamplingError) as e:
+            df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=29, n_samples=batch)
+        assert e.value.step == df.ddim_timesteps(self.SCHED.N, 7)[0]
+        with pytest.raises(SamplingError) as e:
+            df.sample_ddpm(den, self.SCHED, c, null, 3.0, seed=29, n_samples=batch)
+        assert e.value.step == self.SCHED.N
+
     def test_negative_w_rejected_before_the_denoiser_runs(self):
         den, c, null = self.make(16, False)
         den.net = Untouchable()
@@ -666,13 +680,17 @@ class TestStoredSamplerConstants:
 @pytest.mark.parametrize("steps", [df.ddim_timesteps(200, 100), list(range(200, 0, -1)),
                                    [7]], ids=["ddim", "ddpm", "one_step"])
 def test_step_table_time_rows_equal_the_per_step_embedding(steps):
-    den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=6)
-    w_t = den.net.layers[0].w[:, 12:12 + den.time_embed_dim]
-    table = df.time_embedding(np.asarray(steps), den.time_embed_dim)
-    traj = df.GuidedTrajectory(den, np.zeros(5), np.zeros(5), 3.0,
-                               np.zeros((1, 12)), steps)
-    assert list(traj.time_rows) == steps
-    for row, n in zip(table, steps):
-        per_step = df.time_embedding(n, den.time_embed_dim)
-        assert np.array_equal(row, per_step)
-        assert np.array_equal(traj.time_rows[n], per_step @ w_t.T)
+    """The stacked time product is bit-equal to each step's own row product, at
+    tiny widths and at the pipeline's (time_embed_dim 64, hidden 128)."""
+    for latent, cond, embed, hidden in ((12, 5, 8, 16), (16, 64, 64, 128)):
+        den = df.Denoiser.create(latent, DiffusionConfig(cond_dim=cond, hidden=hidden,
+                                                         time_embed_dim=embed), seed=6)
+        w_t = den.net.layers[0].w[:, latent:latent + embed]
+        table = df.time_embedding(np.asarray(steps), embed)
+        traj = df.GuidedTrajectory(den, np.zeros(cond), np.zeros(cond), 3.0,
+                                   np.zeros((1, latent)), steps)
+        assert list(traj.time_rows) == steps
+        for row, n in zip(table, steps):
+            per_step = df.time_embedding(n, embed)
+            assert np.array_equal(row, per_step)
+            assert np.array_equal(traj.time_rows[n], per_step @ w_t.T)

@@ -201,6 +201,92 @@ class TestFilterbankCache:
             sig.mel_filterbank(0, 1024, 16000)
 
 
+class TestOscillatorBankCache:
+    ARGS = (64, 1024, 16000, 256, 128)  # n_mels, n_fft, sample_rate, hop, n_frames
+
+    def test_cached_bank_is_bit_equal_to_a_fresh_build(self):
+        sig.oscillator_bank.cache_clear()
+        bank = sig.oscillator_bank(*self.ARGS)
+        fresh = sig.oscillator_bank.__wrapped__(*self.ARGS)
+        assert [t.shape for t in bank] == [(131, 64), (131, 64), (256, 64), (256, 64)]
+        for cached, built in zip(bank, fresh, strict=True):
+            assert cached is not built and np.array_equal(cached, built)
+
+    def test_repeat_call_returns_the_cached_arrays(self):
+        first, again = sig.oscillator_bank(*self.ARGS), sig.oscillator_bank(*self.ARGS)
+        assert all(a is b for a, b in zip(first, again, strict=True))
+
+    def test_cached_arrays_are_read_only(self):
+        for table in sig.oscillator_bank(*self.ARGS):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("other", [(64, 1024, 8000, 256, 128), (64, 1024, 16000, 200, 128),
+                                       (64, 1024, 16000, 256, 16), (32, 1024, 16000, 256, 128)],
+                             ids=["sample_rate", "hop", "n_frames", "n_mels"])
+    def test_geometries_do_not_collide(self, other):
+        bank, other_bank = sig.oscillator_bank(*self.ARGS), sig.oscillator_bank(*other)
+        for args, tables in ((self.ARGS, bank), (other, other_bank)):
+            for cached, built in zip(tables, sig.oscillator_bank.__wrapped__(*args), strict=True):
+                assert np.array_equal(cached, built)
+        assert any(a.shape != b.shape or not np.array_equal(a, b)
+                   for a, b in zip(bank, other_bank, strict=True))
+
+    @pytest.mark.parametrize("seed,frames,n_mels,n_fft,hop,sr", [
+        (0, 128, 64, 1024, 256, 16000),
+        (1, 7, 16, 512, 128, 8000),
+        (3, 5, 8, 255, 100, 16000),
+        (4, 1, 16, 256, 200, 16000),
+    ])
+    def test_column_subset_is_bit_equal_to_the_uncached_vocoder(self, seed, frames, n_mels,
+                                                                n_fft, hop, sr):
+        m = random_grid(seed, frames, n_mels, n_fft, hop, sr)
+        active = np.sum(np.any(m.values > sig.DB_FLOOR, axis=0))
+        assert 0 < active < n_mels  # floor bins: the grid takes a column subset
+        got = sig.mel_to_waveform(m).samples
+        assert got.tobytes() == uncached_mel_to_waveform(m).tobytes()
+
+    def test_sweep_is_bit_equal_to_the_uncached_vocoder(self):
+        for m in sweep_grids():
+            assert sig.mel_to_waveform(m).samples.tobytes() == uncached_mel_to_waveform(m).tobytes()
+
+
+def uncached_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
+    """The vocoder before its oscillator bank was cached: the same angle-addition
+    products, with the sines and cosines built per grid for its active bins
+    alone."""
+    sr, hop, n_frames, n_fft = m.sample_rate, m.frame_hop, m.n_frames, m.n_fft
+    _, centers = sig.mel_filterbank.__wrapped__(m.n_mels, n_fft, sr)
+    n_out = n_fft + hop * (n_frames - 1)
+    amps = np.where(m.values <= sig.DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
+    active = np.flatnonzero(np.any(amps > 0, axis=0))
+    amps = amps[:, active]
+    freqs = centers[active] / sr
+
+    def oscillators(t):
+        cycles = np.multiply.outer(t, freqs)
+        angle = 2.0 * np.pi * (cycles - np.floor(cycles))
+        return np.sin(angle), np.cos(angle)
+
+    head = (n_fft + 1) // 2
+    n_before, n_after = -(-head // hop), -(-(n_fft - head) // hop)
+    level = np.concatenate([np.repeat(amps[:1], n_before, axis=0), amps[:-1],
+                            np.repeat(amps[-1:], n_after, axis=0)])
+    slope = np.zeros_like(level)
+    slope[n_before:n_before + n_frames - 1] = np.diff(amps, axis=0) / hop
+    starts = head + hop * np.arange(-n_before, n_frames - 1 + n_after, dtype=np.float64)
+    seg_sin, seg_cos = oscillators(starts)
+    off_sin, off_cos = oscillators(np.arange(hop, dtype=np.float64))
+    within = np.hstack([off_cos, off_sin]).T
+    offsets = np.arange(head, head + hop) - n_fft / 2.0
+    base = np.hstack([level * seg_sin, level * seg_cos]) @ within
+    ramp = np.hstack([slope * seg_sin, slope * seg_cos]) @ within
+    first = n_before * hop - head
+    out = (base + offsets * ramp).ravel()[first:first + n_out]
+    peak = np.max(np.abs(out))
+    return out / peak if peak > 1e-12 else np.zeros(n_out)
+
+
 def reference_mel_to_waveform(m: sig.MelGrid) -> np.ndarray:
     """The vocoder as first written: np.interp and one sine per active bin
     per sample, sin(2 pi c_b t / sr)."""

@@ -395,9 +395,13 @@ class TestCheckpointFormat:
                            + np.arange(6, dtype="<f4").tobytes())
 
     def test_loaded_arrays_are_writable_float64(self, saved):
+        """Each array is fresh: writable, owning its data and shared with no
+        other load, so a net may adopt it as its parameter."""
         arrays, _ = smallnet.load_checkpoint(saved)
-        for a in arrays.values():
-            assert a.dtype == np.float64 and a.flags.writeable
+        again, _ = smallnet.load_checkpoint(saved)
+        for name, a in arrays.items():
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.owndata
+            assert not np.shares_memory(a, again[name])
 
     def test_scalar_and_empty_arrays_roundtrip(self, tmp_path):
         path = tmp_path / "edge.ckpt"
@@ -429,7 +433,8 @@ class TestCheckpointFormat:
         smallnet.save_checkpoint(path, arrays, {"k": 1}, exact=("x",))
         loaded, meta = smallnet.load_checkpoint(path)
         assert meta == {"k": 1}
-        assert loaded["x"].dtype == np.float64 and loaded["x"].flags.writeable
+        for a in loaded.values():
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.owndata
         assert loaded["x"].tobytes() == arrays["x"].tobytes()
         assert np.array_equal(loaded["w"], arrays["w"].astype(np.float32))
         raw = path.read_bytes()
@@ -447,6 +452,16 @@ class TestCheckpointFormat:
         assert "'x' truncated (wants 24 bytes, has 23)" in str(e.value)
         header_len = struct.unpack_from("<Q", path.read_bytes(), 8)[0]
         assert e.value.offset == 16 + header_len + 2 * 4  # after "a"'s two floats
+
+    def test_oversized_array_entry_refused_before_allocating(self, tmp_path):
+        """The sizes come from the file, so an entry far larger than it is
+        refused as truncated, not allocated."""
+        path = tmp_path / "huge.ckpt"
+        _write_checkpoint_bytes(path, b'{"arrays":[["w",[1099511627776]]],"meta":{}}', bytes(8))
+        with pytest.raises(FormatError) as e:
+            smallnet.load_checkpoint(path)
+        assert "'w' truncated (wants 4398046511104 bytes, has 8)" in str(e.value)
+        assert e.value.offset == path.stat().st_size - 8
 
     def test_trailing_bytes(self, saved):
         size = len(saved.read_bytes())
