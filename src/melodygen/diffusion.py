@@ -36,7 +36,7 @@ the denoiser's hidden space. It is exact in real arithmetic:
   by the two branches; the last is constant over a run, and the branches'
   are stacked into one (2, batch, hidden) array, so that each step makes one
   add and one activation per layer for both (for the conditional branch
-  alone when w = 0), and mixes them in two preallocated buffers.
+  alone when w = 0), and mixes them into a preallocated buffer.
 - The output layer is affine with identity activation (``Denoiser.load``
   checks this), so eps_bar = a A^T + b_out, where
   a = (w+1) a_c - w a_u mixes the branches' last hidden activations.
@@ -501,7 +501,7 @@ class GuidedTrajectory:
         # (branches, batch, hidden): the condition's bias, then the null's when w > 0
         self._biases = np.stack([condition_bias(c) for c in
                                  ((condition,) if w == 0.0 else (condition, null_condition))])
-        self._w, self._layers, self._w_x = w, layers, w_x
+        self._layers, self._w_x = layers, w_x
         w_t = first.w[:, t0:c0]
         temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
         self.time_rows = dict(zip(steps, np.matmul(temb[:, None, :], w_t.T)[:, 0]))
@@ -512,7 +512,8 @@ class GuidedTrajectory:
         self._x_N, self._out = x_N, last
         self.u = x_N @ w_x.T
         self._s = np.zeros((batch, last.w.shape[1]))
-        self._mixed, self._scratch = np.empty((2,) + self._s.shape)
+        self._coefs = np.array([w + 1.0, w][:len(self._biases)])[:, None, None]
+        self._mixed = np.empty(self._s.shape)
         self._g, self._k, self._r = 1.0, 0.0, None
 
     def step(self, n: int, alpha: float, beta: float, noise: np.ndarray | None = None) -> None:
@@ -523,11 +524,8 @@ class GuidedTrajectory:
                               (self.u + self.time_rows[n]) + self._biases)
         for l in self._layers[1:-1]:
             a = smallnet.activate(l.activation, a @ l.w.T + l.b)
-        if len(a) == 2:  # (w+1) a_c - w a_u
-            a = np.subtract(np.multiply(a[0], self._w + 1.0, out=self._mixed),
-                            np.multiply(a[1], self._w, out=self._scratch), out=self._mixed)
-        else:
-            a = a[0]
+        a *= self._coefs  # (w+1) a_c and w a_u, mixed into a preallocated buffer
+        a = a[0] if len(a) == 1 else np.subtract(a[0], a[1], out=self._mixed)
         if not (self._out_finite and np.isfinite(a).all()):
             raise SamplingError("denoiser produced non-finite noise estimate", n)
         u = alpha * self.u + beta * (a @ self._m.T + self._m_b)
