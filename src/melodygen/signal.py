@@ -258,10 +258,12 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     amps = np.where(m.values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
     active = np.flatnonzero(np.any(amps > 0, axis=0))
     bank = oscillator_bank(m.n_mels, n_fft, sr, hop, n_frames)
-    # take keeps C order; a fancy-indexed column subset would be in Fortran
-    # order, and the products below would round differently
-    amps = amps[:, active]
-    seg_sin, seg_cos, off_sin, off_cos = (table.take(active, axis=1) for table in bank)
+    # generate's decoded grids have had every bin active and use the tables
+    # uncopied. take keeps C order; a fancy-indexed column subset would be in
+    # Fortran order, and the products below would round differently.
+    if len(active) < m.n_mels:
+        amps, bank = amps[:, active], [table.take(active, axis=1) for table in bank]
+    seg_sin, seg_cos, off_sin, off_cos = bank
 
     # Amplitudes follow np.interp between frame centers: amps[j] + slope_j *
     # (t - center_j) in segment j, which starts at the first sample on or after

@@ -247,7 +247,7 @@ class TestOscillatorBankCache:
         assert got.tobytes() == uncached_mel_to_waveform(m).tobytes()
 
     def test_grid_with_every_bin_active_is_bit_equal_to_the_uncached_vocoder(self):
-        """Such a grid takes every column of the cached tables."""
+        """Such a grid, as generate decodes, uses the cached tables uncopied."""
         values = np.random.default_rng(5).uniform(-60.0, 0.0, (16, 64))
         m = sig.MelGrid(values, frame_hop=256, n_fft=1024, sample_rate=16000)
         assert sig.mel_to_waveform(m).samples.tobytes() == uncached_mel_to_waveform(m).tobytes()
