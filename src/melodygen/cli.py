@@ -71,9 +71,21 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _check_paths(args) -> None:
+    """Refuse, before any work, an ``--out`` that cannot be a directory and a
+    ``--report`` that cannot be a file."""
+    out = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not out.is_dir():
+        raise ValidationError(f"--out: {out} is not a directory")
+    report = getattr(args, "report", None)
+    if report and (Path(report).is_dir() or not Path(report).parent.is_dir()):
+        raise ValidationError(f"--report: {report} is not a file in an existing directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         cfg = _load_config(args)
         if args.command == "synth-data":
             records = pipeline.run_synth_data(cfg, args.out)
@@ -99,9 +111,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps(dataclasses.asdict(result), indent=2))
         elif args.command == "evaluate":
-            if args.report and not Path(args.report).parent.is_dir():
-                raise ValidationError(f"--report: directory {Path(args.report).parent} "
-                                      "does not exist")
             report = pipeline.run_evaluate(cfg, args.out, mode=args.mode, seed=args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)
             if args.report:

@@ -212,9 +212,9 @@ class _MelodyPath:
         return embed_grads, head_grads
 
 
-def _features(modality: str, items) -> np.ndarray | list[np.ndarray]:
+def features(modality: str, items) -> np.ndarray | list[np.ndarray]:
     """Featurizer output for a batch: (n, d) for text and waveform, one (L, 130)
-    token array per item for melody."""
+    token array per item for melody; training, embedding and evaluation all use it."""
     if modality == "text":
         return np.stack([featurize_text(t) for t in items])
     if modality == "waveform":
@@ -227,7 +227,7 @@ def _features(modality: str, items) -> np.ndarray | list[np.ndarray]:
 def embed(model: ClmpModel, modality: str, items) -> np.ndarray:
     """(n, embed_dim) unit rows, one per item. ``items`` are caption strings
     for "text", MelGrids for "waveform" and MelodyTripletSeqs for "melody"."""
-    feats = _features(modality, items)
+    feats = features(modality, items)
     if modality == "melody":
         return _MelodyPath(model, feats).emb
     return _HeadPath(model.text_head if modality == "text" else model.wave_head, feats).emb
@@ -288,13 +288,6 @@ class _BatchGraph:
         return total, grads
 
 
-def _batch_features(batch: list[Triple]):
-    """Text, wave and per-token melody features of aligned items."""
-    return (_features("text", [t.text for t in batch]),
-            _features("waveform", [t.mel for t in batch]),
-            _features("melody", [t.melody for t in batch]))
-
-
 @dataclass
 class TrainResult:
     model: ClmpModel
@@ -312,7 +305,9 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
     if len(corpus) < config.batch_size:
         raise ValidationError(f"clmp.batch_size={config.batch_size} is more than the "
                               f"{len(corpus)} training items")
-    text, wave, melody = _batch_features(corpus)
+    text = features("text", [t.text for t in corpus])
+    wave = features("waveform", [t.mel for t in corpus])
+    melody = features("melody", [t.melody for t in corpus])
 
     rng = smallnet.spawn_rng(seed, 202)
     opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)

@@ -357,18 +357,6 @@ class TrainingStepResult:
     d_null: np.ndarray  # (d_c,)
 
 
-def _row_blocks(n_rows: int, width: int, dtype, count: int = 1):
-    """Slices of at most ``smallnet.CACHE_BLOCK`` elements' worth of rows of an
-    (n_rows, width) array, each with ``count`` scratch arrays of its shape and
-    of ``dtype``, so that elementwise passes over large arrays keep their
-    temporaries in cache."""
-    step = max(1, smallnet.CACHE_BLOCK // width)
-    scratch = np.empty((count, min(step, n_rows), width), dtype)
-    for r in range(0, n_rows, step):
-        rows = slice(r, min(r + step, n_rows))
-        yield rows, scratch[:, :rows.stop - r]
-
-
 def training_step(
     denoiser: Denoiser,
     sched: NoiseSchedule,
@@ -390,10 +378,10 @@ def training_step(
     rows, and the null vector so the caller can backprop into the fusion map.
     ``noise`` is read, never written.
 
-    The net's passes and its gradients are in the denoiser's dtype: x_n is
-    formed in float64 and rounded once into the net's input. The loss sums
-    its squared errors in float64, and the condition and null gradients are
-    float64, as the fusion map is.
+    The net's passes and its gradients are in the denoiser's dtype. x_n and
+    out - eps are formed in float64 and rounded once into it (rounding eps
+    first would change the trained weights). The loss sums its squared errors
+    in float64; the condition and null gradients are float64, as the fusion map is.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[1] != denoiser.latent_dim:
@@ -415,37 +403,26 @@ def training_step(
         raise ShapeError(f"uncond must be a ({batch},) bool mask, got {mask.dtype} "
                          f"{mask.shape}")
 
-    # one input buffer [x_n || temb(n) || c_eff] in the net's dtype, with x_n
-    # built row block by row block
-    dtype = denoiser.net.dtype
+    # one input buffer [x_n || temb(n) || c_eff] in the net's dtype; x_n and
+    # out - eps are float64, each rounded once as its ufunc writes it out
     c0 = lat + denoiser.time_embed_dim
-    inp = np.empty((batch, c0 + denoiser.cond_dim), dtype)
+    inp = np.empty((batch, c0 + denoiser.cond_dim), denoiser.net.dtype)
     inp[:, lat:c0] = time_embedding(n, denoiser.time_embed_dim)
     inp[:, c0:] = conditions
     inp[mask, c0:] = null_condition
     ab = sched.alpha_bar[n - 1][:, None]
-    root_ab, root_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
-    for rows, (t, u) in _row_blocks(batch, lat, np.float64, count=2):
-        np.multiply(root_ab[rows], x0[rows], out=t)
-        np.multiply(root_1mab[rows], eps[rows], out=u)
-        np.add(t, u, out=inp[rows, :lat])
+    np.add(np.sqrt(ab) * x0, np.sqrt(1.0 - ab) * eps, out=inp[:, :lat])
 
     out, cache = denoiser.net.forward_cached(inp)
-    # d_out = 2 (out - eps) / batch, and each row's squared error on the way
-    d_out = np.empty_like(out)
-    row_sq = np.empty(batch)
-    for rows, (t,) in _row_blocks(batch, lat, dtype):
-        diff = np.subtract(out[rows], eps[rows], out=d_out[rows])
-        np.multiply(diff, diff, out=t)
-        np.sum(t, axis=1, dtype=np.float64, out=row_sq[rows])
-        diff *= 2.0
-        diff /= batch
-    loss = float(np.mean(row_sq))
+    # d_out = 2 (out - eps) / batch, after summing each row's squared error
+    d_out = np.subtract(out, eps, out=np.empty_like(out))
+    loss = float(np.mean(np.sum(d_out * d_out, axis=1, dtype=np.float64)))
+    d_out *= 2.0
+    d_out /= batch
     grads, d_c_eff = denoiser.net.backward_cached(cache, d_out, slice(c0, None))
     d_c_eff = d_c_eff.astype(np.float64, copy=False)
-    d_conditions = np.where(mask[:, None], 0.0, d_c_eff)
-    d_null = d_c_eff[mask].sum(axis=0) if mask.any() else np.zeros(denoiser.cond_dim)
-    return TrainingStepResult(loss, grads, d_conditions, d_null)
+    return TrainingStepResult(loss, grads, np.where(mask[:, None], 0.0, d_c_eff),
+                              d_c_eff[mask].sum(axis=0))
 
 
 # --- guidance and sampling ------------------------------------------------------

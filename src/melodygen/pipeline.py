@@ -290,7 +290,9 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     history = []
     # a worker draws step k+1 while step k computes (the normal fill releases
     # the GIL); k+1 is submitted only after k's draws are in hand and only the
-    # worker reads the stream, so it is consumed in the same order
+    # worker reads the stream, so it is consumed in the same order. The draws
+    # take 5.3 of a serial step's 19.3 ms at the small config (2 vCPUs); drawing
+    # serially made 150 steps 1.4x slower, in 10 of 10 in-process rounds
     with ThreadPoolExecutor(max_workers=1) as drawer:
         pending = drawer.submit(draw)
         for step_i in range(d.train_steps):
@@ -453,10 +455,6 @@ SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 SWEEP_SEEDS = 5  # generation seeds per point of the ablation and the sweeps
 
 
-def _features(mels: list[signal.MelGrid]) -> np.ndarray:
-    return np.stack([clmp.featurize_wave(m) for m in mels])
-
-
 def _fad(gen_feats: np.ndarray, ref_feats: np.ndarray) -> float:
     return metrics.frechet(metrics.FeatureCloud.from_vectors(gen_feats),
                            metrics.FeatureCloud.from_vectors(ref_feats))
@@ -494,7 +492,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     train_mels, eval_mels = _split(cfg, corpus_mels(cfg, art, records))
     eval_triples = _triples(eval_records, eval_mels)
     seed = cfg.seed if seed is None else seed
-    ref_feats = _features(eval_mels)
+    ref_feats = clmp.features("waveform", eval_mels)
     texts = [t.text for t in eval_triples]
     steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
@@ -502,9 +500,8 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
 
     def sweep_fads(conditions, *, steps=steps, w=w) -> list[float]:
         """FAD-like against the references at (conditions, steps, w), one per sweep seed."""
-        return [_fad(_features(stack.decode(stack.sample(conditions, sampler="ddim",
-                                                         steps=steps, w=w, seed=g))),
-                     ref_feats)
+        return [_fad(clmp.features("waveform", stack.decode(stack.sample(
+                    conditions, sampler="ddim", steps=steps, w=w, seed=g))), ref_feats)
                 for g in sweep_seeds]
 
     report: dict = {"mode": mode, "n_samples": len(eval_triples),
@@ -523,12 +520,12 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     (conditions,), _ = stack.conditions(texts)
     if mode == "standard":
         probe = metrics.train_probe(
-            _features(train_mels),
+            clmp.features("waveform", train_mels),
             [r.archetype.label for r in train_records],
             cfg.seed,
         )
-        feats = _features(stack.decode(stack.sample(conditions, sampler="ddim", steps=steps,
-                                                    w=w, seed=seed)))
+        feats = clmp.features("waveform", stack.decode(stack.sample(
+            conditions, sampler="ddim", steps=steps, w=w, seed=seed)))
         gen_by_id = {t.id: f for t, f in zip(eval_triples, feats)}
         ref_by_id = {t.id: f for t, f in zip(eval_triples, ref_feats)}
         report.update({

@@ -7,8 +7,8 @@ computed by explicit reverse-mode passes (no autograd), which keeps the
 arithmetic auditable and lets finite-difference oracles check every trainable
 module in the package.
 The backward pass computes only the input-gradient columns its caller asks
-for, and Adam updates each parameter in place, a cache-sized block at a time,
-with the textbook update's arithmetic in the textbook order.
+for. Adam, the one blocked loop, updates each parameter in place ``CACHE_BLOCK``
+elements at a time, with the textbook update's arithmetic in textbook order.
 
 Parameters are named once: ``DenseNet.named_parameters(prefix)`` is the one
 insertion-ordered name -> array dict of a net (``{prefix}w{i}``,
@@ -213,8 +213,10 @@ class DenseNet:
         return grads, dz @ self.layers[0].w[:, input_cols]
 
 
-# Elementwise passes over large arrays (Adam, the denoiser's training glue) run
-# this many elements at a time, so their temporaries stay in cache
+# Adam's block, which keeps its two scratch buffers in cache. At the denoiser
+# and fusion shapes (1.07M float32, 8K float64 values; 2 vCPUs) a step took
+# 3.95 ms, against 5.31 ms for the textbook whole-array update and 4.86 ms
+# through two full-size buffers, all three bit-equal
 CACHE_BLOCK = 16384
 
 

@@ -361,15 +361,30 @@ def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_f
 
 def test_evaluate_report_into_a_missing_directory_exits_1_before_evaluating(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pipeline, "run_evaluate",
-                        lambda *args, **kwargs: pytest.fail("evaluated before checking --report"))
+    """Also the other path flags a command cannot use: a directory as
+    ``--report``, and a regular file as, or above, ``--out``."""
+    for stage in ("run_evaluate", "run_synth_data"):
+        monkeypatch.setattr(pipeline, stage,
+                            lambda *args, **kwargs: pytest.fail("worked before checking paths"))
     missing = tmp_path / "nonexistent" / "dir"
-    assert cli.main(["evaluate", "--out", str(tmp_path / "work"), "--mode", "ablation",
-                     "--report", str(missing / "r.json")]) == cli.EXIT_VALIDATION
-    out, err = capsys.readouterr()
-    assert not out
-    assert "ValidationError: --report" in err and str(missing) in err
-    assert [p.name for p in tmp_path.iterdir()] == []
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    regular = tmp_path / "regular"
+    regular.write_text("not a directory")
+    work = str(tmp_path / "work")
+    for argv, flag, named in (
+        (["evaluate", "--out", work, "--report", str(missing / "r.json")], "--report", missing),
+        (["evaluate", "--out", work, "--report", str(existing)], "--report", existing),
+        (["synth-data", "--out", str(regular)], "--out", regular),
+        (["synth-data", "--out", str(regular / "work")], "--out", regular),
+        (["evaluate", "--out", str(regular)], "--out", regular),
+    ):
+        assert cli.main(argv) == cli.EXIT_VALIDATION, argv
+        out, err = capsys.readouterr()
+        assert not out
+        assert f"ValidationError: {flag}: " in err and str(named) in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "regular"]
+    assert not any(existing.iterdir()) and regular.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("prior, stage, args, missing", [

@@ -31,9 +31,16 @@ def toy_triples(n, seed=0, bins=16):
     return out
 
 
+def batch_features(batch):
+    """Text, wave and per-token melody features of aligned triples."""
+    return (clmp.features("text", [t.text for t in batch]),
+            clmp.features("waveform", [t.mel for t in batch]),
+            clmp.features("melody", [t.melody for t in batch]))
+
+
 def batch_loss(model, batch):
     """The training loss of ``model`` on one batch of triples."""
-    return clmp._BatchGraph(model, *clmp._batch_features(batch)).loss_and_grads()[0]
+    return clmp._BatchGraph(model, *batch_features(batch)).loss_and_grads()[0]
 
 
 def toy_model(seed=0, bins=16):
@@ -190,7 +197,7 @@ class TestContrastiveLoss:
         bins = 16
         model = toy_model(seed=seed, bins=bins)
         batch = toy_triples(5, seed=seed, bins=bins)
-        text, wave, melody = clmp._batch_features(batch)
+        text, wave, melody = batch_features(batch)
 
         def loss():
             return clmp._BatchGraph(model, text, wave, melody).loss_and_grads()[0]

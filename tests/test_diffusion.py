@@ -185,16 +185,18 @@ class TestFusion:
 
 def reference_training_step(den, sched, x0, cond, null, n, eps, uncond):
     """training_step's arithmetic as whole-array expressions, with the full
-    input gradient of the net sliced afterwards."""
+    input gradient of the net sliced afterwards. x_n and out - eps are formed
+    in float64 and each rounded once into the net's dtype."""
+    dtype = den.net.dtype
     c_eff = np.where(uncond[:, None], null[None, :], cond)
     ab = sched.alpha_bar[n - 1][:, None]
     x_n = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     inp = np.concatenate([x_n, df.time_embedding(n, den.time_embed_dim), c_eff], axis=1)
-    out, cache = den.net.forward_cached(inp)
-    diff = out - eps
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
+    out, cache = den.net.forward_cached(inp.astype(dtype))
+    diff = (out - eps).astype(dtype)
+    loss = float(np.mean(np.sum(diff * diff, axis=1, dtype=np.float64)))
     grads, d_inp = den.net.backward_cached(cache, 2.0 * diff / len(x0))
-    d_c_eff = d_inp[:, den.latent_dim + den.time_embed_dim:]
+    d_c_eff = d_inp[:, den.latent_dim + den.time_embed_dim:].astype(np.float64)
     d_null = d_c_eff[uncond].sum(axis=0) if uncond.any() else np.zeros(den.cond_dim)
     return df.TrainingStepResult(loss, grads, np.where(uncond[:, None], 0.0, d_c_eff), d_null)
 
@@ -232,10 +234,14 @@ class TestTrainingStep:
                                steps=n, noise=eps, uncond=np.ones(6, dtype=bool))
         assert res.loss == 0.0
 
-    @pytest.mark.parametrize("latent_dim, batch", [(4, 6), (5000, 7)])
-    def test_matches_reference_and_keeps_noise(self, latent_dim, batch):
-        # latent 5000: several row blocks, the last one short
+    @pytest.mark.parametrize("latent_dim, batch, dtype", [
+        (4, 6, np.float64), (5000, 7, np.float64), (5000, 7, np.float32),
+    ], ids=["4-6", "5000-7", "5000-7-float32"])
+    def test_matches_reference_and_keeps_noise(self, latent_dim, batch, dtype):
+        # latent 5000: long rows, over which a second rounding of x_n or of
+        # out - eps into a float32 net shows in the loss and the gradients
         den = tiny_denoiser(latent_dim=latent_dim, seed=9)
+        den.net = den.net.astype(dtype)
         s = df.make_schedule(30, 1e-3, 0.05)
         data = smallnet.spawn_rng(40)
         x0 = data.standard_normal((batch, latent_dim))
@@ -250,13 +256,17 @@ class TestTrainingStep:
         assert res.loss == reference.loss
         # the condition columns' gradient is its own BLAS product, which may
         # round differently from the same columns of the full one
-        assert np.allclose(res.d_conditions, reference.d_conditions, rtol=1e-14, atol=1e-15)
-        assert np.allclose(res.d_null, reference.d_null, rtol=1e-14, atol=1e-15)
+        for a, r in ((res.d_conditions, reference.d_conditions), (res.d_null, reference.d_null)):
+            assert a.dtype == np.float64
+            if dtype == np.float64:
+                assert np.allclose(a, r, rtol=1e-14, atol=1e-15)
+            else:
+                assert np.allclose(a, r, rtol=1e-5, atol=1e-5 * np.abs(r).max())
         for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
-            assert np.array_equal(g, r)
+            assert g.dtype == dtype and np.array_equal(g, r)
 
     def test_float32_denoiser_steps_in_float32_and_tracks_float64(self):
-        # latent 5000: several row blocks; both nets hold the same values
+        # latent 5000: long rows; both nets hold the same values
         den32 = tiny_denoiser(latent_dim=5000, seed=10)
         den32.net = den32.net.astype(np.float32)
         den64 = tiny_denoiser(latent_dim=5000, seed=10)
