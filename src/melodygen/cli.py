@@ -72,8 +72,10 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _check_paths(args) -> None:
-    """Refuse, before any work, an ``--out`` that cannot be a directory and a
-    ``--report`` that cannot be a file."""
+    """Refuse, before any work, a ``--config`` that is not a file, an ``--out``
+    that cannot be a directory and a ``--report`` that cannot be a file."""
+    if args.config and not Path(args.config).is_file():
+        raise ValidationError(f"--config: {args.config} is not a file")
     out = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
     if not out.is_dir():
         raise ValidationError(f"--out: {out} is not a directory")
@@ -120,12 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifactError as e:
         print(f"melodygen: error: missing artifact: {e}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except ValidationError as e:
-        print(f"melodygen: error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MelodyGenError as e:
         print(f"melodygen: error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_VALIDATION if isinstance(e, ValidationError) else EXIT_RUNTIME
     except Exception as e:  # never a bare traceback for operational failures
         print(f"melodygen: error: unexpected {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -362,7 +362,8 @@ def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_f
 def test_evaluate_report_into_a_missing_directory_exits_1_before_evaluating(
         tmp_path, capsys, monkeypatch):
     """Also the other path flags a command cannot use: a directory as
-    ``--report``, and a regular file as, or above, ``--out``."""
+    ``--report`` or ``--config``, a missing ``--config``, and a regular file
+    as, or above, ``--out``."""
     for stage in ("run_evaluate", "run_synth_data"):
         monkeypatch.setattr(pipeline, stage,
                             lambda *args, **kwargs: pytest.fail("worked before checking paths"))
@@ -378,6 +379,8 @@ def test_evaluate_report_into_a_missing_directory_exits_1_before_evaluating(
         (["synth-data", "--out", str(regular)], "--out", regular),
         (["synth-data", "--out", str(regular / "work")], "--out", regular),
         (["evaluate", "--out", str(regular)], "--out", regular),
+        (["synth-data", "--config", str(existing), "--out", work], "--config", existing),
+        (["synth-data", "--config", str(missing), "--out", work], "--config", missing),
     ):
         assert cli.main(argv) == cli.EXIT_VALIDATION, argv
         out, err = capsys.readouterr()
