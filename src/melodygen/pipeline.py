@@ -310,6 +310,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
             fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
             opt.step(result.denoiser_grads + fusion_grads)
             history.append(result.loss)
+            # so step k's gradients are freed before step k+1 makes its own
+            del result, fusion_grads
 
     c, th, fw = _latent_shape(cfg)
     denoiser.save(art.diffusion_path, fusion=fusion, extra_meta={

@@ -163,6 +163,12 @@ def synthesize_melody(seq: MelodyTripletSeq, timbre: list[float] | tuple[float, 
     exact silence. Segment boundaries are placed on the cumulative-time grid,
     so total length is the rounded total duration. The result is
     peak-normalized once at the end (rests stay exactly zero).
+
+    Each distinct pitch's harmonic sum is rendered once, at the length of
+    that pitch's longest note, and every note of the pitch copies the prefix
+    it needs before its fades are applied to the copy. This is exact: the
+    time axis, the phase ``2 pi h f t`` and ``np.sin`` are all elementwise,
+    so a shorter note's tone is bit for bit a prefix of the longest one.
     """
     if len(seq) == 0:
         raise ValidationError("cannot synthesize an empty melody")
@@ -179,21 +185,28 @@ def synthesize_melody(seq: MelodyTripletSeq, timbre: list[float] | tuple[float, 
         t += trip.rest_bin * BIN_SECONDS
     total = round(t * sr)
     out = np.zeros(max(total, 1))
+    longest = {}
+    for start, end, freq in events:
+        longest[freq] = max(longest.get(freq, 0), end - start)
+    tones = {}
+    for freq, n in longest.items():
+        tt = np.arange(n) / sr
+        tones[freq] = tone = np.zeros(n)
+        for h, weight in enumerate(timbre, start=1):
+            tone += weight * np.sin(2.0 * np.pi * h * freq * tt)
     fade_n = int(_FADE_SECONDS * sr)
     for start, end, freq in events:
         n = end - start
         if n <= 0:
             continue
-        tt = np.arange(n) / sr
-        tone = np.zeros(n)
-        for h, weight in enumerate(timbre, start=1):
-            tone += weight * np.sin(2.0 * np.pi * h * freq * tt)
+        # the shared tone is read by later notes of its pitch: fade the copy
+        note = out[start:end]
+        note[:] = tones[freq][:n]
         k = min(fade_n, n // 2)
         if k > 0:
             ramp = np.arange(1, k + 1) / k
-            tone[:k] *= ramp
-            tone[-k:] *= ramp[::-1]
-        out[start:end] = tone
+            note[:k] *= ramp
+            note[-k:] *= ramp[::-1]
     peak = np.max(np.abs(out))
     if peak > 0:
         out /= peak

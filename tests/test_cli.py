@@ -8,6 +8,7 @@ import platform
 import shutil
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -802,6 +803,24 @@ def test_gradient_error_in_train_diffusion_exits_3_and_joins_its_thread(
     assert len(calls) == 3 and calls[-1] > baseline  # the worker was drawing step 4
     assert threading.active_count() == baseline
     assert (work / "diffusion.ckpt").read_bytes() == before
+
+
+def test_train_diffusion_frees_each_steps_gradients_before_the_next(work_copy, monkeypatch):
+    """Step k's weight gradients are dead when step k+1 starts, so the loop's
+    memory peak, inside a training step, never holds two steps' gradients."""
+    cfg = PipelineConfig.from_dict({**TINY, "diffusion": {**TINY["diffusion"],
+                                                          "train_steps": 4}})
+    training_step, previous, held = diffusion.training_step, [], []
+
+    def tracking_step(*args, **kwargs):
+        held.append(sum(ref() is not None for ref in previous))
+        result = training_step(*args, **kwargs)
+        previous[:] = [weakref.ref(g) for g in result.denoiser_grads]
+        return result
+
+    monkeypatch.setattr(diffusion, "training_step", tracking_step)
+    pipeline.run_train_diffusion(cfg, work_copy)
+    assert held == [0, 0, 0, 0]
 
 
 def unit_rows(rng, n, d):

@@ -8,7 +8,8 @@ from melodygen import corpus
 from melodygen import signal as sig
 from melodygen.config import SignalConfig
 from melodygen.errors import FormatError, ValidationError
-from melodygen.melody_codec import BIN_SECONDS, MelodyTriplet, MelodyTripletSeq, bin_duration
+from melodygen.melody_codec import (BIN_SECONDS, MelodyTriplet, MelodyTripletSeq, bin_duration,
+                                    parse_pitch)
 
 
 def sine(freq, seconds=1.0, sr=16000, amp=1.0):
@@ -148,6 +149,63 @@ class TestSynthesizeMelody:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             sig.synthesize_melody(MelodyTripletSeq(()), (1.0,), 16000)
+
+    @pytest.mark.parametrize("timbre", corpus.TIMBRES)
+    def test_corpus_melodies_are_bit_equal_to_per_note_rendering(self, timbre):
+        weights = corpus.TIMBRE_WEIGHTS[timbre]
+        records = [corpus.make_record(i, seed, SIGNAL.sample_rate, None)[0]
+                   for seed in (3, 31, 2601) for i in range(16)]
+        assert {r.archetype.pattern for r in records} == set(corpus.PATTERNS)
+        for r in records:
+            got = sig.synthesize_melody(r.melody, weights, SIGNAL.sample_rate).samples
+            assert np.array_equal(got, per_note_synthesize(r.melody, weights, SIGNAL.sample_rate))
+
+    @pytest.mark.parametrize("notes", [
+        [("C4", 90, 0), ("C4", 20, 5), ("E4", 30, 0), ("C4", 45, 0)],  # longest first
+        [("C4", 20, 0), ("C4", 45, 3), ("E4", 30, 2), ("C4", 90, 0)],  # longest last
+        [("C4", 0, 4), ("E4", 30, 0), ("C4", 25, 0), ("G4", 0, 0), ("E4", 0, 3)],  # zero-length
+        [("A4", 1, 0), ("A4", 60, 1), ("A4", 1, 2), ("B4", 1, 0)],  # shorter than two fades
+        [("A4", 70, 6)],
+        [("A4", 0, 6)],
+    ])
+    @pytest.mark.parametrize("sr", [8000, 16000, 22050])
+    def test_edge_melodies_are_bit_equal_to_per_note_rendering(self, notes, sr):
+        seq = MelodyTripletSeq(tuple(MelodyTriplet(*n) for n in notes))
+        weights = corpus.TIMBRE_WEIGHTS["bright"]
+        got = sig.synthesize_melody(seq, weights, sr).samples
+        assert np.array_equal(got, per_note_synthesize(seq, weights, sr))
+
+
+def per_note_synthesize(seq: MelodyTripletSeq, timbre, sr: int) -> np.ndarray:
+    """synthesize_melody as it was before each pitch was rendered once: every
+    note computes its own harmonic sum and fades it in place."""
+    t, events = 0.0, []
+    for trip in seq:
+        t_on = t
+        t += trip.duration_bin * BIN_SECONDS
+        freq = sig.pitch_to_hz(parse_pitch(trip.pitch_token))
+        events.append((round(t_on * sr), round(t * sr), freq))
+        t += trip.rest_bin * BIN_SECONDS
+    out = np.zeros(max(round(t * sr), 1))
+    fade_n = int(0.010 * sr)
+    for start, end, freq in events:
+        n = end - start
+        if n <= 0:
+            continue
+        tt = np.arange(n) / sr
+        tone = np.zeros(n)
+        for h, weight in enumerate(timbre, start=1):
+            tone += weight * np.sin(2.0 * np.pi * h * freq * tt)
+        k = min(fade_n, n // 2)
+        if k > 0:
+            ramp = np.arange(1, k + 1) / k
+            tone[:k] *= ramp
+            tone[-k:] *= ramp[::-1]
+        out[start:end] = tone
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out /= peak
+    return out
 
 
 class TestMelToWaveform:
