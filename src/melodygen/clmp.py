@@ -51,8 +51,9 @@ def _stable_hash(token: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _tokenize(text: str) -> list[str]:
-    # lowercase words; '#' kept so note names like f#5 stay one token
+def tokenize(text: str) -> list[str]:
+    """The lowercase words of ``text``, as the text featurizer reads them; '#'
+    is kept so that note names like f#5 stay one token."""
     out, cur = [], []
     for ch in text.lower():
         if ch.isalnum() or ch == "#":
@@ -67,7 +68,7 @@ def _tokenize(text: str) -> list[str]:
 
 def featurize_text(text: str) -> np.ndarray:
     """Hashed bag of unigrams + bigrams, signed, L2-normalized, dim 256."""
-    tokens = _tokenize(text)
+    tokens = tokenize(text)
     if not tokens:
         raise ValidationError("text has no tokens")
     grams = list(tokens) + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
@@ -191,22 +192,17 @@ class _MelodyPath:
     def __init__(self, model: ClmpModel, melodies: list[np.ndarray]):
         self.model = model
         self.lengths = np.array([len(m) for m in melodies])
-        flat = np.concatenate(melodies, axis=0)
-        tok, self.tok_cache = model.melody_token_embed.forward_cached(flat)
-        self.tok = tok
-        bounds = np.concatenate([[0], np.cumsum(self.lengths)])
-        pooled = np.stack(
-            [tok[bounds[i]:bounds[i + 1]].mean(axis=0) for i in range(len(melodies))]
-        )
-        self.bounds = bounds
+        tok, self.tok_cache = model.melody_token_embed.forward_cached(
+            np.concatenate(melodies, axis=0))
+        # each melody's own mean: np.add.reduceat sums in another order, so
+        # its pooled rows differ in the last bits
+        pooled = np.stack([t.mean(axis=0) for t in np.split(tok, np.cumsum(self.lengths)[:-1])])
         self.head_path = _HeadPath(model.melody_head, pooled)
         self.emb = self.head_path.emb
 
     def backward(self, d_emb: np.ndarray):
         head_grads, d_pooled = self.head_path.backward(d_emb, slice(None))
-        d_tok = np.zeros_like(self.tok)
-        for i in range(len(self.lengths)):
-            d_tok[self.bounds[i]:self.bounds[i + 1]] = d_pooled[i] / self.lengths[i]
+        d_tok = np.repeat(d_pooled / self.lengths[:, None], self.lengths, axis=0)
         embed_grads, _ = self.model.melody_token_embed.backward_cached(self.tok_cache, d_tok,
                                                                        None)
         return embed_grads, head_grads

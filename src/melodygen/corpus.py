@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import smallnet
+from .clmp import tokenize
 from .config import SignalConfig
 from .errors import MelodyGenError, ValidationError
 from .melody_codec import (
@@ -266,8 +267,8 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                     raise ValidationError(f"id {doc['id']!r} is already held by line {first}")
                 record_id = doc["id"]
                 archetype = Archetype.from_dict(doc["archetype"])
-                if not doc["text"].strip():
-                    raise ValidationError("text is empty")
+                if not tokenize(doc["text"]):
+                    raise ValidationError(f"field 'text' has no tokens: {doc['text']!r}")
                 record = CorpusRecord(
                     id=doc["id"],
                     text=doc["text"],
@@ -275,6 +276,8 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                     wav_path=doc["wav"],
                     archetype=archetype,
                 )
+                if not record.melody:
+                    raise ValidationError("field 'melody' has no notes")
                 wav_file = base / record.wav_path
                 if not wav_file.exists():
                     raise ValidationError(f"wav file missing: {record.wav_path}")

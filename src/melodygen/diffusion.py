@@ -1,14 +1,16 @@
 """Retrieval-conditioned denoising diffusion over flattened latents.
 
 Standard DDPM pieces: a linear beta schedule with its derived alpha tables,
-the closed-form forward marginal x_n = sqrt(abar_n) x0 + sqrt(1-abar_n) eps,
-the Gaussian posterior q(x_{n-1} | x_n, x0), and epsilon-prediction training.
+epsilon-prediction training on the closed-form forward marginal
+x_n = sqrt(abar_n) x0 + sqrt(1-abar_n) eps, and ancestral sampling through the
+Gaussian posterior q(x_{n-1} | x_n, x0).
 Conditioning is one fused vector per row, c = [query || melody] W + b; a
 learned constant null vector stands in for "no condition" and is trained by
 random condition dropout, enabling classifier-free guidance
 eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). A training step draws nothing:
 its steps, noise and dropout mask come from the caller, which owns the random
-stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0).
+stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0),
+each a table of per-step scalars (alpha, beta, sigma) that one loop runs.
 
 Precision: a training step runs in the denoiser's dtype, which is float32
 under train-diffusion (``pipeline.DENOISER_TRAIN_DTYPE``). Its draws, the
@@ -51,11 +53,11 @@ it as exact float64 arrays, and a loaded denoiser reads them from there (one
 never saved forms them from its current weights). A DDIM run therefore makes
 two batch products at the latent width in total, u at x_N and S A^T at the
 end; DDPM adds one per step for its noise. Each run also forms its step table
-once: the alpha and beta of every step, and every step's time term
+once: the alpha, beta and sigma of every step, and every step's time term
 temb(n) W_t^T, as one stacked product of (1, time_embed_dim) rows, which
 rounds as each row's own product does. Only rounding differs from two full
-forwards per step (``cfg_eps``, the reference), so the two agree to float64
-rounding (tests hold full sampler runs to 1e-12).
+forwards per step (the reference samplers in ``tests/conftest.py``), so the
+two agree to float64 rounding (tests hold full sampler runs to 1e-12).
 
 The finite check keeps the reference's semantics: a non-finite A or b_out
 would make every estimate non-finite, so they are checked once per run and
@@ -109,44 +111,6 @@ def make_schedule(N: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     return NoiseSchedule(beta, alpha, alpha_bar, posterior_var)
 
 
-def _check_step(sched: NoiseSchedule, n: int) -> None:
-    if not (1 <= n <= sched.N):
-        raise ValidationError(f"step n={n} outside 1..{sched.N}")
-
-
-def q_sample(sched: NoiseSchedule, x0: np.ndarray, n: int, eps: np.ndarray) -> np.ndarray:
-    """Forward marginal: sqrt(abar_n) x0 + sqrt(1 - abar_n) eps."""
-    _check_step(sched, n)
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != x0.shape:
-        raise ShapeError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    ab = sched.alpha_bar[n - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
-def _posterior_coefficients(sched: NoiseSchedule, n: int) -> tuple[float, float, float]:
-    """(coef_x0, coef_xn, var) of q(x_{n-1} | x_n, x0) =
-    N(coef_x0 x0 + coef_xn x_n, var I); (1, 0, 0) at n=1."""
-    if n == 1:
-        return 1.0, 0.0, 0.0
-    ab_n = sched.alpha_bar[n - 1]
-    ab_prev = sched.alpha_bar[n - 2]
-    coef_x0 = np.sqrt(ab_prev) * sched.beta[n - 1] / (1.0 - ab_n)
-    coef_xn = np.sqrt(sched.alpha[n - 1]) * (1.0 - ab_prev) / (1.0 - ab_n)
-    return float(coef_x0), float(coef_xn), float(sched.posterior_var[n - 1])
-
-
-def posterior(sched: NoiseSchedule, x_n: np.ndarray, x0: np.ndarray, n: int):
-    """Mean and variance of q(x_{n-1} | x_n, x0); n=1 returns (x0, 0)."""
-    _check_step(sched, n)
-    if n == 1:
-        return np.asarray(x0, dtype=np.float64).copy(), 0.0
-    coef_x0, coef_xn, var = _posterior_coefficients(sched, n)
-    mu = coef_x0 * np.asarray(x0, dtype=np.float64) + coef_xn * np.asarray(x_n, dtype=np.float64)
-    return mu, var
-
-
 # --- conditioning ----------------------------------------------------------
 
 
@@ -198,16 +162,14 @@ class ConditionFusion:
 # --- denoiser ----------------------------------------------------------------
 
 
-def time_embedding(n, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of integer step(s) n; (dim,) or (len(n), dim)."""
+def time_embedding(n: np.ndarray, dim: int) -> np.ndarray:
+    """(len(n), dim) sinusoidal embedding of the integer steps n."""
     if dim % 2:
         raise ValidationError(f"time embedding dim must be even, got {dim}")
-    n_arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-    ang = n_arr[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    return emb[0] if np.isscalar(n) or np.ndim(n) == 0 else emb
+    ang = np.asarray(n, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
 # diffusion.ckpt's exact arrays: GuidedTrajectory's M = W_x A and m_b = W_x b_out
@@ -256,24 +218,6 @@ class Denoiser:
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         return self.net.named_parameters("denoiser.")
-
-    def _stack_input(self, x_n: np.ndarray, n, c: np.ndarray) -> np.ndarray:
-        x_n = np.atleast_2d(np.asarray(x_n, dtype=np.float64))
-        batch = x_n.shape[0]
-        if x_n.shape[1] != self.latent_dim:
-            raise ShapeError(f"latent has dim {x_n.shape[1]}, denoiser wants {self.latent_dim}")
-        temb = time_embedding(np.broadcast_to(np.asarray(n), (batch,)), self.time_embed_dim)
-        c = np.asarray(c, dtype=np.float64)
-        if c.ndim == 1:
-            c = np.broadcast_to(c, (batch, self.cond_dim))
-        if c.shape != (batch, self.cond_dim):
-            raise ShapeError(f"condition has shape {c.shape}, wanted ({batch}, {self.cond_dim})")
-        return np.concatenate([x_n, temb, c], axis=1)
-
-    def predict(self, x_n: np.ndarray, n, c: np.ndarray) -> np.ndarray:
-        single = np.asarray(x_n).ndim == 1
-        out = self.net.forward(self._stack_input(x_n, n, c))
-        return out[0] if single else out
 
     def sampler_constants(self) -> tuple[np.ndarray, np.ndarray]:
         """``GuidedTrajectory``'s (M, m_b) = (W_x A, W_x b_out): the stored pair
@@ -433,30 +377,20 @@ def check_guidance_weight(w: float) -> None:
         raise ValidationError(f"guidance weight must be finite and >= 0, got {w}")
 
 
-def cfg_eps(denoiser: Denoiser, x_n: np.ndarray, n, c: np.ndarray,
-            null_condition: np.ndarray, w: float) -> np.ndarray:
-    """Guided noise estimate (w+1) * eps(x,n,c) - w * eps(x,n,null), as two
-    full forwards: the reference for ``GuidedTrajectory``."""
-    check_guidance_weight(w)
-    cond = denoiser.predict(x_n, n, c)
-    if w == 0.0:
-        return cond
-    uncond = denoiser.predict(x_n, n, null_condition)
-    return (w + 1.0) * cond - w * uncond
-
-
 class GuidedTrajectory:
     """One guided sampling run, carried in the denoiser's hidden space.
 
     Starts at the (batch, latent_dim) draw ``x_N``. ``step(n, alpha, beta,
     noise)`` moves the latent x to alpha x + beta eps_bar(x, n) + noise, where
-    eps_bar is ``cfg_eps(denoiser, x, n, condition, null_condition, w)``, for
-    each step n of ``steps`` in turn; ``x()`` returns the latent. ``u`` is
-    x W_x^T, layer 0's product with the latent. See the module docstring for
-    why this is exact. ``condition`` and ``null_condition`` are (cond_dim,) or
-    (batch, cond_dim); ``w == 0`` skips the null branch. ``time_rows[n]`` is
-    step n's layer-0 time term temb(n) W_t^T, formed once per run, bit-equal
-    to the row's own product (one (steps, time_embed_dim) product is not).
+    eps_bar = (w+1) eps(x, n, condition) - w eps(x, n, null_condition) is what
+    two full forwards of the net give (the reference samplers in
+    ``tests/conftest.py``), for each step n of ``steps`` in turn; ``x()``
+    returns the latent. ``u`` is x W_x^T, layer 0's product with the latent.
+    See the module docstring for why this is exact. ``condition`` and
+    ``null_condition`` are (cond_dim,) or (batch, cond_dim); ``w == 0`` skips
+    the null branch. ``time_rows[n]`` is step n's layer-0 time term
+    temb(n) W_t^T, formed once per run, bit-equal to the row's own product
+    (one (steps, time_embed_dim) product is not).
     """
 
     def __init__(self, denoiser: Denoiser, condition: np.ndarray,
@@ -523,8 +457,18 @@ class GuidedTrajectory:
         return x if self._r is None else x + self._r
 
 
-def _prior_draw(rng: np.random.Generator, n_samples: int, latent_dim: int) -> np.ndarray:
-    return rng.standard_normal((n_samples, latent_dim))
+def _sample(denoiser: Denoiser, condition: np.ndarray, null_condition: np.ndarray, w: float,
+            n_samples: int, rng: np.random.Generator, steps: list[int], alpha: np.ndarray,
+            beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Draws x_N ~ N(0, I), then takes x <- alpha x + beta eps_bar(x, n) + sigma z
+    for each step n of ``steps`` in turn, with that step's row of the table
+    (alpha, beta, sigma); z ~ N(0, I) is drawn after x_N, and only where sigma > 0."""
+    shape = (n_samples, denoiser.latent_dim)
+    traj = GuidedTrajectory(denoiser, condition, null_condition, w, rng.standard_normal(shape),
+                            steps)
+    for n, a, b, s in zip(steps, alpha.tolist(), beta.tolist(), sigma.tolist()):
+        traj.step(n, a, b, s * rng.standard_normal(shape) if s > 0 else None)
+    return traj.x()
 
 
 def sample_ddpm(
@@ -542,19 +486,20 @@ def sample_ddpm(
     taken, and sqrt(posterior_var) noise is added (none at n=1). Deterministic
     for a fixed seed. Returns (n_samples, latent_dim).
     """
-    rng = smallnet.spawn_rng(seed, 707)
     steps = list(range(sched.N, 0, -1))
-    traj = GuidedTrajectory(denoiser, condition, null_condition, w,
-                            _prior_draw(rng, n_samples, denoiser.latent_dim), steps)
-    for n in steps:
-        ab = sched.alpha_bar[n - 1]
-        root_ab, root_1mab = math.sqrt(ab), math.sqrt(1.0 - ab)
-        coef_x0, coef_xn, var = _posterior_coefficients(sched, n)
-        noise = None
-        if n > 1:
-            noise = math.sqrt(var) * rng.standard_normal((n_samples, denoiser.latent_dim))
-        traj.step(n, coef_x0 / root_ab + coef_xn, -coef_x0 * root_1mab / root_ab, noise)
-    return traj.x()
+    i = np.asarray(steps) - 1
+    # abar at each step and at the one before it (abar_0 = 1)
+    ab = sched.alpha_bar[i]
+    ab_prev = np.append(ab[1:], 1.0)
+    # the posterior mean's coefficients of x0 and x_n; at n = 1 the mean is x0,
+    # where the formula gives coef_xn = 0 exactly but coef_x0 = 1 only to rounding
+    coef_x0 = np.sqrt(ab_prev) * sched.beta[i] / (1.0 - ab)
+    coef_x0[-1] = 1.0
+    coef_xn = np.sqrt(sched.alpha[i]) * (1.0 - ab_prev) / (1.0 - ab)
+    root_ab = np.sqrt(ab)
+    return _sample(denoiser, condition, null_condition, w, n_samples,
+                   smallnet.spawn_rng(seed, 707), steps, coef_x0 / root_ab + coef_xn,
+                   -coef_x0 * np.sqrt(1.0 - ab) / root_ab, np.sqrt(sched.posterior_var[i]))
 
 
 def ddim_timesteps(N: int, steps: int) -> list[int]:
@@ -582,15 +527,11 @@ def sample_ddim(
     single-step x0 estimate.
     """
     ts = ddim_timesteps(sched.N, steps)
-    rng = smallnet.spawn_rng(seed, 708)
-    traj = GuidedTrajectory(denoiser, condition, null_condition, w,
-                            _prior_draw(rng, n_samples, denoiser.latent_dim), ts)
     # abar at each step, and at the next one (1 after the last)
     ab = sched.alpha_bar[np.asarray(ts) - 1]
     ab_next = np.append(ab[1:], 1.0)
     root_ab, root_ab_next = np.sqrt(ab), np.sqrt(ab_next)
-    alpha = root_ab_next / root_ab
-    beta = np.sqrt(1.0 - ab_next) - root_ab_next * np.sqrt(1.0 - ab) / root_ab
-    for n, a, b in zip(ts, alpha.tolist(), beta.tolist()):
-        traj.step(n, a, b)
-    return traj.x()
+    return _sample(denoiser, condition, null_condition, w, n_samples,
+                   smallnet.spawn_rng(seed, 708), ts, root_ab_next / root_ab,
+                   np.sqrt(1.0 - ab_next) - root_ab_next * np.sqrt(1.0 - ab) / root_ab,
+                   np.zeros(len(ts)))

@@ -24,22 +24,6 @@ from .signal import DB_FLOOR, MelGrid
 _DB_SPAN = -DB_FLOOR  # 80 dB mapped onto one unit
 
 
-@dataclass
-class LatentGrid:
-    values: np.ndarray  # (C, T/r, F/r)
-    channels: int
-    compression: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[0] != self.channels:
-            raise ShapeError(
-                f"latent must be (C, T/r, F/r) with C={self.channels}, got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("latent contains non-finite values")
-
-
 def _check_divisible(shape: tuple[int, int], r: int) -> None:
     t, f = shape
     if t % r or f % r:
@@ -129,25 +113,26 @@ def _unscale_db(scaled: np.ndarray) -> np.ndarray:
     return np.clip(scaled * _DB_SPAN + DB_FLOOR, DB_FLOOR, 0.0)
 
 
-def encode_mel(model: LatentCodecModel, m: MelGrid) -> LatentGrid:
+def encode_mel(model: LatentCodecModel, m: MelGrid) -> np.ndarray:
+    """The (C, T/r, F/r) latent of mel grid ``m``."""
     r = model.compression
     _check_divisible(m.values.shape, r)
     t, f = m.values.shape
     patches = _to_patches(_scale_db(m.values), r)
     z = model.encoder.forward(patches)  # (cells, C)
-    values = z.reshape(t // r, f // r, model.channels).transpose(2, 0, 1)
-    return LatentGrid(values, channels=model.channels, compression=r)
+    return z.reshape(t // r, f // r, model.channels).transpose(2, 0, 1)
 
 
-def decode_latent(model: LatentCodecModel, z: LatentGrid) -> MelGrid:
-    if z.channels != model.channels or z.compression != model.compression:
-        raise ShapeError(
-            f"latent is C={z.channels}, r={z.compression}; codec wants "
-            f"C={model.channels}, r={model.compression}"
-        )
+def decode_latent(model: LatentCodecModel, z: np.ndarray) -> MelGrid:
+    """The mel grid of a (C, T/r, F/r) latent ``z``."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 3 or z.shape[0] != model.channels:
+        raise ShapeError(f"latent must be (C, T/r, F/r) with C={model.channels}, got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("latent contains non-finite values")
     r = model.compression
-    _, th, fw = z.values.shape
-    cells = z.values.transpose(1, 2, 0).reshape(th * fw, model.channels)
+    _, th, fw = z.shape
+    cells = z.transpose(1, 2, 0).reshape(th * fw, model.channels)
     patches = model.decoder.forward(cells)
     values = _unscale_db(_from_patches(patches, th * r, fw * r, r))
     return MelGrid(values, **model.mel_params)

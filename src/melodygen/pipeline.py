@@ -260,7 +260,7 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     mels = _split(cfg, corpus_mels(cfg, art, records))[0]
     text_emb = clmp.embed(model, "text", [r.text for r in train_records])
     wave_emb = clmp.embed(model, "waveform", mels)
-    x0 = np.stack([latentcodec.encode_mel(codec, m).values.ravel() for m in mels])
+    x0 = np.stack([latentcodec.encode_mel(codec, m).ravel() for m in mels])
     del mels  # the step loop reads x0 and the embeddings only
     r_wave = melodies[retrieve(melodies, wave_emb)]
     r_text = melodies[retrieve(melodies, text_emb)]
@@ -383,9 +383,7 @@ class GenerationStack:
 
     def decode(self, latents: np.ndarray) -> list[signal.MelGrid]:
         """The mel grid of each latent row."""
-        return [latentcodec.decode_latent(self.codec, latentcodec.LatentGrid(
-                    lat.reshape(self.shape), channels=self.shape[0],
-                    compression=self.codec.compression))
+        return [latentcodec.decode_latent(self.codec, lat.reshape(self.shape))
                 for lat in latents]
 
 
@@ -402,8 +400,8 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     diffusion.ckpt; ``diffusion.ddim_steps`` when None. DDPM always runs all
     n_steps and takes no ``steps``.
     """
-    if not prompt or not prompt.strip():
-        raise ValidationError("prompt must be a non-empty string")
+    if not clmp.tokenize(prompt):
+        raise ValidationError(f"--prompt {prompt!r} has no tokens")
     if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
         raise ValidationError(f"tag must be a plain file name under generated/, got {tag!r}")
     if sampler == "ddpm" and steps is not None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FormatError, GradientError, ShapeError, ValidationError
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -48,18 +48,13 @@ def spawn_rng(seed: int, *keys: int) -> np.random.Generator:
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
     return z
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    """Derivative of a non-identity activation at ``z``."""
-    # relu derivative at exactly 0 is taken as 0
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+def _act_grad(z: np.ndarray) -> np.ndarray:
+    """Derivative of tanh, the one non-identity activation, at ``z``."""
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -87,7 +82,7 @@ class DenseLayer:
 
 
 class DenseNet:
-    """A fixed stack of affine layers with {relu, tanh, identity} activations.
+    """A fixed stack of affine layers with {tanh, identity} activations.
 
     Maps batches ``(n, in)`` to ``(n, out)``. ``backward_cached`` returns the
     exact reverse-mode gradient of the forward map (summed over the batch for
@@ -203,7 +198,7 @@ class DenseNet:
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
-            dz = g if l.activation == "identity" else g * _act_grad(l.activation, preacts[i])
+            dz = g if l.activation == "identity" else g * _act_grad(preacts[i])
             grads[2 * i] = dz.T @ inputs[i]
             grads[2 * i + 1] = dz.sum(axis=0)
             if i:

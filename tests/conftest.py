@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from melodygen import diffusion as df
@@ -53,12 +54,27 @@ def disk_full(monkeypatch):
 # --- reference samplers: two full denoiser forwards per step ------------------
 
 
+def net_eps(den, x, n, c):
+    """eps(x, n, c) as one full forward of the denoiser's net over the stacked
+    input [x || temb(n) || c]; ``c`` is one row or one per row of ``x``."""
+    temb = df.time_embedding(np.full(len(x), n), den.time_embed_dim)
+    c = np.broadcast_to(c, (len(x), den.cond_dim))
+    return den.net.forward(np.concatenate([x, temb, c], axis=1))
+
+
+def guided_eps(den, x, n, c, null, w):
+    """(w+1) eps(x, n, c) - w eps(x, n, null) as two full forwards (one when
+    w = 0)."""
+    cond = net_eps(den, x, n, c)
+    return cond if w == 0.0 else (w + 1.0) * cond - w * net_eps(den, x, n, null)
+
+
 def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
-    """DDIM as two full forwards per step through ``cfg_eps``."""
+    """DDIM as two full forwards per step."""
     ts = df.ddim_timesteps(s.N, steps)
     x = smallnet.spawn_rng(seed, 708).standard_normal((n_samples, den.latent_dim))
     for i, n in enumerate(ts):
-        eps = df.cfg_eps(den, x, n, c, null, w)
+        eps = guided_eps(den, x, n, c, null, w)
         ab = s.alpha_bar[n - 1]
         x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
         ab_prev = s.alpha_bar[ts[i + 1] - 1] if i + 1 < len(ts) else 1.0
@@ -67,12 +83,18 @@ def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
 
 
 def reference_ddpm(den, s, c, null, w, seed, n_samples):
-    """Ancestral sampling as two full forwards per step through ``cfg_eps``."""
+    """Ancestral sampling as two full forwards per step, each taking the mean
+    and variance of q(x_{n-1} | x_n, x0_hat) from their closed forms."""
     rng = smallnet.spawn_rng(seed, 707)
     x = rng.standard_normal((n_samples, den.latent_dim))
     for n in range(s.N, 0, -1):
-        eps = df.cfg_eps(den, x, n, c, null, w)
-        ab = s.alpha_bar[n - 1]
-        mu, var = df.posterior(s, x, (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab), n)
-        x = mu + math.sqrt(var) * rng.standard_normal(x.shape) if n > 1 else mu
-    return x
+        eps = guided_eps(den, x, n, c, null, w)
+        ab, beta = s.alpha_bar[n - 1], s.beta[n - 1]
+        x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
+        if n == 1:
+            return x0
+        ab_prev = s.alpha_bar[n - 2]
+        mean = (math.sqrt(ab_prev) * beta * x0
+                + math.sqrt(1 - beta) * (1 - ab_prev) * x) / (1 - ab)
+        var = (1 - ab_prev) / (1 - ab) * beta
+        x = mean + math.sqrt(var) * rng.standard_normal(x.shape)

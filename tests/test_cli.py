@@ -215,8 +215,9 @@ def test_unsafe_tag_exits_1_before_loading(tmp_path, capsys, tag):
     (["--seed", "-1"], "seed"),
     (["--sampler", "ddpm", "--steps", "-4"], "--steps"),
     (["--sampler", "ddpm", "--steps", "10"], "--steps"),
+    (["--prompt", "!!! ..."], "--prompt"),
 ], ids=["cfg_nan", "cfg_inf", "cfg_negative", "seed_negative", "ddpm_steps_negative",
-        "ddpm_steps_in_range"])
+        "ddpm_steps_in_range", "prompt_without_tokens"])
 def test_bad_generate_flag_exits_1_before_loading(tmp_path, capsys, flags, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))

@@ -138,6 +138,28 @@ class TestEmbed:
         one, five = clmp.embed(toy_model(), "melody", [toy_melody((60,)), toy_melody((60,) * 5)])
         assert np.allclose(one, five)
 
+    def test_mean_pool_and_its_gradient_equal_a_per_melody_loop(self):
+        """Bit for bit: each pooled row is its melody's own mean (a segment sum
+        such as np.add.reduceat adds in another order), and each token gets an
+        even share of its row's gradient."""
+        model = toy_model()
+        rng = smallnet.spawn_rng(23)
+        melodies = clmp.features("melody", [toy_melody(tuple(int(p) for p in rng.integers(
+            40, 90, size=n))) for n in (1, 3, 9, 17)])
+        path = clmp._MelodyPath(model, melodies)
+        tok = model.melody_token_embed.forward(np.concatenate(melodies))
+        bounds = np.cumsum([0] + [len(m) for m in melodies])
+        pooled = np.stack([tok[a:b].mean(axis=0) for a, b in zip(bounds, bounds[1:])])
+        assert np.array_equal(path.head_path.raw, model.melody_head.forward(pooled))
+
+        d_emb = rng.standard_normal(path.emb.shape)
+        _, d_pooled = path.head_path.backward(d_emb, slice(None))
+        d_tok = np.concatenate([np.tile(d_pooled[i] / len(m), (len(m), 1))
+                                for i, m in enumerate(melodies)])
+        reference, _ = model.melody_token_embed.backward_cached(path.tok_cache, d_tok, None)
+        for g, r in zip(path.backward(d_emb)[0], reference):
+            assert np.array_equal(g, r)
+
     def test_unknown_modality(self):
         with pytest.raises(ValidationError):
             clmp.embed(toy_model(), "video", [np.zeros(4)])

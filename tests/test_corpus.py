@@ -118,18 +118,23 @@ class TestLoad:
         assert result.errors[0].record_id == records[2].id
         assert "wav" in result.errors[0].message
 
-    def test_corrupt_melody_reports_id_and_offset(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("melody", "|<C4>,<999>,<0>|", "999"),
+        ("melody", "|", "field 'melody' has no notes"),
+        ("text", "!!! ...", "field 'text' has no tokens"),
+    ], ids=["melody_bin_out_of_range", "melody_without_notes", "text_without_tokens"])
+    def test_unusable_field_reported_by_id(self, tmp_path, field, value, message):
         records = corpus.generate_corpus(4, seed=15, out_dir=tmp_path)
         manifest = tmp_path / "manifest.jsonl"
         lines = manifest.read_text().splitlines()
         doc = json.loads(lines[1])
-        doc["melody"] = "|<C4>,<999>,<0>|"
+        doc[field] = value
         lines[1] = json.dumps(doc)
         manifest.write_text("\n".join(lines) + "\n")
         result = corpus.load_corpus(manifest)
         assert len(result.records) == 3
         assert result.errors[0].record_id == records[1].id
-        assert "999" in result.errors[0].message
+        assert message in result.errors[0].message
 
     def test_records_carry_their_wav_digest(self, tmp_path):
         corpus.generate_corpus(3, seed=18, out_dir=tmp_path)

@@ -7,7 +7,7 @@ from melodygen import diffusion as df
 from melodygen import smallnet
 from melodygen.config import DiffusionConfig
 from melodygen.errors import SamplingError, ShapeError, ValidationError
-from conftest import reference_ddim, reference_ddpm
+from conftest import net_eps, reference_ddim, reference_ddpm
 from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
@@ -60,28 +60,52 @@ class TestSchedule:
             df.make_schedule(10, 0.1, 1.0)
 
 
-class TestQSample:
+class InputNet:
+    """A net stub that keeps the input it is given and answers zeros; built for
+    ``tiny_denoiser``'s widths (time_embed_dim 8, cond_dim 3)."""
+
+    dtype = np.dtype(np.float64)
+
+    def forward_cached(self, inp):
+        self.inp = inp
+        return np.zeros((len(inp), inp.shape[1] - 8 - 3)), None
+
+    def backward_cached(self, cache, upstream, input_cols):
+        return [], np.zeros((len(upstream), 3))
+
+
+def forward_marginal(sched, x0, steps, noise):
+    """The x_n rows that ``training_step`` feeds the net for rows ``x0`` at
+    ``steps`` with ``noise``."""
+    den = tiny_denoiser(latent_dim=x0.shape[1])
+    den.net = InputNet()
+    df.training_step(den, sched, x0, np.zeros((len(x0), 3)), np.zeros(3), steps=steps,
+                     noise=noise, uncond=np.zeros(len(x0), dtype=bool))
+    return den.net.inp[:, :x0.shape[1]]
+
+
+class TestForwardMarginal:
     def test_zero_noise(self):
         s = df.make_schedule(10, 1e-2, 0.1)
-        x0 = np.array([1.0, -2.0])
-        xn = df.q_sample(s, x0, 4, np.zeros(2))
+        x0 = np.array([[1.0, -2.0]])
+        xn = forward_marginal(s, x0, np.array([4]), np.zeros((1, 2)))
         assert np.allclose(xn, math.sqrt(s.alpha_bar[3]) * x0)
 
     def test_terminal_is_mostly_noise(self):
         s = df.make_schedule(1000, 1e-4, 0.02)
-        x0 = np.array([5.0])
-        eps = np.array([1.3])
-        xn = df.q_sample(s, x0, 1000, eps)
-        assert abs(xn[0] - eps[0]) < 0.35  # sqrt(1-abar)~1, sqrt(abar)*5 small
+        x0 = np.array([[5.0]])
+        eps = np.array([[1.3]])
+        xn = forward_marginal(s, x0, np.array([1000]), eps)
+        assert abs(xn[0, 0] - eps[0, 0]) < 0.35  # sqrt(1-abar)~1, sqrt(abar)*5 small
 
     def test_marginal_statistics_monte_carlo(self):
         s = df.make_schedule(100, 1e-4, 0.02)
         rng = smallnet.spawn_rng(30)
-        x0 = np.array([0.7])
         n_draws = 100_000
+        x0 = np.full((n_draws, 1), 0.7)
         for n in (1, 50, 100):
             eps = rng.standard_normal((n_draws, 1))
-            xn = df.q_sample(s, np.tile(x0, (n_draws, 1)), n, eps)
+            xn = forward_marginal(s, x0, np.full(n_draws, n), eps)
             ab = s.alpha_bar[n - 1]
             target_mean, target_var = math.sqrt(ab) * 0.7, 1 - ab
             se_mean = math.sqrt(target_var / n_draws)
@@ -89,56 +113,57 @@ class TestQSample:
             se_var = target_var * math.sqrt(2.0 / (n_draws - 1))
             assert abs(xn.var() - target_var) < 3 * se_var
 
-    def test_step_out_of_range(self):
+
+def ddpm_table(sched):
+    """The (steps, alpha, beta, sigma) table ``sample_ddpm`` hands the shared
+    sampling loop; no denoiser runs."""
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(df, "_sample", lambda *args: tables.append(args[-4:]))
+        df.sample_ddpm(None, sched, None, None, 0.0, seed=0)
+    return tables[0]
+
+
+class TestDdpmStepTable:
+    """x' = alpha x_n + beta eps + sigma z is the posterior step at x0_hat =
+    (x_n - sqrt(1-abar_n) eps) / sqrt(abar_n)."""
+
+    def test_last_step_is_x0_hat_without_noise(self):
         s = df.make_schedule(10, 1e-2, 0.1)
-        with pytest.raises(ValidationError):
-            df.q_sample(s, np.zeros(2), 0, np.zeros(2))
-        with pytest.raises(ValidationError):
-            df.q_sample(s, np.zeros(2), 11, np.zeros(2))
+        steps, alpha, beta, sigma = ddpm_table(s)
+        root_ab = math.sqrt(s.alpha_bar[0])
+        assert steps == list(range(10, 0, -1))
+        assert alpha[-1] == 1.0 / root_ab
+        assert beta[-1] == -math.sqrt(1.0 - s.alpha_bar[0]) / root_ab
+        assert sigma[-1] == 0.0 and np.all(sigma[:-1] > 0.0)
 
-    def test_shape_mismatch(self):
-        s = df.make_schedule(10, 1e-2, 0.1)
-        with pytest.raises(ShapeError):
-            df.q_sample(s, np.zeros(2), 1, np.zeros(3))
-
-
-class TestPosterior:
-    def test_n1_returns_x0_exactly(self):
-        s = df.make_schedule(10, 1e-2, 0.1)
-        x0 = np.array([0.4, -0.9])
-        mu, var = df.posterior(s, np.array([9.0, 9.0]), x0, 1)
-        assert np.array_equal(mu, x0)
-        assert var == 0.0
-
-    def test_noiseless_forward_recovers_scaled_x0(self):
+    def test_noiseless_forward_lands_on_the_previous_marginal(self):
         # with x_n = sqrt(abar_n) x0 (eps = 0), the posterior mean collapses
-        # to sqrt(abar_{n-1}) x0; verified against the algebra numerically
+        # to sqrt(abar_{n-1}) x0
         s = df.make_schedule(50, 1e-3, 0.05)
-        x0 = np.array([1.5, -0.3])
+        _, alpha, _, _ = ddpm_table(s)
         for n in (2, 10, 50):
-            xn = df.q_sample(s, x0, n, np.zeros(2))
-            mu, _ = df.posterior(s, xn, x0, n)
-            assert np.allclose(mu, math.sqrt(s.alpha_bar[n - 2]) * x0, rtol=1e-12)
+            assert alpha[50 - n] * math.sqrt(s.alpha_bar[n - 1]) == pytest.approx(
+                math.sqrt(s.alpha_bar[n - 2]), rel=1e-12)
 
     def test_coefficients_against_symbolic_oracle(self):
         import sympy
         s = df.make_schedule(40, 1e-3, 0.04)
+        _, alpha_n, beta_n, sigma_n = ddpm_table(s)
         abn, abp, beta, alpha = sympy.symbols("abn abp beta alpha", positive=True)
         coef_x0 = sympy.sqrt(abp) * beta / (1 - abn)
         coef_xn = sympy.sqrt(alpha) * (1 - abp) / (1 - abn)
+        step_alpha = coef_x0 / sympy.sqrt(abn) + coef_xn
+        step_beta = -coef_x0 * sympy.sqrt(1 - abn) / sympy.sqrt(abn)
+        var = (1 - abp) / (1 - abn) * beta
         rng = smallnet.spawn_rng(31)
         for n in rng.integers(2, 41, size=5):
             n = int(n)
             subs = {abn: s.alpha_bar[n - 1], abp: s.alpha_bar[n - 2],
                     beta: s.beta[n - 1], alpha: s.alpha[n - 1]}
-            c0 = float(coef_x0.evalf(subs=subs))
-            cn = float(coef_xn.evalf(subs=subs))
-            x0 = np.array([1.0])
-            xn = np.array([1.0])
-            mu, var = df.posterior(s, xn, x0, n)
-            assert mu[0] == pytest.approx(c0 + cn, rel=1e-9)
-            assert var == pytest.approx(
-                float(((1 - subs[abp]) / (1 - subs[abn])) * subs[beta]), rel=1e-12)
+            for got, want in ((alpha_n, step_alpha), (beta_n, step_beta),
+                              (sigma_n ** 2, var)):
+                assert got[40 - n] == pytest.approx(float(want.evalf(subs=subs)), rel=1e-12)
 
 
 class TestFusion:
@@ -385,47 +410,50 @@ class TestTrainingStep:
         assert worst <= 1e-4
 
 
-class TestCfg:
+def guided_step(den, x, n, c, null, w):
+    """eps_bar(x, n) as ``GuidedTrajectory`` forms it: one step with alpha 0
+    and beta 1."""
+    traj = df.GuidedTrajectory(den, c, null, w, x, [n])
+    traj.step(n, 0.0, 1.0)
+    return traj.x()
+
+
+class TestGuidedEstimate:
+    """One guided step against full forwards of the net."""
+
     def test_w_zero_is_conditional_branch(self):
         den = tiny_denoiser(seed=3)
         rng = smallnet.spawn_rng(39)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
         null = rng.standard_normal(3)
-        assert np.array_equal(df.cfg_eps(den, x, 5, c, null, 0.0),
-                              den.predict(x, 5, c))
+        assert np.allclose(guided_step(den, x, 5, c, null, 0.0), net_eps(den, x, 5, c),
+                           rtol=0, atol=1e-12)
 
     def test_equal_branches_cancel(self):
         den = tiny_denoiser(seed=4)
         rng = smallnet.spawn_rng(40)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
         for w in (0.0, 1.0, 3.0, 7.5):
-            out = df.cfg_eps(den, x, 3, c, c, w)  # null == cond
-            assert np.allclose(out, den.predict(x, 3, c), atol=1e-12)
+            out = guided_step(den, x, 3, c, c, w)  # null == cond
+            assert np.allclose(out, net_eps(den, x, 3, c), rtol=0, atol=1e-12)
 
     def test_w3_is_4cond_minus_3uncond(self):
         den = tiny_denoiser(seed=5)
         rng = smallnet.spawn_rng(41)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
         null = rng.standard_normal(3)
-        expected = 4.0 * den.predict(x, 2, c) - 3.0 * den.predict(x, 2, null)
-        assert np.allclose(df.cfg_eps(den, x, 2, c, null, 3.0), expected, atol=1e-12)
+        expected = 4.0 * net_eps(den, x, 2, c) - 3.0 * net_eps(den, x, 2, null)
+        assert np.allclose(guided_step(den, x, 2, c, null, 3.0), expected, rtol=0, atol=1e-12)
 
     def test_affine_in_w(self):
         den = tiny_denoiser(seed=6)
         rng = smallnet.spawn_rng(42)
-        x, c, null = rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(3)
-        e0 = df.cfg_eps(den, x, 4, c, null, 0.0)
-        e1 = df.cfg_eps(den, x, 4, c, null, 1.0)
-        e3 = df.cfg_eps(den, x, 4, c, null, 3.0)
+        x, c, null = rng.standard_normal((2, 4)), rng.standard_normal(3), rng.standard_normal(3)
+        e0, e1, e3 = (guided_step(den, x, 4, c, null, w) for w in (0.0, 1.0, 3.0))
         assert np.allclose(e3, e0 + 3.0 * (e1 - e0), atol=1e-10)
-
-    def test_negative_w_rejected(self):
-        den = tiny_denoiser()
-        with pytest.raises(ValidationError):
-            df.cfg_eps(den, np.zeros(4), 1, np.zeros(3), np.zeros(3), -1.0)
 
 
 class TestSamplers:
@@ -448,7 +476,7 @@ class TestSamplers:
         x = df.sample_ddpm(den, s, c, null, 0.0, seed=9, n_samples=2)
         rng = smallnet.spawn_rng(9, 707)
         x_n = rng.standard_normal((2, 4))
-        eps = den.predict(x_n, 1, np.zeros(3))
+        eps = net_eps(den, x_n, 1, np.zeros(3))
         expected = (x_n - math.sqrt(0.5) * eps) / math.sqrt(0.5)
         assert np.allclose(x, expected, atol=1e-12)
 
@@ -459,7 +487,7 @@ class TestSamplers:
         x = df.sample_ddim(den, s, c, c, 0.0, steps=1, seed=10, n_samples=3)
         rng = smallnet.spawn_rng(10, 708)
         x_n = rng.standard_normal((3, 4))
-        eps = den.predict(x_n, 50, c)
+        eps = net_eps(den, x_n, 50, c)
         ab = s.alpha_bar[-1]
         expected = (x_n - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
         assert np.allclose(x, expected, atol=1e-12)
@@ -473,24 +501,14 @@ class TestSamplers:
         assert np.array_equal(a, b)
 
     def test_perfect_oracle_recovers_x0(self):
-        # inject a denoiser that reports the exact noise that produced x_n:
-        # a single reverse step must return x0 to numerical precision
+        # a denoiser that reports the exact noise that produced x_n: a single
+        # reverse step must return x0 to numerical precision
         s = df.make_schedule(1, 0.3, 0.3)
-        x0_true = np.array([0.8, -1.1])
-        eps_true = np.array([0.5, 0.25])
-        x1 = df.q_sample(s, x0_true, 1, eps_true)
-
-        class OracleDenoiser:
-            latent_dim = 2
-            cond_dim = 1
-            time_embed_dim = 2
-
-            def predict(self, x_n, n, c):
-                return np.broadcast_to(eps_true, np.atleast_2d(x_n).shape)
-
-        eps_bar = df.cfg_eps(OracleDenoiser(), x1[None, :], 1, np.zeros(1), np.zeros(1), 0.0)
-        x0_hat = (x1 - math.sqrt(1 - 0.7) * eps_bar[0]) / math.sqrt(0.7)
-        assert np.allclose(x0_hat, x0_true, atol=1e-12)
+        x0_true = np.array([[0.8, -1.1]])
+        eps_true = np.array([[0.5, 0.25]])
+        x1 = forward_marginal(s, x0_true, np.array([1]), eps_true)
+        _, alpha, beta, _ = ddpm_table(s)
+        assert np.allclose(alpha[0] * x1 + beta[0] * eps_true, x0_true, rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_denoiser_aborts_with_step(self):
@@ -520,7 +538,7 @@ class Untouchable:
 
 
 class TestFusedGuidance:
-    """The samplers' fused guidance against the two-forward ``cfg_eps`` loop."""
+    """The samplers' fused guidance against the two-forward reference loops."""
 
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
@@ -533,7 +551,7 @@ class TestFusedGuidance:
     @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     @pytest.mark.parametrize("w", [0.0, 1.0, 3.0, 7.5])
-    def test_samplers_match_cfg_eps_loop(self, hidden, per_row, w):
+    def test_samplers_match_the_two_forward_reference(self, hidden, per_row, w):
         den, c, null = self.make(hidden, per_row)
         ddim = df.sample_ddim(den, self.SCHED, c, null, w, steps=7, seed=21, n_samples=3)
         ddpm = df.sample_ddpm(den, self.SCHED, c, null, w, seed=22, n_samples=3)
@@ -701,6 +719,6 @@ def test_step_table_time_rows_equal_the_per_step_embedding(steps):
                                    np.zeros((1, latent)), steps)
         assert list(traj.time_rows) == steps
         for row, n in zip(table, steps):
-            per_step = df.time_embedding(n, embed)
+            per_step = df.time_embedding(np.array([n]), embed)[0]
             assert np.array_equal(row, per_step)
             assert np.array_equal(traj.time_rows[n], per_step @ w_t.T)
