@@ -531,6 +531,30 @@ class TestSamplers:
         b = df.sample_ddim(den, s, c.copy(), np.zeros(3), 3.0, steps=5, seed=13)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sampler, draws", [
+        (lambda den, s, c: df.sample_ddpm(den, s, c, c, 3.0, seed=14, n_samples=2), 6),
+        (lambda den, s, c: df.sample_ddim(den, s, c, c, 3.0, steps=4, seed=14, n_samples=2), 1),
+    ], ids=["ddpm", "ddim"])
+    def test_noise_is_drawn_only_where_sigma_is_positive(self, monkeypatch, sampler, draws):
+        """x_N, then one z per step with sigma > 0: every DDPM step but n = 1
+        (posterior variance 0), and no DDIM step (eta = 0). A z drawn where
+        sigma = 0 leaves x unchanged, so only the draw count can show it."""
+        shapes, spawn = [], smallnet.spawn_rng
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return self.rng.standard_normal(shape)
+
+        den, s, c = tiny_denoiser(seed=12), df.make_schedule(6, 1e-3, 0.05), np.full(3, 0.1)
+        plain = sampler(den, s, c)
+        monkeypatch.setattr(smallnet, "spawn_rng", lambda *keys: Counted(spawn(*keys)))
+        assert np.array_equal(sampler(den, s, c), plain)
+        assert shapes == [(2, den.latent_dim)] * draws
+
 
 class Untouchable:
     def __getattr__(self, name):
@@ -703,6 +727,11 @@ class TestStoredSamplerConstants:
         smallnet.save_checkpoint(path, arrays, meta, exact=df.SAMPLER_ARRAYS)
         with pytest.raises(ValidationError, match=f"{name} {problem}.*rerun train-diffusion"):
             df.Denoiser.load(path)
+
+
+def test_time_embedding_refuses_an_odd_dim():
+    with pytest.raises(ValidationError, match="must be even"):
+        df.time_embedding(np.array([1, 2]), 7)
 
 
 @pytest.mark.parametrize("steps", [df.ddim_timesteps(200, 100), list(range(200, 0, -1)),
