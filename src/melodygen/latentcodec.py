@@ -140,16 +140,23 @@ def decode_latent(model: LatentCodecModel, z: np.ndarray) -> MelGrid:
 
 def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid], config: LatentConfig,
                       seed: int) -> list[float]:
-    """Adam on pooled patches from all grids; returns the loss history."""
+    """Adam on pooled patches from all grids; returns the loss history.
+
+    The pool, every grid's scaled patches in grid order, is one array
+    allocated up front and filled grid by grid, so it is held once: only one
+    grid's patches exist beside it."""
     if len(mels) < 32:
         raise ValidationError(f"need at least 32 training grids, got {len(mels)}: raise "
                               "corpus.n_records or lower corpus.eval_count")
     r = model.compression
-    pool = []
     for m in mels:
         _check_divisible(m.values.shape, r)
-        pool.append(_to_patches(_scale_db(m.values), r))
-    pool = np.concatenate(pool, axis=0)
+    pool = np.empty((sum(m.values.size for m in mels) // (r * r), r * r))
+    start = 0
+    for m in mels:
+        patches = _to_patches(_scale_db(m.values), r)
+        pool[start:start + len(patches)] = patches
+        start += len(patches)
 
     rng = smallnet.spawn_rng(seed, 405)
     opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)

@@ -124,14 +124,7 @@ def corpus_mels(cfg: PipelineConfig, art: Artifacts,
                   "wav_sha256": [r.wav_sha256 for r in records],
                   "signal": dataclasses.asdict(s)}
     shape = (len(records), s.mel_frames, s.n_mels)
-    values = None
-    if art.features_path.exists():
-        try:
-            arrays, meta = smallnet.load_checkpoint(art.features_path)
-        except (FormatError, ValidationError):
-            arrays, meta = {}, None
-        if meta == built_from and "mels" in arrays and arrays["mels"].shape == shape:
-            values = arrays["mels"]
+    values = _stored_mels(art.features_path, built_from, shape)
     if values is None:
         values = np.empty(shape)
         for row, r in zip(values, records):
@@ -139,6 +132,20 @@ def corpus_mels(cfg: PipelineConfig, art: Artifacts,
         smallnet.save_checkpoint(art.features_path, {"mels": values}, built_from,
                                  exact=("mels",))
     return [signal.MelGrid(v, s.hop, s.n_fft, s.sample_rate) for v in values]
+
+
+def _stored_mels(path: Path, built_from: dict, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The grids of the features file at ``path`` if it was built from
+    ``built_from`` and holds ``shape``, else None. A stale file's grids are
+    freed on return, before the caller computes the new ones."""
+    if not path.exists():
+        return None
+    try:
+        arrays, meta = smallnet.load_checkpoint(path)
+    except (FormatError, ValidationError):
+        return None
+    mels = arrays.get("mels")
+    return mels if meta == built_from and mels is not None and mels.shape == shape else None
 
 
 def _triples(records: list[CorpusRecord], mels: list[signal.MelGrid]) -> list[clmp.Triple]:

@@ -319,6 +319,11 @@ class Optimizer:
 # stores). The payload sizes must account for every byte of the file, whose
 # size a load takes from its descriptor before it reads each payload straight
 # into the array it returns: an exact one as stored, a float32 one widened once.
+# A save writes each payload from the array's own buffer, casting only where
+# the stored type differs and copying only a non-contiguous array. A float16,
+# float32 or float64 array is cast straight to the stored type, which gives the
+# bytes of a cast through float64; any other array (bool, integer) goes through
+# float64, since a direct int64 -> float32 cast can round differently.
 # Files are written to ``<path>.tmp`` and then renamed over ``path``, so a
 # failed write leaves any previous checkpoint intact.
 
@@ -329,25 +334,39 @@ _PREAMBLE = struct.Struct("<4sIQ")
 _EXACT = "<f8"
 
 
+def _float_array(v) -> np.ndarray:
+    """``v`` as an array whose direct cast to float32 or float64 gives the
+    values its cast through float64 gives: a float16, float32 or float64 array
+    as it is (no copy), anything else converted to float64."""
+    a = np.asarray(v)
+    return a if a.dtype.kind == "f" and a.dtype.itemsize <= 8 else a.astype(np.float64)
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
                     exact: tuple[str, ...] = ()) -> None:
     """Write ``arrays`` and ``meta``; the arrays named in ``exact`` keep their
-    float64 values bit for bit, the others are stored as float32."""
-    payloads = [(k, np.asarray(v, dtype=np.float64), _EXACT if k in exact else "<f4")
+    float64 values bit for bit, the others are stored as float32.
+
+    Each payload is written from the array's own buffer, one array at a time:
+    an array already contiguous in its stored type is not copied, and any
+    other is converted once, in C order, into its stored type."""
+    payloads = [(k, _float_array(v), _EXACT if k in exact else "<f4")
                 for k, v in sorted(arrays.items())]
     entries = [[k, list(a.shape)] + ([dtype] if dtype == _EXACT else [])
                for k, a, dtype in payloads]
     header = json.dumps({"arrays": entries, "meta": meta or {}},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     preamble = _PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(header))
-    write_atomic(path, itertools.chain([preamble, header],
-                                       (a.astype(dtype, copy=False).tobytes()
-                                        for _, a, dtype in payloads)))
+    write_atomic(path, itertools.chain(
+        [preamble, header],
+        (np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8)
+         for _, a, dtype in payloads)))
 
 
 def write_atomic(path, chunks) -> None:
-    """Write the byte strings of ``chunks`` to ``<path>.tmp``, then rename it over
-    ``path``: a failed write leaves any previous file intact and no ``.tmp``."""
+    """Write ``chunks`` (byte strings, or uint8 arrays written from their own
+    buffers) to ``<path>.tmp``, then rename it over ``path``: a failed write
+    leaves any previous file intact and no ``.tmp``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -465,5 +484,6 @@ def checkpoint_keys(path, stage: str = "the stage that writes it"):
 
 def as_stored(a: np.ndarray) -> np.ndarray:
     """The float64 values ``load_checkpoint`` returns for ``a`` stored as a
-    float32 array entry."""
-    return np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)
+    float32 array entry: ``a`` cast once to float32, as ``save_checkpoint``
+    casts it, then widened."""
+    return _float_array(a).astype(np.float32, copy=False).astype(np.float64)

@@ -1,6 +1,8 @@
 """Fixtures and reference samplers shared by the test files."""
 
 import math
+import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,32 @@ from melodygen.config import SignalConfig
 from melodygen.signal import MelGrid
 
 SIGNAL = SignalConfig()
+
+
+def golden_key():
+    """(machine, numpy version, BLAS) that golden digests are keyed by: BLAS
+    rounding decides the low bits, so other platforms skip instead of failing."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = None
+    return platform.machine(), np.__version__, blas
+
+
+def traced_peak(fn) -> int:
+    """The most bytes tracemalloc saw allocated at once while ``fn()`` ran,
+    beyond those allocated when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def mel_grid(values):

@@ -4,7 +4,6 @@ database's exact retrieval."""
 import dataclasses
 import hashlib
 import json
-import platform
 import shutil
 import sys
 import threading
@@ -13,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import reference_ddim
+from conftest import golden_key, reference_ddim, traced_peak
 from melodygen import (PipelineConfig, cli, clmp, diffusion, latentcodec, pipeline, signal,
                        smallnet)
 from melodygen.errors import GradientError
@@ -639,6 +638,31 @@ def test_misshapen_features_are_rebuilt(trained, work_copy, mel_calls, truncate)
     assert np.array_equal([m.values for m in mels], fresh)
 
 
+def test_stale_features_rebuild_holds_one_set_of_grids(trained, work_copy, monkeypatch):
+    """A features.ckpt built from other WAVs (a corpus re-synthesized under
+    another seed) is dropped before its replacement is computed, and the
+    replacement is written from its own buffer: the rebuild's traced peak is
+    one set of grids, where holding the stale ones or a copy would make two."""
+    config, work = trained
+    path = work_copy / "features.ckpt"
+    arrays, meta = smallnet.load_checkpoint(path)
+    grid_bytes = arrays["mels"].nbytes
+    cfg, art = PipelineConfig.from_file(config), pipeline.Artifacts(work_copy)
+    records = pipeline._load_records(art)
+    stale = {**meta, "wav_sha256": ["0" * 64] * len(records)}
+    smallnet.save_checkpoint(path, {"mels": arrays["mels"] + 1.0}, stale, exact=("mels",))
+    # each record's grid from the current file, so the trace sees corpus_mels
+    # alone and not the STFT
+    current = {r.id: signal.MelGrid(v, cfg.signal.hop, cfg.signal.n_fft,
+                                    cfg.signal.sample_rate)
+               for r, v in zip(records, arrays["mels"])}
+    monkeypatch.setattr(pipeline, "record_mel", lambda cfg, art, r: current[r.id])
+    del arrays
+    peak = traced_peak(lambda: pipeline.corpus_mels(cfg, art, records))
+    assert peak < 1.5 * grid_bytes, (peak, grid_bytes)
+    assert path.read_bytes() == (work / "features.ckpt").read_bytes()
+
+
 def test_corpus_resynthesized_under_other_mel_frames_is_refused_over_old_features(
         tmp_path, capsys):
     tiny, other = tmp_path / "tiny.json", tmp_path / "other.json"
@@ -689,7 +713,7 @@ def test_codec_of_the_layout_with_a_mel_band_decodes_bit_identically(trained, wo
     config, work = trained
     path = work_copy / "latentcodec.ckpt"
     edit_checkpoint_meta(path, lambda meta: meta["mel_params"].update(f_min=0.0, f_max=8000.0))
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key in OLD_LAYOUT_CODEC_SHA256:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == OLD_LAYOUT_CODEC_SHA256[key]
     assert generate(config, work, "current_codec") == cli.EXIT_OK
@@ -867,15 +891,8 @@ GOLDEN_WAV_SHA256 = {
 }
 
 
-def _blas_name():
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
-        return None
-
-
 def test_generated_wav_matches_golden_hash(trained):
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_WAV_SHA256:
         pytest.skip(f"no golden WAV hash pinned for {key}")
     config, work = trained
@@ -897,7 +914,7 @@ GOLDEN_GENERATED_SHA256 = {
 
 @pytest.mark.parametrize("name", ["golden.mel.ckpt", "golden.latent.ckpt"])
 def test_generated_checkpoint_matches_golden_hash(trained, name):
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_GENERATED_SHA256:
         pytest.skip(f"no golden generated-checkpoint hashes pinned for {key}")
     config, work = trained
@@ -923,7 +940,7 @@ GOLDEN_VARIANT_WAV_SHA256 = {
     ("no_melody", ["--no-melody"]),
 ])
 def test_generated_wav_variant_matches_golden_hash(trained, variant, flags):
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_VARIANT_WAV_SHA256:
         pytest.skip(f"no golden WAV hash pinned for {key}")
     config, work = trained
@@ -948,7 +965,7 @@ GOLDEN_CHECKPOINT_SHA256 = {
 @pytest.mark.parametrize("name", ["clmp.ckpt", "melody.ckpt", "latentcodec.ckpt",
                                   "diffusion.ckpt"])
 def test_trained_checkpoint_matches_golden_hash(trained, name):
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_CHECKPOINT_SHA256:
         pytest.skip(f"no golden checkpoint hashes pinned for {key}")
     _, work = trained
@@ -966,7 +983,7 @@ GOLDEN_FEATURES_SHA256 = {
 
 
 def test_features_match_golden_hash(trained):
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_FEATURES_SHA256:
         pytest.skip(f"no golden features hash pinned for {key}")
     _, work = trained
@@ -1058,7 +1075,7 @@ def test_evaluate_report_matches_golden_hash(request, tmp_path, mode, n_entries)
     assert report["n_samples"] == held_out
     if n_entries is not None:
         assert len(report["runs" if mode == "ablation" else "points"]) == n_entries
-    key = (platform.machine(), np.__version__, _blas_name())
+    key = golden_key()
     if key not in GOLDEN_REPORT_SHA256:
         pytest.skip(f"no golden report hashes pinned for {key}")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()

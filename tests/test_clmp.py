@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from melodygen import melody_codec as mc
 from melodygen.config import ClmpConfig
 from melodygen.errors import ValidationError
 from melodygen.signal import DB_FLOOR
-from conftest import SIGNAL, mel_grid
+from conftest import SIGNAL, golden_key, mel_grid
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
@@ -279,6 +281,37 @@ class TestTraining:
         text = ["gentle rising line"]
         assert np.allclose(clmp.embed(model, "text", text), clmp.embed(back, "text", text),
                            atol=1e-6)
+
+
+# SHA-256 of a float64 train_clmp run (the loss curve's repr, then each
+# trained weight's float64 bytes in named_parameters() order), keyed by
+# golden_key(). The golden clmp.ckpt pin stores float32, so it misses drift
+# below float32 resolution in the float64 training arithmetic.
+GOLDEN_FLOAT64_CLMP_SHA256 = {
+    ("x86_64", "2.4.6", "scipy-openblas"):
+        "ff659e8133e82f36802babc8064e246de36b711498937d1b4002b5f57dc1c1ad",
+}
+
+
+def test_float64_training_matches_golden_hash():
+    key = golden_key()
+    if key not in GOLDEN_FLOAT64_CLMP_SHA256:
+        pytest.skip(f"no golden float64 CLMP hash pinned for {key}")
+    rng = smallnet.spawn_rng(24)
+
+    def triple(i, n_notes):  # 1 to 17 notes, so the mean pool sees many lengths
+        words = " ".join(rng.choice(["bright", "slow", "deep", "airy"], size=3))
+        melody = toy_melody(tuple(int(p) for p in rng.integers(40, 90, size=n_notes)))
+        return clmp.Triple(f"t{i}", f"calm line item{i} {words}", melody, toy_mel(rng))
+
+    triples = [triple(i, n) for i, n in enumerate(rng.integers(1, 18, size=24))]
+    model = toy_model(seed=24)
+    result = clmp.train_clmp(model, triples, ClmpConfig(batch_size=8, epochs=3,
+                                                        learning_rate=1e-3), seed=24)
+    digest = hashlib.sha256(repr(result.loss_curve).encode())
+    for p in model.named_parameters().values():
+        digest.update(p.tobytes())
+    assert digest.hexdigest() == GOLDEN_FLOAT64_CLMP_SHA256[key]
 
 
 class TestEvalRetrieval:

@@ -6,7 +6,7 @@ from melodygen import smallnet
 from melodygen.config import LatentConfig, SignalConfig
 from melodygen.errors import ShapeError, ValidationError
 from melodygen.signal import DB_FLOOR
-from conftest import mel_grid
+from conftest import mel_grid, traced_peak
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
@@ -140,6 +140,17 @@ class TestTraining:
         hist = lc.train_latentcodec(model, mels, LatentConfig(steps=300, learning_rate=1e-3),
                                     seed=12)
         assert np.mean(hist[-50:]) < np.mean(hist[:50])
+
+    def test_patch_pool_is_held_once(self):
+        """The pooled patches take as many bytes as the grids; training holds
+        them once, not beside a per-grid list of the same patches."""
+        rng = smallnet.spawn_rng(15)
+        mels = [random_mel(rng, 64, 64) for _ in range(40)]
+        pool_bytes = sum(m.values.nbytes for m in mels)
+        model = codec(15)
+        peak = traced_peak(lambda: lc.train_latentcodec(
+            model, mels, LatentConfig(steps=1, batch_size=16), seed=15))
+        assert peak < 1.5 * pool_bytes, (peak, pool_bytes)
 
     def test_too_few_grids_rejected(self):
         model = codec(13)

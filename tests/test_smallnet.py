@@ -6,6 +6,7 @@ import pytest
 
 from melodygen import smallnet
 from melodygen.errors import FormatError, GradientError, ShapeError, ValidationError
+from conftest import traced_peak
 from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
 
@@ -360,6 +361,67 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": 99, "arrays": {}, "meta": {}}))
         with pytest.raises(ValidationError):
             smallnet.load_checkpoint(path)
+
+
+def reference_checkpoint_bytes(arrays, meta=None, exact=()) -> bytes:
+    """The file the writer made when it widened every payload to float64,
+    cast it to the stored type and copied it out with ``tobytes()``."""
+    payloads = [(k, np.asarray(v, dtype=np.float64), "<f8" if k in exact else "<f4")
+                for k, v in sorted(arrays.items())]
+    entries = [[k, list(a.shape)] + ([dtype] if dtype == "<f8" else [])
+               for k, a, dtype in payloads]
+    header = json.dumps({"arrays": entries, "meta": meta or {}},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return (b"MGCK" + struct.pack("<IQ", 2, len(header)) + header
+            + b"".join(a.astype(dtype).tobytes() for _, a, dtype in payloads))
+
+
+def layouts(dtype) -> dict[str, np.ndarray]:
+    """Arrays of ``dtype`` in each layout a payload can arrive in."""
+    rng = smallnet.spawn_rng(17)
+    if dtype == np.bool_:
+        grid = rng.random((6, 5)) < 0.5
+    elif dtype == np.int64:
+        # 2**60 + 2**36 + 1 rounds up to float32 directly, but to 2**60 through
+        # float64, which lands on a float32 tie first
+        grid = rng.integers(-2**62, 2**62, size=(6, 5))
+        grid[0, :3] = 2**60 + 2**36 + 1, 2**53 + 1, -(2**60 + 2**36 + 1)
+    else:
+        grid = (rng.standard_normal((6, 5)) * 1e3).astype(dtype)
+    return {"plain": grid, "scalar": grid[1, 1].copy(), "0d": np.asarray(grid[2, 2]),
+            "empty": grid[:0], "transposed": grid.T, "strided": grid[::2, 1::2]}
+
+
+class TestCheckpointWriter:
+    @pytest.mark.parametrize("exact", ["none", "all"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.bool_, np.int64])
+    def test_writes_the_bytes_of_the_float64_route(self, tmp_path, dtype, exact):
+        arrays = layouts(dtype)
+        named = tuple(arrays) if exact == "all" else ()
+        path = tmp_path / "w.ckpt"
+        smallnet.save_checkpoint(path, arrays, {"k": 1}, exact=named)
+        assert path.read_bytes() == reference_checkpoint_bytes(arrays, {"k": 1}, named)
+
+    @pytest.mark.parametrize("dtype, exact", [(np.float32, ()), (np.float64, ("a",))],
+                             ids=["float32", "float64_exact"])
+    def test_an_array_in_its_stored_type_is_written_without_a_copy(self, tmp_path, dtype,
+                                                                   exact):
+        a = smallnet.spawn_rng(18).standard_normal((512, 1024)).astype(dtype)
+        peak = traced_peak(lambda: smallnet.save_checkpoint(tmp_path / "big.ckpt",
+                                                            {"a": a}, exact=exact))
+        assert peak < a.nbytes // 8, (peak, a.nbytes)
+        assert (tmp_path / "big.ckpt").read_bytes() == reference_checkpoint_bytes(
+            {"a": a}, exact=exact)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int64])
+    def test_as_stored_is_the_loaded_value(self, tmp_path, dtype):
+        a = layouts(dtype)["plain"]
+        smallnet.save_checkpoint(tmp_path / "s.ckpt", {"a": a})
+        loaded = smallnet.load_checkpoint(tmp_path / "s.ckpt")[0]["a"]
+        stored = smallnet.as_stored(a)
+        assert stored.dtype == np.float64 and stored.tobytes() == loaded.tobytes()
+        assert stored.tobytes() == np.asarray(a, np.float64).astype(np.float32).astype(
+            np.float64).tobytes()
 
 
 def _write_checkpoint_bytes(path, header: bytes, payload: bytes = b"",
