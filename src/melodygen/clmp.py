@@ -22,7 +22,6 @@ from . import smallnet
 from .config import ClmpConfig
 from .errors import ValidationError
 from .melody_codec import MelodyTripletSeq, N_BINS, parse_pitch
-from .signal import MelGrid
 
 TEXT_DIM = 256
 _TEXT_HASH_KEY = b"melodygen.text.v1"  # fixed: featurization must never drift
@@ -38,12 +37,12 @@ NETS = ("text_head", "wave_head", "melody_token_embed", "melody_head")
 
 @dataclass
 class Triple:
-    """One aligned corpus item: caption, melody tokens, mel grid."""
+    """One aligned corpus item: caption, melody tokens, (T, F) mel grid."""
 
     id: str
     text: str
     melody: MelodyTripletSeq
-    mel: MelGrid
+    mel: np.ndarray
 
 
 def _stable_hash(token: str) -> int:
@@ -83,10 +82,11 @@ def featurize_text(text: str) -> np.ndarray:
     return v
 
 
-def featurize_wave(mel: MelGrid) -> np.ndarray:
-    """Per-mel-bin mean and std over frames, concatenated and L2-normalized."""
-    mean = mel.values.mean(axis=0)
-    std = mel.values.std(axis=0)
+def featurize_wave(mel: np.ndarray) -> np.ndarray:
+    """Per-mel-bin mean and std over the frames of the (T, F) mel grid
+    ``mel``, concatenated and L2-normalized."""
+    mean = mel.mean(axis=0)
+    std = mel.std(axis=0)
     v = np.concatenate([mean, std])
     norm = np.linalg.norm(v)
     if norm > 0:
@@ -222,7 +222,7 @@ def features(modality: str, items) -> np.ndarray | list[np.ndarray]:
 
 def embed(model: ClmpModel, modality: str, items) -> np.ndarray:
     """(n, embed_dim) unit rows, one per item. ``items`` are caption strings
-    for "text", MelGrids for "waveform" and MelodyTripletSeqs for "melody"."""
+    for "text", (T, F) mel grids for "waveform" and MelodyTripletSeqs for "melody"."""
     feats = features(modality, items)
     if modality == "melody":
         return _MelodyPath(model, feats).emb

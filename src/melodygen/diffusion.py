@@ -133,10 +133,6 @@ class ConditionFusion:
     def embed_dim(self) -> int:
         return self.W.shape[0] // 2
 
-    @property
-    def cond_dim(self) -> int:
-        return self.W.shape[1]
-
     def named_parameters(self) -> dict[str, np.ndarray]:
         return {"fusion.W": self.W, "fusion.b": self.b,
                 "fusion.null_condition": self.null_condition}

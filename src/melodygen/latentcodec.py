@@ -19,7 +19,7 @@ import numpy as np
 from . import smallnet
 from .config import LatentConfig, SignalConfig
 from .errors import ShapeError, ValidationError
-from .signal import DB_FLOOR, MelGrid
+from .signal import DB_FLOOR
 
 _DB_SPAN = -DB_FLOOR  # 80 dB mapped onto one unit
 
@@ -113,18 +113,19 @@ def _unscale_db(scaled: np.ndarray) -> np.ndarray:
     return np.clip(scaled * _DB_SPAN + DB_FLOOR, DB_FLOOR, 0.0)
 
 
-def encode_mel(model: LatentCodecModel, m: MelGrid) -> np.ndarray:
-    """The (C, T/r, F/r) latent of mel grid ``m``."""
+def encode_mel(model: LatentCodecModel, mel: np.ndarray) -> np.ndarray:
+    """The (C, T/r, F/r) latent of the (T, F) mel grid ``mel`` (dB)."""
     r = model.compression
-    _check_divisible(m.values.shape, r)
-    t, f = m.values.shape
-    patches = _to_patches(_scale_db(m.values), r)
+    _check_divisible(mel.shape, r)
+    t, f = mel.shape
+    patches = _to_patches(_scale_db(mel), r)
     z = model.encoder.forward(patches)  # (cells, C)
     return z.reshape(t // r, f // r, model.channels).transpose(2, 0, 1)
 
 
-def decode_latent(model: LatentCodecModel, z: np.ndarray) -> MelGrid:
-    """The mel grid of a (C, T/r, F/r) latent ``z``."""
+def decode_latent(model: LatentCodecModel, z: np.ndarray) -> np.ndarray:
+    """The (T, F) mel grid (dB) of a (C, T/r, F/r) latent ``z``; its framing is
+    ``model.mel_params``."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3 or z.shape[0] != model.channels:
         raise ShapeError(f"latent must be (C, T/r, F/r) with C={model.channels}, got {z.shape}")
@@ -134,36 +135,34 @@ def decode_latent(model: LatentCodecModel, z: np.ndarray) -> MelGrid:
     _, th, fw = z.shape
     cells = z.transpose(1, 2, 0).reshape(th * fw, model.channels)
     patches = model.decoder.forward(cells)
-    values = _unscale_db(_from_patches(patches, th * r, fw * r, r))
-    return MelGrid(values, **model.mel_params)
+    return _unscale_db(_from_patches(patches, th * r, fw * r, r))
 
 
-def train_latentcodec(model: LatentCodecModel, mels: list[MelGrid], config: LatentConfig,
+def train_latentcodec(model: LatentCodecModel, grids: np.ndarray, config: LatentConfig,
                       seed: int) -> list[float]:
-    """Adam on pooled patches from all grids; returns the loss history.
+    """Adam on patches drawn from the (n, T, F) mel grids ``grids``; returns
+    the loss history.
 
-    The pool, every grid's scaled patches in grid order, is one array
-    allocated up front and filled grid by grid, so it is held once: only one
-    grid's patches exist beside it."""
-    if len(mels) < 32:
-        raise ValidationError(f"need at least 32 training grids, got {len(mels)}: raise "
+    Each step draws cells k uniformly over all n * cells patches, in grid
+    order and row-major over each grid's patch grid, and gathers and scales
+    just those patches from ``grids``: no pool of all patches is made."""
+    if len(grids) < 32:
+        raise ValidationError(f"need at least 32 training grids, got {len(grids)}: raise "
                               "corpus.n_records or lower corpus.eval_count")
     r = model.compression
-    for m in mels:
-        _check_divisible(m.values.shape, r)
-    pool = np.empty((sum(m.values.size for m in mels) // (r * r), r * r))
-    start = 0
-    for m in mels:
-        patches = _to_patches(_scale_db(m.values), r)
-        pool[start:start + len(patches)] = patches
-        start += len(patches)
+    n, t, f = grids.shape
+    _check_divisible((t, f), r)
+    cells = t // r * (f // r)
+    # (n, T/r, F/r, r, r): patch (row, col) of grid g, a view of ``grids``
+    patches = grids.reshape(n, t // r, r, f // r, r).transpose(0, 1, 3, 2, 4)
 
     rng = smallnet.spawn_rng(seed, 405)
     opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)
     history = []
     for _ in range(config.steps):
-        idx = rng.integers(0, len(pool), size=config.batch_size)
-        x = pool[idx]
+        g, cell = np.divmod(rng.integers(0, n * cells, size=config.batch_size), cells)
+        row, col = np.divmod(cell, f // r)
+        x = _scale_db(patches[g, row, col].reshape(-1, r * r))
         z, enc_cache = model.encoder.forward_cached(x)
         xh, dec_cache = model.decoder.forward_cached(z)
         diff = xh - x

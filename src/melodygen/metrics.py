@@ -79,6 +79,12 @@ def frechet(a: FeatureCloud, b: FeatureCloud) -> float:
     return max(value, 0.0)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's max."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
 @dataclass
 class ProbeClassifier:
     net: smallnet.DenseNet
@@ -86,10 +92,7 @@ class ProbeClassifier:
     holdout_accuracy: float = float("nan")
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        logits = self.net.forward(features)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        return p / p.sum(axis=1, keepdims=True)
+        return _softmax(self.net.forward(features))
 
 
 # the probe's one training recipe
@@ -125,10 +128,7 @@ def train_probe(features: np.ndarray, labels: list[str], seed: int) -> ProbeClas
         for b in range(0, len(train), PROBE_BATCH_SIZE):
             idx = train[perm[b:b + PROBE_BATCH_SIZE]]
             logits, cache = net.forward_cached(x[idx])
-            logits = logits - logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            d_logits = (p - eye[y[idx]]) / len(idx)
+            d_logits = (_softmax(logits) - eye[y[idx]]) / len(idx)
             grads, _ = net.backward_cached(cache, d_logits, None)
             opt.step(grads)
 

@@ -110,12 +110,12 @@ def record_mel(cfg: PipelineConfig, art: Artifacts, record: CorpusRecord) -> sig
 
 
 def corpus_mels(cfg: PipelineConfig, art: Artifacts,
-                records: list[CorpusRecord]) -> list[signal.MelGrid]:
-    """The mel grid of every record of the corpus, in order.
+                records: list[CorpusRecord]) -> np.ndarray:
+    """The (n, T, F) float64 mel grids (dB) of the corpus records, in order.
 
     Read from features.ckpt when it was built from these record ids and WAV
-    digests under ``cfg.signal`` and holds one grid of the configured shape
-    per record. Otherwise the grids are computed (``record_mel``) and
+    digests under ``cfg.signal`` and holds one finite grid of the configured
+    shape per record. Otherwise the grids are computed (``record_mel``) and
     features.ckpt is written. The file is a pure function of the WAVs, so a
     mismatch rebuilds it and never refuses.
     """
@@ -131,13 +131,13 @@ def corpus_mels(cfg: PipelineConfig, art: Artifacts,
             row[...] = record_mel(cfg, art, r).values
         smallnet.save_checkpoint(art.features_path, {"mels": values}, built_from,
                                  exact=("mels",))
-    return [signal.MelGrid(v, s.hop, s.n_fft, s.sample_rate) for v in values]
+    return values
 
 
 def _stored_mels(path: Path, built_from: dict, shape: tuple[int, ...]) -> np.ndarray | None:
     """The grids of the features file at ``path`` if it was built from
-    ``built_from`` and holds ``shape``, else None. A stale file's grids are
-    freed on return, before the caller computes the new ones."""
+    ``built_from`` and holds finite grids of ``shape``, else None. A stale
+    file's grids are freed on return, before the caller computes the new ones."""
     if not path.exists():
         return None
     try:
@@ -145,10 +145,12 @@ def _stored_mels(path: Path, built_from: dict, shape: tuple[int, ...]) -> np.nda
     except (FormatError, ValidationError):
         return None
     mels = arrays.get("mels")
-    return mels if meta == built_from and mels is not None and mels.shape == shape else None
+    current = (meta == built_from and mels is not None and mels.shape == shape
+               and np.isfinite(mels).all())
+    return mels if current else None
 
 
-def _triples(records: list[CorpusRecord], mels: list[signal.MelGrid]) -> list[clmp.Triple]:
+def _triples(records: list[CorpusRecord], mels: np.ndarray) -> list[clmp.Triple]:
     return [clmp.Triple(id=r.id, text=r.text, melody=r.melody, mel=m)
             for r, m in zip(records, mels)]
 
@@ -388,8 +390,9 @@ class GenerationStack:
             return diffusion.sample_ddpm(*given, seed, n_samples=len(conditions))
         raise ValidationError(f"unknown sampler {sampler!r}")
 
-    def decode(self, latents: np.ndarray) -> list[signal.MelGrid]:
-        """The mel grid of each latent row."""
+    def decode(self, latents: np.ndarray) -> list[np.ndarray]:
+        """The (T, F) mel grid of each latent row, framed as
+        ``codec.mel_params``."""
         return [latentcodec.decode_latent(self.codec, lat.reshape(self.shape))
                 for lat in latents]
 
@@ -431,7 +434,8 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
     (condition,), ids = stack.conditions([prompt], (melody,))
     lat = stack.sample(condition, sampler=sampler, steps=steps, w=w, seed=seed)
-    (mel,) = stack.decode(lat)
+    (values,) = stack.decode(lat)
+    mel = signal.MelGrid(values, **stack.codec.mel_params)
     wave = signal.mel_to_waveform(mel)
 
     art.generated_dir.mkdir(parents=True, exist_ok=True)
@@ -439,9 +443,7 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     mel_path = art.generated_dir / f"{tag}.mel.ckpt"
     latent_path = art.generated_dir / f"{tag}.latent.ckpt"
     signal.write_wav(wav_path, wave)
-    smallnet.save_checkpoint(mel_path, {"mel": mel.values},
-                             {"frame_hop": mel.frame_hop, "n_fft": mel.n_fft,
-                              "sample_rate": mel.sample_rate})
+    smallnet.save_checkpoint(mel_path, {"mel": mel.values}, stack.codec.mel_params)
     smallnet.save_checkpoint(latent_path, {"latent": lat.reshape(stack.shape)},
                              {"channels": stack.shape[0], "compression": stack.codec.compression})
     return GenerationResult(

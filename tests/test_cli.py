@@ -635,7 +635,23 @@ def test_misshapen_features_are_rebuilt(trained, work_copy, mel_calls, truncate)
     assert len(mel_calls) == len(records)
     assert path.read_bytes() == (work / "features.ckpt").read_bytes()
     fresh = smallnet.load_checkpoint(work / "features.ckpt")[0]["mels"]
-    assert np.array_equal([m.values for m in mels], fresh)
+    assert np.array_equal(mels, fresh)
+
+
+def test_features_with_a_nan_are_rebuilt(trained, work_copy, mel_calls):
+    """A features.ckpt with current meta but a non-finite value is stale: it
+    is rebuilt, and train-clmp trains as on the clean file."""
+    config, work = trained
+    path = work_copy / "features.ckpt"
+    arrays, meta = smallnet.load_checkpoint(path)
+    arrays["mels"][5, 3, 2] = np.nan
+    smallnet.save_checkpoint(path, arrays, meta, exact=("mels",))
+    assert cli.main(["train-clmp", "--config", str(config),
+                     "--out", str(work_copy)]) == cli.EXIT_OK
+    assert len(mel_calls) == TINY["corpus"]["n_records"]
+    assert np.isfinite(smallnet.load_checkpoint(path)[0]["mels"]).all()
+    for name in ("features.ckpt", "clmp.ckpt"):
+        assert (work_copy / name).read_bytes() == (work / name).read_bytes()
 
 
 def test_stale_features_rebuild_holds_one_set_of_grids(trained, work_copy, monkeypatch):

@@ -6,7 +6,7 @@ from melodygen import smallnet
 from melodygen.config import LatentConfig, SignalConfig
 from melodygen.errors import ShapeError, ValidationError
 from melodygen.signal import DB_FLOOR
-from conftest import mel_grid, traced_peak
+from conftest import traced_peak
 from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
@@ -16,7 +16,7 @@ def codec(seed, **fields):
 
 
 def random_mel(rng, t=16, f=16):
-    return mel_grid(DB_FLOOR + 70.0 * rng.random((t, f)))
+    return DB_FLOOR + 70.0 * rng.random((t, f))
 
 
 class TestShapes:
@@ -33,7 +33,7 @@ class TestShapes:
         z = lc.encode_mel(model, random_mel(rng, t, f))
         assert z.shape == (c, t // r, f // r)
         rec = lc.decode_latent(model, z)
-        assert rec.values.shape == (t, f)
+        assert rec.shape == (t, f)
 
     def test_indivisible_shape_rejected(self):
         model = codec(2, compression=4)
@@ -73,16 +73,16 @@ class TestEncodeDecode:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
         rec = lc.decode_latent(model, np.ones((4, 4, 4)))
-        assert np.all(rec.values == DB_FLOOR)
+        assert np.all(rec == DB_FLOOR)
 
     def test_patch_locality(self):
         model = codec(6, compression=4, channels=4)
         rng = smallnet.spawn_rng(6)
         m = random_mel(rng, 16, 16)
         z0 = lc.encode_mel(model, m)
-        bumped = m.values.copy()
+        bumped = m.copy()
         bumped[0:4, 0:4] += 5.0  # one patch
-        z1 = lc.encode_mel(model, mel_grid(bumped))
+        z1 = lc.encode_mel(model, bumped)
         changed = np.any(z0 != z1, axis=0)
         assert changed[0, 0]
         assert not changed[1:, :].any() and not changed[0, 1:].any()
@@ -90,7 +90,7 @@ class TestEncodeDecode:
     def test_decode_clamped_to_db_range(self):
         model = codec(7, compression=2, channels=4)
         rec = lc.decode_latent(model, 50.0 * np.ones((4, 2, 2)))
-        assert rec.values.min() >= DB_FLOOR and rec.values.max() <= 0.0
+        assert rec.min() >= DB_FLOOR and rec.max() <= 0.0
 
     def test_determinism(self):
         model = codec(8)
@@ -103,12 +103,11 @@ class TestTraining:
     def _mels(self, n=40, seed=9):
         rng = smallnet.spawn_rng(seed)
         # low-rank structured grids so a small codec can reconstruct them
-        out = []
-        for _ in range(n):
+        out = np.empty((n, 16, 16))
+        for grid in out:
             row = DB_FLOOR + 70.0 * rng.random((1, 16))
             col = 0.5 + 0.5 * rng.random((16, 1))
-            values = np.clip(DB_FLOOR + (row - DB_FLOOR) * col, DB_FLOOR, 0.0)
-            out.append(mel_grid(values))
+            grid[...] = np.clip(DB_FLOOR + (row - DB_FLOOR) * col, DB_FLOOR, 0.0)
         return out
 
     def test_kl_weight_zero_is_plain_autoencoder(self):
@@ -117,7 +116,7 @@ class TestTraining:
         hist = lc.train_latentcodec(model, mels, LatentConfig(steps=50, learning_rate=1e-3),
                                     seed=10)
         # loss equals pure reconstruction MSE: recompute on a fresh batch
-        patches = lc._to_patches(lc._scale_db(mels[0].values), 4)
+        patches = lc._to_patches(lc._scale_db(mels[0]), 4)
         z = model.encoder.forward(patches)
         xh = model.decoder.forward(z)
         assert np.mean((xh - patches) ** 2) >= 0  # well-defined
@@ -141,16 +140,16 @@ class TestTraining:
                                     seed=12)
         assert np.mean(hist[-50:]) < np.mean(hist[:50])
 
-    def test_patch_pool_is_held_once(self):
-        """The pooled patches take as many bytes as the grids; training holds
-        them once, not beside a per-grid list of the same patches."""
+    def test_no_patch_pool_is_made(self):
+        """Training gathers each step's patches from the grids: it allocates
+        nothing near the size of the grids, where a pool of every patch would
+        take as many bytes as the grids themselves."""
         rng = smallnet.spawn_rng(15)
-        mels = [random_mel(rng, 64, 64) for _ in range(40)]
-        pool_bytes = sum(m.values.nbytes for m in mels)
+        grids = DB_FLOOR + 70.0 * rng.random((256, 64, 64))
         model = codec(15)
         peak = traced_peak(lambda: lc.train_latentcodec(
-            model, mels, LatentConfig(steps=1, batch_size=16), seed=15))
-        assert peak < 1.5 * pool_bytes, (peak, pool_bytes)
+            model, grids, LatentConfig(steps=1), seed=15))
+        assert peak < grids.nbytes / 4, (peak, grids.nbytes)
 
     def test_too_few_grids_rejected(self):
         model = codec(13)
@@ -194,5 +193,42 @@ class TestTraining:
         assert np.allclose(lc.encode_mel(back, m), lc.encode_mel(model, m),
                            atol=1e-6)
         assert back.mel_params == {"frame_hop": 128, "n_fft": 512, "sample_rate": 8000}
-        grid = lc.decode_latent(back, lc.encode_mel(back, m))
-        assert (grid.frame_hop, grid.n_fft, grid.sample_rate) == (128, 512, 8000)
+
+
+def pool_trainer(model, grids, config, seed):
+    """Reference: the codec trainer that pools every grid's scaled patches in
+    grid order, then indexes one draw per step into the pool."""
+    r = model.compression
+    pool = np.concatenate([lc._to_patches(lc._scale_db(g), r) for g in grids])
+    rng = smallnet.spawn_rng(seed, 405)
+    opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)
+    history = []
+    for _ in range(config.steps):
+        x = pool[rng.integers(0, len(pool), size=config.batch_size)]
+        z, enc_cache = model.encoder.forward_cached(x)
+        xh, dec_cache = model.decoder.forward_cached(z)
+        diff = xh - x
+        history.append(float(np.mean(diff * diff)) + model.kl_weight * float(np.mean(z * z)))
+        dec_grads, dz = model.decoder.backward_cached(dec_cache, 2.0 * diff / diff.size)
+        dz = dz + 2.0 * model.kl_weight * z / z.size
+        enc_grads, _ = model.encoder.backward_cached(enc_cache, dz, None)
+        opt.step(enc_grads + dec_grads)
+    return history
+
+
+# 32 grids of 8 x 12: the patch grid is not square, so a row/column mix-up in
+# the gather shows. At r=4 a batch of 200 exceeds the 192 cells of all grids.
+@pytest.mark.parametrize("r, batch", [(1, 64), (2, 64), (4, 200)])
+def test_trainer_matches_the_pool_trainer_exactly(r, batch):
+    grids = DB_FLOOR + 70.0 * smallnet.spawn_rng(30 + r).random((32, 8, 12))
+    config = LatentConfig(compression=r, hidden=6, steps=20, batch_size=batch,
+                          learning_rate=1e-3)
+    draws = smallnet.spawn_rng(r, 405).integers(0, grids.size // (r * r),
+                                                size=(config.steps, batch))
+    if r == 4:  # the last cell of the last grid is drawn
+        assert draws.max() == grids.size // (r * r) - 1
+    got, want = (lc.LatentCodecModel.create(config, SignalConfig(), r) for _ in range(2))
+    assert np.array_equal(lc.train_latentcodec(got, grids, config, seed=r),
+                          pool_trainer(want, list(grids), config, seed=r))
+    for name, p in got.named_parameters().items():
+        assert np.array_equal(p, want.named_parameters()[name]), name
