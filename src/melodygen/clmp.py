@@ -21,7 +21,7 @@ import numpy as np
 from . import smallnet
 from .config import ClmpConfig
 from .errors import ValidationError
-from .melody_codec import MelodyTripletSeq, N_BINS, parse_pitch
+from .melody_codec import N_BINS, Melody, parse_pitch
 
 TEXT_DIM = 256
 _TEXT_HASH_KEY = b"melodygen.text.v1"  # fixed: featurization must never drift
@@ -41,7 +41,7 @@ class Triple:
 
     id: str
     text: str
-    melody: MelodyTripletSeq
+    melody: Melody
     mel: np.ndarray
 
 
@@ -94,7 +94,7 @@ def featurize_wave(mel: np.ndarray) -> np.ndarray:
     return v
 
 
-def melody_token_features(seq: MelodyTripletSeq) -> np.ndarray:
+def melody_token_features(seq: Melody) -> np.ndarray:
     """(L, 130): one-hot pitch plus duration/rest bins scaled to [0, 1]."""
     if len(seq) == 0:
         raise ValidationError("cannot featurize an empty melody")
@@ -222,7 +222,8 @@ def features(modality: str, items) -> np.ndarray | list[np.ndarray]:
 
 def embed(model: ClmpModel, modality: str, items) -> np.ndarray:
     """(n, embed_dim) unit rows, one per item. ``items`` are caption strings
-    for "text", (T, F) mel grids for "waveform" and MelodyTripletSeqs for "melody"."""
+    for "text", (T, F) mel grid arrays for "waveform" and melodies (tuples of
+    triplets) for "melody"."""
     feats = features(modality, items)
     if modality == "melody":
         return _MelodyPath(model, feats).emb
@@ -250,38 +251,30 @@ def _directed_infonce(sim: np.ndarray, tau: float):
 _PAIR_ORDER = (("m", "w"), ("w", "m"), ("w", "t"), ("t", "w"), ("t", "m"), ("m", "t"))
 
 
-class _BatchGraph:
-    """One contrastive batch: all three encode paths plus the total loss."""
+def _loss_and_grads(model: ClmpModel, text_feats, wave_feats, melody_feats):
+    """(total loss, grads in ``named_parameters`` order) of one contrastive
+    batch, through all three encode paths."""
+    text = _HeadPath(model.text_head, text_feats)
+    wave = _HeadPath(model.wave_head, wave_feats)
+    melody = _MelodyPath(model, melody_feats)
+    tau = model.tau
+    emb = {"t": text.emb, "w": wave.emb, "m": melody.emb}
+    d_emb = {k: np.zeros_like(v) for k, v in emb.items()}
+    total = 0.0
+    d_log_tau = 0.0
+    scale = 1.0 / len(_PAIR_ORDER)
+    for a, b in _PAIR_ORDER:
+        loss, d_sim, d_lt = _directed_infonce(emb[a] @ emb[b].T, tau)
+        total += scale * loss
+        d_emb[a] += scale * (d_sim @ emb[b])
+        d_emb[b] += scale * (d_sim.T @ emb[a])
+        d_log_tau += scale * d_lt
 
-    def __init__(self, model: ClmpModel, text_feats, wave_feats, melody_feats):
-        self.model = model
-        self.text = _HeadPath(model.text_head, text_feats)
-        self.wave = _HeadPath(model.wave_head, wave_feats)
-        self.melody = _MelodyPath(model, melody_feats)
-
-    def loss_and_grads(self):
-        model = self.model
-        tau = model.tau
-        emb = {"t": self.text.emb, "w": self.wave.emb, "m": self.melody.emb}
-        d_emb = {k: np.zeros_like(v) for k, v in emb.items()}
-        total = 0.0
-        d_log_tau = 0.0
-        scale = 1.0 / len(_PAIR_ORDER)
-        for a, b in _PAIR_ORDER:
-            loss, d_sim, d_lt = _directed_infonce(emb[a] @ emb[b].T, tau)
-            total += scale * loss
-            d_emb[a] += scale * (d_sim @ emb[b])
-            d_emb[b] += scale * (d_sim.T @ emb[a])
-            d_log_tau += scale * d_lt
-
-        text_grads, _ = self.text.backward(d_emb["t"])
-        wave_grads, _ = self.wave.backward(d_emb["w"])
-        embed_grads, melody_head_grads = self.melody.backward(d_emb["m"])
-        grads = (
-            text_grads + wave_grads + embed_grads + melody_head_grads
-            + [np.array([d_log_tau])]
-        )
-        return total, grads
+    text_grads, _ = text.backward(d_emb["t"])
+    wave_grads, _ = wave.backward(d_emb["w"])
+    embed_grads, melody_head_grads = melody.backward(d_emb["m"])
+    return total, (text_grads + wave_grads + embed_grads + melody_head_grads
+                   + [np.array([d_log_tau])])
 
 
 @dataclass
@@ -314,8 +307,7 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
         epoch_loss = 0.0
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            graph = _BatchGraph(model, text[idx], wave[idx], [melody[i] for i in idx])
-            loss, grads = graph.loss_and_grads()
+            loss, grads = _loss_and_grads(model, text[idx], wave[idx], [melody[i] for i in idx])
             opt.step(grads)
             epoch_loss += loss
         curve.append(epoch_loss / n_batches)

@@ -25,8 +25,8 @@ from .clmp import tokenize
 from .config import SignalConfig
 from .errors import MelodyGenError, ValidationError
 from .melody_codec import (
+    Melody,
     MelodyTriplet,
-    MelodyTripletSeq,
     bin_duration,
     parse_tokens,
     pitch_name,
@@ -126,7 +126,7 @@ class Archetype:
 class CorpusRecord:
     id: str
     text: str
-    melody: MelodyTripletSeq
+    melody: Melody
     wav_path: str  # relative to the manifest directory
     archetype: Archetype
     wav_sha256: str | None = None  # of the WAV file's bytes, set by load_corpus
@@ -144,7 +144,7 @@ class CorpusLoadResult:
     errors: list[RecordError] = field(default_factory=list)
 
 
-def _melody_for(archetype: Archetype, rng: np.random.Generator) -> MelodyTripletSeq:
+def _melody_for(archetype: Archetype, rng: np.random.Generator) -> Melody:
     lo, _ = REGISTER_BASE[archetype.register]
     base = lo + BASE_OFFSETS[int(rng.integers(0, len(BASE_OFFSETS)))]
     steps = _PATTERN_STEPS[archetype.pattern]
@@ -156,17 +156,17 @@ def _melody_for(archetype: Archetype, rng: np.random.Generator) -> MelodyTriplet
         pitch = min(base + steps[i % len(steps)], 127)
         dur = note_s * float(rng.uniform(0.9, 1.1))
         triplets.append(MelodyTriplet(pitch_name(pitch), bin_duration(dur), bin_duration(rest_s)))
-    return MelodyTripletSeq(tuple(triplets))
+    return tuple(triplets)
 
 
-def _text_for(archetype: Archetype, melody: MelodyTripletSeq, rng: np.random.Generator) -> str:
+def _text_for(archetype: Archetype, melody: Melody, rng: np.random.Generator) -> str:
     template = _TEXT_TEMPLATES[int(rng.integers(0, len(_TEXT_TEMPLATES)))]
     return template.format(
         tempo=archetype.tempo,
         pattern=_PATTERN_PHRASE[archetype.pattern],
         register=archetype.register,
         timbre=archetype.timbre,
-        note=melody.triplets[0].pitch_token,
+        note=melody[0].pitch_token,
     )
 
 
@@ -279,8 +279,8 @@ def load_corpus(manifest_path) -> CorpusLoadResult:
                 if not record.melody:
                     raise ValidationError("field 'melody' has no notes")
                 wav_file = base / record.wav_path
-                if not wav_file.exists():
-                    raise ValidationError(f"wav file missing: {record.wav_path}")
+                if not wav_file.is_file():
+                    raise ValidationError(f"no wav file at {record.wav_path}")
                 raw = wav_file.read_bytes()
                 read_wav(raw)
                 record.wav_sha256 = hashlib.sha256(raw).hexdigest()

@@ -93,7 +93,7 @@ class LatentCodecModel:
     def load(cls, path) -> "LatentCodecModel":
         arrays, meta = smallnet.load_checkpoint(path)
         with smallnet.checkpoint_keys(path):
-            return cls(
+            model = cls(
                 encoder=smallnet.net_from_state(arrays, meta["nets"]["encoder"], "encoder."),
                 decoder=smallnet.net_from_state(arrays, meta["nets"]["decoder"], "decoder."),
                 compression=int(meta["compression"]),
@@ -103,6 +103,11 @@ class LatentCodecModel:
                 mel_params={k: int(meta["mel_params"][k])
                             for k in ("frame_hop", "n_fft", "sample_rate")},
             )
+        for k, v in model.mel_params.items():
+            if v < 1:
+                raise ValidationError(f"codec checkpoint {path}: mel_params {k} is {v}, must "
+                                      "be >= 1; rerun train-latent")
+        return model
 
 
 def _scale_db(values: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Each note is a ``<pitch_name>,<duration_bin>,<rest_bin>`` triplet: its pitch,
 its duration, and the silence after it. Durations and rests are quantized
 linearly over 0..6.3 s into 512 bins (bin = floor(t / 6.3 * 512), clamped).
 Pitch names use sharps only, octave convention MIDI 0 = "C-1" (so 60 = "C4").
+A melody is a plain tuple of ``MelodyTriplet``s (``Melody``).
 """
 
 from __future__ import annotations
@@ -36,18 +37,7 @@ class MelodyTriplet:
                 raise RangeError(f"{label} outside 0..{N_BINS - 1}", v)
 
 
-@dataclass(frozen=True)
-class MelodyTripletSeq:
-    triplets: tuple[MelodyTriplet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "triplets", tuple(self.triplets))
-
-    def __len__(self) -> int:
-        return len(self.triplets)
-
-    def __iter__(self):
-        return iter(self.triplets)
+Melody = tuple[MelodyTriplet, ...]
 
 
 def bin_duration(t: float) -> int:
@@ -82,7 +72,7 @@ def parse_pitch(s: str) -> int:
     return p
 
 
-def render_tokens(seq: MelodyTripletSeq) -> str:
+def render_tokens(seq: Melody) -> str:
     """`|<P>,<d>,<r>|...|` with leading and trailing separators, no spaces."""
     parts = ["|"]
     for t in seq:
@@ -115,7 +105,7 @@ class _Scanner:
         return self.s[start:end]
 
 
-def parse_tokens(s: str) -> MelodyTripletSeq:
+def parse_tokens(s: str) -> Melody:
     """Strict inverse of render_tokens. Reports the byte offset of the first
     syntax error and the value of the first out-of-range bin."""
     sc = _Scanner(s)
@@ -147,4 +137,4 @@ def parse_tokens(s: str) -> MelodyTripletSeq:
             bins.append(value)
         sc.expect("|")
         triplets.append(MelodyTriplet(name, bins[0], bins[1]))
-    return MelodyTripletSeq(tuple(triplets))
+    return tuple(triplets)

@@ -1,6 +1,6 @@
-"""Distribution metrics for generated audio: Fréchet distance on Gaussian
-fits of feature clouds, paired KL between probe posteriors, and an
-Inception-style diversity score.
+"""Distribution metrics for generated audio: Fréchet distance between
+Gaussian fits of two feature sample matrices, paired KL between probe
+posteriors, and an Inception-style diversity score.
 
 The published audio classifier is replaced by a small trained probe (or the
 wave featurizer directly), so absolute values are NOT comparable with
@@ -19,63 +19,46 @@ from .errors import ValidationError
 _PROB_FLOOR = 1e-6
 
 
-@dataclass
-class FeatureCloud:
-    mean: np.ndarray
-    cov: np.ndarray
-    n: int = 0
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValidationError(
-                f"cov shape {self.cov.shape} does not match mean dim {self.mean.size}"
-            )
-        if np.max(np.abs(self.cov - self.cov.T)) > 1e-9:
-            raise ValidationError("covariance must be symmetric (within 1e-9)")
-
-    @classmethod
-    def from_vectors(cls, vectors: np.ndarray) -> "FeatureCloud":
-        """Gaussian fit of an (n, d) sample matrix.
-
-        When n <= d the sample covariance is rank-deficient; 1e-6 * I is added
-        so the Fréchet computation stays defined.
-        """
-        v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValidationError(f"need an (n>=2, d) matrix, got {v.shape}")
-        n, d = v.shape
-        mean = v.mean(axis=0)
-        cov = np.cov(v, rowvar=False)
-        cov = np.atleast_2d(cov)
-        cov = (cov + cov.T) / 2.0
-        if n <= d:
-            cov = cov + 1e-6 * np.eye(d)
-        return cls(mean=mean, cov=cov, n=n)
-
-
 def _sqrtm_psd(c: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(c)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def frechet(a: FeatureCloud, b: FeatureCloud) -> float:
-    """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}).
+def _gaussian_fit(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of an (n, d) sample matrix.
+
+    When n <= d the sample covariance is rank-deficient; 1e-6 * I is added
+    so the Fréchet computation stays defined.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] < 2:
+        raise ValidationError(f"need an (n>=2, d) matrix, got {v.shape}")
+    n, d = v.shape
+    mean = v.mean(axis=0)
+    cov = np.atleast_2d(np.cov(v, rowvar=False))
+    cov = (cov + cov.T) / 2.0
+    if n <= d:
+        cov = cov + 1e-6 * np.eye(d)
+    return mean, cov
+
+
+def frechet(a: np.ndarray, b: np.ndarray) -> float:
+    """Fréchet distance between the Gaussian fits (``_gaussian_fit``) of the
+    (n, d) sample matrices ``a`` and ``b``, as FAD (Kilgour et al., 2019)
+    computes it: ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}).
 
     The cross term uses the symmetric form sqrt(S_a)^T S_b sqrt(S_a), whose
     eigenvalues are clipped at zero before the square root.
     """
-    if a.mean.shape != b.mean.shape:
-        raise ValidationError(
-            f"feature dims differ: {a.mean.shape} vs {b.mean.shape}"
-        )
-    diff = a.mean - b.mean
-    sa = _sqrtm_psd(a.cov)
-    inner = sa @ b.cov @ sa
+    (mean_a, cov_a), (mean_b, cov_b) = _gaussian_fit(a), _gaussian_fit(b)
+    if mean_a.shape != mean_b.shape:
+        raise ValidationError(f"feature dims differ: {mean_a.shape} vs {mean_b.shape}")
+    diff = mean_a - mean_b
+    sa = _sqrtm_psd(cov_a)
+    inner = sa @ cov_b @ sa
     vals = np.clip(np.linalg.eigvalsh((inner + inner.T) / 2.0), 0.0, None)
-    value = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.sqrt(vals).sum())
+    value = float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.sqrt(vals).sum())
     return max(value, 0.0)
 
 

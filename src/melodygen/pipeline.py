@@ -94,14 +94,14 @@ def _load_records(art: Artifacts) -> list[CorpusRecord]:
     return result.records
 
 
-def record_mel(cfg: PipelineConfig, art: Artifacts, record: CorpusRecord) -> signal.MelGrid:
-    """The mel grid of ``record``'s WAV under ``cfg.signal``; a WAV synthesized
-    under other signal settings is refused."""
+def record_mel(cfg: PipelineConfig, art: Artifacts, record: CorpusRecord) -> np.ndarray:
+    """The (T, F) mel grid of ``record``'s WAV under ``cfg.signal``; a WAV
+    synthesized under other signal settings is refused."""
     path = art.corpus_dir / record.wav_path
     try:
         mel = signal.mel_spectrogram(signal.read_wav(path), cfg.signal)
-        if mel.n_frames != cfg.signal.mel_frames:
-            raise ValidationError(f"it gives {mel.n_frames} mel frames, but "
+        if len(mel) != cfg.signal.mel_frames:
+            raise ValidationError(f"it gives {len(mel)} mel frames, but "
                                   f"signal.mel_frames is {cfg.signal.mel_frames}")
     except ValidationError as e:
         raise ValidationError(f"corpus record {path}: {e}; rerun synth-data with this "
@@ -128,7 +128,7 @@ def corpus_mels(cfg: PipelineConfig, art: Artifacts,
     if values is None:
         values = np.empty(shape)
         for row, r in zip(values, records):
-            row[...] = record_mel(cfg, art, r).values
+            row[...] = record_mel(cfg, art, r)
         smallnet.save_checkpoint(art.features_path, {"mels": values}, built_from,
                                  exact=("mels",))
     return values
@@ -359,6 +359,10 @@ class GenerationStack:
         art.require(art.latent_path, art.diffusion_path)
         codec = latentcodec.LatentCodecModel.load(art.latent_path)
         denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
+        if fusion.embed_dim != melodies.shape[1]:
+            raise ValidationError(f"{art.diffusion_path.name} fuses {fusion.embed_dim}-wide "
+                                  f"embeddings, but {art.index_path.name} holds "
+                                  f"{melodies.shape[1]}-wide melodies; rerun train-diffusion")
         with smallnet.checkpoint_keys(art.diffusion_path):
             sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
                                             float(extra["beta_end"]))
@@ -434,16 +438,15 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
     (condition,), ids = stack.conditions([prompt], (melody,))
     lat = stack.sample(condition, sampler=sampler, steps=steps, w=w, seed=seed)
-    (values,) = stack.decode(lat)
-    mel = signal.MelGrid(values, **stack.codec.mel_params)
-    wave = signal.mel_to_waveform(mel)
+    (mel,) = stack.decode(lat)
+    wave = signal.mel_to_waveform(mel, **stack.codec.mel_params)
 
     art.generated_dir.mkdir(parents=True, exist_ok=True)
     wav_path = art.generated_dir / f"{tag}.wav"
     mel_path = art.generated_dir / f"{tag}.mel.ckpt"
     latent_path = art.generated_dir / f"{tag}.latent.ckpt"
     signal.write_wav(wav_path, wave)
-    smallnet.save_checkpoint(mel_path, {"mel": mel.values}, stack.codec.mel_params)
+    smallnet.save_checkpoint(mel_path, {"mel": mel}, stack.codec.mel_params)
     smallnet.save_checkpoint(latent_path, {"latent": lat.reshape(stack.shape)},
                              {"channels": stack.shape[0], "compression": stack.codec.compression})
     return GenerationResult(
@@ -462,11 +465,6 @@ EVAL_MODES = ("standard", "ablation", "steps_sweep", "cfg_sweep")
 SWEEP_STEPS = (10, 25, 50, 100, 200)
 SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 SWEEP_SEEDS = 5  # generation seeds per point of the ablation and the sweeps
-
-
-def _fad(gen_feats: np.ndarray, ref_feats: np.ndarray) -> float:
-    return metrics.frechet(metrics.FeatureCloud.from_vectors(gen_feats),
-                           metrics.FeatureCloud.from_vectors(ref_feats))
 
 
 def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
@@ -509,7 +507,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
 
     def sweep_fads(conditions, *, steps=steps, w=w) -> list[float]:
         """FAD-like against the references at (conditions, steps, w), one per sweep seed."""
-        return [_fad(clmp.features("waveform", stack.decode(stack.sample(
+        return [metrics.frechet(clmp.features("waveform", stack.decode(stack.sample(
                     conditions, sampler="ddim", steps=steps, w=w, seed=g))), ref_feats)
                 for g in sweep_seeds]
 
@@ -538,7 +536,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         gen_by_id = {t.id: f for t, f in zip(eval_triples, feats)}
         ref_by_id = {t.id: f for t, f in zip(eval_triples, ref_feats)}
         report.update({
-            "fad_like": _fad(feats, ref_feats),
+            "fad_like": metrics.frechet(feats, ref_feats),
             "kl": metrics.paired_kl(probe, gen_by_id, ref_by_id),
             "is_like": metrics.inception_like(probe, feats),
             "probe_holdout_accuracy": probe.holdout_accuracy,

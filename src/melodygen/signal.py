@@ -5,8 +5,10 @@ near 0 dB, then an HTK-scale triangular mel filterbank spanning 0 Hz to
 Nyquist, and power-dB with a floor at -80 dB (the package-wide "silence"
 value).
 
-The signal parameters have no defaults here: the analysis takes its
-``config.SignalConfig``, and waveforms and mel grids carry their own.
+A mel grid is a plain (T, F) float64 array of dB values (frames x mel
+bins, floored at -80). The signal parameters have no defaults here: the
+analysis takes its ``config.SignalConfig``, waveforms carry their sample
+rate, and the vocoder takes a grid's framing as arguments.
 
 Synthesis is additive in both directions and uses no randomness. Melody
 triplets drive harmonic stacks at equal-temperament frequencies. Mel grids
@@ -31,7 +33,7 @@ import numpy as np
 from . import smallnet
 from .config import SignalConfig
 from .errors import FormatError, ValidationError
-from .melody_codec import BIN_SECONDS, MelodyTripletSeq, parse_pitch
+from .melody_codec import BIN_SECONDS, Melody, parse_pitch
 
 DB_FLOOR = -80.0
 _POWER_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
@@ -52,34 +54,6 @@ class Waveform:
             raise ValidationError("waveform contains non-finite samples")
         if self.sample_rate <= 0:
             raise ValidationError(f"sample_rate must be > 0, got {self.sample_rate}")
-
-
-@dataclass
-class MelGrid:
-    """T x F log-power grid (frames x mel bins, dB, floored at -80)."""
-
-    values: np.ndarray
-    frame_hop: int
-    n_fft: int
-    sample_rate: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise ValidationError(f"mel grid must be 2-D and non-empty, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("mel grid contains non-finite values")
-        if self.frame_hop < 1 or self.n_fft < 1:
-            raise ValidationError(f"mel grid needs frame_hop >= 1 and n_fft >= 1, got "
-                                  f"{self.frame_hop} and {self.n_fft}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
 
 
 def hz_to_mel(f):
@@ -121,8 +95,9 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def mel_spectrogram(w: Waveform, signal: SignalConfig) -> MelGrid:
-    """The mel grid of ``w`` under ``signal``, whose sample rate ``w`` must have."""
+def mel_spectrogram(w: Waveform, signal: SignalConfig) -> np.ndarray:
+    """The (T, F) mel grid (dB) of ``w`` under ``signal``, whose sample rate
+    ``w`` must have."""
     n_fft, hop = signal.n_fft, signal.hop
     if w.sample_rate != signal.sample_rate:
         raise ValidationError(f"waveform is sampled at {w.sample_rate} Hz, but "
@@ -145,8 +120,7 @@ def mel_spectrogram(w: Waveform, signal: SignalConfig) -> MelGrid:
     power *= power
     fb, _ = mel_filterbank(signal.n_mels, n_fft, w.sample_rate)
     mel_power = power @ fb.T
-    values = 10.0 * np.log10(np.maximum(mel_power, _POWER_FLOOR))
-    return MelGrid(values, frame_hop=hop, n_fft=n_fft, sample_rate=w.sample_rate)
+    return 10.0 * np.log10(np.maximum(mel_power, _POWER_FLOOR))
 
 
 def pitch_to_hz(p: int) -> float:
@@ -154,7 +128,7 @@ def pitch_to_hz(p: int) -> float:
     return 440.0 * 2.0 ** ((p - 69) / 12.0)
 
 
-def synthesize_melody(seq: MelodyTripletSeq, timbre: list[float] | tuple[float, ...],
+def synthesize_melody(seq: Melody, timbre: list[float] | tuple[float, ...],
                       sr: int) -> Waveform:
     """Render a triplet sequence as an additive-harmonic tone sequence.
 
@@ -239,11 +213,14 @@ def oscillator_bank(n_mels: int, n_fft: int, sample_rate: int, hop: int, n_frame
     return tables
 
 
-def mel_to_waveform(m: MelGrid) -> Waveform:
-    """Oscillator-bank resynthesis: one sinusoid per mel bin at its center
-    frequency, amplitude 10^(dB/20) interpolated linearly between frame
-    centers. Bins at the -80 dB floor are treated as silent. Peak-normalized;
-    an all-floor grid comes back as exact silence.
+def mel_to_waveform(values: np.ndarray, frame_hop: int, n_fft: int,
+                    sample_rate: int) -> Waveform:
+    """Oscillator-bank resynthesis of the (T, F) mel grid ``values`` (dB),
+    whose frames start ``frame_hop`` samples apart and span ``n_fft`` samples
+    at ``sample_rate``: one sinusoid per mel bin at its center frequency,
+    amplitude 10^(dB/20) interpolated linearly between frame centers. Bins
+    at the -80 dB floor are treated as silent. Peak-normalized; an all-floor
+    grid comes back as exact silence.
 
     The bank is evaluated one interpolation segment of hop samples at a
     time. Sample t = T_j + o (0 <= o < hop) of bin b has phase 2*pi*f_b*t,
@@ -265,16 +242,15 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     an extended-precision evaluation. That is far below half a PCM16 step, so
     the WAV bytes are unchanged, and they are what the tests pin.
     """
-    sr = m.sample_rate
-    hop, n_frames, n_fft = m.frame_hop, m.n_frames, m.n_fft
-    n_out = n_fft + hop * (n_frames - 1)
-    amps = np.where(m.values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (m.values / 20.0))
+    n_frames, n_mels = values.shape
+    n_out = n_fft + frame_hop * (n_frames - 1)
+    amps = np.where(values <= DB_FLOOR + 1e-9, 0.0, 10.0 ** (values / 20.0))
     active = np.flatnonzero(np.any(amps > 0, axis=0))
-    bank = oscillator_bank(m.n_mels, n_fft, sr, hop, n_frames)
+    bank = oscillator_bank(n_mels, n_fft, sample_rate, frame_hop, n_frames)
     # generate's decoded grids have had every bin active and use the tables
     # uncopied. take keeps C order; a fancy-indexed column subset would be in
     # Fortran order, and the products below would round differently.
-    if len(active) < m.n_mels:
+    if len(active) < n_mels:
         amps, bank = amps[:, active], [table.take(active, axis=1) for table in bank]
     seg_sin, seg_cos, off_sin, off_cos = bank
 
@@ -283,16 +259,16 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
     # center_j, and constant before the first center and from the last on.
     # Those constant stretches are covered by whole segments of slope 0, so
     # every sample comes from the same two products.
-    head, n_before, n_after = _segments(n_fft, hop)
+    head, n_before, n_after = _segments(n_fft, frame_hop)
     level = np.concatenate([np.repeat(amps[:1], n_before, axis=0), amps[:-1],
                             np.repeat(amps[-1:], n_after, axis=0)])
     slope = np.zeros_like(level)
-    slope[n_before:n_before + n_frames - 1] = np.diff(amps, axis=0) / hop
-    within = np.hstack([off_cos, off_sin]).T  # (2B, hop)
-    offsets = np.arange(head, head + hop) - n_fft / 2.0  # t - center_j in every segment
+    slope[n_before:n_before + n_frames - 1] = np.diff(amps, axis=0) / frame_hop
+    within = np.hstack([off_cos, off_sin]).T  # (2B, frame_hop)
+    offsets = np.arange(head, head + frame_hop) - n_fft / 2.0  # t - center_j in every segment
     base = np.hstack([level * seg_sin, level * seg_cos]) @ within
     ramp = np.hstack([slope * seg_sin, slope * seg_cos]) @ within
-    first = n_before * hop - head  # the row-major position of sample 0
+    first = n_before * frame_hop - head  # the row-major position of sample 0
     out = (base + offsets * ramp).ravel()[first:first + n_out]
 
     peak = np.max(np.abs(out))
@@ -300,7 +276,7 @@ def mel_to_waveform(m: MelGrid) -> Waveform:
         out /= peak
     else:
         out = np.zeros(n_out)
-    return Waveform(out, sample_rate=sr)
+    return Waveform(out, sample_rate=sample_rate)
 
 
 # --- WAV I/O (PCM16 mono little-endian) ----------------------------------

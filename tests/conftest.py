@@ -10,7 +10,6 @@ import pytest
 from melodygen import diffusion as df
 from melodygen import smallnet
 from melodygen.config import SignalConfig
-from melodygen.signal import MelGrid
 
 SIGNAL = SignalConfig()
 
@@ -41,9 +40,9 @@ def traced_peak(fn) -> int:
             tracemalloc.stop()
 
 
-def mel_grid(values):
-    """A mel grid of ``values`` framed as the default signal settings frame it."""
-    return MelGrid(values, SIGNAL.hop, SIGNAL.n_fft, SIGNAL.sample_rate)
+# (frame_hop, n_fft, sample_rate): how the default signal settings frame a
+# mel grid, in the order ``signal.mel_to_waveform`` takes them
+FRAMING = (SIGNAL.hop, SIGNAL.n_fft, SIGNAL.sample_rate)
 
 
 class DiskFull:

@@ -589,7 +589,7 @@ def test_features_hold_each_records_exact_mel_grid(trained):
                     "signal": dataclasses.asdict(cfg.signal)}
     assert arrays["mels"].shape == (len(records), cfg.signal.mel_frames, cfg.signal.n_mels)
     for r, values in zip(records, arrays["mels"]):
-        assert np.array_equal(values, pipeline.record_mel(cfg, art, r).values)
+        assert np.array_equal(values, pipeline.record_mel(cfg, art, r))
 
 
 def test_current_features_leave_evaluate_and_retraining_without_stft(trained, work_copy,
@@ -669,9 +669,7 @@ def test_stale_features_rebuild_holds_one_set_of_grids(trained, work_copy, monke
     smallnet.save_checkpoint(path, {"mels": arrays["mels"] + 1.0}, stale, exact=("mels",))
     # each record's grid from the current file, so the trace sees corpus_mels
     # alone and not the STFT
-    current = {r.id: signal.MelGrid(v, cfg.signal.hop, cfg.signal.n_fft,
-                                    cfg.signal.sample_rate)
-               for r, v in zip(records, arrays["mels"])}
+    current = {r.id: v for r, v in zip(records, arrays["mels"])}
     monkeypatch.setattr(pipeline, "record_mel", lambda cfg, art, r: current[r.id])
     del arrays
     peak = traced_peak(lambda: pipeline.corpus_mels(cfg, art, records))
@@ -715,6 +713,54 @@ def test_codec_without_mel_params_exits_1_naming_the_key(trained, work_copy, cap
     assert generate(config, work_copy) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and "latentcodec.ckpt" in err and repr(key) in err
+
+
+def generated_files(work) -> dict:
+    return {p.name: p.read_bytes() for p in (work / "generated").glob("*")}
+
+
+@pytest.mark.parametrize("field", ["frame_hop", "n_fft", "sample_rate"])
+def test_codec_with_non_positive_framing_exits_1_before_sampling(trained, work_copy, capsys,
+                                                                 monkeypatch, field):
+    config, _ = trained
+    edit_checkpoint_meta(work_copy / "latentcodec.ckpt",
+                         lambda meta: meta["mel_params"].update({field: 0}))
+    before = generated_files(work_copy)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
+                        lambda *a, **k: pytest.fail("sampled before the framing check"))
+    capsys.readouterr()
+    assert generate(config, work_copy) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "latentcodec.ckpt" in err and field in err
+    assert "rerun train-latent" in err and "Warning" not in err
+    assert generated_files(work_copy) == before
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--prompt", "a calm melody"],
+    ["evaluate", "--mode", "ablation", "--report", "{work}/report.json"],
+], ids=["generate", "evaluate_ablation"])
+def test_denoiser_older_than_a_retrained_clmp_exits_1_naming_it(trained, work_copy, tmp_path,
+                                                                capsys, monkeypatch, command):
+    """train-clmp and build-index rerun at another clmp.embed_dim leave a
+    diffusion.ckpt whose fusion map takes embeddings of the old width."""
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({**TINY, "clmp": {**TINY["clmp"], "embed_dim": 4}}))
+    for stage in ("train-clmp", "build-index"):
+        assert cli.main([stage, "--config", str(config), "--out", str(work_copy)]) == 0
+    denoiser = (work_copy / "diffusion.ckpt").read_bytes()
+    before = generated_files(work_copy)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
+                        lambda *a, **k: pytest.fail("sampled before the width check"))
+    capsys.readouterr()
+    args = [a.format(work=work_copy) for a in command]
+    assert cli.main([args[0], "--config", str(config), "--out", str(work_copy),
+                     *args[1:]]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "diffusion.ckpt" in err and "rerun train-diffusion" in err
+    assert f"{TINY['clmp']['embed_dim']}-wide" in err and "4-wide" in err
+    assert (work_copy / "diffusion.ckpt").read_bytes() == denoiser
+    assert generated_files(work_copy) == before and not (work_copy / "report.json").exists()
 
 
 # SHA-256 of the tiny stack's codec checkpoint in the layout that also stored

@@ -13,9 +13,7 @@ from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
 def toy_melody(pitches=(60, 64, 67), dur=40, rest=0):
-    return mc.MelodyTripletSeq(tuple(
-        mc.MelodyTriplet(mc.pitch_name(p), dur, rest) for p in pitches
-    ))
+    return tuple(mc.MelodyTriplet(mc.pitch_name(p), dur, rest) for p in pitches)
 
 
 def toy_mel(rng, frames=24, bins=16):
@@ -42,7 +40,7 @@ def batch_features(batch):
 
 def batch_loss(model, batch):
     """The training loss of ``model`` on one batch of triples."""
-    return clmp._BatchGraph(model, *batch_features(batch)).loss_and_grads()[0]
+    return clmp._loss_and_grads(model, *batch_features(batch))[0]
 
 
 def toy_model(seed=0, bins=16):
@@ -118,8 +116,8 @@ class TestFeaturizeWave:
         from melodygen.signal import mel_spectrogram, synthesize_melody
         low = synthesize_melody(toy_melody((48, 50, 52), dur=60), (1.0,), SIGNAL.sample_rate)
         high = synthesize_melody(toy_melody((60, 62, 64), dur=60), (1.0,), SIGNAL.sample_rate)
-        a = clmp.featurize_wave(mel_spectrogram(low, SIGNAL).values)
-        b = clmp.featurize_wave(mel_spectrogram(high, SIGNAL).values)
+        a = clmp.featurize_wave(mel_spectrogram(low, SIGNAL))
+        b = clmp.featurize_wave(mel_spectrogram(high, SIGNAL))
         assert float(a @ b) < 0.99
 
 
@@ -224,9 +222,9 @@ class TestContrastiveLoss:
         text, wave, melody = batch_features(batch)
 
         def loss():
-            return clmp._BatchGraph(model, text, wave, melody).loss_and_grads()[0]
+            return clmp._loss_and_grads(model, text, wave, melody)[0]
 
-        _, grads = clmp._BatchGraph(model, text, wave, melody).loss_and_grads()
+        _, grads = clmp._loss_and_grads(model, text, wave, melody)
         params = model.named_parameters().values()
         rng = smallnet.spawn_rng(900 + seed)
         worst = 0.0

@@ -46,7 +46,7 @@ class TestGenerate:
     def test_text_names_start_note(self, tmp_path):
         records = corpus.generate_corpus(20, seed=9, out_dir=tmp_path)
         for r in records:
-            first_pitch = r.melody.triplets[0].pitch_token
+            first_pitch = r.melody[0].pitch_token
             assert first_pitch.lower() in r.text.lower()
 
     def test_register_orders_mean_active_mel_bin(self, tmp_path):
@@ -57,7 +57,7 @@ class TestGenerate:
                 continue
             w = signal.read_wav(tmp_path / r.wav_path)
             m = signal.mel_spectrogram(w, SignalConfig())
-            active = m.values > signal.DB_FLOOR + 20.0
+            active = m > signal.DB_FLOOR + 20.0
             bins = np.where(active.any(axis=0))[0]
             weights = active.sum(axis=0)[bins]
             by_register[r.archetype.register].append(float(np.average(bins, weights=weights)))
@@ -79,7 +79,7 @@ class TestGenerate:
         records = corpus.generate_corpus(60, seed=11, out_dir=tmp_path)
         assert {r.archetype.register for r in records} == set(corpus.REGISTERS)
         for r in records:
-            start = parse_pitch(r.melody.triplets[0].pitch_token)
+            start = parse_pitch(r.melody[0].pitch_token)
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert lo <= start <= hi
 
@@ -117,6 +117,15 @@ class TestLoad:
         assert len(result.errors) == 1
         assert result.errors[0].record_id == records[2].id
         assert "wav" in result.errors[0].message
+
+    def test_wav_naming_a_directory_flags_record_others_load(self, tmp_path):
+        records = corpus.generate_corpus(6, seed=14, out_dir=tmp_path)
+        (tmp_path / records[2].wav_path).unlink()
+        (tmp_path / records[2].wav_path).mkdir()
+        result = corpus.load_corpus(tmp_path / "manifest.jsonl")
+        assert [r.id for r in result.records] == [r.id for i, r in enumerate(records) if i != 2]
+        assert [(e.record_id, e.message) for e in result.errors] == [
+            (records[2].id, f"no wav file at {records[2].wav_path}")]
 
     @pytest.mark.parametrize("field, value, message", [
         ("melody", "|<C4>,<999>,<0>|", "999"),

@@ -72,19 +72,17 @@ def triplet_strategy():
 
 class TestTokens:
     def test_render_example_string(self):
-        seq = mc.MelodyTripletSeq((mc.MelodyTriplet("F#3", 125, 79),
-                                   mc.MelodyTriplet("B#3", 129, 17)))
+        seq = (mc.MelodyTriplet("F#3", 125, 79), mc.MelodyTriplet("B#3", 129, 17))
         assert mc.render_tokens(seq) == "|<F#3>,<125>,<79>|<B#3>,<129>,<17>|"
 
     def test_render_empty(self):
-        assert mc.render_tokens(mc.MelodyTripletSeq(())) == "|"
+        assert mc.render_tokens(()) == "|"
 
     def test_parse_simple(self):
-        seq = mc.parse_tokens("|<C4>,<0>,<0>|")
-        assert seq.triplets == (mc.MelodyTriplet("C4", 0, 0),)
+        assert mc.parse_tokens("|<C4>,<0>,<0>|") == (mc.MelodyTriplet("C4", 0, 0),)
 
     def test_parse_empty(self):
-        assert mc.parse_tokens("|") == mc.MelodyTripletSeq(())
+        assert mc.parse_tokens("|") == ()
 
     def test_bad_note_letter_is_syntax_error_with_offset(self):
         with pytest.raises(ParseError) as e:
@@ -107,6 +105,7 @@ class TestTokens:
             mc.parse_tokens("|<C4>, <0>,<0>|")
 
     @settings(max_examples=200)
-    @given(st.lists(triplet_strategy(), max_size=20).map(tuple).map(mc.MelodyTripletSeq))
+    @given(st.lists(triplet_strategy(), max_size=20).map(tuple))
     def test_roundtrip(self, seq):
-        assert mc.parse_tokens(mc.render_tokens(seq)) == seq
+        parsed = mc.parse_tokens(mc.render_tokens(seq))
+        assert type(parsed) is tuple and parsed == seq

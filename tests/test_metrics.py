@@ -5,42 +5,41 @@ from melodygen import metrics, smallnet
 from melodygen.errors import ValidationError
 
 
-def cloud(mean, cov):
-    return metrics.FeatureCloud(mean=np.atleast_1d(mean), cov=np.atleast_2d(cov))
+# two rows +-c: mean 0 and variance 2 c^2, exactly; n = 2 > d = 1, so no
+# regularization
+def pm(c, shift=0.0):
+    return np.array([[shift + c], [shift - c]])
 
 
 class TestFrechet:
-    def test_same_cloud_is_zero(self):
+    def test_same_samples_give_zero(self):
         rng = smallnet.spawn_rng(0)
         v = rng.standard_normal((50, 6))
-        a = metrics.FeatureCloud.from_vectors(v)
-        assert metrics.frechet(a, a) <= 1e-6
+        assert metrics.frechet(v, v) <= 1e-6
 
-    def test_unit_gaussians_shifted_by_one(self):
-        a = cloud([0.0], [[1.0]])
-        b = cloud([1.0], [[1.0]])
-        assert metrics.frechet(a, b) == pytest.approx(1.0, abs=1e-9)
+    def test_equal_variances_shifted_by_one(self):
+        # variance 2 each, means 0 and 1: only the mean term remains
+        assert metrics.frechet(pm(1.0), pm(1.0, shift=1.0)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_variance_four_vs_one(self):
-        a = cloud([0.0], [[4.0]])
-        b = cloud([0.0], [[1.0]])
-        assert metrics.frechet(a, b) == pytest.approx(1.0, abs=1e-9)
+    def test_variance_eight_vs_two(self):
+        # (sqrt(8) - sqrt(2))^2 = 2
+        assert metrics.frechet(pm(2.0), pm(1.0)) == pytest.approx(2.0, abs=1e-9)
 
     def test_symmetry(self):
         rng = smallnet.spawn_rng(1)
-        a = metrics.FeatureCloud.from_vectors(rng.standard_normal((40, 5)))
-        b = metrics.FeatureCloud.from_vectors(1.0 + 0.5 * rng.standard_normal((40, 5)))
+        a = rng.standard_normal((40, 5))
+        b = 1.0 + 0.5 * rng.standard_normal((40, 5))
         assert metrics.frechet(a, b) == pytest.approx(metrics.frechet(b, a), abs=1e-9)
 
     def test_triangle_inequality_spot_checks(self):
         # Fréchet distance between Gaussians is a metric: check sqrt values
         rng = smallnet.spawn_rng(2)
-        clouds = [metrics.FeatureCloud.from_vectors(
-            rng.standard_normal(4) + rng.standard_normal((60, 4)) @ np.diag(0.5 + rng.random(4)))
-            for _ in range(3)]
-        dab = np.sqrt(metrics.frechet(clouds[0], clouds[1]))
-        dbc = np.sqrt(metrics.frechet(clouds[1], clouds[2]))
-        dac = np.sqrt(metrics.frechet(clouds[0], clouds[2]))
+        samples = [rng.standard_normal(4)
+                   + rng.standard_normal((60, 4)) @ np.diag(0.5 + rng.random(4))
+                   for _ in range(3)]
+        dab = np.sqrt(metrics.frechet(samples[0], samples[1]))
+        dbc = np.sqrt(metrics.frechet(samples[1], samples[2]))
+        dac = np.sqrt(metrics.frechet(samples[0], samples[2]))
         assert dac <= dab + dbc + 1e-9
 
     def test_matrix_sqrt_squares_back(self):
@@ -51,19 +50,23 @@ class TestFrechet:
             root = metrics._sqrtm_psd(cov)
             assert np.linalg.norm(root @ root - cov) <= 1e-8 * max(1, np.linalg.norm(cov))
 
-    def test_regularization_when_n_le_d(self):
-        rng = smallnet.spawn_rng(4)
-        v = rng.standard_normal((5, 8))  # n <= d: rank-deficient
-        a = metrics.FeatureCloud.from_vectors(v)
-        assert np.all(np.linalg.eigvalsh(a.cov) > 0)
+    def test_regularization_exactly_when_n_le_d(self):
+        # constant rows fit covariance 0, plus 1e-6 * I when n <= d: against
+        # an n > d fit of covariance 0 and the same mean, only Tr(1e-6 * I) =
+        # d * 1e-6 remains
+        low, high = np.zeros((2, 2)), np.zeros((3, 2))
+        assert metrics.frechet(low, high) == pytest.approx(2e-6, abs=1e-15)
+        assert metrics.frechet(high, low) == pytest.approx(2e-6, abs=1e-15)
+        assert metrics.frechet(high, high + 1.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            metrics.frechet(cloud([0.0], [[1.0]]), cloud([0.0, 0.0], np.eye(2)))
+        with pytest.raises(ValidationError, match="feature dims differ"):
+            metrics.frechet(pm(1.0), np.zeros((2, 2)))
 
-    def test_asymmetric_cov_rejected(self):
-        with pytest.raises(ValidationError):
-            metrics.FeatureCloud(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+    @pytest.mark.parametrize("shape", [(1, 3), (5,), (2, 2, 2)])
+    def test_non_sample_matrix_rejected(self, shape):
+        with pytest.raises(ValidationError, match=r"need an \(n>=2, d\) matrix"):
+            metrics.frechet(np.zeros(shape), np.zeros((4, 3)))
 
 
 def make_probe(classes=("a", "b"), seed=0):
