@@ -1,6 +1,6 @@
 """Melody-guided text-to-music generation, end to end at desk scale.
 
-Subpackages by stage:
+Modules by stage:
 
 - ``smallnet``      dense nets, manual gradients, Adam, checkpoints
 - ``melody_codec``  melody triplets <-> triplet token strings

@@ -21,7 +21,7 @@ import numpy as np
 from . import smallnet
 from .config import ClmpConfig
 from .errors import ValidationError
-from .melody_codec import N_BINS, Melody, parse_pitch
+from .melody_codec import N_BINS, Melody
 
 TEXT_DIM = 256
 _TEXT_HASH_KEY = b"melodygen.text.v1"  # fixed: featurization must never drift
@@ -33,16 +33,6 @@ _TOKEN_FEATURE_DIM = 128 + 2  # one-hot pitch + scaled duration/rest bins
 
 # ClmpModel's nets, in parameter order; each also names its checkpoint arrays
 NETS = ("text_head", "wave_head", "melody_token_embed", "melody_head")
-
-
-@dataclass
-class Triple:
-    """One aligned corpus item: caption, melody tokens, (T, F) mel grid."""
-
-    id: str
-    text: str
-    melody: Melody
-    mel: np.ndarray
 
 
 def _stable_hash(token: str) -> int:
@@ -98,11 +88,10 @@ def melody_token_features(seq: Melody) -> np.ndarray:
     """(L, 130): one-hot pitch plus duration/rest bins scaled to [0, 1]."""
     if len(seq) == 0:
         raise ValidationError("cannot featurize an empty melody")
+    notes = np.array([(t.pitch, t.duration_bin, t.rest_bin) for t in seq])
     feats = np.zeros((len(seq), _TOKEN_FEATURE_DIM))
-    for i, t in enumerate(seq):
-        feats[i, parse_pitch(t.pitch_token)] = 1.0
-        feats[i, 128] = t.duration_bin / (N_BINS - 1)
-        feats[i, 129] = t.rest_bin / (N_BINS - 1)
+    feats[np.arange(len(seq)), notes[:, 0]] = 1.0
+    feats[:, 128:] = notes[:, 1:] / (N_BINS - 1)
     return feats
 
 
@@ -283,27 +272,29 @@ class TrainResult:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
-               seed: int) -> TrainResult:
-    """Batch-gradient training with Adam; loss recorded per epoch.
+def train_clmp(model: ClmpModel, texts: list[str], mels, melodies: list[Melody],
+               config: ClmpConfig, seed: int) -> TrainResult:
+    """Batch-gradient training with Adam on aligned items: caption ``texts[i]``,
+    (T, F) mel grid ``mels[i]`` and ``melodies[i]``; loss recorded per epoch.
 
     Features are computed once up front (they are deterministic). Epoch order
     is a seeded shuffle; a trailing partial batch is dropped so every step
     sees exactly ``batch_size`` items.
     """
-    if len(corpus) < config.batch_size:
+    n = len(texts)
+    if n < config.batch_size:
         raise ValidationError(f"clmp.batch_size={config.batch_size} is more than the "
-                              f"{len(corpus)} training items")
-    text = features("text", [t.text for t in corpus])
-    wave = features("waveform", [t.mel for t in corpus])
-    melody = features("melody", [t.melody for t in corpus])
+                              f"{n} training items")
+    text = features("text", texts)
+    wave = features("waveform", mels)
+    melody = features("melody", melodies)
 
     rng = smallnet.spawn_rng(seed, 202)
     opt = smallnet.Optimizer(model.named_parameters(), config.learning_rate)
     curve = []
-    n_batches = len(corpus) // config.batch_size
+    n_batches = n // config.batch_size
     for _ in range(config.epochs):
-        order = rng.permutation(len(corpus))
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
@@ -314,20 +305,20 @@ def train_clmp(model: ClmpModel, corpus: list[Triple], config: ClmpConfig,
     return TrainResult(model=model, loss_curve=curve)
 
 
-def eval_retrieval(model: ClmpModel, triples: list[Triple]) -> dict:
-    """R@1/5/10 and mAP@10 for each of ``DIRECTIONS``; the true mate is the
-    same item.
+def eval_retrieval(model: ClmpModel, texts: list[str], mels, melodies: list[Melody]) -> dict:
+    """R@1/5/10 and mAP@10 for each of ``DIRECTIONS`` over aligned items, as
+    ``train_clmp`` takes them; the true mate is the same item.
 
     mAP@10 is mean(1/rank) with rank > 10 scored as 0 (one relevant item per
     query). Ranks count strictly-greater similarities, so exact ties do not
     push the mate down.
     """
-    if len(triples) < MIN_RETRIEVAL_ITEMS:
+    if len(texts) < MIN_RETRIEVAL_ITEMS:
         raise ValidationError(f"evaluation set needs >= {MIN_RETRIEVAL_ITEMS} items, "
-                              f"got {len(triples)}")
-    emb = {"T": embed(model, "text", [t.text for t in triples]),
-           "W": embed(model, "waveform", [t.mel for t in triples]),
-           "M": embed(model, "melody", [t.melody for t in triples])}
+                              f"got {len(texts)}")
+    emb = {"T": embed(model, "text", texts),
+           "W": embed(model, "waveform", mels),
+           "M": embed(model, "melody", melodies)}
     out = {}
     for d in DIRECTIONS:
         sims = emb[d[0]] @ emb[d[2]].T

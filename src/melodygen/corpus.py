@@ -155,7 +155,7 @@ def _melody_for(archetype: Archetype, rng: np.random.Generator) -> Melody:
     for i in range(n_notes):
         pitch = min(base + steps[i % len(steps)], 127)
         dur = note_s * float(rng.uniform(0.9, 1.1))
-        triplets.append(MelodyTriplet(pitch_name(pitch), bin_duration(dur), bin_duration(rest_s)))
+        triplets.append(MelodyTriplet(pitch, bin_duration(dur), bin_duration(rest_s)))
     return tuple(triplets)
 
 
@@ -166,7 +166,7 @@ def _text_for(archetype: Archetype, melody: Melody, rng: np.random.Generator) ->
         pattern=_PATTERN_PHRASE[archetype.pattern],
         register=archetype.register,
         timbre=archetype.timbre,
-        note=melody[0].pitch_token,
+        note=pitch_name(melody[0].pitch),
     )
 
 

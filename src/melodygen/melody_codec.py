@@ -4,7 +4,9 @@ Each note is a ``<pitch_name>,<duration_bin>,<rest_bin>`` triplet: its pitch,
 its duration, and the silence after it. Durations and rests are quantized
 linearly over 0..6.3 s into 512 bins (bin = floor(t / 6.3 * 512), clamped).
 Pitch names use sharps only, octave convention MIDI 0 = "C-1" (so 60 = "C4").
-A melody is a plain tuple of ``MelodyTriplet``s (``Melody``).
+A melody is a plain tuple of ``MelodyTriplet``s (``Melody``). In memory a
+triplet holds its pitch as a MIDI number; pitch names exist only in token
+strings, which ``parse_tokens`` reads and ``render_tokens`` writes.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ _PITCH_RE = re.compile(r"^([A-G])(#?)(-?\d+)$")
 
 @dataclass(frozen=True)
 class MelodyTriplet:
-    pitch_token: str
+    pitch: int  # MIDI 0..127
     duration_bin: int
     rest_bin: int
 
     def __post_init__(self):
-        parse_pitch(self.pitch_token)  # raises if invalid
-        for label, v in (("duration_bin", self.duration_bin), ("rest_bin", self.rest_bin)):
-            if not (0 <= v < N_BINS):
-                raise RangeError(f"{label} outside 0..{N_BINS - 1}", v)
+        for label, v, hi in (("pitch", self.pitch, 127),
+                             ("duration_bin", self.duration_bin, N_BINS - 1),
+                             ("rest_bin", self.rest_bin, N_BINS - 1)):
+            if not (0 <= v <= hi):
+                raise RangeError(f"{label} outside 0..{hi}", v)
 
 
 Melody = tuple[MelodyTriplet, ...]
@@ -76,7 +79,7 @@ def render_tokens(seq: Melody) -> str:
     """`|<P>,<d>,<r>|...|` with leading and trailing separators, no spaces."""
     parts = ["|"]
     for t in seq:
-        parts.append(f"<{t.pitch_token}>,<{t.duration_bin}>,<{t.rest_bin}>|")
+        parts.append(f"<{pitch_name(t.pitch)}>,<{t.duration_bin}>,<{t.rest_bin}>|")
     return "".join(parts)
 
 
@@ -116,11 +119,9 @@ def parse_tokens(s: str) -> Melody:
         sc.expect("<")
         name = sc.until(">")
         try:
-            parse_pitch(name)
+            pitch = parse_pitch(name)
         except ParseError as e:
             raise ParseError(str(e).rsplit(" (at offset", 1)[0], pitch_pos + 1 + e.position) from None
-        except RangeError:
-            raise
         sc.expect(">")
         bins = []
         for label in ("duration", "rest"):
@@ -136,5 +137,5 @@ def parse_tokens(s: str) -> Melody:
             sc.expect(">")
             bins.append(value)
         sc.expect("|")
-        triplets.append(MelodyTriplet(name, bins[0], bins[1]))
+        triplets.append(MelodyTriplet(pitch, bins[0], bins[1]))
     return tuple(triplets)

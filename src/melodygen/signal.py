@@ -33,7 +33,7 @@ import numpy as np
 from . import smallnet
 from .config import SignalConfig
 from .errors import FormatError, ValidationError
-from .melody_codec import BIN_SECONDS, Melody, parse_pitch
+from .melody_codec import BIN_SECONDS, Melody
 
 DB_FLOOR = -80.0
 _POWER_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
@@ -155,7 +155,7 @@ def synthesize_melody(seq: Melody, timbre: list[float] | tuple[float, ...],
     for trip in seq:
         t_on = t
         t += trip.duration_bin * BIN_SECONDS
-        events.append((round(t_on * sr), round(t * sr), pitch_to_hz(parse_pitch(trip.pitch_token))))
+        events.append((round(t_on * sr), round(t * sr), pitch_to_hz(trip.pitch)))
         t += trip.rest_bin * BIN_SECONDS
     total = round(t * sr)
     out = np.zeros(max(total, 1))

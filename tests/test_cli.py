@@ -740,25 +740,32 @@ def test_codec_with_non_positive_framing_exits_1_before_sampling(trained, work_c
     ["generate", "--prompt", "a calm melody"],
     ["evaluate", "--mode", "ablation", "--report", "{work}/report.json"],
 ], ids=["generate", "evaluate_ablation"])
-def test_denoiser_older_than_a_retrained_clmp_exits_1_naming_it(trained, work_copy, tmp_path,
-                                                                capsys, monkeypatch, command):
-    """train-clmp and build-index rerun at another clmp.embed_dim leave a
-    diffusion.ckpt whose fusion map takes embeddings of the old width."""
-    config = tmp_path / "narrow.json"
-    config.write_text(json.dumps({**TINY, "clmp": {**TINY["clmp"], "embed_dim": 4}}))
-    for stage in ("train-clmp", "build-index"):
+@pytest.mark.parametrize("override, stages, named", [
+    ({"clmp": {**TINY["clmp"], "embed_dim": 4}}, ("train-clmp", "build-index"),
+     ("melody.ckpt", f"{TINY['clmp']['embed_dim']}-wide", "4-wide")),
+    ({"latent": {**TINY["latent"], "channels": 2}}, ("train-latent",),
+     ("latentcodec.ckpt", f"{PipelineConfig().latent.channels}-channel", "2-channel")),
+], ids=["clmp_embed_dim", "latent_channels"])
+def test_denoiser_older_than_a_retrained_stage_exits_1_naming_it(
+        trained, work_copy, tmp_path, capsys, monkeypatch, command, override, stages, named):
+    """Rerunning ``stages`` at another clmp.embed_dim or latent.channels leaves
+    a diffusion.ckpt whose fusion map takes embeddings of the old width, or
+    whose denoiser makes latents of the old channel count."""
+    config = tmp_path / "changed.json"
+    config.write_text(json.dumps({**TINY, **override}))
+    for stage in stages:
         assert cli.main([stage, "--config", str(config), "--out", str(work_copy)]) == 0
     denoiser = (work_copy / "diffusion.ckpt").read_bytes()
     before = generated_files(work_copy)
     monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
-                        lambda *a, **k: pytest.fail("sampled before the width check"))
+                        lambda *a, **k: pytest.fail("sampled before the stack check"))
     capsys.readouterr()
     args = [a.format(work=work_copy) for a in command]
     assert cli.main([args[0], "--config", str(config), "--out", str(work_copy),
                      *args[1:]]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and "diffusion.ckpt" in err and "rerun train-diffusion" in err
-    assert f"{TINY['clmp']['embed_dim']}-wide" in err and "4-wide" in err
+    assert all(fragment in err for fragment in named), err
     assert (work_copy / "diffusion.ckpt").read_bytes() == denoiser
     assert generated_files(work_copy) == before and not (work_copy / "report.json").exists()
 

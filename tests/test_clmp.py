@@ -13,34 +13,34 @@ from fdcheck import central_diff_grad, max_rel_err, sample_coords
 
 
 def toy_melody(pitches=(60, 64, 67), dur=40, rest=0):
-    return tuple(mc.MelodyTriplet(mc.pitch_name(p), dur, rest) for p in pitches)
+    return tuple(mc.MelodyTriplet(p, dur, rest) for p in pitches)
 
 
 def toy_mel(rng, frames=24, bins=16):
     return DB_FLOOR + 60.0 * rng.random((frames, bins))
 
 
-def toy_triples(n, seed=0, bins=16):
+def toy_corpus(n, seed=0, bins=16):
+    """(texts, mels, melodies) of ``n`` aligned items, as train_clmp takes them."""
     rng = smallnet.spawn_rng(seed)
     words = ["calm", "bright", "slow", "fast", "deep", "high", "airy", "warm"]
-    out = []
+    texts, mels, melodies = [], [], []
     for i in range(n):
-        text = " ".join(rng.choice(words, size=4)) + f" item{i}"
-        melody = toy_melody(tuple(int(p) for p in rng.integers(40, 90, size=4)))
-        out.append(clmp.Triple(f"t{i}", text, melody, toy_mel(rng, bins=bins)))
-    return out
+        texts.append(" ".join(rng.choice(words, size=4)) + f" item{i}")
+        melodies.append(toy_melody(tuple(int(p) for p in rng.integers(40, 90, size=4))))
+        mels.append(toy_mel(rng, bins=bins))
+    return texts, mels, melodies
 
 
-def batch_features(batch):
-    """Text, wave and per-token melody features of aligned triples."""
-    return (clmp.features("text", [t.text for t in batch]),
-            clmp.features("waveform", [t.mel for t in batch]),
-            clmp.features("melody", [t.melody for t in batch]))
+def batch_features(texts, mels, melodies):
+    """Text, wave and per-token melody features of aligned items."""
+    return (clmp.features("text", texts), clmp.features("waveform", mels),
+            clmp.features("melody", melodies))
 
 
 def batch_loss(model, batch):
-    """The training loss of ``model`` on one batch of triples."""
-    return clmp._loss_and_grads(model, *batch_features(batch))[0]
+    """The training loss of ``model`` on one (texts, mels, melodies) batch."""
+    return clmp._loss_and_grads(model, *batch_features(*batch))[0]
 
 
 def toy_model(seed=0, bins=16):
@@ -125,9 +125,8 @@ class TestEmbed:
     @pytest.mark.parametrize("modality", ["text", "waveform", "melody"])
     def test_batch_rows_equal_one_item_batches(self, modality):
         model = toy_model()
-        triples = toy_triples(7, seed=19)
-        items = [{"text": t.text, "waveform": t.mel, "melody": t.melody}[modality]
-                 for t in triples]
+        texts, mels, melodies = toy_corpus(7, seed=19)
+        items = {"text": texts, "waveform": mels, "melody": melodies}[modality]
         batch = clmp.embed(model, modality, items)
         assert batch.shape == (7, model.embed_dim)
         singles = np.concatenate([clmp.embed(model, modality, [item]) for item in items])
@@ -218,8 +217,7 @@ class TestContrastiveLoss:
     def test_gradients_match_finite_differences(self, seed):
         bins = 16
         model = toy_model(seed=seed, bins=bins)
-        batch = toy_triples(5, seed=seed, bins=bins)
-        text, wave, melody = batch_features(batch)
+        text, wave, melody = batch_features(*toy_corpus(5, seed=seed, bins=bins))
 
         def loss():
             return clmp._loss_and_grads(model, text, wave, melody)[0]
@@ -238,8 +236,7 @@ class TestContrastiveLoss:
 class TestTraining:
     def test_loss_decreases_over_first_epochs(self):
         model = toy_model(seed=3)
-        triples = toy_triples(40, seed=3)
-        result = clmp.train_clmp(model, triples, ClmpConfig(
+        result = clmp.train_clmp(model, *toy_corpus(40, seed=3), ClmpConfig(
             batch_size=8, epochs=5, learning_rate=1e-3), seed=3)
         curve = result.loss_curve
         assert all(curve[i + 1] < curve[i] for i in range(4))
@@ -247,10 +244,10 @@ class TestTraining:
     def test_zero_lr_keeps_parameters_and_loss(self):
         model = toy_model(seed=4)
         before = [p.copy() for p in model.named_parameters().values()]
-        triples = toy_triples(16, seed=4)
-        fixed_batch = triples[:8]
+        items = toy_corpus(16, seed=4)
+        fixed_batch = [modality[:8] for modality in items]
         loss_before = batch_loss(model, fixed_batch)
-        clmp.train_clmp(model, triples, ClmpConfig(
+        clmp.train_clmp(model, *items, ClmpConfig(
             batch_size=8, epochs=3, learning_rate=0.0), seed=4)
         for a, b in zip(before, model.named_parameters().values()):
             assert np.array_equal(a, b)
@@ -259,7 +256,7 @@ class TestTraining:
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
         def run(path):
             model = toy_model(seed=5)
-            clmp.train_clmp(model, toy_triples(16, seed=5), ClmpConfig(
+            clmp.train_clmp(model, *toy_corpus(16, seed=5), ClmpConfig(
                 batch_size=8, epochs=3, learning_rate=1e-3), seed=5)
             model.save(path)
 
@@ -269,7 +266,7 @@ class TestTraining:
 
     def test_corpus_smaller_than_batch_rejected(self):
         with pytest.raises(ValidationError, match="clmp.batch_size"):
-            clmp.train_clmp(toy_model(), toy_triples(4), ClmpConfig(batch_size=8), seed=0)
+            clmp.train_clmp(toy_model(), *toy_corpus(4), ClmpConfig(batch_size=8), seed=0)
 
     def test_checkpoint_roundtrip_preserves_embeddings(self, tmp_path):
         model = toy_model(seed=6)
@@ -297,15 +294,16 @@ def test_float64_training_matches_golden_hash():
         pytest.skip(f"no golden float64 CLMP hash pinned for {key}")
     rng = smallnet.spawn_rng(24)
 
-    def triple(i, n_notes):  # 1 to 17 notes, so the mean pool sees many lengths
+    texts, mels, melodies = [], [], []
+    # 1 to 17 notes, so the mean pool sees many lengths
+    for i, n_notes in enumerate(rng.integers(1, 18, size=24)):
         words = " ".join(rng.choice(["bright", "slow", "deep", "airy"], size=3))
-        melody = toy_melody(tuple(int(p) for p in rng.integers(40, 90, size=n_notes)))
-        return clmp.Triple(f"t{i}", f"calm line item{i} {words}", melody, toy_mel(rng))
-
-    triples = [triple(i, n) for i, n in enumerate(rng.integers(1, 18, size=24))]
+        texts.append(f"calm line item{i} {words}")
+        melodies.append(toy_melody(tuple(int(p) for p in rng.integers(40, 90, size=n_notes))))
+        mels.append(toy_mel(rng))
     model = toy_model(seed=24)
-    result = clmp.train_clmp(model, triples, ClmpConfig(batch_size=8, epochs=3,
-                                                        learning_rate=1e-3), seed=24)
+    result = clmp.train_clmp(model, texts, mels, melodies, ClmpConfig(
+        batch_size=8, epochs=3, learning_rate=1e-3), seed=24)
     digest = hashlib.sha256(repr(result.loss_curve).encode())
     for p in model.named_parameters().values():
         digest.update(p.tobytes())
@@ -316,7 +314,6 @@ class TestEvalRetrieval:
     def test_perfect_alignment_gives_ones(self):
         # identical per-item embeddings across modalities: every metric is 1
         model = toy_model(seed=7)
-        triples = toy_triples(12, seed=7)
         emb = np.eye(12, 16)
         out = {}
         for d in clmp.DIRECTIONS:
@@ -341,15 +338,14 @@ class TestEvalRetrieval:
 
     def test_metrics_monotone_in_k_and_bounded(self):
         model = toy_model(seed=8)
-        triples = toy_triples(16, seed=8)
-        table = clmp.eval_retrieval(model, triples)
+        table = clmp.eval_retrieval(model, *toy_corpus(16, seed=8))
         for d, row in table.items():
             assert 0.0 <= row["r1"] <= row["r5"] <= row["r10"] <= 1.0
             assert 0.0 <= row["map10"] <= 1.0
 
     def test_small_eval_set_rejected(self):
         with pytest.raises(ValidationError):
-            clmp.eval_retrieval(toy_model(), toy_triples(5))
+            clmp.eval_retrieval(toy_model(), *toy_corpus(5))
 
     def test_chance_level_r1(self):
         # untrained random models on random data: R@1 concentrates near 1/n

@@ -8,7 +8,7 @@ import pytest
 from melodygen import corpus, signal
 from melodygen.config import SignalConfig
 from melodygen.errors import FormatError, ValidationError
-from melodygen.melody_codec import parse_pitch
+from melodygen.melody_codec import pitch_name
 
 
 class TestGenerate:
@@ -46,8 +46,7 @@ class TestGenerate:
     def test_text_names_start_note(self, tmp_path):
         records = corpus.generate_corpus(20, seed=9, out_dir=tmp_path)
         for r in records:
-            first_pitch = r.melody[0].pitch_token
-            assert first_pitch.lower() in r.text.lower()
+            assert pitch_name(r.melody[0].pitch).lower() in r.text.lower()
 
     def test_register_orders_mean_active_mel_bin(self, tmp_path):
         records = corpus.generate_corpus(60, seed=10, out_dir=tmp_path)
@@ -67,7 +66,7 @@ class TestGenerate:
     def test_melody_pitch_range_matches_register(self, tmp_path):
         records = corpus.generate_corpus(60, seed=11, out_dir=tmp_path)
         for r in records:
-            pitches = [parse_pitch(t.pitch_token) for t in r.melody]
+            pitches = [t.pitch for t in r.melody]
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert min(pitches) >= lo
             assert max(pitches) <= min(hi + 12, 127)  # patterns span up to an octave
@@ -79,7 +78,7 @@ class TestGenerate:
         records = corpus.generate_corpus(60, seed=11, out_dir=tmp_path)
         assert {r.archetype.register for r in records} == set(corpus.REGISTERS)
         for r in records:
-            start = parse_pitch(r.melody[0].pitch_token)
+            start = r.melody[0].pitch
             lo, hi = corpus.REGISTER_BASE[r.archetype.register]
             assert lo <= start <= hi
 
@@ -129,9 +128,11 @@ class TestLoad:
 
     @pytest.mark.parametrize("field, value, message", [
         ("melody", "|<C4>,<999>,<0>|", "999"),
+        ("melody", "|<G#9>,<1>,<0>|", "pitch name 'G#9' maps outside MIDI 0..127"),
         ("melody", "|", "field 'melody' has no notes"),
         ("text", "!!! ...", "field 'text' has no tokens"),
-    ], ids=["melody_bin_out_of_range", "melody_without_notes", "text_without_tokens"])
+    ], ids=["melody_bin_out_of_range", "melody_pitch_out_of_range", "melody_without_notes",
+            "text_without_tokens"])
     def test_unusable_field_reported_by_id(self, tmp_path, field, value, message):
         records = corpus.generate_corpus(4, seed=15, out_dir=tmp_path)
         manifest = tmp_path / "manifest.jsonl"

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,22 +67,40 @@ class TestPitchNames:
 def triplet_strategy():
     return st.builds(
         mc.MelodyTriplet,
-        pitch_token=st.integers(min_value=0, max_value=127).map(mc.pitch_name),
+        pitch=st.integers(min_value=0, max_value=127),
         duration_bin=st.integers(min_value=0, max_value=511),
         rest_bin=st.integers(min_value=0, max_value=511),
     )
 
 
+class TestTriplet:
+    @pytest.mark.parametrize("pitch", [-1, 128])
+    def test_pitch_outside_midi_range_rejected(self, pitch):
+        with pytest.raises(RangeError) as e:
+            mc.MelodyTriplet(pitch, 0, 0)
+        assert e.value.value == pitch
+
+    @pytest.mark.parametrize("bins", [(512, 0), (0, -1)])
+    def test_bin_outside_range_rejected(self, bins):
+        with pytest.raises(RangeError):
+            mc.MelodyTriplet(60, *bins)
+
+
 class TestTokens:
     def test_render_example_string(self):
-        seq = (mc.MelodyTriplet("F#3", 125, 79), mc.MelodyTriplet("B#3", 129, 17))
-        assert mc.render_tokens(seq) == "|<F#3>,<125>,<79>|<B#3>,<129>,<17>|"
+        seq = (mc.MelodyTriplet(54, 125, 79), mc.MelodyTriplet(60, 129, 17))
+        assert mc.render_tokens(seq) == "|<F#3>,<125>,<79>|<C4>,<129>,<17>|"
+
+    def test_sharp_on_b_parses_to_the_next_midi_number_and_renders_canonically(self):
+        (triplet,) = mc.parse_tokens("|<B#3>,<1>,<2>|")
+        assert triplet.pitch == 60
+        assert mc.render_tokens((triplet,)) == "|<C4>,<1>,<2>|"
 
     def test_render_empty(self):
         assert mc.render_tokens(()) == "|"
 
     def test_parse_simple(self):
-        assert mc.parse_tokens("|<C4>,<0>,<0>|") == (mc.MelodyTriplet("C4", 0, 0),)
+        assert mc.parse_tokens("|<C4>,<0>,<0>|") == (mc.MelodyTriplet(60, 0, 0),)
 
     def test_parse_empty(self):
         assert mc.parse_tokens("|") == ()
@@ -109,3 +130,16 @@ class TestTokens:
     def test_roundtrip(self, seq):
         parsed = mc.parse_tokens(mc.render_tokens(seq))
         assert type(parsed) is tuple and parsed == seq
+
+
+def test_pitch_names_are_used_only_by_the_codec_and_the_caption():
+    """The pitch-name format stays behind melody_codec: other modules read
+    MelodyTriplet.pitch, and only corpus names a pitch, in its captions."""
+    users = set()
+    for path in Path(mc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in ("parse_pitch", "pitch_name"):
+                users.add(path.stem)
+    assert users <= {"melody_codec", "corpus"}

@@ -8,7 +8,7 @@ from melodygen import corpus
 from melodygen import signal as sig
 from melodygen.config import SignalConfig
 from melodygen.errors import FormatError, ValidationError
-from melodygen.melody_codec import BIN_SECONDS, Melody, MelodyTriplet, bin_duration, parse_pitch
+from melodygen.melody_codec import BIN_SECONDS, Melody, MelodyTriplet, bin_duration
 
 
 def sine(freq, seconds=1.0, sr=16000, amp=1.0):
@@ -100,7 +100,7 @@ def test_mel_spectrogram_of_corpus_clips_matches_reference():
 
 class TestSynthesizeMelody:
     def test_a4_sine_duration_and_frequency(self):
-        seq = (MelodyTriplet("A4", bin_duration(0.5), 0),)
+        seq = (MelodyTriplet(69, bin_duration(0.5), 0),)
         w = sig.synthesize_melody(seq, (1.0,), 16000)
         target = bin_duration(0.5) * BIN_SECONDS
         assert abs(len(w.samples) / 16000 - target) <= 1 / 16000 + 1e-9
@@ -109,14 +109,14 @@ class TestSynthesizeMelody:
         assert abs(freqs[np.argmax(spec)] - 440.0) <= freqs[1]
 
     def test_rest_bins_are_exact_zeros(self):
-        seq = (MelodyTriplet("C4", 40, 40), MelodyTriplet("E4", 40, 0))
+        seq = (MelodyTriplet(60, 40, 40), MelodyTriplet(64, 40, 0))
         w = sig.synthesize_melody(seq, (1.0,), 16000)
         start = round(40 * BIN_SECONDS * 16000)
         end = round(80 * BIN_SECONDS * 16000)
         assert np.all(w.samples[start:end] == 0.0)
 
     def test_tone_segments_hit_equal_temperament_freqs(self):
-        seq = (MelodyTriplet("C4", 60, 0), MelodyTriplet("G4", 60, 0))
+        seq = (MelodyTriplet(60, 60, 0), MelodyTriplet(67, 60, 0))
         sr = 16000
         w = sig.synthesize_melody(seq, (1.0,), sr)
         seg = round(60 * BIN_SECONDS * sr)
@@ -127,13 +127,13 @@ class TestSynthesizeMelody:
             assert abs(freqs[np.argmax(spec)] - expected) <= freqs[1]
 
     def test_total_duration_is_bin_sum(self):
-        seq = tuple(MelodyTriplet("C4", d, r) for d, r in [(17, 5), (33, 0), (90, 12)])
+        seq = tuple(MelodyTriplet(60, d, r) for d, r in [(17, 5), (33, 0), (90, 12)])
         w = sig.synthesize_melody(seq, (1.0,), 16000)
         expected = (17 + 5 + 33 + 0 + 90 + 12) * BIN_SECONDS
         assert abs(len(w.samples) - expected * 16000) <= 1
 
     def test_peak_normalized(self):
-        seq = (MelodyTriplet("A4", 100, 0),)
+        seq = (MelodyTriplet(69, 100, 0),)
         w = sig.synthesize_melody(seq, (0.01,), 16000)
         assert np.max(np.abs(w.samples)) == pytest.approx(1.0)
 
@@ -152,12 +152,12 @@ class TestSynthesizeMelody:
             assert np.array_equal(got, per_note_synthesize(r.melody, weights, SIGNAL.sample_rate))
 
     @pytest.mark.parametrize("notes", [
-        [("C4", 90, 0), ("C4", 20, 5), ("E4", 30, 0), ("C4", 45, 0)],  # longest first
-        [("C4", 20, 0), ("C4", 45, 3), ("E4", 30, 2), ("C4", 90, 0)],  # longest last
-        [("C4", 0, 4), ("E4", 30, 0), ("C4", 25, 0), ("G4", 0, 0), ("E4", 0, 3)],  # zero-length
-        [("A4", 1, 0), ("A4", 60, 1), ("A4", 1, 2), ("B4", 1, 0)],  # shorter than two fades
-        [("A4", 70, 6)],
-        [("A4", 0, 6)],
+        [(60, 90, 0), (60, 20, 5), (64, 30, 0), (60, 45, 0)],  # longest first
+        [(60, 20, 0), (60, 45, 3), (64, 30, 2), (60, 90, 0)],  # longest last
+        [(60, 0, 4), (64, 30, 0), (60, 25, 0), (67, 0, 0), (64, 0, 3)],  # zero-length
+        [(69, 1, 0), (69, 60, 1), (69, 1, 2), (71, 1, 0)],  # shorter than two fades
+        [(69, 70, 6)],
+        [(69, 0, 6)],
     ])
     @pytest.mark.parametrize("sr", [8000, 16000, 22050])
     def test_edge_melodies_are_bit_equal_to_per_note_rendering(self, notes, sr):
@@ -174,7 +174,7 @@ def per_note_synthesize(seq: Melody, timbre, sr: int) -> np.ndarray:
     for trip in seq:
         t_on = t
         t += trip.duration_bin * BIN_SECONDS
-        freq = sig.pitch_to_hz(parse_pitch(trip.pitch_token))
+        freq = sig.pitch_to_hz(trip.pitch)
         events.append((round(t_on * sr), round(t * sr), freq))
         t += trip.rest_bin * BIN_SECONDS
     out = np.zeros(max(round(t * sr), 1))
