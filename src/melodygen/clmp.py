@@ -305,29 +305,30 @@ def train_clmp(model: ClmpModel, texts: list[str], mels, melodies: list[Melody],
     return TrainResult(model=model, loss_curve=curve)
 
 
-def eval_retrieval(model: ClmpModel, texts: list[str], mels, melodies: list[Melody]) -> dict:
-    """R@1/5/10 and mAP@10 for each of ``DIRECTIONS`` over aligned items, as
-    ``train_clmp`` takes them; the true mate is the same item.
+def retrieval_scores(sims: np.ndarray) -> dict:
+    """R@1/5/10 and mAP@10 of the (n, n) query-by-candidate similarities
+    ``sims``, whose diagonal holds each query's true mate.
 
     mAP@10 is mean(1/rank) with rank > 10 scored as 0 (one relevant item per
     query). Ranks count strictly-greater similarities, so exact ties do not
     push the mate down.
     """
+    ranks = 1 + (sims > np.diag(sims)[:, None]).sum(axis=1)
+    return {
+        "r1": float(np.mean(ranks <= 1)),
+        "r5": float(np.mean(ranks <= 5)),
+        "r10": float(np.mean(ranks <= 10)),
+        "map10": float(np.mean(np.where(ranks <= 10, 1.0 / ranks, 0.0))),
+    }
+
+
+def eval_retrieval(model: ClmpModel, texts: list[str], mels, melodies: list[Melody]) -> dict:
+    """``retrieval_scores`` for each of ``DIRECTIONS`` over aligned items, as
+    ``train_clmp`` takes them; the true mate is the same item."""
     if len(texts) < MIN_RETRIEVAL_ITEMS:
         raise ValidationError(f"evaluation set needs >= {MIN_RETRIEVAL_ITEMS} items, "
                               f"got {len(texts)}")
     emb = {"T": embed(model, "text", texts),
            "W": embed(model, "waveform", mels),
            "M": embed(model, "melody", melodies)}
-    out = {}
-    for d in DIRECTIONS:
-        sims = emb[d[0]] @ emb[d[2]].T
-        diag = np.diag(sims)
-        ranks = 1 + (sims > diag[:, None]).sum(axis=1)
-        out[d] = {
-            "r1": float(np.mean(ranks <= 1)),
-            "r5": float(np.mean(ranks <= 5)),
-            "r10": float(np.mean(ranks <= 10)),
-            "map10": float(np.mean(np.where(ranks <= 10, 1.0 / ranks, 0.0))),
-        }
-    return out
+    return {d: retrieval_scores(emb[d[0]] @ emb[d[2]].T) for d in DIRECTIONS}

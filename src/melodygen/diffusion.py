@@ -7,10 +7,13 @@ Gaussian posterior q(x_{n-1} | x_n, x0).
 Conditioning is one fused vector per row, c = [query || melody] W + b; a
 learned constant null vector stands in for "no condition" and is trained by
 random condition dropout, enabling classifier-free guidance
-eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). A training step draws nothing:
-its steps, noise and dropout mask come from the caller, which owns the random
-stream. Samplers: ancestral (DDPM) and deterministic subsequence (DDIM, eta=0),
-each a table of per-step scalars (alpha, beta, sigma) that one loop runs.
+eps_bar = (w+1) eps(x,n,c) - w eps(x,n,null). The map, its null, the noise
+schedule and the latent shape belong to the ``Denoiser``, as diffusion.ckpt
+holds them. A training step fuses its rows and back-propagates into the map,
+but draws nothing: its steps, noise and dropout mask come from the caller,
+which owns the random stream. Samplers: ancestral (DDPM) and deterministic
+subsequence (DDIM, eta=0), each a table of per-step scalars (alpha, beta,
+sigma) that one loop runs.
 
 Precision: a training step runs in the denoiser's dtype, which is float32
 under train-diffusion (``pipeline.DENOISER_TRAIN_DTYPE``). Its draws, the
@@ -83,8 +86,11 @@ from .errors import SamplingError, ShapeError, ValidationError
 
 @dataclass
 class NoiseSchedule:
-    """beta/alpha tables for N steps; arrays are 0-indexed by n-1."""
+    """beta/alpha tables for N steps, 0-indexed by n-1, and the ends of the
+    linear schedule they were made from (one step keeps only beta_start)."""
 
+    beta_start: float
+    beta_end: float
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
@@ -108,7 +114,7 @@ def make_schedule(N: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     alpha_bar = np.cumprod(alpha)
     alpha_bar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
     posterior_var = (1.0 - alpha_bar_prev) / (1.0 - alpha_bar) * beta
-    return NoiseSchedule(beta, alpha, alpha_bar, posterior_var)
+    return NoiseSchedule(beta_start, beta_end, beta, alpha, alpha_bar, posterior_var)
 
 
 # --- conditioning ----------------------------------------------------------
@@ -148,12 +154,6 @@ class ConditionFusion:
         """(B, cond_dim) conditions for (B, embed_dim) query and melody rows."""
         return self._inputs(queries, melodies) @ self.W + self.b
 
-    def backward(self, queries: np.ndarray, melodies: np.ndarray,
-                 d_conditions: np.ndarray) -> list[np.ndarray]:
-        """[dW, db] of a loss whose gradient w.r.t. ``forward``'s output is
-        ``d_conditions``, summed over the batch."""
-        return [self._inputs(queries, melodies).T @ d_conditions, d_conditions.sum(axis=0)]
-
 
 # --- denoiser ----------------------------------------------------------------
 
@@ -170,6 +170,8 @@ def time_embedding(n: np.ndarray, dim: int) -> np.ndarray:
 
 # diffusion.ckpt's exact arrays: GuidedTrajectory's M = W_x A and m_b = W_x b_out
 SAMPLER_ARRAYS = ("sampler.M", "sampler.m_b")
+# the meta keys of diffusion.ckpt's latent shape (channels, T/r, F/r)
+SHAPE_KEYS = ("latent_channels", "latent_t", "latent_f")
 
 
 def _sampler_constants(w0: np.ndarray, w_out: np.ndarray, b_out: np.ndarray,
@@ -182,7 +184,10 @@ def _sampler_constants(w0: np.ndarray, w_out: np.ndarray, b_out: np.ndarray,
 
 @dataclass
 class Denoiser:
-    """eps-prediction net over [flattened latent || time embedding || c].
+    """eps-prediction net over [flattened latent || time embedding || c], with
+    all else diffusion.ckpt holds: the ``fusion`` map that makes c and its
+    learned null, the noise schedule ``sched`` and the (channels, T/r, F/r)
+    ``shape`` of the latents.
 
     ``stored_constants`` holds the (M, m_b) that ``load`` read from the
     checkpoint; they are products of the weights, so a loaded denoiser's
@@ -190,30 +195,43 @@ class Denoiser:
     """
 
     net: smallnet.DenseNet
-    latent_dim: int
-    cond_dim: int
+    fusion: ConditionFusion
+    sched: NoiseSchedule
+    shape: tuple[int, int, int]
     time_embed_dim: int
     stored_constants: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
+    @property
+    def latent_dim(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def cond_dim(self) -> int:
+        return self.fusion.W.shape[1]
+
     @classmethod
-    def create(cls, latent_dim: int, config: DiffusionConfig, seed: int) -> "Denoiser":
+    def create(cls, shape: tuple[int, int, int], embed_dim: int, config: DiffusionConfig,
+               seed: int) -> "Denoiser":
         """Seeded init of one hidden layer of ``config.hidden`` units over the
-        widths in ``config``."""
+        widths in ``config``, for latents of ``shape``, and of a fusion map
+        over ``embed_dim``-wide query and melody rows; ``config``'s schedule."""
         if config.hidden < 1:
             # GuidedTrajectory carries sampling in the hidden layer's space
             raise ValidationError(f"denoiser needs a hidden layer of width >= 1, "
                                   f"got {config.hidden}")
-        rng = smallnet.spawn_rng(seed, 606)
+        latent_dim = math.prod(shape)
         dims = [latent_dim + config.time_embed_dim + config.cond_dim, config.hidden, latent_dim]
         return cls(
-            net=smallnet.DenseNet.create(dims, "tanh", rng),
-            latent_dim=latent_dim,
-            cond_dim=config.cond_dim,
+            net=smallnet.DenseNet.create(dims, "tanh", smallnet.spawn_rng(seed, 606)),
+            fusion=ConditionFusion.create(embed_dim, config.cond_dim, seed),
+            sched=make_schedule(config.n_steps, config.beta_start, config.beta_end),
+            shape=tuple(shape),
             time_embed_dim=config.time_embed_dim,
         )
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        return self.net.named_parameters("denoiser.")
+        """The net's parameters, then the fusion map's."""
+        return {**self.net.named_parameters("denoiser."), **self.fusion.named_parameters()}
 
     def sampler_constants(self) -> tuple[np.ndarray, np.ndarray]:
         """``GuidedTrajectory``'s (M, m_b) = (W_x A, W_x b_out): the stored pair
@@ -223,11 +241,12 @@ class Denoiser:
         first, last = self.net.layers[0], self.net.layers[-1]
         return _sampler_constants(first.w, last.w, last.b, self.latent_dim)
 
-    def save(self, path, fusion: ConditionFusion, extra_meta: dict) -> None:
-        """Write the net, the fusion map and ``extra_meta``, plus the sampler
-        constants as exact arrays, formed from the float32 weights the file
-        stores so that they equal those formed from the loaded weights."""
-        arrays = {**self.named_parameters(), **fusion.named_parameters()}
+    def save(self, path) -> None:
+        """Write diffusion.ckpt: the net and the fusion map, the schedule's
+        arguments and the latent shape, plus the sampler constants as exact
+        arrays, formed from the float32 weights the file stores so that they
+        equal those formed from the loaded weights."""
+        arrays = self.named_parameters()
         first, last = self.net.layers[0], self.net.layers[-1]
         arrays.update(zip(SAMPLER_ARRAYS, _sampler_constants(
             *map(smallnet.as_stored, (first.w, last.w, last.b)), self.latent_dim)))
@@ -236,26 +255,32 @@ class Denoiser:
             "cond_dim": self.cond_dim,
             "time_embed_dim": self.time_embed_dim,
             "net": smallnet.net_meta(self.net),
-            "extra": extra_meta,
+            "extra": {**dict(zip(SHAPE_KEYS, self.shape)), "n_steps": self.sched.N,
+                      "beta_start": self.sched.beta_start, "beta_end": self.sched.beta_end,
+                      "embed_dim": self.fusion.embed_dim},
         }
         smallnet.save_checkpoint(path, arrays, meta, exact=SAMPLER_ARRAYS)
 
     @classmethod
-    def load(cls, path):
-        """Returns (denoiser, fusion, extra_meta). A net the sampler cannot
-        carry, or missing, misshapen or non-finite sampler constants, raise
+    def load(cls, path) -> "Denoiser":
+        """The denoiser that ``save`` wrote to ``path``. A net the sampler
+        cannot carry, a latent shape other than the net's output width, or
+        missing, misshapen or non-finite sampler constants raise
         ``ValidationError`` naming the file."""
         arrays, meta = smallnet.load_checkpoint(path)
         with smallnet.checkpoint_keys(path, "train-diffusion"):
+            net = smallnet.net_from_state(arrays, meta["net"], "denoiser.")
+            latent_dim, cond_dim = int(meta["latent_dim"]), int(meta["cond_dim"])
+            extra = meta["extra"]
             den = cls(
-                net=smallnet.net_from_state(arrays, meta["net"], "denoiser."),
-                latent_dim=int(meta["latent_dim"]),
-                cond_dim=int(meta["cond_dim"]),
+                net=net,
+                fusion=ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
+                                       null_condition=arrays["fusion.null_condition"]),
+                sched=make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
+                                    float(extra["beta_end"])),
+                shape=tuple(int(extra[k]) for k in SHAPE_KEYS),
                 time_embed_dim=int(meta["time_embed_dim"]),
             )
-            fusion = ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
-                                     null_condition=arrays["fusion.null_condition"])
-            extra = meta["extra"]
 
         def refuse(problem):
             raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
@@ -263,75 +288,67 @@ class Denoiser:
 
         # GuidedTrajectory slices layer 0 by these widths, and needs a hidden
         # layer and an affine output
-        in_dim = den.latent_dim + den.time_embed_dim + den.cond_dim
-        out_act = den.net.layers[-1].activation
+        in_dim = latent_dim + den.time_embed_dim + cond_dim
+        out_act = net.layers[-1].activation
         for bad, problem in (
-            (len(den.net.layers) < 2, "net has no hidden layer"),
-            (den.net.in_dim != in_dim, f"net input width {den.net.in_dim} != latent_dim "
-                                       f"+ time_embed_dim + cond_dim = {in_dim}"),
-            (den.net.out_dim != den.latent_dim,
-             f"net output width {den.net.out_dim} != latent_dim {den.latent_dim}"),
+            (len(net.layers) < 2, "net has no hidden layer"),
+            (net.in_dim != in_dim, f"net input width {net.in_dim} != latent_dim "
+                                   f"+ time_embed_dim + cond_dim = {in_dim}"),
+            (net.out_dim != latent_dim,
+             f"net output width {net.out_dim} != latent_dim {latent_dim}"),
+            (den.latent_dim != net.out_dim, f"latent shape {den.shape} holds "
+                                            f"{den.latent_dim} values, but the net outputs "
+                                            f"{net.out_dim}"),
             (out_act != "identity", f"output activation {out_act!r} is not 'identity'"),
         ):
             if bad:
                 refuse(problem)
         with smallnet.checkpoint_keys(path, "train-diffusion"):
             den.stored_constants = tuple(arrays[k] for k in SAMPLER_ARRAYS)
-        hidden = (den.net.layers[0].w.shape[0], den.net.layers[-1].w.shape[1])
+        hidden = (net.layers[0].w.shape[0], net.layers[-1].w.shape[1])
         for name, a, shape in zip(SAMPLER_ARRAYS, den.stored_constants, (hidden, hidden[:1])):
             if a.shape != shape:
                 refuse(f"{name} has shape {a.shape}, wanted {shape}")
             if not np.isfinite(a).all():
                 refuse(f"{name} is not finite")
-        return den, fusion, extra
+        return den
 
 
 # --- training -----------------------------------------------------------------
 
 
-@dataclass
-class TrainingStepResult:
-    loss: float
-    denoiser_grads: list[np.ndarray]
-    d_conditions: np.ndarray  # (B, d_c); zero rows where the null was used
-    d_null: np.ndarray  # (d_c,)
-
-
 def training_step(
     denoiser: Denoiser,
-    sched: NoiseSchedule,
     x0: np.ndarray,
-    conditions: np.ndarray,
-    null_condition: np.ndarray,
+    queries: np.ndarray,
+    melodies: np.ndarray,
     *,
     steps: np.ndarray,
     noise: np.ndarray,
     uncond: np.ndarray,
-) -> TrainingStepResult:
+) -> tuple[float, list[np.ndarray]]:
     """One eps-prediction step over a batch of B rows, on the caller's draws.
 
     Row i is noised to step ``steps[i]`` (in 1..N) with ``noise[i]``, and
-    conditioned on ``conditions[i]``, or on the learned null where the (B,)
-    bool mask ``uncond`` is True. The loss is
+    conditioned on the fusion of ``queries[i]`` and ``melodies[i]``, or on
+    the learned null where the (B,) bool mask ``uncond`` is True. The loss is
     mean_i ||eps_i - eps_theta(x_n_i, n_i, c_i)||^2 (squared norm per sample,
-    mean over the batch). Returns gradients for the denoiser, the condition
-    rows, and the null vector so the caller can backprop into the fusion map.
-    ``noise`` is read, never written.
+    mean over the batch). Returns the loss and its gradients with respect to
+    ``denoiser.named_parameters()``, in that order. ``noise`` is read, never
+    written.
 
     The net's passes and its gradients are in the denoiser's dtype. x_n and
     out - eps are formed in float64 and rounded once into it (rounding eps
     first would change the trained weights). The loss sums its squared errors
-    in float64; the condition and null gradients are float64, as the fusion map is.
+    in float64; the fusion map's gradients are float64, as the map is.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[1] != denoiser.latent_dim:
         raise ShapeError(f"x0 has shape {x0.shape}, denoiser wants (B, {denoiser.latent_dim})")
     batch, lat = x0.shape
-    conditions = np.asarray(conditions, dtype=np.float64)
-    if conditions.shape != (batch, denoiser.cond_dim):
-        raise ShapeError(
-            f"conditions shape {conditions.shape} != ({batch}, {denoiser.cond_dim})"
-        )
+    if len(queries) != batch:
+        raise ShapeError(f"{len(queries)} query rows for {batch} latent rows")
+    sched, fusion = denoiser.sched, denoiser.fusion
     n = np.asarray(steps)
     if n.shape != (batch,) or n.min() < 1 or n.max() > sched.N:
         raise ValidationError(f"steps must be {batch} values in 1..{sched.N}")
@@ -348,8 +365,9 @@ def training_step(
     c0 = lat + denoiser.time_embed_dim
     inp = np.empty((batch, c0 + denoiser.cond_dim), denoiser.net.dtype)
     inp[:, lat:c0] = time_embedding(n, denoiser.time_embed_dim)
-    inp[:, c0:] = conditions
-    inp[mask, c0:] = null_condition
+    fusion_in = fusion._inputs(queries, melodies)  # (B, 2 embed_dim) [query || melody]
+    inp[:, c0:] = fusion_in @ fusion.W + fusion.b
+    inp[mask, c0:] = fusion.null_condition
     ab = sched.alpha_bar[n - 1][:, None]
     np.add(np.sqrt(ab) * x0, np.sqrt(1.0 - ab) * eps, out=inp[:, :lat])
 
@@ -361,8 +379,9 @@ def training_step(
     d_out /= batch
     grads, d_c_eff = denoiser.net.backward_cached(cache, d_out, slice(c0, None))
     d_c_eff = d_c_eff.astype(np.float64, copy=False)
-    return TrainingStepResult(loss, grads, np.where(mask[:, None], 0.0, d_c_eff),
-                              d_c_eff[mask].sum(axis=0))
+    # the fused conditions' gradient, with zero rows where the null was used
+    d_fused = np.where(mask[:, None], 0.0, d_c_eff)
+    return loss, grads + [fusion_in.T @ d_fused, d_fused.sum(axis=0), d_c_eff[mask].sum(axis=0)]
 
 
 # --- guidance and sampling ------------------------------------------------------
@@ -378,19 +397,19 @@ class GuidedTrajectory:
 
     Starts at the (batch, latent_dim) draw ``x_N``. ``step(n, alpha, beta,
     noise)`` moves the latent x to alpha x + beta eps_bar(x, n) + noise, where
-    eps_bar = (w+1) eps(x, n, condition) - w eps(x, n, null_condition) is what
-    two full forwards of the net give (the reference samplers in
-    ``tests/conftest.py``), for each step n of ``steps`` in turn; ``x()``
-    returns the latent. ``u`` is x W_x^T, layer 0's product with the latent.
-    See the module docstring for why this is exact. ``condition`` and
-    ``null_condition`` are (cond_dim,) or (batch, cond_dim); ``w == 0`` skips
-    the null branch. ``time_rows[n]`` is step n's layer-0 time term
+    eps_bar = (w+1) eps(x, n, condition) - w eps(x, n, null) is what two full
+    forwards of the net give (the reference samplers in ``tests/conftest.py``),
+    for each step n of ``steps`` in turn; ``x()`` returns the latent. ``u`` is
+    x W_x^T, layer 0's product with the latent. See the module docstring for
+    why this is exact. ``condition`` is (cond_dim,) or (batch, cond_dim), and
+    null is the denoiser's ``fusion.null_condition``; ``w == 0`` skips the
+    null branch. ``time_rows[n]`` is step n's layer-0 time term
     temb(n) W_t^T, formed once per run, bit-equal to the row's own product
     (one (steps, time_embed_dim) product is not).
     """
 
-    def __init__(self, denoiser: Denoiser, condition: np.ndarray,
-                 null_condition: np.ndarray, w: float, x_N: np.ndarray, steps: list[int]):
+    def __init__(self, denoiser: Denoiser, condition: np.ndarray, w: float, x_N: np.ndarray,
+                 steps: list[int]):
         check_guidance_weight(w)
         layers = denoiser.net.layers
         first, last = layers[0], layers[-1]
@@ -407,7 +426,8 @@ class GuidedTrajectory:
 
         # (branches, batch, hidden): the condition's bias, then the null's when w > 0
         self._biases = np.stack([condition_bias(c) for c in
-                                 ((condition,) if w == 0.0 else (condition, null_condition))])
+                                 ((condition,) if w == 0.0
+                                  else (condition, denoiser.fusion.null_condition))])
         self._layers, self._w_x = layers, w_x
         w_t = first.w[:, t0:c0]
         temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
@@ -453,15 +473,14 @@ class GuidedTrajectory:
         return x if self._r is None else x + self._r
 
 
-def _sample(denoiser: Denoiser, condition: np.ndarray, null_condition: np.ndarray, w: float,
-            n_samples: int, rng: np.random.Generator, steps: list[int], alpha: np.ndarray,
-            beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _sample(denoiser: Denoiser, condition: np.ndarray, w: float, n_samples: int,
+            rng: np.random.Generator, steps: list[int], alpha: np.ndarray, beta: np.ndarray,
+            sigma: np.ndarray) -> np.ndarray:
     """Draws x_N ~ N(0, I), then takes x <- alpha x + beta eps_bar(x, n) + sigma z
     for each step n of ``steps`` in turn, with that step's row of the table
     (alpha, beta, sigma); z ~ N(0, I) is drawn after x_N, and only where sigma > 0."""
     shape = (n_samples, denoiser.latent_dim)
-    traj = GuidedTrajectory(denoiser, condition, null_condition, w, rng.standard_normal(shape),
-                            steps)
+    traj = GuidedTrajectory(denoiser, condition, w, rng.standard_normal(shape), steps)
     for n, a, b, s in zip(steps, alpha.tolist(), beta.tolist(), sigma.tolist()):
         traj.step(n, a, b, s * rng.standard_normal(shape) if s > 0 else None)
     return traj.x()
@@ -469,9 +488,7 @@ def _sample(denoiser: Denoiser, condition: np.ndarray, null_condition: np.ndarra
 
 def sample_ddpm(
     denoiser: Denoiser,
-    sched: NoiseSchedule,
     condition: np.ndarray,
-    null_condition: np.ndarray,
     w: float,
     seed: int,
     n_samples: int = 1,
@@ -482,6 +499,7 @@ def sample_ddpm(
     taken, and sqrt(posterior_var) noise is added (none at n=1). Deterministic
     for a fixed seed. Returns (n_samples, latent_dim).
     """
+    sched = denoiser.sched
     steps = list(range(sched.N, 0, -1))
     i = np.asarray(steps) - 1
     # abar at each step and at the one before it (abar_0 = 1)
@@ -493,9 +511,9 @@ def sample_ddpm(
     coef_x0[-1] = 1.0
     coef_xn = np.sqrt(sched.alpha[i]) * (1.0 - ab_prev) / (1.0 - ab)
     root_ab = np.sqrt(ab)
-    return _sample(denoiser, condition, null_condition, w, n_samples,
-                   smallnet.spawn_rng(seed, 707), steps, coef_x0 / root_ab + coef_xn,
-                   -coef_x0 * np.sqrt(1.0 - ab) / root_ab, np.sqrt(sched.posterior_var[i]))
+    return _sample(denoiser, condition, w, n_samples, smallnet.spawn_rng(seed, 707), steps,
+                   coef_x0 / root_ab + coef_xn, -coef_x0 * np.sqrt(1.0 - ab) / root_ab,
+                   np.sqrt(sched.posterior_var[i]))
 
 
 def ddim_timesteps(N: int, steps: int) -> list[int]:
@@ -509,9 +527,7 @@ def ddim_timesteps(N: int, steps: int) -> list[int]:
 
 def sample_ddim(
     denoiser: Denoiser,
-    sched: NoiseSchedule,
     condition: np.ndarray,
-    null_condition: np.ndarray,
     w: float,
     steps: int,
     seed: int,
@@ -522,12 +538,13 @@ def sample_ddim(
     Only the starting draw x_N consumes randomness; steps=1 reduces to the
     single-step x0 estimate.
     """
+    sched = denoiser.sched
     ts = ddim_timesteps(sched.N, steps)
     # abar at each step, and at the next one (1 after the last)
     ab = sched.alpha_bar[np.asarray(ts) - 1]
     ab_next = np.append(ab[1:], 1.0)
     root_ab, root_ab_next = np.sqrt(ab), np.sqrt(ab_next)
-    return _sample(denoiser, condition, null_condition, w, n_samples,
-                   smallnet.spawn_rng(seed, 708), ts, root_ab_next / root_ab,
+    return _sample(denoiser, condition, w, n_samples, smallnet.spawn_rng(seed, 708), ts,
+                   root_ab_next / root_ab,
                    np.sqrt(1.0 - ab_next) - root_ab_next * np.sqrt(1.0 - ab) / root_ab,
                    np.zeros(len(ts)))

@@ -9,8 +9,10 @@ All stages read and write artifacts under a single working directory:
       melody.ckpt          melody database: one (n, embed_dim) array of unit
                            melody embeddings, the record ids in its meta
       latentcodec.ckpt     mel <-> latent codec checkpoint
-      diffusion.ckpt       denoiser + condition fusion checkpoint, with the
-                           sampler's exact float64 constants (``Denoiser.save``)
+      diffusion.ckpt       the denoiser's net, its condition fusion map and
+                           learned null, its noise schedule and latent shape,
+                           and the sampler's exact float64 constants
+                           (``diffusion.Denoiser.save``)
       features.ckpt        the exact float64 mel grid of every corpus record,
                            rebuilt whenever it no longer matches the corpus
                            (``corpus_mels``)
@@ -231,11 +233,6 @@ def run_train_latent(cfg: PipelineConfig, workdir) -> list[float]:
     return history
 
 
-def _latent_shape(cfg: PipelineConfig) -> tuple[int, int, int]:
-    r = cfg.latent.compression
-    return cfg.latent.channels, cfg.signal.mel_frames // r, cfg.signal.n_mels // r
-
-
 # the dtype train-diffusion trains the denoiser in
 DENOISER_TRAIN_DTYPE = np.float32
 
@@ -248,7 +245,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     waveform embedding, afterwards its text embedding; in both phases the
     melody half of the condition is the top-1 database hit for that query.
     Retrievals are precomputed (queries are fixed per record), and condition
-    dropout trains the null vector for guidance.
+    dropout trains the null vector for guidance. The denoiser denoises
+    latents of the shape the codec gives.
 
     The denoiser trains in float32: its initial weights are rounded to
     float32 once, and its forward, backward and Adam update run in float32,
@@ -267,21 +265,18 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
     mels = _split(cfg, corpus_mels(cfg, art, records))[0]
     text_emb = clmp.embed(model, "text", [r.text for r in train_records])
     wave_emb = clmp.embed(model, "waveform", mels)
-    x0 = np.stack([latentcodec.encode_mel(codec, m).ravel() for m in mels])
+    x0 = np.stack([latentcodec.encode_mel(codec, m) for m in mels])
     del mels  # the step loop reads x0 and the embeddings only
+    shape, x0 = x0.shape[1:], x0.reshape(len(x0), -1)
     r_wave = melodies[retrieve(melodies, wave_emb)]
     r_text = melodies[retrieve(melodies, text_emb)]
 
     d = cfg.diffusion
-    latent_dim = x0.shape[1]
-    sched = diffusion.make_schedule(d.n_steps, d.beta_start, d.beta_end)
-    denoiser = diffusion.Denoiser.create(latent_dim, d, cfg.seed)
+    denoiser = diffusion.Denoiser.create(shape, cfg.clmp.embed_dim, d, cfg.seed)
     # rounded as the checkpoint rounds, so the stored weights are never
     # rounded twice
     denoiser.net = denoiser.net.astype(DENOISER_TRAIN_DTYPE)
-    fusion = diffusion.ConditionFusion.create(cfg.clmp.embed_dim, d.cond_dim, cfg.seed)
-    opt = smallnet.Optimizer({**denoiser.named_parameters(), **fusion.named_parameters()},
-                             d.learning_rate)
+    opt = smallnet.Optimizer(denoiser.named_parameters(), d.learning_rate)
     rng = smallnet.spawn_rng(cfg.seed, 1001)
     batch = min(d.batch_size, len(x0))
 
@@ -289,8 +284,8 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
         # one step's draws, in the order of the one stream: batch rows, steps,
         # noise, condition dropout
         idx = rng.integers(0, len(x0), size=batch)
-        steps = rng.integers(1, sched.N + 1, size=batch)
-        noise = rng.standard_normal((batch, latent_dim))
+        steps = rng.integers(1, denoiser.sched.N + 1, size=batch)
+        noise = rng.standard_normal((batch, denoiser.latent_dim))
         return idx, steps, noise, rng.random(batch) < d.uncond_prob
 
     phase_boundary = int(d.phase_split * d.train_steps)
@@ -310,22 +305,14 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
                 queries, hits = wave_emb[idx], r_wave[idx]
             else:
                 queries, hits = text_emb[idx], r_text[idx]
-            result = diffusion.training_step(
-                denoiser, sched, x0[idx], fusion.forward(queries, hits), fusion.null_condition,
-                steps=steps, noise=noise, uncond=uncond,
-            )
-            fusion_grads = fusion.backward(queries, hits, result.d_conditions) + [result.d_null]
-            opt.step(result.denoiser_grads + fusion_grads)
-            history.append(result.loss)
+            loss, grads = diffusion.training_step(denoiser, x0[idx], queries, hits, steps=steps,
+                                                  noise=noise, uncond=uncond)
+            opt.step(grads)
+            history.append(loss)
             # so step k's gradients are freed before step k+1 makes its own
-            del result, fusion_grads
+            del grads
 
-    c, th, fw = _latent_shape(cfg)
-    denoiser.save(art.diffusion_path, fusion=fusion, extra_meta={
-        "latent_channels": c, "latent_t": th, "latent_f": fw,
-        "n_steps": d.n_steps, "beta_start": d.beta_start, "beta_end": d.beta_end,
-        "embed_dim": cfg.clmp.embed_dim,
-    })
+    denoiser.save(art.diffusion_path)
     return history
 
 
@@ -336,19 +323,16 @@ def run_train_diffusion(cfg: PipelineConfig, workdir) -> list[float]:
 class GenerationStack:
     """The trained stack every generation reads, loaded once per stage call:
     the CLMP model, the melody database (``melodies`` rows of record ``ids``),
-    the codec, the denoiser and its fusion map, their noise schedule and the
-    (channels, T/r, F/r) latent ``shape``. ``generate`` and every ``evaluate``
-    mode turn captions into clips one way: ``conditions`` -> ``sample`` ->
-    ``decode``."""
+    the codec, and the denoiser with all that diffusion.ckpt holds: its fusion
+    map and learned null, its noise schedule and its (channels, T/r, F/r)
+    latent shape. ``generate`` and every ``evaluate`` mode turn captions into
+    clips one way: ``conditions`` -> ``sample`` -> ``decode``."""
 
     clmp: clmp.ClmpModel
     melodies: np.ndarray
     ids: list[str]
     codec: latentcodec.LatentCodecModel
     denoiser: diffusion.Denoiser
-    fusion: diffusion.ConditionFusion
-    sched: diffusion.NoiseSchedule
-    shape: tuple[int, int, int]
 
     @classmethod
     def load(cls, cfg: PipelineConfig, art: Artifacts) -> "GenerationStack":
@@ -356,20 +340,24 @@ class GenerationStack:
         melodies, ids = _load_index(cfg, art)
         art.require(art.latent_path, art.diffusion_path)
         codec = latentcodec.LatentCodecModel.load(art.latent_path)
-        denoiser, fusion, extra = diffusion.Denoiser.load(art.diffusion_path)
-        if fusion.embed_dim != melodies.shape[1]:
-            raise ValidationError(f"{art.diffusion_path.name} fuses {fusion.embed_dim}-wide "
-                                  f"embeddings, but {art.index_path.name} holds "
+        denoiser = diffusion.Denoiser.load(art.diffusion_path)
+        if denoiser.fusion.embed_dim != melodies.shape[1]:
+            raise ValidationError(f"{art.diffusion_path.name} fuses {denoiser.fusion.embed_dim}"
+                                  f"-wide embeddings, but {art.index_path.name} holds "
                                   f"{melodies.shape[1]}-wide melodies; rerun train-diffusion")
-        with smallnet.checkpoint_keys(art.diffusion_path):
-            sched = diffusion.make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
-                                            float(extra["beta_end"]))
-            shape = tuple(int(extra[k]) for k in ("latent_channels", "latent_t", "latent_f"))
-        if codec.channels != shape[0]:
-            raise ValidationError(f"{art.diffusion_path.name} denoises {shape[0]}-channel "
+        c, t, f = denoiser.shape
+        r = codec.compression
+        if codec.channels != c:
+            raise ValidationError(f"{art.diffusion_path.name} denoises {c}-channel "
                                   f"latents, but {art.latent_path.name} encodes "
                                   f"{codec.channels}-channel ones; rerun train-diffusion")
-        return cls(model, melodies, ids, codec, denoiser, fusion, sched, shape)
+        if (r * t, r * f) != (cfg.signal.mel_frames, cfg.signal.n_mels):
+            raise ValidationError(f"{art.diffusion_path.name} denoises {t}x{f} latent grids, "
+                                  f"which {art.latent_path.name} decodes at compression {r} "
+                                  f"into {r * t}x{r * f} mel grids, but the signal settings "
+                                  f"make {cfg.signal.mel_frames}x{cfg.signal.n_mels} ones; "
+                                  "rerun train-diffusion")
+        return cls(model, melodies, ids, codec, denoiser)
 
     def conditions(self, texts: list[str], melody_sets=(None,)):
         """One (len(texts), cond_dim) condition array per entry of
@@ -383,13 +371,13 @@ class GenerationStack:
             if rows is None:
                 hits = retrieve(self.melodies, queries)
                 rows, ids = self.melodies[hits], [self.ids[i] for i in hits]
-            conditions.append(self.fusion.forward(queries, rows))
+            conditions.append(self.denoiser.fusion.forward(queries, rows))
         return conditions, ids
 
     def sample(self, conditions: np.ndarray, *, sampler: str, steps: int, w: float,
                seed: int) -> np.ndarray:
         """One latent row per condition row; DDPM runs all n_steps."""
-        given = (self.denoiser, self.sched, conditions, self.fusion.null_condition, w)
+        given = (self.denoiser, conditions, w)
         if sampler == "ddim":
             return diffusion.sample_ddim(*given, steps, seed, n_samples=len(conditions))
         if sampler == "ddpm":
@@ -399,7 +387,7 @@ class GenerationStack:
     def decode(self, latents: np.ndarray) -> list[np.ndarray]:
         """The (T, F) mel grid of each latent row, framed as
         ``codec.mel_params``."""
-        return [latentcodec.decode_latent(self.codec, lat.reshape(self.shape))
+        return [latentcodec.decode_latent(self.codec, lat.reshape(self.denoiser.shape))
                 for lat in latents]
 
 
@@ -428,13 +416,14 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     diffusion.check_guidance_weight(w)
     art = Artifacts(workdir)
     stack = GenerationStack.load(cfg, art)
+    n_steps = stack.denoiser.sched.N
     if sampler == "ddpm":
-        steps = stack.sched.N
+        steps = n_steps
     else:
         source = "diffusion.ddim_steps" if steps is None else "--steps"
         steps = cfg.diffusion.ddim_steps if steps is None else steps
-        if not 1 <= steps <= stack.sched.N:
-            raise ValidationError(f"{source} must be in 1..{stack.sched.N} (the n_steps of "
+        if not 1 <= steps <= n_steps:
+            raise ValidationError(f"{source} must be in 1..{n_steps} (the n_steps of "
                                   f"{art.diffusion_path.name}), got {steps}")
 
     melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
@@ -449,8 +438,9 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     latent_path = art.generated_dir / f"{tag}.latent.ckpt"
     signal.write_wav(wav_path, wave)
     smallnet.save_checkpoint(mel_path, {"mel": mel}, stack.codec.mel_params)
-    smallnet.save_checkpoint(latent_path, {"latent": lat.reshape(stack.shape)},
-                             {"channels": stack.shape[0], "compression": stack.codec.compression})
+    shape = stack.denoiser.shape
+    smallnet.save_checkpoint(latent_path, {"latent": lat.reshape(shape)},
+                             {"channels": shape[0], "compression": stack.codec.compression})
     return GenerationResult(
         prompt=prompt,
         retrieved_melody_id=None if ids is None else ids[0],
@@ -550,7 +540,7 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     points = []
     for value in values:
         at = {"steps": steps, "w": w, key: value}
-        if at["steps"] > stack.sched.N:
+        if at["steps"] > stack.denoiser.sched.N:
             continue
         fads = sweep_fads(conditions, **at)
         points.append({key: value, "fad_like_median": float(np.median(fads)),

@@ -89,19 +89,22 @@ def net_eps(den, x, n, c):
     return den.net.forward(np.concatenate([x, temb, c], axis=1))
 
 
-def guided_eps(den, x, n, c, null, w):
+def guided_eps(den, x, n, c, w):
     """(w+1) eps(x, n, c) - w eps(x, n, null) as two full forwards (one when
-    w = 0)."""
+    w = 0), null being the denoiser's learned one."""
     cond = net_eps(den, x, n, c)
-    return cond if w == 0.0 else (w + 1.0) * cond - w * net_eps(den, x, n, null)
+    if w == 0.0:
+        return cond
+    return (w + 1.0) * cond - w * net_eps(den, x, n, den.fusion.null_condition)
 
 
-def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
+def reference_ddim(den, c, w, steps, seed, n_samples):
     """DDIM as two full forwards per step."""
+    s = den.sched
     ts = df.ddim_timesteps(s.N, steps)
     x = smallnet.spawn_rng(seed, 708).standard_normal((n_samples, den.latent_dim))
     for i, n in enumerate(ts):
-        eps = guided_eps(den, x, n, c, null, w)
+        eps = guided_eps(den, x, n, c, w)
         ab = s.alpha_bar[n - 1]
         x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
         ab_prev = s.alpha_bar[ts[i + 1] - 1] if i + 1 < len(ts) else 1.0
@@ -109,13 +112,14 @@ def reference_ddim(den, s, c, null, w, steps, seed, n_samples):
     return x
 
 
-def reference_ddpm(den, s, c, null, w, seed, n_samples):
+def reference_ddpm(den, c, w, seed, n_samples):
     """Ancestral sampling as two full forwards per step, each taking the mean
     and variance of q(x_{n-1} | x_n, x0_hat) from their closed forms."""
+    s = den.sched
     rng = smallnet.spawn_rng(seed, 707)
     x = rng.standard_normal((n_samples, den.latent_dim))
     for n in range(s.N, 0, -1):
-        eps = guided_eps(den, x, n, c, null, w)
+        eps = guided_eps(den, x, n, c, w)
         ab, beta = s.alpha_bar[n - 1], s.beta[n - 1]
         x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
         if n == 1:

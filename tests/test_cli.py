@@ -327,6 +327,8 @@ def test_invalid_config_exits_1_naming_the_field(tmp_path, capsys, edit, field):
 def edit_meta(meta, field, value):
     if field == "activation":
         meta["net"]["activations"][-1] = value
+    elif field == "latent_shape":
+        meta["extra"].update(value)
     else:
         for key, delta in value.items():
             meta[key] += delta
@@ -336,7 +338,9 @@ def edit_meta(meta, field, value):
     ("in_dim", {"cond_dim": 1}, "input width"),
     ("out_dim", {"latent_dim": 2, "cond_dim": -2}, "output width"),
     ("activation", "tanh", "output activation"),
-], ids=["in_dim", "out_dim", "activation"])
+    ("latent_shape", {"latent_t": 2}, "latent shape (8, 2, 16) holds 256 values, but the net "
+                                      "outputs 512"),
+], ids=["in_dim", "out_dim", "activation", "latent_shape"])
 def test_misshapen_denoiser_exits_1_naming_it(damaged, capsys, field, value, problem):
     config, work, path = damaged
     arrays, meta = smallnet.load_checkpoint(path)
@@ -745,12 +749,15 @@ def test_codec_with_non_positive_framing_exits_1_before_sampling(trained, work_c
      ("melody.ckpt", f"{TINY['clmp']['embed_dim']}-wide", "4-wide")),
     ({"latent": {**TINY["latent"], "channels": 2}}, ("train-latent",),
      ("latentcodec.ckpt", f"{PipelineConfig().latent.channels}-channel", "2-channel")),
-], ids=["clmp_embed_dim", "latent_channels"])
+    ({"latent": {**TINY["latent"], "compression": 2}}, ("train-latent",),
+     ("latentcodec.ckpt", "4x16 latent grids", "compression 2", "8x32 mel grids", "16x64")),
+], ids=["clmp_embed_dim", "latent_channels", "latent_compression"])
 def test_denoiser_older_than_a_retrained_stage_exits_1_naming_it(
         trained, work_copy, tmp_path, capsys, monkeypatch, command, override, stages, named):
-    """Rerunning ``stages`` at another clmp.embed_dim or latent.channels leaves
-    a diffusion.ckpt whose fusion map takes embeddings of the old width, or
-    whose denoiser makes latents of the old channel count."""
+    """Rerunning ``stages`` at another clmp.embed_dim, latent.channels or
+    latent.compression leaves a diffusion.ckpt whose fusion map takes
+    embeddings of the old width, or whose denoiser makes latents of the old
+    channel count or grid size."""
     config = tmp_path / "changed.json"
     config.write_text(json.dumps({**TINY, **override}))
     for stage in stages:
@@ -768,6 +775,26 @@ def test_denoiser_older_than_a_retrained_stage_exits_1_naming_it(
     assert all(fragment in err for fragment in named), err
     assert (work_copy / "diffusion.ckpt").read_bytes() == denoiser
     assert generated_files(work_copy) == before and not (work_copy / "report.json").exists()
+
+
+def test_train_diffusion_denoises_the_latents_the_codec_makes(trained, work_copy, tmp_path):
+    """train-diffusion takes the latent shape from the codec's latents, not
+    from the config: after train-latent at latent.compression 2, a run under
+    the compression-4 config writes 8x32 latent grids, and generate decodes
+    them into the configured 16x64 mel grids."""
+    config, _ = trained
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**TINY, "latent": {**TINY["latent"], "compression": 2}}))
+    assert cli.main(["train-latent", "--config", str(changed), "--out", str(work_copy)]) == 0
+    assert cli.main(["train-diffusion", "--config", str(config), "--out", str(work_copy)]) == 0
+    channels = PipelineConfig().latent.channels
+    extra = smallnet.load_checkpoint(work_copy / "diffusion.ckpt")[1]["extra"]
+    assert [extra[k] for k in diffusion.SHAPE_KEYS] == [channels, 8, 32]
+    assert generate(config, work_copy) == cli.EXIT_OK
+    generated = work_copy / "generated"
+    assert smallnet.load_checkpoint(generated / "gen.latent.ckpt")[0]["latent"].shape == (
+        channels, 8, 32)
+    assert smallnet.load_checkpoint(generated / "gen.mel.ckpt")[0]["mel"].shape == (16, 64)
 
 
 # SHA-256 of the tiny stack's codec checkpoint in the layout that also stored
@@ -814,10 +841,10 @@ def test_float32_training_tracks_float64_on_the_same_draws(trained, tmp_path, mo
                                                           "train_steps": 40}})
     trained_params, save = {}, diffusion.Denoiser.save
 
-    def recording_save(self, path, fusion, extra_meta):
+    def recording_save(self, path):
         trained_params[path.parent.name] = {name: p.copy() for name, p in
-                                            self.named_parameters().items()}
-        save(self, path, fusion, extra_meta)
+                                            self.net.named_parameters("denoiser.").items()}
+        save(self, path)
 
     monkeypatch.setattr(diffusion.Denoiser, "save", recording_save)
     histories = {}
@@ -841,8 +868,7 @@ def test_checkpoint_arrays_are_the_models_named_parameters(trained, name):
     path = trained[1] / name
     extra = ()
     if name == "diffusion.ckpt":
-        den, fusion, _ = diffusion.Denoiser.load(path)
-        named = {**den.named_parameters(), **fusion.named_parameters()}
+        named = diffusion.Denoiser.load(path).named_parameters()
         extra = diffusion.SAMPLER_ARRAYS
     else:
         model = clmp.ClmpModel if name == "clmp.ckpt" else latentcodec.LatentCodecModel
@@ -861,8 +887,8 @@ def test_non_finite_null_gradient_exits_3_naming_the_fusion_key(trained, work_co
     training_step = diffusion.training_step
 
     def nan_null(*args, **kwargs):
-        result = training_step(*args, **kwargs)
-        return dataclasses.replace(result, d_null=np.full_like(result.d_null, np.nan))
+        loss, grads = training_step(*args, **kwargs)
+        return loss, grads[:-1] + [np.full_like(grads[-1], np.nan)]
 
     monkeypatch.setattr(diffusion, "training_step", nan_null)
     capsys.readouterr()
@@ -909,7 +935,7 @@ def test_train_diffusion_frees_each_steps_gradients_before_the_next(work_copy, m
     def tracking_step(*args, **kwargs):
         held.append(sum(ref() is not None for ref in previous))
         result = training_step(*args, **kwargs)
-        previous[:] = [weakref.ref(g) for g in result.denoiser_grads]
+        previous[:] = [weakref.ref(g) for g in result[1]]
         return result
 
     monkeypatch.setattr(diffusion, "training_step", tracking_step)

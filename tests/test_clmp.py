@@ -310,31 +310,31 @@ def test_float64_training_matches_golden_hash():
     assert digest.hexdigest() == GOLDEN_FLOAT64_CLMP_SHA256[key]
 
 
+def mate_ranked(rank, n=12):
+    """(n, n) similarities under which every query's true mate (the
+    diagonal) ranks ``rank``-th: ``rank - 1`` other candidates score higher."""
+    sims = np.zeros((n, n))
+    for i in range(n):
+        sims[i, i] = 0.5
+        sims[i, [j for j in range(n) if j != i][:rank - 1]] = 0.9
+    return sims
+
+
 class TestEvalRetrieval:
     def test_perfect_alignment_gives_ones(self):
         # identical per-item embeddings across modalities: every metric is 1
-        model = toy_model(seed=7)
         emb = np.eye(12, 16)
-        out = {}
-        for d in clmp.DIRECTIONS:
-            sims = emb @ emb.T
-            diag = np.diag(sims)
-            ranks = 1 + (sims > diag[:, None]).sum(axis=1)
-            out[d] = float(np.mean(ranks <= 1))
-        assert all(v == 1.0 for v in out.values())
+        assert clmp.retrieval_scores(emb @ emb.T) == {"r1": 1.0, "r5": 1.0, "r10": 1.0,
+                                                       "map10": 1.0}
 
     def test_true_mate_ranked_11th_scores_zero(self):
-        # craft rank-11 geometry directly on the rank computation
-        sims = np.zeros((12, 12))
-        for i in range(12):
-            sims[i, i] = 0.5
-            others = [j for j in range(12) if j != i][:10]
-            for j in others:
-                sims[i, j] = 0.9
-        diag = np.diag(sims)
-        ranks = 1 + (sims > diag[:, None]).sum(axis=1)
-        assert np.all(ranks == 11)
-        assert np.mean(np.where(ranks <= 10, 1.0 / ranks, 0.0)) == 0.0
+        scores = clmp.retrieval_scores(mate_ranked(11))
+        assert scores == {"r1": 0.0, "r5": 0.0, "r10": 0.0, "map10": 0.0}
+
+    @pytest.mark.parametrize("rank, r1, r5", [(5, 0.0, 1.0), (10, 0.0, 0.0)])
+    def test_true_mate_inside_the_top_10_scores_its_reciprocal_rank(self, rank, r1, r5):
+        scores = clmp.retrieval_scores(mate_ranked(rank))
+        assert scores == {"r1": r1, "r5": r5, "r10": 1.0, "map10": pytest.approx(1.0 / rank)}
 
     def test_metrics_monotone_in_k_and_bounded(self):
         model = toy_model(seed=8)
@@ -357,8 +357,5 @@ class TestEvalRetrieval:
             c = rng.standard_normal((n, 8))
             q /= np.linalg.norm(q, axis=1, keepdims=True)
             c /= np.linalg.norm(c, axis=1, keepdims=True)
-            sims = q @ c.T
-            diag = np.diag(sims)
-            ranks = 1 + (sims > diag[:, None]).sum(axis=1)
-            r1s.append(float(np.mean(ranks <= 1)))
+            r1s.append(clmp.retrieval_scores(q @ c.T)["r1"])
         assert abs(np.mean(r1s) - 1.0 / n) < 3.0 * np.sqrt((1 / n) * (1 - 1 / n) / (n * 50)) + 0.005

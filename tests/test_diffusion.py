@@ -1,4 +1,7 @@
+import ast
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +13,26 @@ from melodygen.errors import SamplingError, ShapeError, ValidationError
 from conftest import net_eps, reference_ddim, reference_ddpm
 from fdcheck import central_diff_grad, check_grads, max_rel_err, sample_coords
 
+SCHED_10 = df.make_schedule(10, 1e-2, 0.1)
 
-def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0, hidden=16):
-    """A denoiser with time_embed_dim 8. A list ``hidden`` gives one tanh layer
-    per width; ``create`` builds only one, so that net is built directly."""
+
+def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0, hidden=16, sched=SCHED_10, null=None):
+    """A denoiser of (1, 1, latent_dim) latents with time_embed_dim 8, a fusion
+    map of 2-wide rows, the schedule ``sched`` and, when given, the learned
+    null ``null``. A list ``hidden`` gives one tanh layer per width; ``create``
+    builds only one, so that net is built directly."""
     if isinstance(hidden, int):
         config = DiffusionConfig(cond_dim=cond_dim, hidden=hidden, time_embed_dim=8)
-        return df.Denoiser.create(latent_dim, config, seed)
-    net = smallnet.DenseNet.create([latent_dim + 8 + cond_dim, *hidden, latent_dim], "tanh",
-                                   smallnet.spawn_rng(seed, 606))
-    return df.Denoiser(net, latent_dim, cond_dim, time_embed_dim=8)
+        den = df.Denoiser.create((1, 1, latent_dim), 2, config, seed)
+    else:
+        net = smallnet.DenseNet.create([latent_dim + 8 + cond_dim, *hidden, latent_dim], "tanh",
+                                       smallnet.spawn_rng(seed, 606))
+        den = df.Denoiser(net, df.ConditionFusion.create(2, cond_dim, seed), sched,
+                          (1, 1, latent_dim), time_embed_dim=8)
+    den.sched = sched
+    if null is not None:
+        den.fusion.null_condition = null
+    return den
 
 
 class TestSchedule:
@@ -77,10 +90,11 @@ class InputNet:
 def forward_marginal(sched, x0, steps, noise):
     """The x_n rows that ``training_step`` feeds the net for rows ``x0`` at
     ``steps`` with ``noise``."""
-    den = tiny_denoiser(latent_dim=x0.shape[1])
+    den = tiny_denoiser(latent_dim=x0.shape[1], sched=sched)
     den.net = InputNet()
-    df.training_step(den, sched, x0, np.zeros((len(x0), 3)), np.zeros(3), steps=steps,
-                     noise=noise, uncond=np.zeros(len(x0), dtype=bool))
+    rows = np.zeros((len(x0), 2))
+    df.training_step(den, x0, rows, rows, steps=steps, noise=noise,
+                     uncond=np.zeros(len(x0), dtype=bool))
     return den.net.inp[:, :x0.shape[1]]
 
 
@@ -120,7 +134,7 @@ def ddpm_table(sched):
     tables = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(df, "_sample", lambda *args: tables.append(args[-4:]))
-        df.sample_ddpm(None, sched, None, None, 0.0, seed=0)
+        df.sample_ddpm(SimpleNamespace(sched=sched), None, 0.0, seed=0)
     return tables[0]
 
 
@@ -195,26 +209,16 @@ class TestFusion:
         with pytest.raises(ShapeError):
             fusion.forward(np.zeros((2, 4)), np.zeros((1, 4)))
 
-    def test_gradients_match_finite_differences(self):
-        rng = smallnet.spawn_rng(33)
-        fusion = df.ConditionFusion.create(4, 3, seed=1)
-        q, m = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        target = rng.standard_normal((5, 3))
 
-        def loss_and_grads():
-            diff = fusion.forward(q, m) - target
-            return float(np.sum(diff ** 2)), fusion.backward(q, m, 2.0 * diff)
-
-        check_grads(loss_and_grads, [fusion.W, fusion.b], rng)
-
-
-def reference_training_step(den, sched, x0, cond, null, n, eps, uncond):
+def reference_training_step(den, x0, q, m, n, eps, uncond):
     """training_step's arithmetic as whole-array expressions, with the full
-    input gradient of the net sliced afterwards. x_n and out - eps are formed
-    in float64 and each rounded once into the net's dtype."""
-    dtype = den.net.dtype
-    c_eff = np.where(uncond[:, None], null[None, :], cond)
-    ab = sched.alpha_bar[n - 1][:, None]
+    input gradient of the net sliced afterwards and the fusion map's
+    gradients written out. x_n and out - eps are formed in float64 and each
+    rounded once into the net's dtype."""
+    dtype, fusion = den.net.dtype, den.fusion
+    inputs = np.concatenate([q, m], axis=1)
+    c_eff = np.where(uncond[:, None], fusion.null_condition[None, :], inputs @ fusion.W + fusion.b)
+    ab = den.sched.alpha_bar[n - 1][:, None]
     x_n = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     inp = np.concatenate([x_n, df.time_embedding(n, den.time_embed_dim), c_eff], axis=1)
     out, cache = den.net.forward_cached(inp.astype(dtype))
@@ -222,8 +226,9 @@ def reference_training_step(den, sched, x0, cond, null, n, eps, uncond):
     loss = float(np.mean(np.sum(diff * diff, axis=1, dtype=np.float64)))
     grads, d_inp = den.net.backward_cached(cache, 2.0 * diff / len(x0))
     d_c_eff = d_inp[:, den.latent_dim + den.time_embed_dim:].astype(np.float64)
+    d_cond = np.where(uncond[:, None], 0.0, d_c_eff)
     d_null = d_c_eff[uncond].sum(axis=0) if uncond.any() else np.zeros(den.cond_dim)
-    return df.TrainingStepResult(loss, grads, np.where(uncond[:, None], 0.0, d_c_eff), d_null)
+    return loss, grads + [inputs.T @ d_cond, d_cond.sum(axis=0), d_null]
 
 
 def draws(rng, sched, batch, latent_dim, uncond_prob):
@@ -234,11 +239,16 @@ def draws(rng, sched, batch, latent_dim, uncond_prob):
     return steps, noise, rng.random(batch) < uncond_prob
 
 
+def fusion_grads(den, grads):
+    """The fusion map's (dW, db, d_null) of a training step's gradients."""
+    assert len(grads) == len(den.named_parameters())
+    return grads[-3:]
+
+
 class TestTrainingStep:
     def test_oracle_denoiser_zero_loss(self):
         # a net stub that always answers with the step's exact noise: the loss
         # collapses to 0
-        s = df.make_schedule(10, 1e-2, 0.1)
         den = tiny_denoiser()
         rng = smallnet.spawn_rng(34)
         x0 = rng.standard_normal((6, 4))
@@ -255,9 +265,10 @@ class TestTrainingStep:
                 return [], np.zeros(cache[1])[:, input_cols]
 
         den.net = OracleNet()
-        res = df.training_step(den, s, x0, np.zeros((6, den.cond_dim)), np.zeros(den.cond_dim),
-                               steps=n, noise=eps, uncond=np.ones(6, dtype=bool))
-        assert res.loss == 0.0
+        rows = np.zeros((6, 2))
+        loss, _ = df.training_step(den, x0, rows, rows, steps=n, noise=eps,
+                                   uncond=np.ones(6, dtype=bool))
+        assert loss == 0.0
 
     @pytest.mark.parametrize("latent_dim, batch, dtype", [
         (4, 6, np.float64), (5000, 7, np.float64), (5000, 7, np.float32),
@@ -265,61 +276,52 @@ class TestTrainingStep:
     def test_matches_reference_and_keeps_noise(self, latent_dim, batch, dtype):
         # latent 5000: long rows, over which a second rounding of x_n or of
         # out - eps into a float32 net shows in the loss and the gradients
-        den = tiny_denoiser(latent_dim=latent_dim, seed=9)
-        den.net = den.net.astype(dtype)
-        s = df.make_schedule(30, 1e-3, 0.05)
         data = smallnet.spawn_rng(40)
+        den = tiny_denoiser(latent_dim=latent_dim, seed=9, sched=df.make_schedule(30, 1e-3, 0.05),
+                            null=data.standard_normal(3))
+        den.net = den.net.astype(dtype)
         x0 = data.standard_normal((batch, latent_dim))
-        cond = data.standard_normal((batch, 3))
-        null = data.standard_normal(3)
-        n, eps, uncond = draws(smallnet.spawn_rng(41), s, batch, latent_dim, 0.5)
+        q, m = data.standard_normal((batch, 2)), data.standard_normal((batch, 2))
+        n, eps, uncond = draws(smallnet.spawn_rng(41), den.sched, batch, latent_dim, 0.5)
         assert uncond.any() and not uncond.all()
         eps_before = eps.copy()
-        res = df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
+        loss, grads = df.training_step(den, x0, q, m, steps=n, noise=eps, uncond=uncond)
         assert np.array_equal(eps, eps_before)
-        reference = reference_training_step(den, s, x0, cond, null, n, eps, uncond)
-        assert res.loss == reference.loss
+        ref_loss, ref_grads = reference_training_step(den, x0, q, m, n, eps, uncond)
+        assert loss == ref_loss
         # the condition columns' gradient is its own BLAS product, which may
         # round differently from the same columns of the full one
-        for a, r in ((res.d_conditions, reference.d_conditions), (res.d_null, reference.d_null)):
+        for a, r in zip(fusion_grads(den, grads), ref_grads[-3:]):
             assert a.dtype == np.float64
             if dtype == np.float64:
                 assert np.allclose(a, r, rtol=1e-14, atol=1e-15)
             else:
                 assert np.allclose(a, r, rtol=1e-5, atol=1e-5 * np.abs(r).max())
-        for g, r in zip(res.denoiser_grads, reference.denoiser_grads):
+        for g, r in zip(grads[:-3], ref_grads[:-3]):
             assert g.dtype == dtype and np.array_equal(g, r)
 
     def test_float32_denoiser_steps_in_float32_and_tracks_float64(self):
         # latent 5000: long rows; both nets hold the same values
-        den32 = tiny_denoiser(latent_dim=5000, seed=10)
-        den32.net = den32.net.astype(np.float32)
-        den64 = tiny_denoiser(latent_dim=5000, seed=10)
-        den64.net = den32.net.astype(np.float64)
-        s = df.make_schedule(30, 1e-3, 0.05)
         data = smallnet.spawn_rng(42)
-        x0, cond, null = (data.standard_normal((7, 5000)), data.standard_normal((7, 3)),
-                          data.standard_normal(3))
-        n, eps, uncond = draws(smallnet.spawn_rng(43), s, 7, 5000, 0.5)
+        sched, null = df.make_schedule(30, 1e-3, 0.05), data.standard_normal(3)
+        den32 = tiny_denoiser(latent_dim=5000, seed=10, sched=sched, null=null)
+        den32.net = den32.net.astype(np.float32)
+        den64 = tiny_denoiser(latent_dim=5000, seed=10, sched=sched, null=null)
+        den64.net = den32.net.astype(np.float64)
+        x0, q, m = (data.standard_normal((7, 5000)), data.standard_normal((7, 2)),
+                    data.standard_normal((7, 2)))
+        n, eps, uncond = draws(smallnet.spawn_rng(43), sched, 7, 5000, 0.5)
         assert uncond.any() and not uncond.all()
-        r32, r64 = (df.training_step(den, s, x0, cond, null, steps=n, noise=eps, uncond=uncond)
-                    for den in (den32, den64))
-        assert type(r32.loss) is float and r32.loss == pytest.approx(r64.loss, rel=1e-6)
-        for g32, g64 in zip(r32.denoiser_grads, r64.denoiser_grads):
-            assert g32.dtype == np.float32 and g64.dtype == np.float64
-            assert np.allclose(g32, g64, rtol=1e-4, atol=1e-5 * np.abs(g64).max())
-        for a32, a64 in ((r32.d_conditions, r64.d_conditions), (r32.d_null, r64.d_null)):
+        (l32, g32), (l64, g64) = (df.training_step(den, x0, q, m, steps=n, noise=eps,
+                                                   uncond=uncond) for den in (den32, den64))
+        assert type(l32) is float and l32 == pytest.approx(l64, rel=1e-6)
+        for a32, a64 in zip(g32[:-3], g64[:-3]):
+            assert a32.dtype == np.float32 and a64.dtype == np.float64
+            assert np.allclose(a32, a64, rtol=1e-4, atol=1e-5 * np.abs(a64).max())
+        for a32, a64 in zip(fusion_grads(den32, g32), fusion_grads(den64, g64)):
             assert a32.dtype == a64.dtype == np.float64
             assert np.allclose(a32, a64, rtol=1e-4, atol=1e-5 * np.abs(a64).max())
-        assert all(p.dtype == np.float32 for p in den32.named_parameters().values())
-
-    def test_uncond_mask_shape_checked(self):
-        den = tiny_denoiser()
-        s = df.make_schedule(10, 1e-2, 0.1)
-        with pytest.raises(ShapeError):
-            df.training_step(den, s, np.zeros((4, 4)), np.zeros((4, 3)), np.zeros(3),
-                             steps=np.ones(4, dtype=int), noise=np.zeros((4, 4)),
-                             uncond=np.ones(3, dtype=bool))
+        assert all(p.dtype == np.float32 for p in den32.net.named_parameters().values())
 
     @pytest.mark.parametrize("field, value, error", [
         ("steps", np.array([1, 2, 0, 3]), ValidationError),
@@ -327,60 +329,72 @@ class TestTrainingStep:
         ("steps", np.ones(5, dtype=int), ValidationError),
         ("noise", np.zeros((4, 5)), ShapeError),
         ("uncond", np.ones(4, dtype=int), ShapeError),
-        ("conditions", np.zeros((4, 2)), ShapeError),
+        ("uncond", np.ones(3, dtype=bool), ShapeError),
+        ("queries", np.zeros((4, 3)), ShapeError),
+        ("queries", np.zeros((3, 2)), ShapeError),
+        ("melodies", np.zeros((3, 2)), ShapeError),
         ("x0", np.zeros(4), ShapeError),
-    ], ids=["step_0", "step_past_N", "steps_length", "noise_shape", "int_mask",
-            "conditions_width", "x0_vector"])
+    ], ids=["step_0", "step_past_N", "steps_length", "noise_shape", "int_mask", "mask_length",
+            "queries_width", "queries_rows", "melodies_rows", "x0_vector"])
     def test_bad_inputs_rejected(self, field, value, error):
         den = tiny_denoiser()
-        s = df.make_schedule(10, 1e-2, 0.1)
-        args = {"x0": np.zeros((4, 4)), "conditions": np.zeros((4, 3)),
-                "null_condition": np.zeros(3), "steps": np.ones(4, dtype=int),
+        args = {"x0": np.zeros((4, 4)), "queries": np.zeros((4, 2)),
+                "melodies": np.zeros((4, 2)), "steps": np.ones(4, dtype=int),
                 "noise": np.zeros((4, 4)), "uncond": np.zeros(4, dtype=bool)}
         args[field] = value
         with pytest.raises(error):
-            df.training_step(den, s, **args)
+            df.training_step(den, **args)
 
     def test_zero_denoiser_loss_near_latent_dim(self):
         # E||eps||^2 = latent_dim for a zero predictor (chi-square mean)
         latent_dim = 6
-        den = tiny_denoiser(latent_dim=latent_dim)
+        den = tiny_denoiser(latent_dim=latent_dim, sched=df.make_schedule(50, 1e-3, 0.05))
         for layer in den.net.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
-        s = df.make_schedule(50, 1e-3, 0.05)
         rng = smallnet.spawn_rng(35)
+        rows = np.zeros((32, 2))
         losses = []
         for _ in range(200):
-            n, eps, uncond = draws(rng, s, 32, latent_dim, 1.0)
-            res = df.training_step(den, s, np.zeros((32, latent_dim)),
-                                   np.zeros((32, den.cond_dim)), np.zeros(den.cond_dim),
-                                   steps=n, noise=eps, uncond=uncond)
-            losses.append(res.loss)
+            n, eps, uncond = draws(rng, den.sched, 32, latent_dim, 1.0)
+            loss, _ = df.training_step(den, np.zeros((32, latent_dim)), rows, rows, steps=n,
+                                       noise=eps, uncond=uncond)
+            losses.append(loss)
         n_total = 200 * 32
         se = math.sqrt(2.0 * latent_dim / n_total)  # var of chi2_k mean
         assert abs(np.mean(losses) - latent_dim) < 3 * se
 
-    def test_uncond_prob_one_zeroes_condition_grads(self):
-        den = tiny_denoiser()
-        s = df.make_schedule(20, 1e-3, 0.05)
+    @pytest.mark.parametrize("uncond_prob", [0.0, 1.0])
+    def test_dropout_sends_gradient_to_the_null_or_the_map(self, uncond_prob):
+        """Every row dropped: only the null learns. None dropped: the null
+        gets no gradient and the map does."""
+        den = tiny_denoiser(sched=df.make_schedule(20, 1e-3, 0.05))
         rng = smallnet.spawn_rng(36)
-        x0 = rng.standard_normal((8, 4))
-        cond = rng.standard_normal((8, 3))
-        n, eps, uncond = draws(rng, s, 8, 4, 1.0)
-        res = df.training_step(den, s, x0, cond, np.zeros(3), steps=n, noise=eps, uncond=uncond)
-        assert np.all(res.d_conditions == 0.0)
-        assert np.any(res.d_null != 0.0)
+        x0, q, m = (rng.standard_normal((8, 4)), rng.standard_normal((8, 2)),
+                    rng.standard_normal((8, 2)))
+        n, eps, uncond = draws(rng, den.sched, 8, 4, uncond_prob)
+        _, grads = df.training_step(den, x0, q, m, steps=n, noise=eps, uncond=uncond)
+        d_w, d_b, d_null = fusion_grads(den, grads)
+        if uncond_prob == 1.0:
+            assert np.all(d_w == 0.0) and np.all(d_b == 0.0) and np.any(d_null != 0.0)
+        else:
+            assert np.any(d_w != 0.0) and np.any(d_b != 0.0) and np.all(d_null == 0.0)
 
-    def test_uncond_prob_zero_keeps_all_conditions(self):
-        den = tiny_denoiser()
-        s = df.make_schedule(20, 1e-3, 0.05)
-        rng = smallnet.spawn_rng(37)
-        x0, cond = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
-        n, eps, uncond = draws(rng, s, 8, 4, 0.0)
-        res = df.training_step(den, s, x0, cond, np.zeros(3), steps=n, noise=eps, uncond=uncond)
-        assert np.all(res.d_null == 0.0)
-        assert np.all(np.any(res.d_conditions != 0.0, axis=1))
+    def test_gradients_match_finite_differences_through_the_fusion_map(self):
+        """The loss of a whole step, condition fusion and null included, against
+        every parameter the optimizer binds, fusion.W, fusion.b and
+        fusion.null_condition among them."""
+        rng = smallnet.spawn_rng(44)
+        den = tiny_denoiser(seed=2, sched=df.make_schedule(20, 1e-3, 0.05),
+                            null=rng.standard_normal(3))
+        x0, q, m = (rng.standard_normal((6, 4)), rng.standard_normal((6, 2)),
+                    rng.standard_normal((6, 2)))
+        n, eps, uncond = draws(rng, den.sched, 6, 4, 0.5)
+        assert uncond.any() and not uncond.all()
+        params = den.named_parameters()
+        assert list(params)[-3:] == ["fusion.W", "fusion.b", "fusion.null_condition"]
+        check_grads(lambda: df.training_step(den, x0, q, m, steps=n, noise=eps, uncond=uncond),
+                    list(params.values()), rng)
 
     def test_denoiser_gradients_match_finite_differences(self):
         den = tiny_denoiser(seed=2)
@@ -410,10 +424,10 @@ class TestTrainingStep:
         assert worst <= 1e-4
 
 
-def guided_step(den, x, n, c, null, w):
+def guided_step(den, x, n, c, w):
     """eps_bar(x, n) as ``GuidedTrajectory`` forms it: one step with alpha 0
     and beta 1."""
-    traj = df.GuidedTrajectory(den, c, null, w, x, [n])
+    traj = df.GuidedTrajectory(den, c, w, x, [n])
     traj.step(n, 0.0, 1.0)
     return traj.x()
 
@@ -422,37 +436,36 @@ class TestGuidedEstimate:
     """One guided step against full forwards of the net."""
 
     def test_w_zero_is_conditional_branch(self):
-        den = tiny_denoiser(seed=3)
         rng = smallnet.spawn_rng(39)
         x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
-        null = rng.standard_normal(3)
-        assert np.allclose(guided_step(den, x, 5, c, null, 0.0), net_eps(den, x, 5, c),
+        den = tiny_denoiser(seed=3, null=rng.standard_normal(3))
+        assert np.allclose(guided_step(den, x, 5, c, 0.0), net_eps(den, x, 5, c),
                            rtol=0, atol=1e-12)
 
     def test_equal_branches_cancel(self):
-        den = tiny_denoiser(seed=4)
         rng = smallnet.spawn_rng(40)
         x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
+        den = tiny_denoiser(seed=4, null=c)
         for w in (0.0, 1.0, 3.0, 7.5):
-            out = guided_step(den, x, 3, c, c, w)  # null == cond
+            out = guided_step(den, x, 3, c, w)  # null == cond
             assert np.allclose(out, net_eps(den, x, 3, c), rtol=0, atol=1e-12)
 
     def test_w3_is_4cond_minus_3uncond(self):
-        den = tiny_denoiser(seed=5)
         rng = smallnet.spawn_rng(41)
         x = rng.standard_normal((2, 4))
         c = rng.standard_normal(3)
         null = rng.standard_normal(3)
+        den = tiny_denoiser(seed=5, null=null)
         expected = 4.0 * net_eps(den, x, 2, c) - 3.0 * net_eps(den, x, 2, null)
-        assert np.allclose(guided_step(den, x, 2, c, null, 3.0), expected, rtol=0, atol=1e-12)
+        assert np.allclose(guided_step(den, x, 2, c, 3.0), expected, rtol=0, atol=1e-12)
 
     def test_affine_in_w(self):
-        den = tiny_denoiser(seed=6)
         rng = smallnet.spawn_rng(42)
         x, c, null = rng.standard_normal((2, 4)), rng.standard_normal(3), rng.standard_normal(3)
-        e0, e1, e3 = (guided_step(den, x, 4, c, null, w) for w in (0.0, 1.0, 3.0))
+        den = tiny_denoiser(seed=6, null=null)
+        e0, e1, e3 = (guided_step(den, x, 4, c, w) for w in (0.0, 1.0, 3.0))
         assert np.allclose(e3, e0 + 3.0 * (e1 - e0), atol=1e-10)
 
 
@@ -469,11 +482,9 @@ class TestSamplers:
             df.ddim_timesteps(100, 101)
 
     def test_single_step_schedule_is_x0_formula(self):
-        den = tiny_denoiser(seed=7)
-        s = df.make_schedule(1, 0.5, 0.5)
-        null = np.zeros(3)
+        den = tiny_denoiser(seed=7, sched=df.make_schedule(1, 0.5, 0.5))
         c = np.zeros(3)
-        x = df.sample_ddpm(den, s, c, null, 0.0, seed=9, n_samples=2)
+        x = df.sample_ddpm(den, c, 0.0, seed=9, n_samples=2)
         rng = smallnet.spawn_rng(9, 707)
         x_n = rng.standard_normal((2, 4))
         eps = net_eps(den, x_n, 1, np.zeros(3))
@@ -481,10 +492,10 @@ class TestSamplers:
         assert np.allclose(x, expected, atol=1e-12)
 
     def test_ddim_steps_one_equals_single_estimate(self):
-        den = tiny_denoiser(seed=8)
         s = df.make_schedule(50, 1e-3, 0.05)
+        den = tiny_denoiser(seed=8, sched=s)
         c = np.zeros(3)
-        x = df.sample_ddim(den, s, c, c, 0.0, steps=1, seed=10, n_samples=3)
+        x = df.sample_ddim(den, c, 0.0, steps=1, seed=10, n_samples=3)
         rng = smallnet.spawn_rng(10, 708)
         x_n = rng.standard_normal((3, 4))
         eps = net_eps(den, x_n, 50, c)
@@ -493,11 +504,10 @@ class TestSamplers:
         assert np.allclose(x, expected, atol=1e-12)
 
     def test_ddim_deterministic_per_seed(self):
-        den = tiny_denoiser(seed=9)
-        s = df.make_schedule(30, 1e-3, 0.05)
+        den = tiny_denoiser(seed=9, sched=df.make_schedule(30, 1e-3, 0.05))
         c = np.ones(3) * 0.2
-        a = df.sample_ddim(den, s, c, np.zeros(3), 2.0, steps=10, seed=11, n_samples=2)
-        b = df.sample_ddim(den, s, c, np.zeros(3), 2.0, steps=10, seed=11, n_samples=2)
+        a = df.sample_ddim(den, c, 2.0, steps=10, seed=11, n_samples=2)
+        b = df.sample_ddim(den, c, 2.0, steps=10, seed=11, n_samples=2)
         assert np.array_equal(a, b)
 
     def test_perfect_oracle_recovers_x0(self):
@@ -512,28 +522,26 @@ class TestSamplers:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_denoiser_aborts_with_step(self):
-        den = tiny_denoiser(seed=10)
+        den = tiny_denoiser(seed=10, sched=df.make_schedule(5, 1e-2, 0.1))
         den.net.layers[0].w[0, 0] = 1.0
         # force non-finite output by poisoning a bias after construction
         den.net.layers[-1].b[:] = np.inf
-        s = df.make_schedule(5, 1e-2, 0.1)
         with pytest.raises(SamplingError) as e:
-            df.sample_ddpm(den, s, np.zeros(3), np.zeros(3), 1.0, seed=12)
+            df.sample_ddpm(den, np.zeros(3), 1.0, seed=12)
         assert e.value.step == 5  # fails on the first (highest) step
 
     def test_equal_conditions_identical_outputs(self):
         # the zero-melody ablation only changes the condition vector; if two
         # conditions are equal the sampler output is bit-identical
-        den = tiny_denoiser(seed=11)
-        s = df.make_schedule(20, 1e-3, 0.05)
+        den = tiny_denoiser(seed=11, sched=df.make_schedule(20, 1e-3, 0.05))
         c = np.array([0.1, -0.2, 0.3])
-        a = df.sample_ddim(den, s, c.copy(), np.zeros(3), 3.0, steps=5, seed=13)
-        b = df.sample_ddim(den, s, c.copy(), np.zeros(3), 3.0, steps=5, seed=13)
+        a = df.sample_ddim(den, c.copy(), 3.0, steps=5, seed=13)
+        b = df.sample_ddim(den, c.copy(), 3.0, steps=5, seed=13)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("sampler, draws", [
-        (lambda den, s, c: df.sample_ddpm(den, s, c, c, 3.0, seed=14, n_samples=2), 6),
-        (lambda den, s, c: df.sample_ddim(den, s, c, c, 3.0, steps=4, seed=14, n_samples=2), 1),
+        (lambda den, c: df.sample_ddpm(den, c, 3.0, seed=14, n_samples=2), 6),
+        (lambda den, c: df.sample_ddim(den, c, 3.0, steps=4, seed=14, n_samples=2), 1),
     ], ids=["ddpm", "ddim"])
     def test_noise_is_drawn_only_where_sigma_is_positive(self, monkeypatch, sampler, draws):
         """x_N, then one z per step with sigma > 0: every DDPM step but n = 1
@@ -549,10 +557,11 @@ class TestSamplers:
                 shapes.append(shape)
                 return self.rng.standard_normal(shape)
 
-        den, s, c = tiny_denoiser(seed=12), df.make_schedule(6, 1e-3, 0.05), np.full(3, 0.1)
-        plain = sampler(den, s, c)
+        c = np.full(3, 0.1)
+        den = tiny_denoiser(seed=12, sched=df.make_schedule(6, 1e-3, 0.05), null=c)
+        plain = sampler(den, c)
         monkeypatch.setattr(smallnet, "spawn_rng", lambda *keys: Counted(spawn(*keys)))
-        assert np.array_equal(sampler(den, s, c), plain)
+        assert np.array_equal(sampler(den, c), plain)
         assert shapes == [(2, den.latent_dim)] * draws
 
 
@@ -567,37 +576,38 @@ class TestFusedGuidance:
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
     def make(self, hidden, per_row, seed=0):
-        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, hidden=hidden)
+        """(denoiser, condition, the denoiser's learned null)."""
         rng = smallnet.spawn_rng(100 + seed)
         c = rng.standard_normal((3, 5) if per_row else 5)
-        return den, c, rng.standard_normal(5)
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, hidden=hidden,
+                            sched=self.SCHED, null=rng.standard_normal(5))
+        return den, c, den.fusion.null_condition
 
     @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     @pytest.mark.parametrize("w", [0.0, 1.0, 3.0, 7.5])
     def test_samplers_match_the_two_forward_reference(self, hidden, per_row, w):
-        den, c, null = self.make(hidden, per_row)
-        ddim = df.sample_ddim(den, self.SCHED, c, null, w, steps=7, seed=21, n_samples=3)
-        ddpm = df.sample_ddpm(den, self.SCHED, c, null, w, seed=22, n_samples=3)
-        assert np.allclose(ddim, reference_ddim(den, self.SCHED, c, null, w, 7, 21, 3),
-                           rtol=0, atol=1e-12)
-        assert np.allclose(ddpm, reference_ddpm(den, self.SCHED, c, null, w, 22, 3),
-                           rtol=0, atol=1e-12)
+        den, c, _ = self.make(hidden, per_row)
+        ddim = df.sample_ddim(den, c, w, steps=7, seed=21, n_samples=3)
+        ddpm = df.sample_ddpm(den, c, w, seed=22, n_samples=3)
+        assert np.allclose(ddim, reference_ddim(den, c, w, 7, 21, 3), rtol=0, atol=1e-12)
+        assert np.allclose(ddpm, reference_ddpm(den, c, w, 22, 3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     def test_null_equal_to_condition_is_the_conditional_branch(self, per_row):
         den, c, _ = self.make([8, 6], per_row, seed=1)
+        den.fusion.null_condition = c
         for w in (1.0, 3.0, 7.5):
-            guided = df.sample_ddim(den, self.SCHED, c, c, w, steps=7, seed=23, n_samples=3)
-            cond = df.sample_ddim(den, self.SCHED, c, c, 0.0, steps=7, seed=23, n_samples=3)
+            guided = df.sample_ddim(den, c, w, steps=7, seed=23, n_samples=3)
+            cond = df.sample_ddim(den, c, 0.0, steps=7, seed=23, n_samples=3)
             assert np.allclose(guided, cond, rtol=0, atol=1e-12)
 
     def test_w_zero_never_reads_the_null(self):
-        den, c, _ = self.make(16, False, seed=2)
-        null = np.full(5, np.nan)
-        x = df.sample_ddpm(den, self.SCHED, c, null, 0.0, seed=24, n_samples=3)
-        assert np.array_equal(x, df.sample_ddpm(den, self.SCHED, c, np.zeros(5), 0.0,
-                                                seed=24, n_samples=3))
+        den, c, null = self.make(16, False, seed=2)
+        null[...] = np.nan
+        x = df.sample_ddpm(den, c, 0.0, seed=24, n_samples=3)
+        null[...] = 0.0
+        assert np.array_equal(x, df.sample_ddpm(den, c, 0.0, seed=24, n_samples=3))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("batch", [1, 3])
@@ -607,32 +617,33 @@ class TestFusedGuidance:
         den, c, null = self.make(16, False, seed=4)
         null[2] = np.nan
         with pytest.raises(SamplingError) as e:
-            df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=29, n_samples=batch)
+            df.sample_ddim(den, c, 3.0, steps=7, seed=29, n_samples=batch)
         assert e.value.step == df.ddim_timesteps(self.SCHED.N, 7)[0]
         with pytest.raises(SamplingError) as e:
-            df.sample_ddpm(den, self.SCHED, c, null, 3.0, seed=29, n_samples=batch)
+            df.sample_ddpm(den, c, 3.0, seed=29, n_samples=batch)
         assert e.value.step == self.SCHED.N
 
     def test_negative_w_rejected_before_the_denoiser_runs(self):
-        den, c, null = self.make(16, False)
+        den, c, _ = self.make(16, False)
         den.net = Untouchable()
         with pytest.raises(ValidationError):
-            df.sample_ddim(den, self.SCHED, c, null, -0.5, steps=7, seed=25)
+            df.sample_ddim(den, c, -0.5, steps=7, seed=25)
         with pytest.raises(ValidationError):
-            df.sample_ddpm(den, self.SCHED, c, null, -0.5, seed=25)
+            df.sample_ddpm(den, c, -0.5, seed=25)
 
     def test_condition_rows_must_match_samples(self):
         den, c, null = self.make(16, True)
         with pytest.raises(ShapeError):
-            df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=26, n_samples=2)
+            df.sample_ddim(den, c, 3.0, steps=7, seed=26, n_samples=2)
+        den.fusion.null_condition = null[:4]
         with pytest.raises(ShapeError):
-            df.sample_ddpm(den, self.SCHED, c[0], null[:4], 3.0, seed=26, n_samples=3)
+            df.sample_ddpm(den, c[0], 3.0, seed=26, n_samples=3)
 
     @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     def test_hidden_product_tracks_the_latent(self, monkeypatch, hidden, per_row):
         """After every DDIM and DDPM step, u is the latent's layer-0 product."""
-        den, c, null = self.make(hidden, per_row, seed=3)
+        den, c, _ = self.make(hidden, per_row, seed=3)
         w_x = den.net.layers[0].w[:, :den.latent_dim]
         step, steps_seen = df.GuidedTrajectory.step, []
 
@@ -642,8 +653,8 @@ class TestFusedGuidance:
             steps_seen.append(n)
 
         monkeypatch.setattr(df.GuidedTrajectory, "step", checked_step)
-        df.sample_ddim(den, self.SCHED, c, null, 3.0, steps=7, seed=27, n_samples=3)
-        df.sample_ddpm(den, self.SCHED, c, null, 3.0, seed=28, n_samples=3)
+        df.sample_ddim(den, c, 3.0, steps=7, seed=27, n_samples=3)
+        df.sample_ddpm(den, c, 3.0, seed=28, n_samples=3)
         assert steps_seen == df.ddim_timesteps(self.SCHED.N, 7) + list(range(self.SCHED.N, 0, -1))
 
 
@@ -656,7 +667,7 @@ class TestHiddenLayerRequired:
         den = tiny_denoiser()
         den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.spawn_rng(0))
         path = tmp_path / "diffusion.ckpt"
-        den.save(path, df.ConditionFusion.create(2, 3, seed=0), {})
+        den.save(path)
         with pytest.raises(ValidationError, match="no hidden layer"):
             df.Denoiser.load(path)
 
@@ -673,15 +684,16 @@ class TestStoredSamplerConstants:
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
     def saved(self, tmp_path, hidden=16):
-        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=4, hidden=hidden)
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=4, hidden=hidden, sched=self.SCHED,
+                            null=smallnet.spawn_rng(6).standard_normal(5))
         path = tmp_path / "diffusion.ckpt"
-        den.save(path, df.ConditionFusion.create(2, 5, seed=0), {})
+        den.save(path)
         return den, path
 
     @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     def test_round_trip_stores_the_constants_of_the_loaded_weights(self, tmp_path, hidden):
         _, path = self.saved(tmp_path, hidden)
-        den = df.Denoiser.load(path)[0]
+        den = df.Denoiser.load(path)
         stored = den.sampler_constants()
         den.stored_constants = None
         formed = den.sampler_constants()
@@ -693,13 +705,12 @@ class TestStoredSamplerConstants:
     @pytest.mark.parametrize("w", [0.0, 3.0])
     def test_samplers_from_loaded_and_quantized_denoisers_are_bit_identical(self, tmp_path, w):
         den, path = self.saved(tmp_path)
-        loaded, in_memory = df.Denoiser.load(path)[0], quantized(den)
+        loaded, in_memory = df.Denoiser.load(path), quantized(den)
         assert in_memory.stored_constants is None
-        rng = smallnet.spawn_rng(5)
-        c, null = rng.standard_normal((3, 5)), rng.standard_normal(5)
+        c = smallnet.spawn_rng(5).standard_normal((3, 5))
         for sample in (
-            lambda d: df.sample_ddim(d, self.SCHED, c, null, w, steps=7, seed=31, n_samples=3),
-            lambda d: df.sample_ddpm(d, self.SCHED, c, null, w, seed=32, n_samples=3),
+            lambda d: df.sample_ddim(d, c, w, steps=7, seed=31, n_samples=3),
+            lambda d: df.sample_ddpm(d, c, w, seed=32, n_samples=3),
         ):
             assert np.array_equal(sample(loaded), sample(in_memory))
 
@@ -740,14 +751,32 @@ def test_step_table_time_rows_equal_the_per_step_embedding(steps):
     """The stacked time product is bit-equal to each step's own row product, at
     tiny widths and at the pipeline's (time_embed_dim 64, hidden 128)."""
     for latent, cond, embed, hidden in ((12, 5, 8, 16), (16, 64, 64, 128)):
-        den = df.Denoiser.create(latent, DiffusionConfig(cond_dim=cond, hidden=hidden,
-                                                         time_embed_dim=embed), seed=6)
+        den = df.Denoiser.create((1, 1, latent), 4, DiffusionConfig(
+            cond_dim=cond, hidden=hidden, time_embed_dim=embed), seed=6)
         w_t = den.net.layers[0].w[:, latent:latent + embed]
         table = df.time_embedding(np.asarray(steps), embed)
-        traj = df.GuidedTrajectory(den, np.zeros(cond), np.zeros(cond), 3.0,
-                                   np.zeros((1, latent)), steps)
+        traj = df.GuidedTrajectory(den, np.zeros(cond), 3.0, np.zeros((1, latent)), steps)
         assert list(traj.time_rows) == steps
         for row, n in zip(table, steps):
             per_step = df.time_embedding(np.array([n]), embed)[0]
             assert np.array_equal(row, per_step)
             assert np.array_equal(traj.time_rows[n], per_step @ w_t.T)
+
+
+def test_only_diffusion_knows_what_diffusion_ckpt_holds(tmp_path):
+    """The layout of diffusion.ckpt stays behind ``Denoiser``: no other module
+    names one of its meta keys, or makes a noise schedule or a fusion map."""
+    path = tmp_path / "diffusion.ckpt"
+    tiny_denoiser().save(path)
+    meta = smallnet.load_checkpoint(path)[1]
+    # clmp.ckpt's meta holds an embed_dim of its own
+    keys = (set(meta) | set(meta["extra"])) - {"embed_dim"}
+    users = set()
+    for path in Path(df.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in ("make_schedule", "ConditionFusion") or (
+                    isinstance(node, ast.Constant) and node.value in keys):
+                users.add(path.stem)
+    assert users <= {"diffusion"}, users
