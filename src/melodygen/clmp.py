@@ -213,7 +213,11 @@ def embed(model: ClmpModel, modality: str, items) -> np.ndarray:
     """(n, embed_dim) unit rows, one per item. ``items`` are caption strings
     for "text", (T, F) mel grid arrays for "waveform" and melodies (tuples of
     triplets) for "melody"."""
-    feats = features(modality, items)
+    return embed_features(model, modality, features(modality, items))
+
+
+def embed_features(model: ClmpModel, modality: str, feats) -> np.ndarray:
+    """(n, embed_dim) unit rows from the ``features`` of n items."""
     if modality == "melody":
         return _MelodyPath(model, feats).emb
     return _HeadPath(model.text_head if modality == "text" else model.wave_head, feats).emb
@@ -322,13 +326,12 @@ def retrieval_scores(sims: np.ndarray) -> dict:
     }
 
 
-def eval_retrieval(model: ClmpModel, texts: list[str], mels, melodies: list[Melody]) -> dict:
-    """``retrieval_scores`` for each of ``DIRECTIONS`` over aligned items, as
-    ``train_clmp`` takes them; the true mate is the same item."""
-    if len(texts) < MIN_RETRIEVAL_ITEMS:
+def eval_retrieval(text: np.ndarray, waveform: np.ndarray, melody: np.ndarray) -> dict:
+    """``retrieval_scores`` for each of ``DIRECTIONS`` over the ``embed``
+    rows of aligned items, one array per modality; the true mate is the same
+    item."""
+    if len(text) < MIN_RETRIEVAL_ITEMS:
         raise ValidationError(f"evaluation set needs >= {MIN_RETRIEVAL_ITEMS} items, "
-                              f"got {len(texts)}")
-    emb = {"T": embed(model, "text", texts),
-           "W": embed(model, "waveform", mels),
-           "M": embed(model, "melody", melodies)}
+                              f"got {len(text)}")
+    emb = {"T": text, "W": waveform, "M": melody}
     return {d: retrieval_scores(emb[d[0]] @ emb[d[2]].T) for d in DIRECTIONS}

@@ -39,9 +39,10 @@ the denoiser's hidden space. It is exact in real arithmetic:
   [x_n || temb(n) || c]: its pre-activation is
   x_n W_x^T + temb(n) W_t^T + (c W_c^T + b0). The first two terms are shared
   by the two branches; the last is constant over a run, and the branches'
-  are stacked into one (2, batch, hidden) array, so that each step makes one
-  add and one activation per layer for both (for the conditional branch
-  alone when w = 0), and mixes them into a preallocated buffer.
+  are stacked into one (2, k, batch, hidden) array (k blocks, as below),
+  so that each step makes one add and one activation per layer for both
+  (for the conditional branch alone when w = 0), and mixes them into a
+  preallocated buffer.
 - The output layer is affine with identity activation (``Denoiser.load``
   checks this), so eps_bar = a A^T + b_out, where
   a = (w+1) a_c - w a_u mixes the branches' last hidden activations.
@@ -61,6 +62,13 @@ temb(n) W_t^T, as one stacked product of (1, time_embed_dim) rows, which
 rounds as each row's own product does. Only rounding differs from two full
 forwards per step (the reference samplers in ``tests/conftest.py``), so the
 two agree to float64 rounding (tests hold full sampler runs to 1e-12).
+
+A run may carry k blocks of n_samples condition rows (an ablation's arms)
+from one draw: x_N, u, the g x_N and R terms and DDPM's z and its product are
+formed once and broadcast over the blocks, so k blocks of DDIM make k + 1
+products at the latent width, not 2k. Every other product is formed per
+block, on an (n_samples, .) slice of a stacked array, so block j is bit-equal
+to a run of its rows alone (one product over all k n_samples rows is not).
 
 The finite check keeps the reference's semantics: a non-finite A or b_out
 would make every estimate non-finite, so they are checked once per run and
@@ -264,27 +272,35 @@ class Denoiser:
     @classmethod
     def load(cls, path) -> "Denoiser":
         """The denoiser that ``save`` wrote to ``path``. A net the sampler
-        cannot carry, a latent shape other than the net's output width, or
+        cannot carry, a latent shape other than the net's output width, an
+        invalid schedule, a fusion map of other widths than the file's, or
         missing, misshapen or non-finite sampler constants raise
         ``ValidationError`` naming the file."""
         arrays, meta = smallnet.load_checkpoint(path)
-        with smallnet.checkpoint_keys(path, "train-diffusion"):
-            net = smallnet.net_from_state(arrays, meta["net"], "denoiser.")
-            latent_dim, cond_dim = int(meta["latent_dim"]), int(meta["cond_dim"])
-            extra = meta["extra"]
-            den = cls(
-                net=net,
-                fusion=ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
-                                       null_condition=arrays["fusion.null_condition"]),
-                sched=make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
-                                    float(extra["beta_end"])),
-                shape=tuple(int(extra[k]) for k in SHAPE_KEYS),
-                time_embed_dim=int(meta["time_embed_dim"]),
-            )
 
         def refuse(problem):
             raise ValidationError(f"denoiser checkpoint {path}: {problem}; "
                                   "rerun train-diffusion")
+
+        with smallnet.checkpoint_keys(path, "train-diffusion"):
+            net = smallnet.net_from_state(arrays, meta["net"], "denoiser.")
+            latent_dim, cond_dim = int(meta["latent_dim"]), int(meta["cond_dim"])
+            extra = meta["extra"]
+            try:
+                sched = make_schedule(int(extra["n_steps"]), float(extra["beta_start"]),
+                                      float(extra["beta_end"]))
+            except ValidationError as e:
+                refuse(e)
+            den = cls(
+                net=net,
+                fusion=ConditionFusion(W=arrays["fusion.W"], b=arrays["fusion.b"],
+                                       null_condition=arrays["fusion.null_condition"]),
+                sched=sched,
+                shape=tuple(int(extra[k]) for k in SHAPE_KEYS),
+                time_embed_dim=int(meta["time_embed_dim"]),
+            )
+            fusion_shapes = {"fusion.W": (2 * int(extra["embed_dim"]), cond_dim),
+                             "fusion.b": (cond_dim,), "fusion.null_condition": (cond_dim,)}
 
         # GuidedTrajectory slices layer 0 by these widths, and needs a hidden
         # layer and an affine output
@@ -303,6 +319,9 @@ class Denoiser:
         ):
             if bad:
                 refuse(problem)
+        for name, a in den.fusion.named_parameters().items():
+            if a.shape != fusion_shapes[name]:
+                refuse(f"{name} has shape {a.shape}, wanted {fusion_shapes[name]}")
         with smallnet.checkpoint_keys(path, "train-diffusion"):
             den.stored_constants = tuple(arrays[k] for k in SAMPLER_ARRAYS)
         hidden = (net.layers[0].w.shape[0], net.layers[-1].w.shape[1])
@@ -395,17 +414,19 @@ def check_guidance_weight(w: float) -> None:
 class GuidedTrajectory:
     """One guided sampling run, carried in the denoiser's hidden space.
 
-    Starts at the (batch, latent_dim) draw ``x_N``. ``step(n, alpha, beta,
-    noise)`` moves the latent x to alpha x + beta eps_bar(x, n) + noise, where
-    eps_bar = (w+1) eps(x, n, condition) - w eps(x, n, null) is what two full
-    forwards of the net give (the reference samplers in ``tests/conftest.py``),
-    for each step n of ``steps`` in turn; ``x()`` returns the latent. ``u`` is
-    x W_x^T, layer 0's product with the latent. See the module docstring for
-    why this is exact. ``condition`` is (cond_dim,) or (batch, cond_dim), and
-    null is the denoiser's ``fusion.null_condition``; ``w == 0`` skips the
-    null branch. ``time_rows[n]`` is step n's layer-0 time term
-    temb(n) W_t^T, formed once per run, bit-equal to the row's own product
-    (one (steps, time_embed_dim) product is not).
+    Starts every block at the (batch, latent_dim) draw ``x_N``. ``step(n,
+    alpha, beta, noise)`` moves the latent x to alpha x + beta eps_bar(x, n)
+    + noise, where eps_bar = (w+1) eps(x, n, condition) - w eps(x, n, null)
+    is what two full forwards of the net give (the reference samplers in
+    ``tests/conftest.py``), for each step n of ``steps`` in turn; ``x()``
+    returns the latent. ``u`` is x W_x^T, layer 0's product with the latent.
+    See the module docstring for why this is exact. ``condition`` is
+    (cond_dim,) or (k batch, cond_dim): k blocks of ``batch`` rows, each
+    bit-equal to a run of its rows alone. null is the denoiser's
+    ``fusion.null_condition``, of either shape too; ``w == 0`` skips the null
+    branch. ``time_rows[n]`` is step n's layer-0 time term temb(n) W_t^T,
+    formed once per run, bit-equal to the row's own product (one
+    (steps, time_embed_dim) product is not).
     """
 
     def __init__(self, denoiser: Denoiser, condition: np.ndarray, w: float, x_N: np.ndarray,
@@ -415,16 +436,18 @@ class GuidedTrajectory:
         first, last = layers[0], layers[-1]
         t0, c0 = denoiser.latent_dim, denoiser.latent_dim + denoiser.time_embed_dim
         w_x, w_c = first.w[:, :t0], first.w[:, c0:]
-        batch = len(x_N)
+        batch, cond_dim = len(x_N), denoiser.cond_dim
+        blocks = max(len(condition) // batch, 1) if np.ndim(condition) == 2 else 1
 
         def condition_bias(c):
             c = np.asarray(c, dtype=np.float64)
-            if c.shape not in ((denoiser.cond_dim,), (batch, denoiser.cond_dim)):
-                raise ShapeError(f"condition has shape {c.shape}, wanted ({denoiser.cond_dim},) "
-                                 f"or ({batch}, {denoiser.cond_dim})")
-            return np.broadcast_to(c @ w_c.T + first.b, (batch, first.w.shape[0]))
+            if c.shape not in ((cond_dim,), (blocks * batch, cond_dim)):
+                raise ShapeError(f"condition has shape {c.shape}, wanted ({cond_dim},) "
+                                 f"or (k*{batch}, {cond_dim}) for k >= 1")
+            c = c.reshape(blocks, batch, cond_dim) if c.ndim == 2 else c
+            return np.broadcast_to(c @ w_c.T + first.b, (blocks, batch, first.w.shape[0]))
 
-        # (branches, batch, hidden): the condition's bias, then the null's when w > 0
+        # (branches, blocks, batch, hidden): the condition's bias, then the null's if w > 0
         self._biases = np.stack([condition_bias(c) for c in
                                  ((condition,) if w == 0.0
                                   else (condition, denoiser.fusion.null_condition))])
@@ -437,15 +460,16 @@ class GuidedTrajectory:
             np.all(np.isfinite(last.w)) and np.all(np.isfinite(last.b)))
         self._m, self._m_b = denoiser.sampler_constants()
         self._x_N, self._out = x_N, last
-        self.u = x_N @ w_x.T
-        self._s = np.zeros((batch, last.w.shape[1]))
-        self._coefs = np.array([w + 1.0, w][:len(self._biases)])[:, None, None]
+        self.u = x_N @ w_x.T  # broadcast over the blocks until the first step
+        self._s = np.zeros((blocks, batch, last.w.shape[1]))
+        self._coefs = np.array([w + 1.0, w][:len(self._biases)])[:, None, None, None]
         self._mixed = np.empty(self._s.shape)
         self._g, self._k, self._r = 1.0, 0.0, None
 
     def step(self, n: int, alpha: float, beta: float, noise: np.ndarray | None = None) -> None:
         """x <- alpha x + beta eps_bar(x, n) + noise, for step n (1..N);
-        ``noise`` is a (batch, latent_dim) array or None for none. Raises
+        ``noise`` is a (batch, latent_dim) array that every block adds, or
+        None for none. Raises
         ``SamplingError`` at step n if eps_bar is not finite."""
         a = smallnet.activate(self._layers[0].activation,
                               (self.u + self.time_rows[n]) + self._biases)
@@ -469,8 +493,14 @@ class GuidedTrajectory:
         self._k = alpha * self._k + beta
 
     def x(self) -> np.ndarray:
-        x = self._g * self._x_N + self._s @ self._out.w.T + self._k * self._out.b
-        return x if self._r is None else x + self._r
+        # summed into in place, g x_N a row at a time: k blocks make x large
+        x = self._s @ self._out.w.T
+        for i, row in enumerate(self._x_N):
+            x[:, i] += self._g * row
+        x += self._k * self._out.b
+        if self._r is not None:
+            x += self._r
+        return x.reshape(-1, x.shape[-1])
 
 
 def _sample(denoiser: Denoiser, condition: np.ndarray, w: float, n_samples: int,
@@ -478,7 +508,10 @@ def _sample(denoiser: Denoiser, condition: np.ndarray, w: float, n_samples: int,
             sigma: np.ndarray) -> np.ndarray:
     """Draws x_N ~ N(0, I), then takes x <- alpha x + beta eps_bar(x, n) + sigma z
     for each step n of ``steps`` in turn, with that step's row of the table
-    (alpha, beta, sigma); z ~ N(0, I) is drawn after x_N, and only where sigma > 0."""
+    (alpha, beta, sigma); z ~ N(0, I) is drawn after x_N, and only where sigma > 0.
+    x_N and each z are ``n_samples`` rows, shared by every block of
+    ``n_samples`` rows of ``condition``; returns (k n_samples, latent_dim)
+    for k blocks, block j bit-equal to a call with only its rows."""
     shape = (n_samples, denoiser.latent_dim)
     traj = GuidedTrajectory(denoiser, condition, w, rng.standard_normal(shape), steps)
     for n, a, b, s in zip(steps, alpha.tolist(), beta.tolist(), sigma.tolist()):
@@ -497,7 +530,8 @@ def sample_ddpm(
 
     At each step the guided eps estimate gives x0_hat, the posterior mean is
     taken, and sqrt(posterior_var) noise is added (none at n=1). Deterministic
-    for a fixed seed. Returns (n_samples, latent_dim).
+    for a fixed seed. Returns one row per condition row, (k n_samples,
+    latent_dim) for k blocks of ``n_samples`` rows, which share the draws.
     """
     sched = denoiser.sched
     steps = list(range(sched.N, 0, -1))
@@ -536,7 +570,8 @@ def sample_ddim(
     """Deterministic DDIM (eta = 0) over an evenly spaced timestep subsequence.
 
     Only the starting draw x_N consumes randomness; steps=1 reduces to the
-    single-step x0 estimate.
+    single-step x0 estimate. Returns one row per condition row, as
+    ``sample_ddpm`` does.
     """
     sched = denoiser.sched
     ts = ddim_timesteps(sched.N, steps)

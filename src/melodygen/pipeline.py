@@ -325,8 +325,8 @@ class GenerationStack:
     the CLMP model, the melody database (``melodies`` rows of record ``ids``),
     the codec, and the denoiser with all that diffusion.ckpt holds: its fusion
     map and learned null, its noise schedule and its (channels, T/r, F/r)
-    latent shape. ``generate`` and every ``evaluate`` mode turn captions into
-    clips one way: ``conditions`` -> ``sample`` -> ``decode``."""
+    latent shape. ``generate`` and every ``evaluate`` mode turn embedded
+    captions into clips one way: ``conditions`` -> ``sample`` -> ``decode``."""
 
     clmp: clmp.ClmpModel
     melodies: np.ndarray
@@ -359,13 +359,13 @@ class GenerationStack:
                                   "rerun train-diffusion")
         return cls(model, melodies, ids, codec, denoiser)
 
-    def conditions(self, texts: list[str], melody_sets=(None,)):
-        """One (len(texts), cond_dim) condition array per entry of
-        ``melody_sets``, from the captions ``texts`` embedded once: None fuses
-        each caption's top-1 melody (``retrieve``), an array the melody rows it
-        holds (zeros for the zero-melody ablation). Returns the arrays and the
-        retrieved record ids, None when no entry retrieves."""
-        queries = clmp.embed(self.clmp, "text", texts)
+    def conditions(self, queries: np.ndarray, melody_sets=(None,)):
+        """One (len(queries), cond_dim) condition array per entry of
+        ``melody_sets``, from the captions' text embeddings ``queries``
+        (``clmp.embed``): None fuses each caption's top-1 melody
+        (``retrieve``), an array the melody rows it holds (zeros for the
+        zero-melody ablation). Returns the arrays and the retrieved record
+        ids, None when no entry retrieves."""
         conditions, ids = [], None
         for rows in melody_sets:
             if rows is None:
@@ -374,21 +374,25 @@ class GenerationStack:
             conditions.append(self.denoiser.fusion.forward(queries, rows))
         return conditions, ids
 
-    def sample(self, conditions: np.ndarray, *, sampler: str, steps: int, w: float,
-               seed: int) -> np.ndarray:
-        """One latent row per condition row; DDPM runs all n_steps."""
-        given = (self.denoiser, conditions, w)
+    def sample(self, conditions: list[np.ndarray], *, sampler: str, steps: int, w: float,
+               seed: int) -> list[np.ndarray]:
+        """One latent array per condition array, one row per condition row;
+        DDPM runs all n_steps. The equal-length arrays are the blocks of one
+        sampler run: row i of each starts from the same draw."""
+        given, n = (self.denoiser, np.concatenate(conditions), w), len(conditions[0])
         if sampler == "ddim":
-            return diffusion.sample_ddim(*given, steps, seed, n_samples=len(conditions))
-        if sampler == "ddpm":
-            return diffusion.sample_ddpm(*given, seed, n_samples=len(conditions))
-        raise ValidationError(f"unknown sampler {sampler!r}")
+            latents = diffusion.sample_ddim(*given, steps, seed, n_samples=n)
+        elif sampler == "ddpm":
+            latents = diffusion.sample_ddpm(*given, seed, n_samples=n)
+        else:
+            raise ValidationError(f"unknown sampler {sampler!r}")
+        return np.split(latents, len(conditions))
 
-    def decode(self, latents: np.ndarray) -> list[np.ndarray]:
-        """The (T, F) mel grid of each latent row, framed as
-        ``codec.mel_params``."""
-        return [latentcodec.decode_latent(self.codec, lat.reshape(self.denoiser.shape))
-                for lat in latents]
+    def decode(self, latents: np.ndarray):
+        """Yields the (T, F) mel grid of each latent row in turn, framed as
+        ``codec.mel_params``, so that a consumer holds one grid at a time."""
+        for lat in latents:
+            yield latentcodec.decode_latent(self.codec, lat.reshape(self.denoiser.shape))
 
 
 def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
@@ -427,8 +431,8 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
                                   f"{art.diffusion_path.name}), got {steps}")
 
     melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
-    (condition,), ids = stack.conditions([prompt], (melody,))
-    lat = stack.sample(condition, sampler=sampler, steps=steps, w=w, seed=seed)
+    conditions, ids = stack.conditions(clmp.embed(stack.clmp, "text", [prompt]), (melody,))
+    (lat,) = stack.sample(conditions, sampler=sampler, steps=steps, w=w, seed=seed)
     (mel,) = stack.decode(lat)
     wave = signal.mel_to_waveform(mel, **stack.codec.mel_params)
 
@@ -464,7 +468,8 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     """Evaluation modes over the held-out split.
 
     standard    FAD-like / paired KL / IS-like plus the retrieval table
-    ablation    melody-conditioned vs zero-padded-melody FAD-like, per seed
+    ablation    melody-conditioned vs zero-padded-melody FAD-like, per seed;
+                both arms of a seed are the two blocks of one DDIM run
     steps_sweep FAD-like vs DDIM step count
     cfg_sweep   FAD-like vs guidance weight
 
@@ -491,39 +496,40 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     train_mels, eval_mels = _split(cfg, corpus_mels(cfg, art, records))
     seed = cfg.seed if seed is None else seed
     ref_feats = clmp.features("waveform", eval_mels)
-    texts = [r.text for r in eval_records]
+    queries = clmp.embed(stack.clmp, "text", [r.text for r in eval_records])
     steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
     sweep_seeds = [seed + 1000 * (k + 1) for k in range(SWEEP_SEEDS)]
 
-    def sweep_fads(conditions, *, steps=steps, w=w) -> list[float]:
-        """FAD-like against the references at (conditions, steps, w), one per sweep seed."""
-        return [metrics.frechet(clmp.features("waveform", stack.decode(stack.sample(
-                    conditions, sampler="ddim", steps=steps, w=w, seed=g))), ref_feats)
-                for g in sweep_seeds]
+    def fads(conditions, *, seed, steps=steps, w=w) -> list[float]:
+        """FAD-like against the references of each condition array at
+        (steps, w), all sampled in one run from ``seed``."""
+        return [metrics.frechet(clmp.features("waveform", stack.decode(lat)), ref_feats)
+                for lat in stack.sample(conditions, sampler="ddim", steps=steps, w=w,
+                                        seed=seed)]
 
     report: dict = {"mode": mode, "n_samples": len(eval_records),
                     "feature_source": "wave_features_of_decoded_mel"}
 
     if mode == "ablation":
-        (with_melody, zero_melody), _ = stack.conditions(
-            texts, (None, np.zeros((len(texts), stack.melodies.shape[1]))))
-        with_melody, zero_melody = sweep_fads(with_melody), sweep_fads(zero_melody)
+        conditions, _ = stack.conditions(
+            queries, (None, np.zeros((len(queries), stack.melodies.shape[1]))))
+        with_melody, zero_melody = zip(*(fads(conditions, seed=g) for g in sweep_seeds))
         report["runs"] = [{"seed": g, "fad_with_melody": a, "fad_zero_melody": b}
                           for g, a, b in zip(sweep_seeds, with_melody, zero_melody)]
         report["median_fad_with_melody"] = float(np.median(with_melody))
         report["median_fad_zero_melody"] = float(np.median(zero_melody))
         return report
 
-    (conditions,), _ = stack.conditions(texts)
+    conditions, _ = stack.conditions(queries)
     if mode == "standard":
         probe = metrics.train_probe(
             clmp.features("waveform", train_mels),
             [r.archetype.label for r in train_records],
             cfg.seed,
         )
-        feats = clmp.features("waveform", stack.decode(stack.sample(
-            conditions, sampler="ddim", steps=steps, w=w, seed=seed)))
+        (lat,) = stack.sample(conditions, sampler="ddim", steps=steps, w=w, seed=seed)
+        feats = clmp.features("waveform", stack.decode(lat))
         gen_by_id = {r.id: f for r, f in zip(eval_records, feats)}
         ref_by_id = {r.id: f for r, f in zip(eval_records, ref_feats)}
         report.update({
@@ -531,8 +537,9 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
             "kl": metrics.paired_kl(probe, gen_by_id, ref_by_id),
             "is_like": metrics.inception_like(probe, feats),
             "probe_holdout_accuracy": probe.holdout_accuracy,
-            "retrieval": clmp.eval_retrieval(stack.clmp, texts, eval_mels,
-                                             [r.melody for r in eval_records]),
+            "retrieval": clmp.eval_retrieval(
+                queries, clmp.embed_features(stack.clmp, "waveform", ref_feats),
+                clmp.embed(stack.clmp, "melody", [r.melody for r in eval_records])),
         })
         return report
 
@@ -542,8 +549,8 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
         at = {"steps": steps, "w": w, key: value}
         if at["steps"] > stack.denoiser.sched.N:
             continue
-        fads = sweep_fads(conditions, **at)
-        points.append({key: value, "fad_like_median": float(np.median(fads)),
-                       "fad_like_runs": fads})
+        runs = [fads(conditions, seed=g, **at)[0] for g in sweep_seeds]
+        points.append({key: value, "fad_like_median": float(np.median(runs)),
+                       "fad_like_runs": runs})
     report["points"] = points
     return report

@@ -98,11 +98,19 @@ def guided_eps(den, x, n, c, w):
     return (w + 1.0) * cond - w * net_eps(den, x, n, den.fusion.null_condition)
 
 
+def blocks_of(c, n_samples):
+    """How many blocks of ``n_samples`` rows the condition ``c`` holds: one
+    for a single (cond_dim,) row."""
+    return len(c) // n_samples if np.ndim(c) == 2 else 1
+
+
 def reference_ddim(den, c, w, steps, seed, n_samples):
-    """DDIM as two full forwards per step."""
+    """DDIM as two full forwards per step; every block of ``n_samples``
+    condition rows starts from the same draw x_N."""
     s = den.sched
     ts = df.ddim_timesteps(s.N, steps)
     x = smallnet.spawn_rng(seed, 708).standard_normal((n_samples, den.latent_dim))
+    x = np.tile(x, (blocks_of(c, n_samples), 1))
     for i, n in enumerate(ts):
         eps = guided_eps(den, x, n, c, w)
         ab = s.alpha_bar[n - 1]
@@ -114,10 +122,13 @@ def reference_ddim(den, c, w, steps, seed, n_samples):
 
 def reference_ddpm(den, c, w, seed, n_samples):
     """Ancestral sampling as two full forwards per step, each taking the mean
-    and variance of q(x_{n-1} | x_n, x0_hat) from their closed forms."""
+    and variance of q(x_{n-1} | x_n, x0_hat) from their closed forms. Every
+    block of ``n_samples`` condition rows takes the same draws: x_N and each
+    step's noise are drawn for one block and repeated."""
     s = den.sched
     rng = smallnet.spawn_rng(seed, 707)
-    x = rng.standard_normal((n_samples, den.latent_dim))
+    blocks = blocks_of(c, n_samples)
+    x = np.tile(rng.standard_normal((n_samples, den.latent_dim)), (blocks, 1))
     for n in range(s.N, 0, -1):
         eps = guided_eps(den, x, n, c, w)
         ab, beta = s.alpha_bar[n - 1], s.beta[n - 1]
@@ -128,4 +139,5 @@ def reference_ddpm(den, c, w, seed, n_samples):
         mean = (math.sqrt(ab_prev) * beta * x0
                 + math.sqrt(1 - beta) * (1 - ab_prev) * x) / (1 - ab)
         var = (1 - ab_prev) / (1 - ab) * beta
-        x = mean + math.sqrt(var) * rng.standard_normal(x.shape)
+        noise = rng.standard_normal((n_samples, den.latent_dim))
+        x = mean + math.sqrt(var) * np.tile(noise, (blocks, 1))

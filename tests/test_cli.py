@@ -352,6 +352,42 @@ def test_misshapen_denoiser_exits_1_naming_it(damaged, capsys, field, value, pro
     assert "ValidationError" in err and "diffusion.ckpt" in err and problem in err
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--prompt", "a calm melody"],
+    ["evaluate", "--mode", "ablation"],
+], ids=["generate", "evaluate_ablation"])
+@pytest.mark.parametrize("edit, problem", [
+    (lambda arrays, meta: meta["extra"].update(beta_start=0.0),
+     "need 0 < beta_start <= beta_end < 1, got [0.0, 0.02]"),
+    (lambda arrays, meta: arrays.update({"fusion.W": arrays["fusion.W"][:, :-1],
+                                         "fusion.b": arrays["fusion.b"][:-1],
+                                         "fusion.null_condition":
+                                             arrays["fusion.null_condition"][:-1]}),
+     "fusion.W has shape (16, 7), wanted (16, 8)"),
+    (lambda arrays, meta: arrays.update({"fusion.b": arrays["fusion.b"][:-1]}),
+     "fusion.b has shape (7,), wanted (8,)"),
+    (lambda arrays, meta: arrays.update(
+        {"fusion.null_condition": np.zeros((2, 8))}),
+     "fusion.null_condition has shape (2, 8), wanted (8,)"),
+], ids=["beta_start_0", "fusion_narrower", "fusion_bias", "fusion_null"])
+def test_denoiser_with_a_bad_schedule_or_fusion_map_exits_1_before_sampling(
+        damaged, capsys, monkeypatch, command, edit, problem):
+    """diffusion.ckpt's schedule and its fusion map's shapes are checked
+    when it loads, and refused naming the file and the stage to rerun."""
+    config, work, path = damaged
+    arrays, meta = smallnet.load_checkpoint(path)
+    edit(arrays, meta)
+    smallnet.save_checkpoint(path, arrays, meta)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim",
+                        lambda *a, **k: pytest.fail("sampled before the load check"))
+    capsys.readouterr()
+    assert cli.main([command[0], "--config", str(config), "--out", str(work),
+                     *command[1:]]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "diffusion.ckpt" in err and problem in err
+    assert "rerun train-diffusion" in err
+
+
 def test_evaluate_report_is_written_atomically(trained, tmp_path, capsys, disk_full):
     config, work = trained
     report = tmp_path / "report.json"
@@ -1116,14 +1152,18 @@ def test_evaluate_report_matches_reference_sampler(request, capsys, monkeypatch,
     assert_reports_agree(shipped, json.loads(capsys.readouterr().out))
 
 
-@pytest.mark.parametrize("args", [
-    ["generate", "--prompt", "a calm melody", "--tag", "once"],
-    ["generate", "--prompt", "a calm melody", "--tag", "once", "--no-melody"],
-    ["evaluate", "--mode", "ablation"],
-], ids=["generate", "generate_no_melody", "evaluate_ablation"])
-def test_stage_loads_the_stack_and_embeds_its_captions_once(trained, monkeypatch, capsys,
-                                                            args):
-    config, work = trained
+@pytest.mark.parametrize("args, fixture, embeds", [
+    (["generate", "--prompt", "a calm melody", "--tag", "once"], "trained", ["text"]),
+    (["generate", "--prompt", "a calm melody", "--tag", "once", "--no-melody"], "trained",
+     ["text"]),
+    (["evaluate", "--mode", "ablation"], "trained", ["text"]),
+    # the retrieval table reuses the captions' embedding and the held-out
+    # mels' features; only the melodies are embedded for it
+    (["evaluate", "--mode", "standard"], "trained_standard", ["text", "melody"]),
+], ids=["generate", "generate_no_melody", "evaluate_ablation", "evaluate_standard"])
+def test_stage_loads_the_stack_and_embeds_its_captions_once(request, monkeypatch, capsys,
+                                                            args, fixture, embeds):
+    config, work = request.getfixturevalue(fixture)
     calls, embed, load = [], clmp.embed, diffusion.Denoiser.load
 
     def counted_embed(model, modality, items):
@@ -1137,7 +1177,7 @@ def test_stage_loads_the_stack_and_embeds_its_captions_once(trained, monkeypatch
     monkeypatch.setattr(clmp, "embed", counted_embed)
     monkeypatch.setattr(diffusion.Denoiser, "load", classmethod(counted_load))
     assert cli.main([*args, "--config", str(config), "--out", str(work)]) == cli.EXIT_OK
-    assert calls == ["load", "text"]
+    assert calls == ["load", *embeds]
 
 
 # SHA-256 of the JSON report of each evaluate mode on the tiny stack (the

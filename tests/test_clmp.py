@@ -320,6 +320,13 @@ def mate_ranked(rank, n=12):
     return sims
 
 
+def embedded(model, corpus):
+    """The text, waveform and melody embeddings of aligned (texts, mels,
+    melodies)."""
+    return [clmp.embed(model, m, items) for m, items in zip(("text", "waveform", "melody"),
+                                                            corpus)]
+
+
 class TestEvalRetrieval:
     def test_perfect_alignment_gives_ones(self):
         # identical per-item embeddings across modalities: every metric is 1
@@ -337,15 +344,14 @@ class TestEvalRetrieval:
         assert scores == {"r1": r1, "r5": r5, "r10": 1.0, "map10": pytest.approx(1.0 / rank)}
 
     def test_metrics_monotone_in_k_and_bounded(self):
-        model = toy_model(seed=8)
-        table = clmp.eval_retrieval(model, *toy_corpus(16, seed=8))
+        table = clmp.eval_retrieval(*embedded(toy_model(seed=8), toy_corpus(16, seed=8)))
         for d, row in table.items():
             assert 0.0 <= row["r1"] <= row["r5"] <= row["r10"] <= 1.0
             assert 0.0 <= row["map10"] <= 1.0
 
     def test_small_eval_set_rejected(self):
         with pytest.raises(ValidationError):
-            clmp.eval_retrieval(toy_model(), *toy_corpus(5))
+            clmp.eval_retrieval(*embedded(toy_model(), toy_corpus(5)))
 
     def test_chance_level_r1(self):
         # untrained random models on random data: R@1 concentrates near 1/n

@@ -543,10 +543,13 @@ class TestSamplers:
         (lambda den, c: df.sample_ddpm(den, c, 3.0, seed=14, n_samples=2), 6),
         (lambda den, c: df.sample_ddim(den, c, 3.0, steps=4, seed=14, n_samples=2), 1),
     ], ids=["ddpm", "ddim"])
-    def test_noise_is_drawn_only_where_sigma_is_positive(self, monkeypatch, sampler, draws):
+    @pytest.mark.parametrize("rows", [None, 6], ids=["one_row", "three_blocks"])
+    def test_noise_is_drawn_only_where_sigma_is_positive(self, monkeypatch, sampler, draws,
+                                                         rows):
         """x_N, then one z per step with sigma > 0: every DDPM step but n = 1
         (posterior variance 0), and no DDIM step (eta = 0). A z drawn where
-        sigma = 0 leaves x unchanged, so only the draw count can show it."""
+        sigma = 0 leaves x unchanged, so only the draw count can show it.
+        Blocks of condition rows share each draw, which is one block wide."""
         shapes, spawn = [], smallnet.spawn_rng
 
         class Counted:
@@ -557,8 +560,8 @@ class TestSamplers:
                 shapes.append(shape)
                 return self.rng.standard_normal(shape)
 
-        c = np.full(3, 0.1)
-        den = tiny_denoiser(seed=12, sched=df.make_schedule(6, 1e-3, 0.05), null=c)
+        c = np.full(3 if rows is None else (rows, 3), 0.1)
+        den = tiny_denoiser(seed=12, sched=df.make_schedule(6, 1e-3, 0.05), null=np.full(3, 0.1))
         plain = sampler(den, c)
         monkeypatch.setattr(smallnet, "spawn_rng", lambda *keys: Counted(spawn(*keys)))
         assert np.array_equal(sampler(den, c), plain)
@@ -630,6 +633,32 @@ class TestFusedGuidance:
             df.sample_ddim(den, c, -0.5, steps=7, seed=25)
         with pytest.raises(ValidationError):
             df.sample_ddpm(den, c, -0.5, seed=25)
+
+    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
+    @pytest.mark.parametrize("null_rows", [False, True], ids=["broadcast", "per_row"])
+    @pytest.mark.parametrize("w", [0.0, 3.0])
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_condition_blocks_equal_separate_runs(self, hidden, null_rows, w, blocks):
+        """k blocks of n_samples condition rows share one x_N, and DDPM's z
+        at each step: block j is bit for bit a run with only block j's rows
+        (and its rows of a per-row null). 5 rows are not a BLAS tile."""
+        den, _, null = self.make(hidden, False, seed=5)
+        rng = smallnet.spawn_rng(105)
+        c = rng.standard_normal((blocks * 5, 5))
+        nulls = rng.standard_normal((blocks * 5, 5)) if null_rows else null
+        block = [slice(5 * j, 5 * (j + 1)) for j in range(blocks)]
+        for sample, reference in (
+                (lambda c: df.sample_ddim(den, c, w, steps=7, seed=31, n_samples=5),
+                 lambda c: reference_ddim(den, c, w, 7, 31, 5)),
+                (lambda c: df.sample_ddpm(den, c, w, seed=32, n_samples=5),
+                 lambda c: reference_ddpm(den, c, w, 32, 5))):
+            den.fusion.null_condition = nulls
+            together = sample(c)
+            assert together.shape == (blocks * 5, den.latent_dim)
+            assert np.allclose(together, reference(c), rtol=0, atol=1e-12)
+            for rows in block:
+                den.fusion.null_condition = nulls[rows] if null_rows else null
+                assert np.array_equal(together[rows], sample(c[rows]))
 
     def test_condition_rows_must_match_samples(self):
         den, c, null = self.make(16, True)
