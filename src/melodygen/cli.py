@@ -108,12 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "generate":
             result = pipeline.run_generate(
                 cfg, args.out, args.prompt,
-                seed=args.seed, steps=args.steps, w=args.cfg,
+                steps=args.steps, w=args.cfg,
                 use_melody=not args.no_melody, sampler=args.sampler, tag=args.tag,
             )
             print(json.dumps(dataclasses.asdict(result), indent=2))
         elif args.command == "evaluate":
-            report = pipeline.run_evaluate(cfg, args.out, mode=args.mode, seed=args.seed)
+            report = pipeline.run_evaluate(cfg, args.out, mode=args.mode)
             text = json.dumps(report, indent=2, sort_keys=True)
             if args.report:
                 smallnet.write_atomic(args.report, [(text + "\n").encode("utf-8")])

@@ -14,7 +14,7 @@ log_tau is initialized to log(0.07).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +113,8 @@ class ClmpModel:
         return cls(
             text_head=smallnet.DenseNet.create([TEXT_DIM, hidden, embed_dim], "tanh", rng),
             wave_head=smallnet.DenseNet.create([wave_dim, hidden, embed_dim], "tanh", rng),
-            melody_token_embed=smallnet.DenseNet.create(
-                [_TOKEN_FEATURE_DIM, token_dim], ["identity"], rng
-            ),
+            melody_token_embed=smallnet.DenseNet.create([_TOKEN_FEATURE_DIM, token_dim],
+                                                        "identity", rng),
             melody_head=smallnet.DenseNet.create([token_dim, hidden, embed_dim], "tanh", rng),
             log_tau=np.array([np.log(0.07)]),
             embed_dim=embed_dim,
@@ -272,8 +271,7 @@ def _loss_and_grads(model: ClmpModel, text_feats, wave_feats, melody_feats):
 
 @dataclass
 class TrainResult:
-    model: ClmpModel
-    loss_curve: list[float] = field(default_factory=list)
+    loss_curve: list[float]
 
 
 def train_clmp(model: ClmpModel, texts: list[str], mels, melodies: list[Melody],
@@ -306,7 +304,7 @@ def train_clmp(model: ClmpModel, texts: list[str], mels, melodies: list[Melody],
             opt.step(grads)
             epoch_loss += loss
         curve.append(epoch_loss / n_batches)
-    return TrainResult(model=model, loss_curve=curve)
+    return TrainResult(loss_curve=curve)
 
 
 def retrieval_scores(sims: np.ndarray) -> dict:

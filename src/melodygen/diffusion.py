@@ -35,20 +35,21 @@ the denoiser's hidden space. It is exact in real arithmetic:
     beta = -c_x0 sqrt(1-abar_n) / sqrt(abar_n), sigma^2 = posterior_var_n,
     where c_x0 and c_xn are the posterior-mean coefficients (1 and 0, with
     sigma = 0, at n = 1).
-- The net sees x_n only through layer 0, which is affine in
+- The net has one hidden layer (``Denoiser.load`` refuses any other count)
+  and sees x_n only through layer 0, which is affine in
   [x_n || temb(n) || c]: its pre-activation is
   x_n W_x^T + temb(n) W_t^T + (c W_c^T + b0). The first two terms are shared
   by the two branches; the last is constant over a run, and the branches'
   are stacked into one (2, k, batch, hidden) array (k blocks, as below),
-  so that each step makes one add and one activation per layer for both
-  (for the conditional branch alone when w = 0), and mixes them into a
-  preallocated buffer.
+  so that each step makes one add and one activation for both (for the
+  conditional branch alone when w = 0), and mixes them into a preallocated
+  buffer.
 - The output layer is affine with identity activation (``Denoiser.load``
   checks this), so eps_bar = a A^T + b_out, where
-  a = (w+1) a_c - w a_u mixes the branches' last hidden activations.
+  a = (w+1) a_c - w a_u mixes the branches' hidden activations.
 
 So the latent is always x = g x_N + S A^T + k b_out + R, with scalars g and k,
-S the beta-weighted sum of the mixed activations (batch x last hidden width)
+S the beta-weighted sum of the mixed activations (batch x hidden width)
 and R the summed DDPM noise, each scaled by later alphas. Its layer-0 product
 u = x W_x^T follows u' = alpha u + beta (a M^T + m_b) + sigma z W_x^T, with
 M = W_x A and m_b = W_x b_out. Both depend only on the weights: ``Denoiser.save``
@@ -302,12 +303,13 @@ class Denoiser:
             fusion_shapes = {"fusion.W": (2 * int(extra["embed_dim"]), cond_dim),
                              "fusion.b": (cond_dim,), "fusion.null_condition": (cond_dim,)}
 
-        # GuidedTrajectory slices layer 0 by these widths, and needs a hidden
-        # layer and an affine output
+        # GuidedTrajectory slices layer 0 by these widths, and needs one
+        # hidden layer and an affine output
         in_dim = latent_dim + den.time_embed_dim + cond_dim
         out_act = net.layers[-1].activation
         for bad, problem in (
-            (len(net.layers) < 2, "net has no hidden layer"),
+            (len(net.layers) != 2, f"net has {len(net.layers) - 1} hidden layers, "
+                                   "the sampler carries exactly one"),
             (net.in_dim != in_dim, f"net input width {net.in_dim} != latent_dim "
                                    f"+ time_embed_dim + cond_dim = {in_dim}"),
             (net.out_dim != latent_dim,
@@ -324,8 +326,8 @@ class Denoiser:
                 refuse(f"{name} has shape {a.shape}, wanted {fusion_shapes[name]}")
         with smallnet.checkpoint_keys(path, "train-diffusion"):
             den.stored_constants = tuple(arrays[k] for k in SAMPLER_ARRAYS)
-        hidden = (net.layers[0].w.shape[0], net.layers[-1].w.shape[1])
-        for name, a, shape in zip(SAMPLER_ARRAYS, den.stored_constants, (hidden, hidden[:1])):
+        hidden = net.layers[0].w.shape[:1]  # (hidden width,)
+        for name, a, shape in zip(SAMPLER_ARRAYS, den.stored_constants, (hidden * 2, hidden)):
             if a.shape != shape:
                 refuse(f"{name} has shape {a.shape}, wanted {shape}")
             if not np.isfinite(a).all():
@@ -426,14 +428,13 @@ class GuidedTrajectory:
     ``fusion.null_condition``, of either shape too; ``w == 0`` skips the null
     branch. ``time_rows[n]`` is step n's layer-0 time term temb(n) W_t^T,
     formed once per run, bit-equal to the row's own product (one
-    (steps, time_embed_dim) product is not).
+    (steps, time_embed_dim) product is not). The net has one hidden layer.
     """
 
     def __init__(self, denoiser: Denoiser, condition: np.ndarray, w: float, x_N: np.ndarray,
                  steps: list[int]):
         check_guidance_weight(w)
-        layers = denoiser.net.layers
-        first, last = layers[0], layers[-1]
+        first, last = denoiser.net.layers
         t0, c0 = denoiser.latent_dim, denoiser.latent_dim + denoiser.time_embed_dim
         w_x, w_c = first.w[:, :t0], first.w[:, c0:]
         batch, cond_dim = len(x_N), denoiser.cond_dim
@@ -451,7 +452,7 @@ class GuidedTrajectory:
         self._biases = np.stack([condition_bias(c) for c in
                                  ((condition,) if w == 0.0
                                   else (condition, denoiser.fusion.null_condition))])
-        self._layers, self._w_x = layers, w_x
+        self._act, self._w_x = first.activation, w_x
         w_t = first.w[:, t0:c0]
         temb = time_embedding(np.asarray(steps), denoiser.time_embed_dim)
         self.time_rows = dict(zip(steps, np.matmul(temb[:, None, :], w_t.T)[:, 0]))
@@ -471,10 +472,7 @@ class GuidedTrajectory:
         ``noise`` is a (batch, latent_dim) array that every block adds, or
         None for none. Raises
         ``SamplingError`` at step n if eps_bar is not finite."""
-        a = smallnet.activate(self._layers[0].activation,
-                              (self.u + self.time_rows[n]) + self._biases)
-        for l in self._layers[1:-1]:
-            a = smallnet.activate(l.activation, a @ l.w.T + l.b)
+        a = smallnet.activate(self._act, (self.u + self.time_rows[n]) + self._biases)
         a *= self._coefs  # (w+1) a_c and w a_u, mixed into a preallocated buffer
         a = a[0] if len(a) == 1 else np.subtract(a[0], a[1], out=self._mixed)
         if not (self._out_finite and np.isfinite(a).all()):

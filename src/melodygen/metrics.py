@@ -128,18 +128,14 @@ def kl_divergence(p_ref: np.ndarray, p_gen: np.ndarray) -> float:
     return float(np.sum(p * (np.log(p) - np.log(q))))
 
 
-def paired_kl(probe: ProbeClassifier, generated: dict[str, np.ndarray],
-              reference: dict[str, np.ndarray]) -> float:
-    """Mean KL(reference || generated) between probe posteriors, over pairs
-    matched by prompt id."""
-    missing = set(reference) ^ set(generated)
-    if missing:
-        raise ValidationError(f"unpaired ids: {sorted(missing)[:5]}")
-    if not reference:
-        raise ValidationError("no pairs to evaluate")
-    ids = sorted(reference)
-    p_ref = probe.predict_proba(np.stack([reference[i] for i in ids]))
-    p_gen = probe.predict_proba(np.stack([generated[i] for i in ids]))
+def paired_kl(probe: ProbeClassifier, generated: np.ndarray, reference: np.ndarray) -> float:
+    """Mean KL(reference || generated) between probe posteriors over aligned
+    (n, d) feature rows: row i of ``generated`` was made from the prompt of
+    reference row i."""
+    if np.shape(generated) != np.shape(reference) or len(reference) == 0:
+        raise ValidationError(f"need aligned (n>=1, d) feature rows, got generated "
+                              f"{np.shape(generated)} and reference {np.shape(reference)}")
+    p_ref, p_gen = probe.predict_proba(reference), probe.predict_proba(generated)
     return float(np.mean([kl_divergence(r, g) for r, g in zip(p_ref, p_gen)]))
 
 

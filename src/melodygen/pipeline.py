@@ -395,14 +395,23 @@ class GenerationStack:
             yield latentcodec.decode_latent(self.codec, lat.reshape(self.denoiser.shape))
 
 
+def _check_steps(art: Artifacts, stack: GenerationStack, steps: int, source: str) -> None:
+    """Refuse a DDIM step count ``steps`` outside 1..n_steps of diffusion.ckpt,
+    naming ``source``, where it came from, and the file."""
+    n_steps = stack.denoiser.sched.N
+    if not 1 <= steps <= n_steps:
+        raise ValidationError(f"{source} must be in 1..{n_steps} (the n_steps of "
+                              f"{art.diffusion_path.name}), got {steps}")
+
+
 def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
-                 seed: int | None = None,
                  steps: int | None = None,
                  w: float | None = None,
                  use_melody: bool = True,
                  sampler: str = "ddim",
                  tag: str = "gen") -> GenerationResult:
-    """Text prompt -> retrieve -> fuse -> sample -> decode -> WAV.
+    """Text prompt -> retrieve -> fuse -> sample -> decode -> WAV, drawn from
+    ``cfg.seed`` (which ``--seed`` sets).
 
     ``steps`` (``--steps``) is the DDIM step count, in 1..n_steps of
     diffusion.ckpt; ``diffusion.ddim_steps`` when None. DDPM always runs all
@@ -415,24 +424,20 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
     if sampler == "ddpm" and steps is not None:
         raise ValidationError(f"--steps sets the DDIM step count, but the ddpm sampler runs "
                               f"all n_steps of diffusion.ckpt; got --steps {steps}")
-    seed = cfg.seed if seed is None else seed
     w = cfg.diffusion.cfg_w if w is None else w
     diffusion.check_guidance_weight(w)
     art = Artifacts(workdir)
     stack = GenerationStack.load(cfg, art)
-    n_steps = stack.denoiser.sched.N
     if sampler == "ddpm":
-        steps = n_steps
+        steps = stack.denoiser.sched.N
     else:
         source = "diffusion.ddim_steps" if steps is None else "--steps"
         steps = cfg.diffusion.ddim_steps if steps is None else steps
-        if not 1 <= steps <= n_steps:
-            raise ValidationError(f"{source} must be in 1..{n_steps} (the n_steps of "
-                                  f"{art.diffusion_path.name}), got {steps}")
+        _check_steps(art, stack, steps, source)
 
     melody = None if use_melody else np.zeros((1, stack.melodies.shape[1]))
     conditions, ids = stack.conditions(clmp.embed(stack.clmp, "text", [prompt]), (melody,))
-    (lat,) = stack.sample(conditions, sampler=sampler, steps=steps, w=w, seed=seed)
+    (lat,) = stack.sample(conditions, sampler=sampler, steps=steps, w=w, seed=cfg.seed)
     (mel,) = stack.decode(lat)
     wave = signal.mel_to_waveform(mel, **stack.codec.mel_params)
 
@@ -451,7 +456,7 @@ def run_generate(cfg: PipelineConfig, workdir, prompt: str, *,
         latent_path=str(latent_path),
         mel_path=str(mel_path),
         wav_path=str(wav_path),
-        sampler={"sampler": sampler, "steps": steps, "w": w, "seed": seed},
+        sampler={"sampler": sampler, "steps": steps, "w": w, "seed": cfg.seed},
     )
 
 
@@ -463,9 +468,9 @@ SWEEP_CFG = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 SWEEP_SEEDS = 5  # generation seeds per point of the ablation and the sweeps
 
 
-def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
-                 seed: int | None = None) -> dict:
-    """Evaluation modes over the held-out split.
+def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard") -> dict:
+    """Evaluation modes over the held-out split, drawn from ``cfg.seed``
+    (which ``--seed`` sets).
 
     standard    FAD-like / paired KL / IS-like plus the retrieval table
     ablation    melody-conditioned vs zero-padded-melody FAD-like, per seed;
@@ -473,8 +478,10 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     steps_sweep FAD-like vs DDIM step count
     cfg_sweep   FAD-like vs guidance weight
 
-    The last three score ``SWEEP_SEEDS`` generation seeds, seed + 1000 k for
-    k = 1.., at each point.
+    The last three score ``SWEEP_SEEDS`` generation seeds, cfg.seed + 1000 k
+    for k = 1.., at each point. All but steps_sweep run
+    ``diffusion.ddim_steps``, which must fit the n_steps of diffusion.ckpt;
+    steps_sweep skips the counts that do not, and needs one that does.
     """
     if mode not in EVAL_MODES:
         raise ValidationError(f"unknown evaluate mode {mode!r} (want one of {EVAL_MODES})")
@@ -486,6 +493,11 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
     art = Artifacts(workdir)
     records = _load_records(art)
     stack = GenerationStack.load(cfg, art)
+    steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
+    if mode == "steps_sweep":
+        _check_steps(art, stack, min(SWEEP_STEPS), f"steps_sweep's smallest count {SWEEP_STEPS}")
+    else:
+        _check_steps(art, stack, steps, "diffusion.ddim_steps")
     train_records, eval_records = _split(cfg, records)
     leaked = set(stack.ids).intersection(r.id for r in eval_records)
     if leaked:
@@ -494,12 +506,14 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
                               f"{art.index_path.name}; evaluate with the eval_count the "
                               "stack was trained with")
     train_mels, eval_mels = _split(cfg, corpus_mels(cfg, art, records))
-    seed = cfg.seed if seed is None else seed
     ref_feats = clmp.features("waveform", eval_mels)
+    probe = metrics.train_probe(
+        clmp.features("waveform", train_mels), [r.archetype.label for r in train_records],
+        cfg.seed) if mode == "standard" else None
+    del train_mels, eval_mels  # so no corpus grid is held through the sampling runs
     queries = clmp.embed(stack.clmp, "text", [r.text for r in eval_records])
-    steps, w = cfg.diffusion.ddim_steps, cfg.diffusion.cfg_w
 
-    sweep_seeds = [seed + 1000 * (k + 1) for k in range(SWEEP_SEEDS)]
+    sweep_seeds = [cfg.seed + 1000 * (k + 1) for k in range(SWEEP_SEEDS)]
 
     def fads(conditions, *, seed, steps=steps, w=w) -> list[float]:
         """FAD-like against the references of each condition array at
@@ -523,18 +537,11 @@ def run_evaluate(cfg: PipelineConfig, workdir, mode: str = "standard",
 
     conditions, _ = stack.conditions(queries)
     if mode == "standard":
-        probe = metrics.train_probe(
-            clmp.features("waveform", train_mels),
-            [r.archetype.label for r in train_records],
-            cfg.seed,
-        )
-        (lat,) = stack.sample(conditions, sampler="ddim", steps=steps, w=w, seed=seed)
+        (lat,) = stack.sample(conditions, sampler="ddim", steps=steps, w=w, seed=cfg.seed)
         feats = clmp.features("waveform", stack.decode(lat))
-        gen_by_id = {r.id: f for r, f in zip(eval_records, feats)}
-        ref_by_id = {r.id: f for r, f in zip(eval_records, ref_feats)}
         report.update({
             "fad_like": metrics.frechet(feats, ref_feats),
-            "kl": metrics.paired_kl(probe, gen_by_id, ref_by_id),
+            "kl": metrics.paired_kl(probe, feats, ref_feats),
             "is_like": metrics.inception_like(probe, feats),
             "probe_holdout_accuracy": probe.holdout_accuracy,
             "retrieval": clmp.eval_retrieval(

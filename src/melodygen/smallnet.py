@@ -104,32 +104,25 @@ class DenseNet:
         self.layers = layers
 
     @classmethod
-    def create(
-        cls,
-        dims: list[int],
-        activations: list[str] | str,
-        rng: np.random.Generator,
-    ) -> "DenseNet":
+    def create(cls, dims: list[int], activation: str, rng: np.random.Generator) -> "DenseNet":
         """Seeded init: weights uniform in ±1/sqrt(fan_in), biases zero.
 
-        ``dims`` is [in, hidden..., out]; ``activations`` is one name per
-        layer, or a single name meaning "that for every hidden layer and
-        identity for the last".
+        ``dims`` is [in, hidden..., out]; every hidden layer applies the one
+        ``activation``, a name in ``ACTIVATIONS``, and the last layer is
+        identity (so a net without hidden layers is affine, whatever the name).
         """
         n_layers = len(dims) - 1
         if n_layers < 1:
             raise ValidationError("dims must list at least input and output size")
-        if isinstance(activations, str):
-            activations = [activations] * (n_layers - 1) + ["identity"]
-        if len(activations) != n_layers:
-            raise ValidationError(
-                f"need {n_layers} activations, got {len(activations)}"
-            )
+        if activation not in ACTIVATIONS:
+            raise ValidationError(f"unknown activation {activation!r} (want one of "
+                                  f"{ACTIVATIONS})")
         layers = []
         for i in range(n_layers):
             fan_in = dims[i]
             w = rng.uniform(-1.0, 1.0, size=(dims[i + 1], fan_in)) / np.sqrt(fan_in)
-            layers.append(DenseLayer(w, np.zeros(dims[i + 1]), activations[i]))
+            layers.append(DenseLayer(w, np.zeros(dims[i + 1]),
+                                     activation if i < n_layers - 1 else "identity"))
         return cls(layers)
 
     def astype(self, dtype) -> "DenseNet":

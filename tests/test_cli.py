@@ -249,6 +249,50 @@ def test_ddim_steps_out_of_range_exits_1_naming_the_source_and_checkpoint(
     assert not list((work / "generated").glob("bad_steps*"))
 
 
+def fail_if_called(what):
+    # pytest.fail raises a BaseException, which the CLI does not catch
+    return lambda *args, **kwargs: pytest.fail(f"{what} before the steps check")
+
+
+@pytest.mark.parametrize("mode", ["standard", "ablation", "cfg_sweep"])
+def test_evaluate_ddim_steps_over_checkpoint_n_steps_exits_1_before_any_work(
+        request, tmp_path, capsys, monkeypatch, mode):
+    """diffusion.ddim_steps is held to the n_steps of diffusion.ckpt, not to
+    the config's, right after the stack loads: before the corpus grids are
+    read, the probe is trained or anything is sampled."""
+    _, work, _ = evaluate_stack(request, mode)
+    doc = TINY_STANDARD if mode == "standard" else TINY
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**doc, "diffusion": {**doc["diffusion"], "n_steps": 40, "ddim_steps": 30}}))
+    monkeypatch.setattr(pipeline, "corpus_mels", fail_if_called("read the corpus grids"))
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim", fail_if_called("sampled"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", mode]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert (f"ValidationError: diffusion.ddim_steps must be in 1..{TINY['diffusion']['n_steps']} "
+            "(the n_steps of diffusion.ckpt), got 30") in err
+
+
+def test_steps_sweep_with_no_fitting_count_exits_1(trained, work_copy, capsys, monkeypatch):
+    """The sweep skips the counts above n_steps of diffusion.ckpt, but a
+    denoiser of fewer steps than every count is refused, not reported on."""
+    config, _ = trained
+    path = work_copy / "diffusion.ckpt"
+    arrays, meta = smallnet.load_checkpoint(path)
+    meta["extra"]["n_steps"] = min(pipeline.SWEEP_STEPS) - 1
+    smallnet.save_checkpoint(path, arrays, meta, exact=diffusion.SAMPLER_ARRAYS)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim", fail_if_called("sampled"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work_copy),
+                     "--mode", "steps_sweep"]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert not out
+    assert (f"steps_sweep's smallest count {pipeline.SWEEP_STEPS} must be in "
+            f"1..{min(pipeline.SWEEP_STEPS) - 1} (the n_steps of diffusion.ckpt)") in err
+
+
 def test_ddpm_reports_the_steps_it_ran(trained, capsys):
     config, work = trained
     capsys.readouterr()
@@ -500,6 +544,30 @@ def test_evaluate_over_training_records_exits_1_before_sampling(
                      "--mode", "ablation"]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "ValidationError" in err and "corpus.eval_count" in err and "melody.ckpt" in err
+
+
+@pytest.mark.parametrize("mode", pipeline.EVAL_MODES)
+def test_evaluate_frees_the_corpus_grids_before_sampling(request, capsys, monkeypatch, mode):
+    """The held-out references and the probe's training features are formed
+    first; no view of the grids ``corpus_mels`` returned outlives them."""
+    config, work, _ = evaluate_stack(request, mode)
+    grids, alive = [], []
+    corpus_mels, sample_ddim = pipeline.corpus_mels, diffusion.sample_ddim
+
+    def tracked_mels(*args):
+        mels = corpus_mels(*args)
+        grids.append(weakref.ref(mels))
+        return mels
+
+    def checked_sample(*args, **kwargs):
+        alive.append(grids[0]() is not None)
+        return sample_ddim(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "corpus_mels", tracked_mels)
+    monkeypatch.setattr(pipeline.diffusion, "sample_ddim", checked_sample)
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(work),
+                     "--mode", mode]) == cli.EXIT_OK
+    assert len(grids) == 1 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("melodies, ids", [
@@ -1012,6 +1080,23 @@ def test_generate_is_repeatable(trained):
     assert (gen / "a.wav").read_bytes() == (gen / "b.wav").read_bytes()
     assert np.array_equal(smallnet.load_checkpoint(gen / "a.latent.ckpt")[0]["latent"],
                           smallnet.load_checkpoint(gen / "b.latent.ckpt")[0]["latent"])
+
+
+def test_seed_flag_generates_as_the_config_seed(trained, tmp_path, capsys):
+    """``--seed 5`` over a seed-3 config writes the WAV a seed-5 config
+    writes, and reports seed 5; seed 3 writes another."""
+    config, work = trained
+    seeded = tmp_path / "seed5.json"
+    seeded.write_text(json.dumps({**TINY, "seed": 5}))
+    runs = {"flag5": ([str(config), "--seed", "5"], 5), "config5": ([str(seeded)], 5),
+            "config3": ([str(config)], 3)}
+    for tag, (args, seed) in runs.items():
+        capsys.readouterr()
+        assert cli.main(["generate", "--out", str(work), "--prompt", "a calm melody",
+                         "--tag", tag, "--config", *args]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sampler"]["seed"] == seed
+    wav = {tag: (work / "generated" / f"{tag}.wav").read_bytes() for tag in runs}
+    assert wav["flag5"] == wav["config5"] != wav["config3"]
 
 
 # SHA-256 of the tiny stack's WAV for the prompt "a calm melody" at seed 3,

@@ -19,16 +19,9 @@ SCHED_10 = df.make_schedule(10, 1e-2, 0.1)
 def tiny_denoiser(latent_dim=4, cond_dim=3, seed=0, hidden=16, sched=SCHED_10, null=None):
     """A denoiser of (1, 1, latent_dim) latents with time_embed_dim 8, a fusion
     map of 2-wide rows, the schedule ``sched`` and, when given, the learned
-    null ``null``. A list ``hidden`` gives one tanh layer per width; ``create``
-    builds only one, so that net is built directly."""
-    if isinstance(hidden, int):
-        config = DiffusionConfig(cond_dim=cond_dim, hidden=hidden, time_embed_dim=8)
-        den = df.Denoiser.create((1, 1, latent_dim), 2, config, seed)
-    else:
-        net = smallnet.DenseNet.create([latent_dim + 8 + cond_dim, *hidden, latent_dim], "tanh",
-                                       smallnet.spawn_rng(seed, 606))
-        den = df.Denoiser(net, df.ConditionFusion.create(2, cond_dim, seed), sched,
-                          (1, 1, latent_dim), time_embed_dim=8)
+    null ``null``."""
+    config = DiffusionConfig(cond_dim=cond_dim, hidden=hidden, time_embed_dim=8)
+    den = df.Denoiser.create((1, 1, latent_dim), 2, config, seed)
     den.sched = sched
     if null is not None:
         den.fusion.null_condition = null
@@ -578,19 +571,18 @@ class TestFusedGuidance:
 
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
-    def make(self, hidden, per_row, seed=0):
+    def make(self, per_row, seed=0):
         """(denoiser, condition, the denoiser's learned null)."""
         rng = smallnet.spawn_rng(100 + seed)
         c = rng.standard_normal((3, 5) if per_row else 5)
-        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, hidden=hidden,
-                            sched=self.SCHED, null=rng.standard_normal(5))
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=seed, sched=self.SCHED,
+                            null=rng.standard_normal(5))
         return den, c, den.fusion.null_condition
 
-    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     @pytest.mark.parametrize("w", [0.0, 1.0, 3.0, 7.5])
-    def test_samplers_match_the_two_forward_reference(self, hidden, per_row, w):
-        den, c, _ = self.make(hidden, per_row)
+    def test_samplers_match_the_two_forward_reference(self, per_row, w):
+        den, c, _ = self.make(per_row)
         ddim = df.sample_ddim(den, c, w, steps=7, seed=21, n_samples=3)
         ddpm = df.sample_ddpm(den, c, w, seed=22, n_samples=3)
         assert np.allclose(ddim, reference_ddim(den, c, w, 7, 21, 3), rtol=0, atol=1e-12)
@@ -598,7 +590,7 @@ class TestFusedGuidance:
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
     def test_null_equal_to_condition_is_the_conditional_branch(self, per_row):
-        den, c, _ = self.make([8, 6], per_row, seed=1)
+        den, c, _ = self.make(per_row, seed=1)
         den.fusion.null_condition = c
         for w in (1.0, 3.0, 7.5):
             guided = df.sample_ddim(den, c, w, steps=7, seed=23, n_samples=3)
@@ -606,7 +598,7 @@ class TestFusedGuidance:
             assert np.allclose(guided, cond, rtol=0, atol=1e-12)
 
     def test_w_zero_never_reads_the_null(self):
-        den, c, null = self.make(16, False, seed=2)
+        den, c, null = self.make(False, seed=2)
         null[...] = np.nan
         x = df.sample_ddpm(den, c, 0.0, seed=24, n_samples=3)
         null[...] = 0.0
@@ -617,7 +609,7 @@ class TestFusedGuidance:
     def test_non_finite_null_alone_raises_at_the_first_step(self, batch):
         """The null branch shares the conditional branch's fused pass; a NaN
         there alone still stops both samplers at their first step."""
-        den, c, null = self.make(16, False, seed=4)
+        den, c, null = self.make(False, seed=4)
         null[2] = np.nan
         with pytest.raises(SamplingError) as e:
             df.sample_ddim(den, c, 3.0, steps=7, seed=29, n_samples=batch)
@@ -627,22 +619,21 @@ class TestFusedGuidance:
         assert e.value.step == self.SCHED.N
 
     def test_negative_w_rejected_before_the_denoiser_runs(self):
-        den, c, _ = self.make(16, False)
+        den, c, _ = self.make(False)
         den.net = Untouchable()
         with pytest.raises(ValidationError):
             df.sample_ddim(den, c, -0.5, steps=7, seed=25)
         with pytest.raises(ValidationError):
             df.sample_ddpm(den, c, -0.5, seed=25)
 
-    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("null_rows", [False, True], ids=["broadcast", "per_row"])
     @pytest.mark.parametrize("w", [0.0, 3.0])
     @pytest.mark.parametrize("blocks", [2, 3])
-    def test_condition_blocks_equal_separate_runs(self, hidden, null_rows, w, blocks):
+    def test_condition_blocks_equal_separate_runs(self, null_rows, w, blocks):
         """k blocks of n_samples condition rows share one x_N, and DDPM's z
         at each step: block j is bit for bit a run with only block j's rows
         (and its rows of a per-row null). 5 rows are not a BLAS tile."""
-        den, _, null = self.make(hidden, False, seed=5)
+        den, _, null = self.make(False, seed=5)
         rng = smallnet.spawn_rng(105)
         c = rng.standard_normal((blocks * 5, 5))
         nulls = rng.standard_normal((blocks * 5, 5)) if null_rows else null
@@ -661,18 +652,17 @@ class TestFusedGuidance:
                 assert np.array_equal(together[rows], sample(c[rows]))
 
     def test_condition_rows_must_match_samples(self):
-        den, c, null = self.make(16, True)
+        den, c, null = self.make(True)
         with pytest.raises(ShapeError):
             df.sample_ddim(den, c, 3.0, steps=7, seed=26, n_samples=2)
         den.fusion.null_condition = null[:4]
         with pytest.raises(ShapeError):
             df.sample_ddpm(den, c[0], 3.0, seed=26, n_samples=3)
 
-    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
     @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
-    def test_hidden_product_tracks_the_latent(self, monkeypatch, hidden, per_row):
+    def test_hidden_product_tracks_the_latent(self, monkeypatch, per_row):
         """After every DDIM and DDPM step, u is the latent's layer-0 product."""
-        den, c, _ = self.make(hidden, per_row, seed=3)
+        den, c, _ = self.make(per_row, seed=3)
         w_x = den.net.layers[0].w[:, :den.latent_dim]
         step, steps_seen = df.GuidedTrajectory.step, []
 
@@ -692,13 +682,19 @@ class TestHiddenLayerRequired:
         with pytest.raises(ValidationError, match="hidden layer"):
             tiny_denoiser(hidden=0)
 
-    def test_load_refuses_a_net_without_hidden_layer(self, tmp_path):
+    @pytest.mark.parametrize("hidden", [[], [8, 6]], ids=["none", "two"])
+    def test_load_refuses_a_net_without_one_hidden_layer(self, tmp_path, hidden):
+        """The sampler carries one hidden layer, the one ``create`` builds."""
         den = tiny_denoiser()
-        den.net = smallnet.DenseNet.create([4 + 8 + 3, 4], "tanh", smallnet.spawn_rng(0))
+        den.net = smallnet.DenseNet.create([4 + 8 + 3, *hidden, 4], "tanh",
+                                           smallnet.spawn_rng(0))
         path = tmp_path / "diffusion.ckpt"
         den.save(path)
-        with pytest.raises(ValidationError, match="no hidden layer"):
+        with pytest.raises(ValidationError) as e:
             df.Denoiser.load(path)
+        assert f"net has {len(hidden)} hidden layers, the sampler carries exactly one" in str(
+            e.value)
+        assert str(path) in str(e.value) and "rerun train-diffusion" in str(e.value)
 
 
 def quantized(den):
@@ -712,16 +708,15 @@ def quantized(den):
 class TestStoredSamplerConstants:
     SCHED = df.make_schedule(20, 1e-3, 0.05)
 
-    def saved(self, tmp_path, hidden=16):
-        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=4, hidden=hidden, sched=self.SCHED,
+    def saved(self, tmp_path):
+        den = tiny_denoiser(latent_dim=12, cond_dim=5, seed=4, sched=self.SCHED,
                             null=smallnet.spawn_rng(6).standard_normal(5))
         path = tmp_path / "diffusion.ckpt"
         den.save(path)
         return den, path
 
-    @pytest.mark.parametrize("hidden", [16, [8, 6]], ids=["h16", "h8-6"])
-    def test_round_trip_stores_the_constants_of_the_loaded_weights(self, tmp_path, hidden):
-        _, path = self.saved(tmp_path, hidden)
+    def test_round_trip_stores_the_constants_of_the_loaded_weights(self, tmp_path):
+        _, path = self.saved(tmp_path)
         den = df.Denoiser.load(path)
         stored = den.sampler_constants()
         den.stored_constants = None

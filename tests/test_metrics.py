@@ -111,11 +111,22 @@ class TestProbe:
 
 
 class TestPairedKl:
-    def test_identical_sets_zero(self):
+    def test_identical_rows_zero(self):
         probe = make_probe(seed=8)
-        rng = smallnet.spawn_rng(8)
-        feats = {f"id{i}": rng.standard_normal(4) for i in range(6)}
-        assert metrics.paired_kl(probe, feats, dict(feats)) == pytest.approx(0.0, abs=1e-12)
+        feats = smallnet.spawn_rng(8).standard_normal((6, 4))
+        assert metrics.paired_kl(probe, feats, feats.copy()) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_of_row_by_row_kl_from_reference_to_generated(self):
+        """Row i of the generated features is scored against row i of the
+        reference ones only, as KL(reference || generated)."""
+        probe = make_probe(classes=("a", "b", "c"), seed=14)
+        rng = smallnet.spawn_rng(14)
+        gen, ref = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        per_row = [metrics.kl_divergence(probe.predict_proba(r[None])[0],
+                                         probe.predict_proba(g[None])[0])
+                   for g, r in zip(gen, ref)]
+        assert metrics.paired_kl(probe, gen, ref) == pytest.approx(np.mean(per_row), rel=1e-12)
+        assert metrics.paired_kl(probe, gen, ref[::-1]) != pytest.approx(np.mean(per_row))
 
     def test_two_class_closed_form(self):
         assert metrics.kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == \
@@ -130,10 +141,13 @@ class TestPairedKl:
             q /= q.sum()
             assert metrics.kl_divergence(p, q) >= -1e-12
 
-    def test_unpaired_ids_rejected(self):
+    @pytest.mark.parametrize("gen_shape, ref_shape", [
+        ((5, 4), (6, 4)), ((6, 4), (5, 4)), ((3, 4), (3, 2)), ((0, 4), (0, 4)),
+    ], ids=["fewer_generated", "fewer_reference", "other_width", "empty"])
+    def test_misaligned_or_empty_rows_rejected(self, gen_shape, ref_shape):
         probe = make_probe(seed=10)
-        with pytest.raises(ValidationError):
-            metrics.paired_kl(probe, {"a": np.zeros(4)}, {"b": np.zeros(4)})
+        with pytest.raises(ValidationError, match="aligned"):
+            metrics.paired_kl(probe, np.zeros(gen_shape), np.zeros(ref_shape))
 
 
 class TestInceptionLike:

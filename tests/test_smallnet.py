@@ -32,11 +32,26 @@ class TestForward:
     def test_seeded_net_matches_hand_computed_product(self):
         # layer-by-layer oracle: replay the affine/activation chain by hand
         rng = smallnet.spawn_rng(5)
-        net = smallnet.DenseNet.create([3, 4, 2], ["tanh", "identity"], rng)
+        net = smallnet.DenseNet.create([3, 4, 2], "tanh", rng)
         x = np.array([0.3, -1.2, 0.7])
         h = np.tanh(net.layers[0].w @ x + net.layers[0].b)
         expected = net.layers[1].w @ h + net.layers[1].b
         assert np.allclose(net.forward(x[None, :])[0], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("activation", smallnet.ACTIVATIONS)
+    def test_create_applies_the_name_to_every_hidden_layer(self, activation):
+        net = smallnet.DenseNet.create([3, 4, 5, 2], activation, smallnet.spawn_rng(20))
+        assert [l.activation for l in net.layers] == [activation, activation, "identity"]
+
+    @pytest.mark.parametrize("activation", ["relu", ["tanh"], ["identity"]],
+                             ids=["unknown_name", "list_of_tanh", "list_of_identity"])
+    def test_create_refuses_anything_but_one_known_name(self, activation):
+        """A list, even one naming the one layer of a one-layer net, is
+        refused before any draw, never read as a name."""
+        rng = smallnet.spawn_rng(19)
+        with pytest.raises(ValidationError, match="unknown activation"):
+            smallnet.DenseNet.create([3, 2], activation, rng)
+        assert np.array_equal(rng.random(3), smallnet.spawn_rng(19).random(3))
 
     def test_batch_matches_single(self):
         rng = smallnet.spawn_rng(6)
@@ -90,7 +105,7 @@ class TestBackward:
 
     def test_batch_param_grads_sum_over_batch(self):
         rng = smallnet.spawn_rng(8)
-        net = smallnet.DenseNet.create([3, 2], ["identity"], rng)
+        net = smallnet.DenseNet.create([3, 2], "identity", rng)
         xs = rng.standard_normal((5, 3))
         ups = rng.standard_normal((5, 2))
         batch_grads, _ = backward(net, xs, ups)
@@ -245,8 +260,8 @@ class TestDtype:
 
     def test_layers_of_two_dtypes_rejected(self):
         rng = smallnet.spawn_rng(17)
-        a = smallnet.DenseNet.create([3, 4], ["tanh"], rng).layers
-        b = smallnet.DenseNet.create([4, 2], ["identity"], rng).astype(np.float32).layers
+        a = smallnet.DenseNet.create([3, 4], "identity", rng).layers
+        b = smallnet.DenseNet.create([4, 2], "identity", rng).astype(np.float32).layers
         with pytest.raises(ValidationError, match="dtype"):
             smallnet.DenseNet(a + b)
 
@@ -336,7 +351,7 @@ class TestCheckpoint:
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         rng = smallnet.spawn_rng(13)
-        net = smallnet.DenseNet.create([4, 3], ["tanh"], rng)
+        net = smallnet.DenseNet.create([4, 5, 3], "tanh", rng)
         arrays, meta = net.named_parameters(), smallnet.net_meta(net)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         smallnet.save_checkpoint(p1, arrays, meta)
@@ -571,7 +586,7 @@ class TestCheckpointFormat:
             smallnet.load_checkpoint(path)
 
     def test_net_from_state_adopts_loaded_arrays(self, tmp_path):
-        net = smallnet.DenseNet.create([3, 2], ["tanh"], smallnet.spawn_rng(15))
+        net = smallnet.DenseNet.create([3, 2], "identity", smallnet.spawn_rng(15))
         arrays, meta = net.named_parameters(), smallnet.net_meta(net)
         path = tmp_path / "n.ckpt"
         smallnet.save_checkpoint(path, arrays, meta)
